@@ -19,11 +19,11 @@ Each ``bench_*.py`` module exposes ``run(cfg) -> dict`` returning:
   the harness fills them from the last Propeller deployment the bench
   built (SLO summary + event-journal digest, see ``repro.obs``).
 
-The harness wraps that in an envelope (schema, tier, wall-clock) and
-writes ``BENCH_<key>.json`` — ``key`` is the stem minus ``bench_`` — at
-the repo root (or ``--out DIR``).  ``compare()`` diffs two artifacts (or
+The harness wraps that in an envelope (schema, tier) and writes
+``BENCH_<key>.json`` — ``key`` is the stem minus ``bench_`` — at the
+repo root (or ``--out DIR``).  ``compare()`` diffs two artifacts (or
 two directories of them) and fails on latency regressions beyond a
-threshold; wall-clock is deliberately excluded from comparison.
+threshold.  Host time is not recorded here: ``perf/`` judges it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import importlib
 import json
 import os
 import pathlib
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -111,9 +110,7 @@ def run_bench(name: str, module: Any, cfg: BenchConfig) -> Dict[str, Any]:
     from benchmarks import common
 
     common.reset_observed()
-    wall_start = time.perf_counter()
     result = module.run(cfg)
-    wall = time.perf_counter() - wall_start
     obs = common.obs_sections()
     return {
         "schema": SCHEMA,
@@ -129,7 +126,6 @@ def run_bench(name: str, module: Any, cfg: BenchConfig) -> Dict[str, Any]:
         "slo": result.get("slo", obs["slo"]),
         "journal": result.get("journal", obs["journal"]),
         "texts": result.get("texts", {}),
-        "wall_clock_s": wall,
     }
 
 

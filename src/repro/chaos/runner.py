@@ -71,13 +71,12 @@ class ChaosRunner:
                  settle_every: int = 10,
                  retry_policy: Optional[RetryPolicy] = None,
                  rf: int = 1, master_faults: bool = False,
-                 batching: bool = True, tiering: bool = False) -> None:
+                 tiering: bool = False) -> None:
         self.seed = seed
         self.steps = steps
         self.nodes = nodes
         self.rf = rf
         self.master_faults = master_faults
-        self.batching = batching
         self.tiering = tiering
         self.settle_every = max(1, settle_every)
         self.schedule: List[ChaosStep] = build_schedule(
@@ -117,9 +116,6 @@ class ChaosRunner:
             node.machine.disk.faults = self.faults
         self.service.enable_freshness()
         self.service.enable_timeline(interval_s=5.0)
-        # ``batching=False`` pins the legacy per-op hot path — the
-        # byte-identical baseline the batched stack is audited against.
-        self.service.set_batching(batching)
         # Cold-tier faults go through the same injector; attaching the
         # hook is free when tiering is off (the decision methods draw no
         # randomness while their rates are zero).

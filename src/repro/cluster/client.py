@@ -102,14 +102,12 @@ class PropellerClient:
             tuple(masters) if masters else (master,))
         self.master_rehomes = 0
         self.batch_size = batch_size
-        # Update coalescing (the group-commit feed): with batching on,
-        # queued updates for one file fold into the newest (upserts
-        # carry complete attribute snapshots, so folding is lossless)
-        # and per-ACG groups travel as one UpdateBatch envelope; the
-        # queue flushes on size *or* age so a trickle never sits
-        # unsent past the server's commit window.  False reproduces
-        # the legacy per-append path byte-for-byte.
-        self.batching = True
+        # Update coalescing (the group-commit feed): queued updates
+        # for one file fold into the newest (upserts carry complete
+        # attribute snapshots, so folding is lossless) and per-ACG
+        # groups travel as one UpdateBatch envelope; the queue flushes
+        # on size *or* age so a trickle never sits unsent past the
+        # server's commit window.
         self.batch_age_s = DEFAULT_BATCH_AGE_S
         self._pending_since: Optional[float] = None
         self.local = local
@@ -594,7 +592,7 @@ class PropellerClient:
         return IndexUpdate.upsert(inode.ino, attrs, path=path), hint
 
     def _enqueue(self, hint: int, update: IndexUpdate) -> None:
-        """Queue one update, coalescing per file when batching is on.
+        """Queue one update, coalescing per file.
 
         The newest update for a file wins and keeps the earlier entry's
         queue position (and its placement hint, unless the new arrival
@@ -602,13 +600,7 @@ class PropellerClient:
         one server-side apply, and an upsert queued behind a delete can
         never resurrect out of order.  The queue flushes when it
         reaches ``batch_size`` or its oldest entry has waited past
-        ``batch_age_s``.  With batching off this is exactly the legacy
-        append-and-flush-on-size path."""
-        if not self.batching:
-            self._pending.append((hint, update))
-            if len(self._pending) >= self.batch_size:
-                self.flush_updates()
-            return
+        ``batch_age_s``."""
         now = self.vfs.clock.now()
         for i, (old_hint, old) in enumerate(self._pending):
             if old.file_id == update.file_id:
@@ -662,10 +654,10 @@ class PropellerClient:
         Locally-routable updates go straight to their Index Node stamped
         with the cached epoch; a node that no longer owns the partition
         NACKs with :class:`~repro.errors.StaleRoute`, which triggers one
-        route-table refresh and a retry (or a legacy Master-routed
+        route-table refresh and a retry (or a Master-routed
         fallback when the refresh doesn't change the route).  Updates the
         cache cannot answer — stale routes, hinted files with unknown
-        producers — take the legacy Master round-trip.  Per-target
+        producers — take the Master round-trip.  Per-target
         delivery failures re-queue that target's updates **with their
         placement hints intact** instead of failing the whole batch.
         Returns the number of updates actually delivered (acknowledged).
@@ -745,15 +737,8 @@ class PropellerClient:
                     self.registry.counter("cluster.client.lost_deletes").inc()
             return 0
         node, acg_id = target
-        try:
-            ack = self.rpc.call(node, "index_update", acg_id, [update],
-                                local=self.local,
-                                request_bytes=update.wire_bytes())
-        except (StaleRoute,) + DEGRADABLE_ERRORS:
-            self._requeue([update], {})
-            return 0
-        self._learn_ack(ack)
-        return self._sent([update])
+        return self._deliver_or_requeue(node, acg_id, [update], {},
+                                        note_nack=False)
 
     def _requeue(self, updates: Sequence[IndexUpdate],
                  hint_of: Dict[int, int]) -> None:
@@ -772,15 +757,36 @@ class PropellerClient:
                 self._forget_file(update.file_id)
         return len(updates)
 
-    def _wire_payload(self, acg_id: int, updates: Sequence[IndexUpdate]):
-        """What one (node, ACG) group costs on the wire: a single
-        :class:`UpdateBatch` envelope when batching (shared framing
-        makes the group cheaper than the sum of its members), or the
-        bare list with per-update accounting on the legacy path."""
-        if self.batching and len(updates) > 1:
-            batch = UpdateBatch(acg_id, tuple(updates))
-            return batch, batch.wire_bytes()
-        return updates, sum(u.wire_bytes() for u in updates)
+    def _deliver(self, node: str, acg_id: int,
+                 updates: Sequence[IndexUpdate],
+                 epoch: Optional[int] = None) -> int:
+        """Send one (node, ACG) group as a single :class:`UpdateBatch`
+        envelope and account for its ack; returns the delivered count.
+        ``epoch`` stamps cache-routed sends; Master-routed ones go
+        unstamped.  Delivery failures propagate to the caller."""
+        batch = UpdateBatch(acg_id, tuple(updates))
+        ack = self.rpc.call(node, "index_update", acg_id, batch,
+                            local=self.local,
+                            request_bytes=batch.wire_bytes(), epoch=epoch)
+        self._learn_ack(ack)
+        return self._sent(updates)
+
+    def _deliver_or_requeue(self, node: str, acg_id: int,
+                            updates: Sequence[IndexUpdate],
+                            hint_of: Dict[int, int],
+                            epoch: Optional[int] = None,
+                            note_nack: bool = True) -> int:
+        """:meth:`_deliver`, re-queueing the group (hints intact) when
+        the target NACKs or cannot be reached."""
+        try:
+            return self._deliver(node, acg_id, updates, epoch)
+        except StaleRoute:
+            if note_nack:
+                self._note_nacks(len(updates))
+        except DEGRADABLE_ERRORS:
+            pass
+        self._requeue(updates, hint_of)
+        return 0
 
     def _send_stamped(self, stamped: Dict[Tuple[str, int], List[IndexUpdate]],
                       hint_of: Dict[int, int]) -> int:
@@ -790,20 +796,14 @@ class PropellerClient:
         nacked: List[Tuple[str, int, List[IndexUpdate]]] = []
         unreachable: List[Tuple[str, int, List[IndexUpdate]]] = []
         for (node, acg_id), updates in stamped.items():
-            payload, nbytes = self._wire_payload(acg_id, updates)
             try:
-                ack = self.rpc.call(node, "index_update", acg_id, payload,
-                                    local=self.local,
-                                    request_bytes=nbytes,
-                                    epoch=self._route_epoch)
+                delivered += self._deliver(node, acg_id, updates,
+                                           self._route_epoch)
             except StaleRoute:
                 self._note_nacks(len(updates))
                 nacked.append((node, acg_id, updates))
             except DEGRADABLE_ERRORS:
                 unreachable.append((node, acg_id, updates))
-            else:
-                self._learn_ack(ack)
-                delivered += self._sent(updates)
         if not nacked and not unreachable:
             return delivered
         refreshed = True
@@ -812,55 +812,33 @@ class PropellerClient:
         except DEGRADABLE_ERRORS:
             refreshed = False
         fallback: List[IndexUpdate] = []
-        for old_node, acg_id, updates in nacked:
-            new_node = self._route_nodes.get(acg_id)
-            if refreshed and new_node and new_node != old_node:
-                # The route genuinely moved (migration or failover):
-                # resend under the fresh epoch.
-                payload, nbytes = self._wire_payload(acg_id, updates)
-                try:
-                    ack = self.rpc.call(new_node, "index_update", acg_id,
-                                        payload, local=self.local,
-                                        request_bytes=nbytes,
-                                        epoch=self._route_epoch)
-                except StaleRoute:
-                    self._note_nacks(len(updates))
-                    self._requeue(updates, hint_of)
-                except DEGRADABLE_ERRORS:
-                    self._requeue(updates, hint_of)
+        for was_nacked, groups in ((True, nacked), (False, unreachable)):
+            for old_node, acg_id, updates in groups:
+                new_node = self._route_nodes.get(acg_id)
+                if refreshed and new_node and new_node != old_node:
+                    # The route genuinely moved (migration or failover):
+                    # resend under the fresh epoch.
+                    delivered += self._deliver_or_requeue(
+                        new_node, acg_id, updates, hint_of,
+                        epoch=self._route_epoch, note_nack=was_nacked)
+                elif was_nacked:
+                    # Same route even after a refresh: the node most
+                    # likely missed its ownership grant.  Heal through
+                    # the Master-routed path (unstamped,
+                    # create-on-demand).
+                    fallback.extend(updates)
                 else:
-                    self._learn_ack(ack)
-                    delivered += self._sent(updates)
-            else:
-                # Same route even after a refresh: the node most likely
-                # missed its ownership grant.  Heal through the legacy
-                # Master path (unstamped, create-on-demand).
-                fallback.extend(updates)
-        for old_node, acg_id, updates in unreachable:
-            new_node = self._route_nodes.get(acg_id)
-            if refreshed and new_node and new_node != old_node:
-                payload, nbytes = self._wire_payload(acg_id, updates)
-                try:
-                    ack = self.rpc.call(new_node, "index_update", acg_id,
-                                        payload, local=self.local,
-                                        request_bytes=nbytes,
-                                        epoch=self._route_epoch)
-                except (StaleRoute,) + DEGRADABLE_ERRORS:
+                    # The node is down and routing hasn't moved yet; the
+                    # next flush retries (failover may re-home it by
+                    # then).
                     self._requeue(updates, hint_of)
-                else:
-                    self._learn_ack(ack)
-                    delivered += self._sent(updates)
-            else:
-                # The node is down and routing hasn't moved yet; the
-                # next flush retries (failover may re-home it by then).
-                self._requeue(updates, hint_of)
         if fallback:
             delivered += self._send_via_master(fallback, hint_of)
         return delivered
 
     def _send_via_master(self, updates: Sequence[IndexUpdate],
                          hint_of: Dict[int, int]) -> int:
-        """Legacy path: the Master routes the batch; sends go unstamped
+        """The Master routes the batch; sends go unstamped
         (create-on-demand on the Index Node heals ownership gaps)."""
         if not updates:
             return 0
@@ -893,20 +871,8 @@ class PropellerClient:
             self._requeue(unrouted, hint_of)
         delivered = 0
         for (node, acg_id), target_updates in by_target.items():
-            payload, nbytes = self._wire_payload(acg_id, target_updates)
-            try:
-                ack = self.rpc.call(node, "index_update", acg_id,
-                                    payload, local=self.local,
-                                    request_bytes=nbytes)
-            except StaleRoute:
-                self._note_nacks(len(target_updates))
-                self._requeue(target_updates, hint_of)
-                continue
-            except DEGRADABLE_ERRORS:
-                self._requeue(target_updates, hint_of)
-                continue
-            self._learn_ack(ack)
-            delivered += self._sent(target_updates)
+            delivered += self._deliver_or_requeue(
+                node, acg_id, target_updates, hint_of)
         return delivered
 
     # -- ACG flush ----------------------------------------------------------------------

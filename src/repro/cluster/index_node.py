@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
@@ -28,7 +29,7 @@ from repro.core.acg import AccessCausalityGraph
 from repro.core.partitioner import PartitioningPolicy, split_partition
 from repro.errors import (ClusterError, ObjectStoreError, SegmentCorruption,
                           StaleMasterTerm, StaleReplEpoch, StaleRoute,
-                          UnknownAcg)
+                          UnknownAcg, WalCorruption)
 from repro.indexstructures.base import Index, IndexKind, make_index
 from repro.obs.freshness import NULL_FRESHNESS
 from repro.obs.journal import NULL_JOURNAL
@@ -399,15 +400,6 @@ class IndexNode:
         # Attached by the service: lets this node forward updates during
         # a migration's dual-ownership window.
         self.rpc = None
-        # Hot-path batching knobs (service-wide; see PropellerService
-        # ``batching``).  ``group_commit`` turns an update envelope into
-        # one WAL batch record + one fsync and commits it with one bulk
-        # index apply; ``vectorized_postings`` runs searches through the
-        # roaring-style posting-list path.  Both False reproduce the
-        # legacy per-op path byte-for-byte (the chaos bit-determinism
-        # baseline).
-        self.group_commit = True
-        self.vectorized_postings = True
         # Tiered storage (service-wide knob; see PropellerService
         # ``set_tiering``).  Off by default: the freeze driver, the
         # frozen search path, and every cold-tier charge are gated on
@@ -662,9 +654,16 @@ class IndexNode:
         Epoch-stamped batches (``epoch`` is not None) are only accepted
         for ACGs this node owns: a handed-off ACG forwards to the
         migration target, anything else raises :class:`StaleRoute` so the
-        client refreshes its route cache.  Unstamped batches keep the
-        legacy Master-routed semantics (create-on-demand), except that a
-        handoff intent still forwards — the old owner must never apply."""
+        client refreshes its route cache.  Unstamped (Master-routed)
+        batches are create-on-demand, except that a handoff intent still
+        forwards — the old owner must never apply.
+
+        The envelope is the unit all the way down: one WAL batch frame
+        (one simulated fsync), one cache-insert charge (full price once
+        plus a marginal cost per rider), and — on a replicated
+        partition — one replication-log record, so primaries, followers
+        and hedged reads advance their watermarks at identical batch
+        boundaries and a partially-visible envelope is impossible."""
         if acg_id in self.handoff_intents:
             return self._forward_updates(acg_id, updates, epoch)
         if epoch is not None and acg_id not in self.replicas:
@@ -678,25 +677,16 @@ class IndexNode:
         replica = self.replica(acg_id, create=True)
         now = self.machine.clock.now()
         self._acg_last_access[acg_id] = now
-        if self.registry is not None and updates:
-            self.registry.histogram("update.batch_size", unit="updates")\
-                .observe(len(updates))
-        if self.group_commit and updates:
-            # Group commit: the whole envelope becomes one WAL batch
-            # record — one frame, one simulated fsync — and the cache
-            # insert pays full price once plus a marginal cost per rider.
+        if updates:
+            if self.registry is not None:
+                self.registry.histogram("update.batch_size", unit="updates")\
+                    .observe(len(updates))
             self.wal.append_batch(acg_id, tuple(
                 (acg_id, u.file_id, u.op.value, u.path, u.attrs)
                 for u in updates))
             self.machine.compute(
                 _CACHE_ADD_OPS + _CACHE_ADD_BATCHED_OPS * (len(updates) - 1))
             for update in updates:
-                self.cache.add(acg_id, update, now)
-        else:
-            for update in updates:
-                self.wal.append((acg_id, update.file_id, update.op.value,
-                                 update.path, update.attrs))
-                self.machine.compute(_CACHE_ADD_OPS)
                 self.cache.add(acg_id, update, now)
         state = self.repl.get(acg_id)
         if state is None:
@@ -706,14 +696,8 @@ class IndexNode:
         # that cannot be reached just falls behind (its ack watermark
         # stays put); the periodic catch-up re-sends the suffix — the
         # client's ack never hinges on follower liveness.
-        if self.group_commit and updates:
-            # One log record per batch: primaries, followers, and hedged
-            # reads advance their watermarks at identical batch
-            # boundaries, so a partially-visible envelope is impossible.
+        if updates:
             state.log.append(tuple(updates))
-        else:
-            for update in updates:
-                state.log.append(update)
         self._stream_to_followers(acg_id, state)
         return UpdateAck(len(updates), acg_id=acg_id, seq=state.log.last_seq,
                          repl_epoch=state.repl_epoch)
@@ -736,11 +720,7 @@ class IndexNode:
             # absorb the fault — the store is authoritative; residency is
             # a cost-model event, retried on the next touch.
             pass
-        if self.group_commit:
-            replica.apply_batch(updates)
-        else:
-            for update in updates:
-                replica.apply(update)
+        replica.apply_batch(updates)
         # Commit is the moment an update becomes search-visible: resolve
         # any freshness stamps now (bookkeeping only, zero simulated cost).
         now = self.machine.clock.now()
@@ -909,18 +889,6 @@ class IndexNode:
                 return acg_id
         return None
 
-    def _materialize_units(self, matches: int) -> int:
-        """Examine charges to materialize ``matches`` result docs.
-
-        The legacy set path touches one doc per charge; the bitmap
-        posting path extracts matches word-at-a-time, so one charge
-        covers ``_VECTOR_WIDTH`` of them (ceil — a partial word still
-        costs a word).
-        """
-        if not self.vectorized_postings:
-            return matches
-        return (matches + _VECTOR_WIDTH - 1) // _VECTOR_WIDTH
-
     def _purge_result_cache(self, acg_id: int) -> None:
         for key in [k for k in self._result_cache if k[0] == acg_id]:
             del self._result_cache[key]
@@ -979,15 +947,27 @@ class IndexNode:
             span.set_attribute(
                 "access_path", "; ".join(p.describe() for p in plans))
         with self.tracer.span("index_scan", node=self.name, acg=acg_id) as span:
-            self.machine.compute(_EXAMINE_OPS * max(1, replica.file_count // 64))
-            file_ids = execute_plans(plans, predicate, replica.indexes,
-                                     replica.store, now,
-                                     use_postings=self.vectorized_postings)
-            self.machine.compute(
-                _EXAMINE_OPS * self._materialize_units(len(file_ids)))
-            span.set_attribute("matches", len(file_ids))
+            result = self._run_leg(
+                acg_id, replica.store,
+                lambda: execute_plans(plans, predicate, replica.indexes,
+                                      replica.store, now))
+            span.set_attribute("matches", len(result.file_ids))
+        return result
+
+    def _run_leg(self, acg_id: int, store: AttributeStore,
+                 match: Callable[[], Set[int]]) -> SearchResult:
+        """The costed core every search leg shares (live, frozen,
+        follower): charge the scan setup, run ``match`` for the exact
+        file ids, charge materializing them — bitmap postings extract
+        matches word-at-a-time, so one examine charge covers
+        ``_VECTOR_WIDTH`` of them (ceil: a partial word still costs a
+        word) — and answer with the sorted paths from ``store``."""
+        self.machine.compute(_EXAMINE_OPS * max(1, len(store) // 64))
+        file_ids = match()
+        self.machine.compute(
+            _EXAMINE_OPS * ((len(file_ids) + _VECTOR_WIDTH - 1) // _VECTOR_WIDTH))
         paths = tuple(sorted(
-            p for p in (replica.store.attrs(f).get("path") for f in file_ids)
+            p for p in (store.attrs(f).get("path") for f in file_ids)
             if p is not None))
         return SearchResult(node=self.name, acg_id=acg_id,
                             file_ids=frozenset(file_ids), paths=paths)
@@ -1022,17 +1002,10 @@ class IndexNode:
             self.tier_fallbacks += 1
             return self._search_live_body(acg_id, predicate, index_names, now)
         with self.tracer.span("segment_scan", node=self.name, acg=acg_id) as span:
-            self.machine.compute(_EXAMINE_OPS * max(1, view.file_count() // 64))
-            file_ids = view.search(predicate, now,
-                                   use_postings=self.vectorized_postings)
-            self.machine.compute(
-                _EXAMINE_OPS * self._materialize_units(len(file_ids)))
-            span.set_attribute("matches", len(file_ids))
-        paths = tuple(sorted(
-            p for p in (view.store.attrs(f).get("path") for f in file_ids)
-            if p is not None))
-        return SearchResult(node=self.name, acg_id=acg_id,
-                            file_ids=frozenset(file_ids), paths=paths)
+            result = self._run_leg(acg_id, view.store,
+                                   lambda: view.search(predicate, now))
+            span.set_attribute("matches", len(result.file_ids))
+        return result
 
     def handle_search(self, acg_ids: Sequence[int], predicate: Predicate,
                       index_names: Optional[Sequence[str]] = None,
@@ -1518,20 +1491,17 @@ class IndexNode:
             replica.ensure_index(spec)
         for spec in self._global_specs.values():
             replica.ensure_index(spec)
-        if self.group_commit:
-            replica.apply_batch([
-                IndexUpdate.upsert(file_id, dict(attrs), path=path)
-                for file_id, attrs, path in files])
-        else:
-            for file_id, attrs, path in files:
-                replica.apply(IndexUpdate.upsert(file_id, dict(attrs), path=path))
+        replica.apply_batch([
+            IndexUpdate.upsert(file_id, dict(attrs), path=path)
+            for file_id, attrs, path in files])
         self.followers[acg_id] = FollowerState(
             primary=primary, repl_epoch=repl_epoch, replica=replica,
             applied_seq=seq)
         return seq
 
     def handle_replicate_apply(self, acg_id: int, repl_epoch: int,
-                               records: Sequence[Tuple[int, IndexUpdate]]) -> int:
+                               records: Sequence[Tuple[int, Tuple[IndexUpdate, ...]]]
+                               ) -> int:
         """Apply a log suffix to the follower replica; returns applied seq.
 
         Idempotent by sequence contiguity: records at or below the
@@ -1551,19 +1521,15 @@ class IndexNode:
                 f"{self.name}: stale repl epoch {repl_epoch} < {st.repl_epoch} "
                 f"for ACG {acg_id}")
         st.repl_epoch = repl_epoch
-        for seq, payload in records:
+        for seq, updates in records:
             if seq <= st.applied_seq:
                 continue
             if seq != st.applied_seq + 1:
                 break
-            # A group-commit primary logs one record per batch (a tuple
-            # of updates); the legacy path logs single updates.  Either
-            # way the record applies atomically before the watermark
-            # advances, so hedged reads never see half an envelope.
-            if isinstance(payload, IndexUpdate):
-                st.replica.apply(payload)
-            else:
-                st.replica.apply_batch(list(payload))
+            # One record is one envelope: it applies atomically before
+            # the watermark advances, so hedged reads never see half of
+            # it.
+            st.replica.apply_batch(updates)
             st.applied_seq = seq
             st.last_apply_t = self.machine.clock.now()
         return st.applied_seq
@@ -1658,17 +1624,10 @@ class IndexNode:
         specs = [replica.specs[n] for n in (index_names or replica.specs)
                  if n in replica.specs]
         plans = plan_query_set(predicate, specs, now)
-        self.machine.compute(_EXAMINE_OPS * max(1, replica.file_count // 64))
-        file_ids = execute_plans(plans, predicate, replica.indexes,
-                                 replica.store, now,
-                                 use_postings=self.vectorized_postings)
-        self.machine.compute(
-            _EXAMINE_OPS * self._materialize_units(len(file_ids)))
-        paths = tuple(sorted(
-            p for p in (replica.store.attrs(f).get("path") for f in file_ids)
-            if p is not None))
-        return SearchResult(node=self.name, acg_id=replica.acg_id,
-                            file_ids=frozenset(file_ids), paths=paths)
+        return self._run_leg(
+            replica.acg_id, replica.store,
+            lambda: execute_plans(plans, predicate, replica.indexes,
+                                  replica.store, now))
 
     # -- liveness -----------------------------------------------------------------------------
 
@@ -1814,10 +1773,12 @@ class IndexNode:
             # batch record advances ``seen`` by its batch length; a batch
             # straddling the watermark is kept and sliced in the loop.
             nonlocal skipped_updates
-            if record[0] == batch_tag:
-                acg_id, length = record[1], len(record[2])
-            else:
-                acg_id, length = record[0], 1
+            if not (isinstance(record, tuple) and len(record) == 3
+                    and record[0] == batch_tag):
+                raise WalCorruption(
+                    f"{self.name}: WAL record is not a batch frame: "
+                    f"{record!r:.80}")
+            acg_id, length = record[1], len(record[2])
             if acg_id in self.migrated_away or acg_id in self.handoff_intents:
                 skipped_updates += length
                 return False
@@ -1827,11 +1788,7 @@ class IndexNode:
                 return False
             return True
 
-        for record in self.wal.replay(keep):
-            if record[0] == batch_tag:
-                acg_id, raw = record[1], record[2]
-            else:
-                acg_id, raw = record[0], (record,)
+        for _, acg_id, raw in self.wal.replay(keep):
             # ``seen`` is exact through this record (replay is lazy), so
             # the committed prefix of a straddling batch is the first
             # ``already`` updates — replaying those would not be

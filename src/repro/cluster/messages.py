@@ -50,17 +50,18 @@ class IndexUpdate:
 
 @dataclass(frozen=True)
 class UpdateBatch:
-    """A per-ACG batch envelope: many updates, one RPC, one group commit.
+    """A per-ACG batch envelope: one or more updates, one RPC, one
+    group commit.
 
     The client coalesces per-file updates (flushing on size/age
     thresholds) and ships one envelope per (node, partition) pair.  The
-    envelope is sequence-shaped so the Index Node handler — and every
-    forwarding path between client and primary — can treat it exactly
-    like the legacy ``List[IndexUpdate]`` argument.
+    envelope is sequence-shaped, so the Index Node handler — and every
+    forwarding path between client and primary — treats it like any
+    ``Sequence[IndexUpdate]``.
 
-    ``wire_bytes`` amortizes the per-request framing that the legacy
-    path paid once per update: one 24-byte header for the envelope plus
-    the per-update payloads minus their now-shared routing preamble.
+    ``wire_bytes`` amortizes the per-request framing across the
+    envelope: one 24-byte header plus the per-update payloads minus
+    their now-shared routing preamble.
     """
 
     acg_id: int
@@ -78,20 +79,23 @@ class UpdateBatch:
     def wire_bytes(self) -> int:
         """Amortized serialized size: shared envelope header, packed updates."""
         per_update = sum(u.wire_bytes() for u in self.updates)
+        if len(self.updates) == 1:
+            # Nothing is shared: the lone update's own framing is the
+            # request header.
+            return per_update
         # Each coalesced update sheds 16 bytes of per-request routing
         # preamble (acg id, epoch, auth) that now rides on the envelope.
-        saved = 16 * max(0, len(self.updates) - 1)
-        return 24 + per_update - saved
+        return 24 + per_update - 16 * (len(self.updates) - 1)
 
 
 class UpdateAck(int):
     """An Index Node's ack for one ``index_update`` batch.
 
-    Subclasses ``int`` (the accepted-update count) so every legacy call
-    site that treats the ack as a plain count keeps working; replication-
-    aware clients additionally read the partition's committed replication
-    sequence (``seq``) to maintain their read-your-writes watermark for
-    hedged follower reads.  ``seq == 0`` means the node is not running
+    Subclasses ``int`` (the accepted-update count) so call sites that
+    only need the count treat the ack as one; replication-aware clients
+    additionally read the partition's committed replication sequence
+    (``seq``) to maintain their read-your-writes watermark for hedged
+    follower reads.  ``seq == 0`` means the node is not running
     replication for the partition.
     """
 

@@ -219,17 +219,14 @@ class SegmentView:
         denser than the live replica's residency charge."""
         return 256 + self.store.estimated_bytes()
 
-    def search(self, predicate: Predicate, now: float,
-               use_postings: bool = True) -> Set[int]:
+    def search(self, predicate: Predicate, now: float) -> Set[int]:
         """Exact matching file ids (same answer as the live path)."""
-        candidates = None
-        if use_postings:
-            terms = [c.term for c in conjuncts(predicate)
-                     if isinstance(c, Keyword)]
-            if terms:
-                candidates = intersect_all(
-                    self.postings.get(term, PostingList()) for term in terms)
-        if candidates is None:
+        terms = [c.term for c in conjuncts(predicate)
+                 if isinstance(c, Keyword)]
+        if terms:
+            candidates = intersect_all(
+                self.postings.get(term, PostingList()) for term in terms)
+        else:
             candidates = self.store.file_ids()
         result: Set[int] = set()
         for file_id in candidates:

@@ -29,18 +29,17 @@ _HEADER = struct.Struct("<II")  # length, crc32
 class WriteAheadLog:
     """Append-only CRC-framed log, optionally charging a simulated disk."""
 
-    #: First element of a group-commit record: distinguishes a batch
-    #: frame ``(BATCH_TAG, acg_id, (update, ...))`` from the legacy
-    #: one-update-per-frame records whose first element is an int.
+    #: First element of a group-commit record
+    #: ``(BATCH_TAG, acg_id, (update, ...))`` — the only record shape an
+    #: Index Node writes or recovers.
     BATCH_TAG = "batch"
 
     def __init__(self, disk: Optional[DiskDevice] = None) -> None:
         self._buffer = bytearray()
         self._disk = disk
         self.records_appended = 0
-        # Group-commit accounting: every frame written is one simulated
-        # fsync (the legacy path pays one per record; append_batch pays
-        # one per *batch*).  bytes_written / fsyncs gives the amortized
+        # Every frame written is one simulated fsync, so a batch pays
+        # one per *batch*.  bytes_written / fsyncs gives the amortized
         # fsync payload surfaced as ``wal.bytes_per_fsync``.
         self.fsyncs = 0
         self.bytes_written = 0
@@ -78,14 +77,9 @@ class WriteAheadLog:
         the batch as ``(BATCH_TAG, acg_id, records)``; recovery expands
         it against the per-ACG commit watermark.
         """
-        body = dump_value((self.BATCH_TAG, acg_id, tuple(records)))
-        frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
-        self._buffer.extend(frame)
-        self.records_appended += len(records)
-        self.fsyncs += 1
-        self.bytes_written += len(frame)
-        if self._disk is not None:
-            self._disk.append(len(frame))
+        self.append((self.BATCH_TAG, acg_id, tuple(records)))
+        # ``append`` counted the frame as one record; count its riders.
+        self.records_appended += len(records) - 1
 
     def replay(self, keep: Optional[Callable[[Tuple[Any, ...]], bool]] = None
                ) -> Iterator[Tuple[Any, ...]]:

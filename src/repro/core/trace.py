@@ -68,11 +68,9 @@ class TraceRecorder:
             raise ValueError(f"window must be >= 1: {window}")
         self.window = window
         self._history: Dict[int, List[Tuple[float, int]]] = {}
-        self.events: List[AccessEvent] = []
 
     def record(self, event: AccessEvent) -> List[Tuple[int, int]]:
         """Ingest one event; return the new (producer, consumer) pairs."""
-        self.events.append(event)
         seen = self._history.setdefault(event.pid, [])
         pairs: List[Tuple[int, int]] = []
         if event.write:
@@ -103,6 +101,5 @@ class TraceRecorder:
         self._history.pop(pid, None)
 
     def clear(self) -> None:
-        """Forget all recorded history and events."""
+        """Forget all recorded history."""
         self._history.clear()
-        self.events.clear()

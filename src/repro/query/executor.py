@@ -125,15 +125,14 @@ def _keyword_posting_candidates(plan: Plan, predicate: Predicate,
                                 ) -> Optional[PostingList]:
     """AND the posting lists of every top-level keyword conjunct.
 
-    The legacy keyword path probes one term and leaves the rest to the
-    per-doc residual filter — each candidate pays a membership test per
-    remaining keyword.  Here every keyword that is a mandatory conjunct
-    (``conjuncts`` only flattens top-level ANDs, so each is required)
-    narrows the candidate set up front with a vectorized bitmap AND.
-    Returns None when the predicate has no top-level keyword conjuncts
-    (e.g. a disjunctive branch plan) — the caller falls back to the
-    legacy probe.  Exactness is untouched either way: candidates still
-    run through the full residual filter.
+    Every keyword that is a mandatory conjunct (``conjuncts`` only
+    flattens top-level ANDs, so each is required) narrows the candidate
+    set up front with a vectorized bitmap AND, instead of leaving all
+    but the planned term to a per-doc membership test in the residual
+    filter.  Returns None when the predicate has no top-level keyword
+    conjuncts (e.g. a disjunctive branch plan) — the caller probes the
+    plan's own term.  Exactness is untouched either way: candidates
+    still run through the full residual filter.
     """
     terms = [c.term for c in conjuncts(predicate) if isinstance(c, Keyword)]
     if not terms:
@@ -144,16 +143,13 @@ def _keyword_posting_candidates(plan: Plan, predicate: Predicate,
 
 
 def execute(plan: Plan, predicate: Predicate, indexes: Mapping[str, Index],
-            store: AttributeStore, now: float,
-            use_postings: bool = False) -> Set[int]:
+            store: AttributeStore, now: float) -> Set[int]:
     """Run one plan; return the exact set of matching file ids."""
-    candidates: Iterable[int]
-    if (use_postings and plan.access == "keyword"
+    candidates: Optional[Iterable[int]] = None
+    if (plan.access == "keyword"
             and plan.index_name is not None and plan.index_name in indexes):
-        postings = _keyword_posting_candidates(plan, predicate, indexes)
-        candidates = postings if postings is not None \
-            else _candidates(plan, indexes, store)
-    else:
+        candidates = _keyword_posting_candidates(plan, predicate, indexes)
+    if candidates is None:
         candidates = _candidates(plan, indexes, store)
     result: Set[int] = set()
     for file_id in candidates:
@@ -166,13 +162,12 @@ def execute(plan: Plan, predicate: Predicate, indexes: Mapping[str, Index],
 
 def execute_plans(plans: Iterable[Plan], predicate: Predicate,
                   indexes: Mapping[str, Index], store: AttributeStore,
-                  now: float, use_postings: bool = False) -> Set[int]:
+                  now: float) -> Set[int]:
     """Union of several plans (disjunctive queries), still exact: every
     candidate is re-checked against the full predicate."""
     result: Set[int] = set()
     for plan in plans:
-        result |= execute(plan, predicate, indexes, store, now,
-                          use_postings=use_postings)
+        result |= execute(plan, predicate, indexes, store, now)
     return result
 
 

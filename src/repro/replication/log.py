@@ -1,14 +1,15 @@
 """Per-partition replication log kept by the primary.
 
-The log assigns each committed update a monotonically increasing sequence
-number (1-based) and retains the records so follower catch-up can re-send
-any suffix.  A follower that has applied sequence ``k`` asks for
-``since(k)``; if the log has trimmed past ``k`` the answer is ``None`` and
-the primary must fall back to a full snapshot bootstrap.
+The log assigns each acknowledged update envelope a monotonically
+increasing sequence number (1-based) and retains the records so follower
+catch-up can re-send any suffix.  A follower that has applied sequence
+``k`` asks for ``since(k)``; if the log has trimmed past ``k`` the answer
+is ``None`` and the primary must fall back to a full snapshot bootstrap.
 
-Records are the committed :class:`~repro.cluster.messages.IndexUpdate`
-objects themselves — the follower applies the same update stream the
-primary's replica applied, so converged logs imply converged stores.
+A record is one envelope: the tuple of
+:class:`~repro.cluster.messages.IndexUpdate` objects the primary
+acknowledged together — the follower applies the same update stream at
+the same batch boundaries, so converged logs imply converged stores.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from repro.cluster.messages import IndexUpdate
 
 
 class ReplicationLog:
-    """Sequenced record buffer for one partition's committed updates."""
+    """Sequenced record buffer for one partition's update envelopes."""
 
     def __init__(self, base: int = 0) -> None:
         # ``base`` is the seq of the record *before* _records[0]: a
         # promoted follower continues the partition's sequence from its
         # applied watermark instead of restarting at 1.
-        self._records: List[IndexUpdate] = []
+        self._records: List[Tuple[IndexUpdate, ...]] = []
         self._base = base
 
     @property
@@ -41,13 +42,14 @@ class ReplicationLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, update: IndexUpdate) -> int:
-        """Add one committed update; returns its sequence number."""
-        self._records.append(update)
+    def append(self, updates: Tuple[IndexUpdate, ...]) -> int:
+        """Add one envelope's updates; returns its sequence number."""
+        self._records.append(updates)
         return self.last_seq
 
-    def since(self, seq: int) -> Optional[Tuple[Tuple[int, IndexUpdate], ...]]:
-        """Records after ``seq`` as ``(seq, update)`` pairs, oldest first.
+    def since(self, seq: int
+              ) -> Optional[Tuple[Tuple[int, Tuple[IndexUpdate, ...]], ...]]:
+        """Records after ``seq`` as ``(seq, updates)`` pairs, oldest first.
 
         Returns ``None`` when ``seq`` predates the retained window (the
         follower is too far behind to stream — bootstrap it instead).
@@ -55,8 +57,8 @@ class ReplicationLog:
         if seq < self._base:
             return None
         start = seq - self._base
-        return tuple((self._base + start + i + 1, update)
-                     for i, update in enumerate(self._records[start:]))
+        return tuple((self._base + start + i + 1, updates)
+                     for i, updates in enumerate(self._records[start:]))
 
     def trim_to(self, seq: int) -> int:
         """Drop records at or below ``seq``; returns how many were dropped.

@@ -59,7 +59,6 @@ class TestRunAndWrite:
                                      benches["table1_app_overlap"], cfg)
         assert artifact["schema"] == harness.SCHEMA
         assert artifact["tier"] == "smoke"
-        assert artifact["wall_clock_s"] > 0
         assert artifact["texts"]
         path = harness.write_artifact("table1_app_overlap", artifact, tmp_path)
         assert path.name == "BENCH_table1_app_overlap.json"

@@ -6,7 +6,7 @@ from repro.cluster import PropellerService
 from repro.cluster.index_node import IndexNode
 from repro.cluster.master import MasterNode
 from repro.core.partitioner import PartitioningPolicy
-from repro.errors import NodeDown
+from repro.errors import NodeDown, WalCorruption
 from repro.indexstructures import IndexKind
 from repro.query.planner import IndexSpec
 from repro.sim.clock import SimClock
@@ -52,10 +52,15 @@ def test_index_node_crash_then_wal_recovery():
 
 def test_torn_wal_tail_loses_only_last_record():
     service, client = build(nodes=1)
-    # Legacy per-update records: one torn frame loses exactly one update.
-    service.index_nodes["in1"].group_commit = False
-    populate(service, client, n=10)
+    vfs = service.vfs
+    vfs.mkdir("/d")
+    # Ten one-update envelopes: one torn frame loses exactly one update.
+    for i in range(10):
+        vfs.write_file(f"/d/f{i:03d}", 100 + i, pid=1)
+        client.index_path(f"/d/f{i:03d}", pid=1)
+        client.flush_updates()
     node = service.index_nodes["in1"]
+    assert node.wal.fsyncs == 10
     node.wal.simulate_torn_tail(5)
     replacement = IndexNode("r", Machine(SimClock()))
     replacement.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
@@ -78,6 +83,19 @@ def test_torn_wal_tail_drops_whole_batch_record():
     # none of it (atomic loss), rather than 9 of 10 (partial apply).
     assert replacement.recover_from_wal() == 0
     assert replacement.wal.replay_dropped == 1
+
+
+def test_non_batch_wal_frame_is_corruption_not_misparsed():
+    """Batch frames are the only record shape recovery accepts: a
+    well-framed record of any other shape is rejected, never guessed at."""
+    service, client = build(nodes=1)
+    populate(service, client, n=10)
+    node = service.index_nodes["in1"]
+    acg_id = next(iter(node.cache.pending_acgs()))
+    # A CRC-valid frame shaped like a bare per-update record.
+    node.wal.append((acg_id, 999, "upsert", "/d/rogue", (("size", 1),)))
+    with pytest.raises(WalCorruption):
+        node.recover_from_wal()
 
 
 def test_search_degrades_when_node_down():

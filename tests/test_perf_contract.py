@@ -1,0 +1,50 @@
+"""The bench contract: every name ``perf/`` reaches into ``src/`` by
+string still resolves.
+
+``perf/layertrace.py`` patches functions by name (``cls.__dict__[fn]``
+for methods, ``getattr(module, fn)`` for module-level functions) and
+``perf/workloads.py`` drives a handful of service/client internals.  A
+rename in ``src/`` would otherwise surface only when the benchmark runs.
+"""
+
+import importlib
+import inspect
+
+from perf.layertrace import _CLASSMETHODS, TARGETS
+
+from repro.cluster import PropellerService
+from repro.cluster.index_node import IndexNode
+
+
+def test_every_layertrace_target_resolves():
+    for _layer, module_name, cls_name, names in TARGETS:
+        module = importlib.import_module(module_name)
+        for fn_name in names:
+            if cls_name is None:
+                target = getattr(module, fn_name, None)
+            else:
+                target = getattr(module, cls_name).__dict__.get(fn_name)
+            assert callable(target), (module_name, cls_name, fn_name)
+    for _layer, module_name, cls_name, fn_name in _CLASSMETHODS:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        assert isinstance(cls.__dict__.get(fn_name), classmethod), \
+            (module_name, cls_name, fn_name)
+
+
+def test_harness_entry_points_keep_their_signatures():
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert {"pid_filter", "batch_size"} <= params(PropellerService.make_client)
+    assert {"enabled", "freeze_age_s", "min_bytes"} \
+        <= params(PropellerService.set_tiering)
+    assert callable(IndexNode.drop_caches)
+    service = PropellerService(num_index_nodes=1)
+    client = service.make_client(pid_filter={1}, batch_size=8)
+    assert callable(service.memory_tiers) and callable(service.drop_caches)
+    assert any(task.action == service._checkpoint_all
+               for task in service._tasks)
+    assert service.loop._heap \
+        and all(len(entry) == 3 for entry in service.loop._heap)
+    assert isinstance(client._file_routes, dict)
+    assert isinstance(client._route_nodes, dict)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.indexstructures.hashindex import ExtendibleHashIndex
 from repro.indexstructures.postings import PostingList, intersect_all
+from repro.query.ast import matches
 from repro.query.executor import (AttributeStore, execute_plans,
                                   tokenize_path)
 from repro.query.parser import parse_query
@@ -96,7 +97,7 @@ def _build_partition(seed, n_files):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_postings_path_matches_set_path_exactly(seed):
+def test_postings_path_matches_reference_scan_exactly(seed):
     store, indexes = _build_partition(seed, 400)
     specs = [IndexSpec("by_keyword", IndexKind.HASH, ("keyword",))]
     queries = [
@@ -111,8 +112,8 @@ def test_postings_path_matches_set_path_exactly(seed):
     for query in queries:
         predicate = parse_query(query)
         plans = plan_query_set(predicate, specs, now=0.0)
-        with_postings = execute_plans(plans, predicate, indexes, store,
-                                      now=0.0, use_postings=True)
-        without = execute_plans(plans, predicate, indexes, store,
-                                now=0.0, use_postings=False)
-        assert with_postings == without, query
+        answer = execute_plans(plans, predicate, indexes, store, now=0.0)
+        reference = {f for f in store.file_ids()
+                     if matches(predicate, store.attrs(f),
+                                store.keywords(f), 0.0)}
+        assert answer == reference, query

@@ -85,8 +85,8 @@ def assert_converged(service):
 def test_replication_log_append_and_since():
     log = ReplicationLog()
     assert log.last_seq == 0
-    u1 = IndexUpdate.upsert(1, {"size": 1})
-    u2 = IndexUpdate.upsert(2, {"size": 2})
+    u1 = (IndexUpdate.upsert(1, {"size": 1}),)
+    u2 = (IndexUpdate.upsert(2, {"size": 2}),)
     assert log.append(u1) == 1
     assert log.append(u2) == 2
     assert log.last_seq == 2
@@ -97,7 +97,7 @@ def test_replication_log_append_and_since():
 
 def test_replication_log_trim_makes_prefix_unservable():
     log = ReplicationLog()
-    updates = [IndexUpdate.upsert(i, {"size": i}) for i in range(1, 6)]
+    updates = [(IndexUpdate.upsert(i, {"size": i}),) for i in range(1, 6)]
     for u in updates:
         log.append(u)
     log.trim_to(3)
@@ -109,7 +109,7 @@ def test_replication_log_trim_makes_prefix_unservable():
 def test_replication_log_base_continues_sequence():
     log = ReplicationLog(base=7)
     assert log.last_seq == 7
-    assert log.append(IndexUpdate.upsert(1, {})) == 8
+    assert log.append((IndexUpdate.upsert(1, {}),)) == 8
     assert log.since(6) is None  # before the base: not servable
 
 
@@ -526,7 +526,7 @@ def test_replicate_apply_idempotent_under_resend_and_reorder(chunks):
     """Any storm of re-sent / overlapping / out-of-order log suffixes at
     non-decreasing-enough epochs leaves the replica equal to one clean
     in-order apply: duplicates skip, gaps stop, nothing double-applies."""
-    records = [(i + 1, IndexUpdate.upsert(i + 1, {"size": i + 1}))
+    records = [(i + 1, (IndexUpdate.upsert(i + 1, {"size": i + 1}),))
                for i in range(N_RECORDS)]
     node = _fresh_follower()
     max_epoch = 1
@@ -554,7 +554,7 @@ def test_replicate_apply_idempotent_under_resend_and_reorder(chunks):
 
 def test_replicate_apply_survives_promotion():
     node = _fresh_follower()
-    records = [(i + 1, IndexUpdate.upsert(i + 1, {"size": i + 1}))
+    records = [(i + 1, (IndexUpdate.upsert(i + 1, {"size": i + 1}),))
                for i in range(5)]
     node.handle_replicate_apply(1, 1, records)
     applied, count = node.handle_promote_replica(1, repl_epoch=2)
