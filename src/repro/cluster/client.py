@@ -5,17 +5,20 @@ Lives on each client machine (Figure 5): the File Access Management module
 Query Engine turns query strings — API form or query-directory form — into
 predicate ASTs and fans search requests out to the Index Nodes the Master
 names, in parallel; file-indexing requests go out in batches (the paper's
-evaluation uses a batch size of 128) after a routing round-trip to the
-Master.
+evaluation uses a batch size of 128), routed from the client's cached
+route table and scattered the same way the searches are — one envelope
+per Index Node, every node in flight at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.cluster.messages import (IndexUpdate, RouteEntry, RouteTable,
-                                    SearchResult, UpdateBatch, UpdateOp)
+                                    SearchResult, UpdateBatch, UpdateOp,
+                                    envelope_wire_bytes)
 from repro.errors import (ClusterError, NodeDown, NotActingMaster,
                           RpcTimeout, StaleMasterTerm, StaleRoute)
 from repro.fs.interceptor import FileAccessManager
@@ -31,7 +34,7 @@ from repro.query.summary import SummarySnapshot, summary_may_match
 from repro.query.parser import parse_query, parse_query_directory
 from repro.query.planner import IndexSpec
 from repro.replication.hedging import HedgedReply, HedgePolicy
-from repro.sim.rpc import CallOutcome, HedgedOutcome, RpcNetwork
+from repro.sim.rpc import CallOutcome, HedgedOutcome, RpcNetwork, scatter
 
 DEFAULT_BATCH_SIZE = 128
 
@@ -79,6 +82,17 @@ class SearchAnswer:
     unreachable_nodes: List[str] = field(default_factory=list)
     partial: bool = False
     lagging_partitions: List[int] = field(default_factory=list)
+
+
+@dataclass
+class _Send:
+    """One partition's batch and the node a flush is sending it to."""
+
+    node: str
+    batch: UpdateBatch
+    # Whether a StaleRoute NACK counts as a stale route-cache entry (a
+    # probe-located delete's does not: no cached route was consulted).
+    note_nack: bool = True
 
 
 class PropellerClient:
@@ -514,51 +528,31 @@ class PropellerClient:
         # path that no longer exists.  If the owning node is dead
         # even after retries the unlink itself must not fail — the
         # stale entry is recorded as debt instead.
-        try:
-            self._learn_ack(self.rpc.call(
-                target_node, "index_update", target_acg,
-                [IndexUpdate.delete(inode.ino)], local=self.local))
-            self._forget_file(inode.ino)
-            return
-        except DEGRADABLE_ERRORS:
-            pass
-        except StaleRoute:
-            # Mid-migration debris NACKed the delete: queue it for the
-            # batched path, which refreshes routes and retries.
-            self._queue_nacked_delete(inode.ino)
-            return
-        # The cached owner was unreachable — a failover may already have
-        # re-homed the partition.  One route refresh, then retry the new
-        # owner before recording the entry as debt.
-        try:
-            self._refresh_routes()
-        except DEGRADABLE_ERRORS:
-            pass
-        new_node = self._route_nodes.get(target_acg)
-        if new_node and new_node != target_node:
+        delete = _Send(target_node,
+                       UpdateBatch(target_acg, (IndexUpdate.delete(inode.ino),)))
+        _, nacked, unreachable = self._scatter_updates([delete])
+        if unreachable:
+            # The cached owner was unreachable — a failover may already
+            # have re-homed the partition.  One route refresh, then retry
+            # the new owner before recording the entry as debt.
             try:
-                self._learn_ack(self.rpc.call(
-                    new_node, "index_update", target_acg,
-                    [IndexUpdate.delete(inode.ino)], local=self.local))
-                self._forget_file(inode.ino)
-                return
-            except StaleRoute:
-                self._queue_nacked_delete(inode.ino)
-                return
+                self._refresh_routes()
             except DEGRADABLE_ERRORS:
                 pass
-        self.lost_deletes.append(inode.ino)
-        self.freshness.forget(inode.ino)
-        self._forget_file(inode.ino)
-        if self.registry is not None:
-            self.registry.counter("cluster.client.lost_deletes").inc()
-
-    def _queue_nacked_delete(self, file_id: int) -> None:
-        self._note_nacks(1)
-        self._pending.append((-1, IndexUpdate.delete(file_id)))
-        self.updates_requeued += 1
-        if self.registry is not None:
-            self.registry.counter("cluster.client.requeued_updates").inc()
+            new_node = self._route_nodes.get(target_acg)
+            if new_node and new_node != target_node:
+                _, nacked, unreachable = self._scatter_updates(
+                    [_Send(new_node, delete.batch)])
+        if nacked:
+            # Mid-migration debris NACKed the delete: queue it for the
+            # batched path, which refreshes routes and retries.
+            self._requeue(delete.batch.updates, {})
+        elif unreachable:
+            self.lost_deletes.append(inode.ino)
+            self.freshness.forget(inode.ino)
+            self._forget_file(inode.ino)
+            if self.registry is not None:
+                self.registry.counter("cluster.client.lost_deletes").inc()
 
     def _on_rename(self, old_path: str, new_path: str, inode: Inode) -> None:
         """A rename keeps the inode but changes the path — and therefore
@@ -648,19 +642,26 @@ class PropellerClient:
         self._enqueue(-1, IndexUpdate.delete(file_id))
 
     def flush_updates(self) -> int:
-        """Send the queued batch, routing through the client's cached
-        route table (the routing-epoch protocol) wherever possible.
+        """Send the queued updates: **one envelope per Index Node, every
+        node in flight at once**.
 
-        Locally-routable updates go straight to their Index Node stamped
-        with the cached epoch; a node that no longer owns the partition
-        NACKs with :class:`~repro.errors.StaleRoute`, which triggers one
-        route-table refresh and a retry (or a Master-routed
-        fallback when the refresh doesn't change the route).  Updates the
-        cache cannot answer — stale routes, hinted files with unknown
-        producers — take the Master round-trip.  Per-target
-        delivery failures re-queue that target's updates **with their
-        placement hints intact** instead of failing the whole batch.
-        Returns the number of updates actually delivered (acknowledged).
+        Routing comes first and stays per update: locally-routable
+        updates are grouped per partition and stamped with the cached
+        routing epoch; updates the cache cannot answer — stale routes,
+        hinted files with unknown producers — take one Master round-trip
+        (their batches go unstamped, create-on-demand), and deletes with
+        no usable route are located first.  Then every batch bound for
+        one node rides a single ``index_update`` RPC and the nodes' RPCs
+        overlap, so the flush costs the slowest node's leg, not the sum
+        (:meth:`_scatter_updates`).
+
+        The reply is per partition: a node that no longer owns one
+        NACKs that batch alone with :class:`~repro.errors.StaleRoute`,
+        which triggers one shared route-table refresh and a re-send (or
+        a Master-routed fallback when the refresh doesn't change the
+        route) — see :meth:`_deliver`.  Delivery failures re-queue just
+        the partitions they hit, **placement hints intact**.  Returns the
+        number of updates actually delivered (acknowledged).
         """
         if not self._pending:
             return 0
@@ -698,10 +699,13 @@ class PropellerClient:
                 self._note_route(hit=True)
                 stamped.setdefault(
                     (self._route_nodes[acg_id], acg_id), []).append(update)
-        delivered = self._send_stamped(stamped, hint_of)
+        sends = [_Send(node, UpdateBatch(acg_id, tuple(updates),
+                                         self._route_epoch))
+                 for (node, acg_id), updates in stamped.items()]
         for update in unrouted_deletes:
-            delivered += self._send_unrouted_delete(update)
-        delivered += self._send_via_master(via_master, hint_of)
+            sends.extend(self._route_unrouted_delete(update))
+        sends.extend(self._route_via_master(via_master, hint_of))
+        delivered = self._deliver(sends, hint_of)
         if delivered > 0 and self.registry is not None:
             # Batch acknowledgement latency — what the update_ack SLO
             # watches.  Only acknowledged flushes observe: an all-requeued
@@ -711,17 +715,19 @@ class PropellerClient:
                     self.vfs.clock.now() - flush_t0)
         return delivered
 
-    def _send_unrouted_delete(self, update: IndexUpdate) -> int:
-        """Deliver a DELETE with no usable cached route: a read-only
-        Master lookup first, then a cluster presence probe for
-        client-placed files the Master never learned about."""
+    def _route_unrouted_delete(self, update: IndexUpdate) -> List[_Send]:
+        """Find where a DELETE with no usable cached route must go: a
+        read-only Master lookup first, then a cluster presence probe for
+        client-placed files the Master never learned about.  Returns the
+        send (or nothing, when the file is nowhere or the Master could
+        not be asked — the latter re-queues it)."""
         target: Optional[Tuple[str, int]] = None
         try:
             acg_id = self._master_call("lookup_file",
                                        update.file_id, local=self.local)
         except DEGRADABLE_ERRORS:
             self._requeue([update], {})
-            return 0
+            return []
         if acg_id is not None and self._route_nodes.get(acg_id):
             target = (self._route_nodes[acg_id], acg_id)
         if target is None:
@@ -735,10 +741,9 @@ class PropellerClient:
                 self.lost_deletes.append(update.file_id)
                 if self.registry is not None:
                     self.registry.counter("cluster.client.lost_deletes").inc()
-            return 0
+            return []
         node, acg_id = target
-        return self._deliver_or_requeue(node, acg_id, [update], {},
-                                        note_nack=False)
+        return [_Send(node, UpdateBatch(acg_id, (update,)), note_nack=False)]
 
     def _requeue(self, updates: Sequence[IndexUpdate],
                  hint_of: Dict[int, int]) -> None:
@@ -750,6 +755,57 @@ class PropellerClient:
             self.registry.counter(
                 "cluster.client.requeued_updates").inc(len(updates))
 
+    def _scatter(self, stage: str, targets: Mapping[str, Any],
+                 call: Callable[[str], Any]) -> Dict[str, CallOutcome]:
+        """One RPC per node, every node in flight at once, under a
+        ``parallel`` span so profiles count only the slowest leg."""
+        with self.tracer.span(stage, parallel=True, nodes=len(targets)):
+            return scatter(self.vfs.clock, targets, call)
+
+    def _scatter_updates(self, sends: Sequence[_Send]
+                         ) -> Tuple[int, List[_Send], List[_Send]]:
+        """Ship ``sends`` as one ``index_update`` envelope per Index Node
+        — all of a node's batches in a single RPC — with every node in
+        flight at once.  The reply is per batch, so this accounts for the
+        acks (and counts the NACKs) and returns ``(delivered, nacked,
+        unreachable)``: the sends whose partition NACKed
+        :class:`StaleRoute`, and those whose node (or, behind a hand-off,
+        forwarding target) could not be reached."""
+        if not sends:
+            return 0, [], []
+        envelopes: Dict[str, List[_Send]] = {}
+        for send in sends:
+            envelopes.setdefault(send.node, []).append(send)
+
+        def call(node: str) -> Any:
+            batches = tuple(send.batch for send in envelopes[node])
+            return self.rpc.call(
+                node, "index_update", batches, local=self.local,
+                request_bytes=envelope_wire_bytes(
+                    [batch.wire_bytes() for batch in batches]))
+
+        delivered = 0
+        nacked: List[_Send] = []
+        unreachable: List[_Send] = []
+        replies = self._scatter("update_scatter", envelopes, call)
+        for node, reply in replies.items():
+            if not reply.ok:
+                if not isinstance(reply.error, DEGRADABLE_ERRORS):
+                    raise reply.error
+                unreachable.extend(envelopes[node])
+                continue
+            for send, outcome in zip(envelopes[node], reply.value):
+                if outcome.ok:
+                    self._learn_ack(outcome.value)
+                    delivered += self._sent(send.batch.updates)
+                elif isinstance(outcome.error, StaleRoute):
+                    if send.note_nack:
+                        self._note_nacks(len(send.batch))
+                    nacked.append(send)
+                else:
+                    unreachable.append(send)
+        return delivered, nacked, unreachable
+
     def _sent(self, updates: Sequence[IndexUpdate]) -> int:
         self.updates_sent += len(updates)
         for update in updates:
@@ -757,91 +813,64 @@ class PropellerClient:
                 self._forget_file(update.file_id)
         return len(updates)
 
-    def _deliver(self, node: str, acg_id: int,
-                 updates: Sequence[IndexUpdate],
-                 epoch: Optional[int] = None) -> int:
-        """Send one (node, ACG) group as a single :class:`UpdateBatch`
-        envelope and account for its ack; returns the delivered count.
-        ``epoch`` stamps cache-routed sends; Master-routed ones go
-        unstamped.  Delivery failures propagate to the caller."""
-        batch = UpdateBatch(acg_id, tuple(updates))
-        ack = self.rpc.call(node, "index_update", acg_id, batch,
-                            local=self.local,
-                            request_bytes=batch.wire_bytes(), epoch=epoch)
-        self._learn_ack(ack)
-        return self._sent(updates)
+    def _deliver(self, sends: Sequence[_Send],
+                 hint_of: Dict[int, int]) -> int:
+        """Scatter one flush's sends and heal what did not land; returns
+        the number of updates acknowledged.
 
-    def _deliver_or_requeue(self, node: str, acg_id: int,
-                            updates: Sequence[IndexUpdate],
-                            hint_of: Dict[int, int],
-                            epoch: Optional[int] = None,
-                            note_nack: bool = True) -> int:
-        """:meth:`_deliver`, re-queueing the group (hints intact) when
-        the target NACKs or cannot be reached."""
-        try:
-            return self._deliver(node, acg_id, updates, epoch)
-        except StaleRoute:
-            if note_nack:
-                self._note_nacks(len(updates))
-        except DEGRADABLE_ERRORS:
-            pass
-        self._requeue(updates, hint_of)
-        return 0
-
-    def _send_stamped(self, stamped: Dict[Tuple[str, int], List[IndexUpdate]],
-                      hint_of: Dict[int, int]) -> int:
-        """Deliver cache-routed groups with the epoch stamp; handle NACKs
-        and unreachable targets with one shared route refresh."""
-        delivered = 0
-        nacked: List[Tuple[str, int, List[IndexUpdate]]] = []
-        unreachable: List[Tuple[str, int, List[IndexUpdate]]] = []
-        for (node, acg_id), updates in stamped.items():
+        Per partition, exactly as before the sends travelled together: a
+        cache-routed (stamped) batch that NACKed or found its node
+        unreachable shares one route refresh with the others, then is
+        re-sent under the fresh epoch when its route genuinely moved,
+        healed through the Master-routed path when a NACKed route did
+        not move, and re-queued otherwise.  Master-routed batches that
+        fail re-queue at once.  The re-sends go out as a second scatter;
+        whatever that one cannot land re-queues (hints intact)."""
+        delivered, nacked, unreachable = self._scatter_updates(sends)
+        failed = ([(True, send) for send in nacked]
+                  + [(False, send) for send in unreachable])
+        refreshed = False
+        if any(send.batch.epoch is not None for _, send in failed):
             try:
-                delivered += self._deliver(node, acg_id, updates,
-                                           self._route_epoch)
-            except StaleRoute:
-                self._note_nacks(len(updates))
-                nacked.append((node, acg_id, updates))
+                self._refresh_routes()
+                refreshed = True
             except DEGRADABLE_ERRORS:
-                unreachable.append((node, acg_id, updates))
-        if not nacked and not unreachable:
-            return delivered
-        refreshed = True
-        try:
-            self._refresh_routes()
-        except DEGRADABLE_ERRORS:
-            refreshed = False
+                pass
+        resend: List[_Send] = []
         fallback: List[IndexUpdate] = []
-        for was_nacked, groups in ((True, nacked), (False, unreachable)):
-            for old_node, acg_id, updates in groups:
-                new_node = self._route_nodes.get(acg_id)
-                if refreshed and new_node and new_node != old_node:
-                    # The route genuinely moved (migration or failover):
-                    # resend under the fresh epoch.
-                    delivered += self._deliver_or_requeue(
-                        new_node, acg_id, updates, hint_of,
-                        epoch=self._route_epoch, note_nack=was_nacked)
-                elif was_nacked:
-                    # Same route even after a refresh: the node most
-                    # likely missed its ownership grant.  Heal through
-                    # the Master-routed path (unstamped,
-                    # create-on-demand).
-                    fallback.extend(updates)
-                else:
-                    # The node is down and routing hasn't moved yet; the
-                    # next flush retries (failover may re-home it by
-                    # then).
-                    self._requeue(updates, hint_of)
-        if fallback:
-            delivered += self._send_via_master(fallback, hint_of)
-        return delivered
+        for was_nacked, send in failed:
+            batch = send.batch
+            new_node = self._route_nodes.get(batch.acg_id)
+            if batch.epoch is None:
+                self._requeue(batch.updates, hint_of)
+            elif refreshed and new_node and new_node != send.node:
+                # The route genuinely moved (migration or failover):
+                # resend under the fresh epoch.
+                resend.append(_Send(
+                    new_node,
+                    UpdateBatch(batch.acg_id, batch.updates, self._route_epoch),
+                    note_nack=was_nacked))
+            elif was_nacked:
+                # Same route even after a refresh: the node most likely
+                # missed its ownership grant.  Heal through the
+                # Master-routed path (unstamped, create-on-demand).
+                fallback.extend(batch.updates)
+            else:
+                # The node is down and routing hasn't moved yet; the next
+                # flush retries (failover may re-home it by then).
+                self._requeue(batch.updates, hint_of)
+        resend.extend(self._route_via_master(fallback, hint_of))
+        landed, nacked, unreachable = self._scatter_updates(resend)
+        for send in nacked + unreachable:
+            self._requeue(send.batch.updates, hint_of)
+        return delivered + landed
 
-    def _send_via_master(self, updates: Sequence[IndexUpdate],
-                         hint_of: Dict[int, int]) -> int:
-        """The Master routes the batch; sends go unstamped
+    def _route_via_master(self, updates: Sequence[IndexUpdate],
+                          hint_of: Dict[int, int]) -> List[_Send]:
+        """The Master routes the updates; the sends go unstamped
         (create-on-demand on the Index Node heals ownership gaps)."""
         if not updates:
-            return 0
+            return []
         file_ids = [u.file_id for u in updates]
         hints = {u.file_id: hint_of[u.file_id] for u in updates
                  if hint_of.get(u.file_id, -1) != -1}
@@ -852,7 +881,7 @@ class PropellerClient:
         except DEGRADABLE_ERRORS:
             # The routing round-trip itself was lost: nothing went out.
             self._requeue(updates, hint_of)
-            return 0
+            return []
         route_by_file = {r.file_id: r for r in routes}
         by_target: Dict[Tuple[str, int], List[IndexUpdate]] = {}
         unrouted: List[IndexUpdate] = []
@@ -869,11 +898,8 @@ class PropellerClient:
             by_target.setdefault((route.node, route.acg_id), []).append(update)
         if unrouted:
             self._requeue(unrouted, hint_of)
-        delivered = 0
-        for (node, acg_id), target_updates in by_target.items():
-            delivered += self._deliver_or_requeue(
-                node, acg_id, target_updates, hint_of)
-        return delivered
+        return [_Send(node, UpdateBatch(acg_id, tuple(target_updates)))
+                for (node, acg_id), target_updates in by_target.items()]
 
     # -- ACG flush ----------------------------------------------------------------------
 
@@ -888,7 +914,9 @@ class PropellerClient:
 
         Vertices with a cached route are grouped locally; only the
         remainder costs a Master routing round-trip (whose answers are
-        learned into the cache for next time)."""
+        learned into the cache for next time).  The fragments then go
+        out like the updates do: one ``flush_acg`` RPC per node, all
+        nodes at once."""
         acg = self.access_manager.drain()
         if acg.vertex_count == 0:
             return 0
@@ -918,16 +946,28 @@ class PropellerClient:
                     continue
                 self._learn_route(route.file_id, route.acg_id, node=route.node)
                 placement[route.file_id] = (route.node, route.acg_id)
-        grouped: Dict[Tuple[str, int], List[Tuple[int, int, int]]] = {}
+        # One envelope per Index Node — all of its partitions' fragments
+        # in a single RPC — and every node in flight at once.
+        fragments: Dict[str, Dict[int, List[Tuple[int, int, int]]]] = {}
+
+        def add(file_id: int, record: Tuple[int, int, int]) -> None:
+            node, acg_id = placement[file_id]
+            fragments.setdefault(node, {}).setdefault(acg_id, []).append(record)
+
         for u, v, w in acg.edges():
             if u in placement:
-                grouped.setdefault(placement[u], []).append((u, v, w))
+                add(u, (u, v, w))
         for file_id in vertices:
             if file_id in placement:
-                grouped.setdefault(placement[file_id], []).append((file_id, -1, 0))
-        for (node, acg_id), records in grouped.items():
-            self.rpc.call(node, "flush_acg", acg_id, records,
-                          local=self.local, request_bytes=12 * len(records))
+                add(file_id, (file_id, -1, 0))
+        replies = self._scatter(
+            "acg_scatter", fragments,
+            lambda node: self.rpc.call(
+                node, "flush_acg", tuple(fragments[node].items()),
+                local=self.local, request_bytes=envelope_wire_bytes(
+                    [12 * len(r) for r in fragments[node].values()])))
+        for reply in replies.values():
+            reply.unwrap()
         return acg.edge_count
 
     # -- index DDL ---------------------------------------------------------------------------

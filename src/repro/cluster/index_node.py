@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
                                     SearchReply, SearchResult, UpdateAck,
-                                    UpdateOp)
+                                    UpdateBatch, UpdateOp,
+                                    envelope_wire_bytes)
 from repro.cluster.segments import (FrozenPartition, SegmentCache, TierPolicy,
                                     dump_segment, load_segment,
                                     load_segment_payload, segment_key)
@@ -49,7 +50,8 @@ from repro.query.planner import (
     plan_query_set,
 )
 from repro.sim.machine import Machine
-from repro.sim.rpc import RpcEndpoint
+from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, RpcEndpoint,
+                           scatter)
 
 # CPU cost constants (order-of-magnitude figures for 2014-era Xeons).
 _CACHE_ADD_OPS = 2_000          # hash insert into the in-memory cache
@@ -283,6 +285,10 @@ class PrimaryReplState:
     log: ReplicationLog = field(default_factory=ReplicationLog)
     followers: Tuple[str, ...] = ()
     acked: Dict[str, int] = field(default_factory=dict)
+    # ``(applied_seq, file_count)`` this node answered when a promotion
+    # at ``repl_epoch`` made it the primary; None when it became primary
+    # any other way.  A duplicated ``promote_replica`` gets it again.
+    promoted: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -628,45 +634,80 @@ class IndexNode:
             self._log_device.append(64)
             self.handle_drop_partition(acg_id)
 
-    def _forward_updates(self, acg_id: int, updates: Sequence[IndexUpdate],
-                         epoch: Optional[int]) -> int:
-        """Dual-ownership window: relay updates to the migration target.
+    def _forward_updates(self, batch: UpdateBatch) -> int:
+        """Dual-ownership window: relay one batch to the migration target
+        (an envelope of one).
 
         The relay stays epoch-stamped so a target that does not own the
         ACG either (an aborted migration's debris) NACKs instead of
         silently absorbing updates the Master still routes here."""
+        acg_id = batch.acg_id
         target = self.handoff_intents[acg_id]
         if self.rpc is None:
-            self.stale_route_nacks += len(updates)
+            self.stale_route_nacks += len(batch)
             raise StaleRoute(f"{self.name} handed off ACG {acg_id}",
                              epoch=self.route_epoch_seen)
-        self.forwarded_updates += len(updates)
-        stamp = epoch if epoch is not None else self.route_epoch_seen
-        return self.rpc.call(target, "index_update", acg_id, updates,
-                             epoch=stamp)
+        self.forwarded_updates += len(batch)
+        stamp = batch.epoch if batch.epoch is not None else self.route_epoch_seen
+        relayed = UpdateBatch(acg_id, batch.updates, stamp)
+        (outcome,) = self.rpc.call(target, "index_update", (relayed,),
+                                   request_bytes=relayed.wire_bytes())
+        return outcome.unwrap()
 
     # -- update path --------------------------------------------------------------
 
-    def handle_index_update(self, acg_id: int, updates: Sequence[IndexUpdate],
-                            epoch: Optional[int] = None) -> int:
-        """WAL + cache; returns number of updates acknowledged.
+    def handle_index_update(self, batches: Sequence[UpdateBatch]
+                            ) -> Tuple[CallOutcome, ...]:
+        """One node envelope — every batch a client flush has for this
+        node — through WAL + cache; returns one outcome per batch, in
+        order: the ack, or the error that partition alone met.
 
-        Epoch-stamped batches (``epoch`` is not None) are only accepted
-        for ACGs this node owns: a handed-off ACG forwards to the
-        migration target, anything else raises :class:`StaleRoute` so the
-        client refreshes its route cache.  Unstamped (Master-routed)
-        batches are create-on-demand, except that a handoff intent still
-        forwards — the old owner must never apply.
+        Each batch takes the per-partition step (:meth:`_park`), so one
+        stale partition NACKs with :class:`StaleRoute` while its
+        neighbours are parked and acked.  The envelope then pays **one
+        fsync** for all its WAL frames and streams the replicated
+        partitions' log suffixes with one ``replicate_apply`` per
+        follower node, distinct followers in flight at once
+        (:meth:`_stream_to_followers`) — nothing is acked before both.
 
-        The envelope is the unit all the way down: one WAL batch frame
-        (one simulated fsync), one cache-insert charge (full price once
-        plus a marginal cost per rider), and — on a replicated
-        partition — one replication-log record, so primaries, followers
-        and hedged reads advance their watermarks at identical batch
-        boundaries and a partially-visible envelope is impossible."""
-        if acg_id in self.handoff_intents:
-            return self._forward_updates(acg_id, updates, epoch)
-        if epoch is not None and acg_id not in self.replicas:
+        A batch is the unit all the way down: one WAL batch frame, one
+        cache-insert charge (full price once plus a marginal cost per
+        rider), and — on a replicated partition — one replication-log
+        record, so primaries, followers and hedged reads advance their
+        watermarks at identical batch boundaries and a partially-visible
+        batch is impossible."""
+        outcomes: List[CallOutcome] = []
+        parked: List[UpdateBatch] = []
+        for batch in batches:
+            forward = batch.acg_id in self.handoff_intents
+            step = self._forward_updates if forward else self._park
+            outcome = CallOutcome.capture(
+                lambda: step(batch), (StaleRoute,) + DEGRADABLE_ERRORS)
+            outcomes.append(outcome)
+            if outcome.ok and not forward:
+                parked.append(batch)
+        parked_updates = sum(len(batch) for batch in parked)
+        if parked_updates:
+            self.wal.sync()
+            if self.registry is not None:
+                self.registry.histogram("update.batch_size", unit="updates")\
+                    .observe(parked_updates)
+        self._stream_to_followers(
+            dict.fromkeys(batch.acg_id for batch in parked))
+        return tuple(outcomes)
+
+    def _park(self, batch: UpdateBatch) -> int:
+        """The per-partition step of an envelope: ownership check, thaw,
+        WAL frame (fsync left to the envelope), cache park,
+        replication-log append.  Returns the partition's ack.
+
+        Epoch-stamped batches are only accepted for ACGs this node
+        hosts — anything else raises :class:`StaleRoute` so the client
+        refreshes its route cache.  Unstamped (Master-routed) batches are
+        create-on-demand.  (A handed-off ACG never gets here: the
+        envelope forwards it — the old owner must never apply.)"""
+        acg_id, updates = batch.acg_id, batch.updates
+        if batch.epoch is not None and acg_id not in self.replicas:
             self.stale_route_nacks += len(updates)
             raise StaleRoute(f"{self.name} does not own ACG {acg_id}",
                              epoch=self.route_epoch_seen)
@@ -674,16 +715,13 @@ class IndexNode:
             # Writes thaw: the partition returns to the live B+tree/hash
             # path before the update takes the ordinary WAL→cache route.
             self._thaw(acg_id, reason="write")
-        replica = self.replica(acg_id, create=True)
+        self.replica(acg_id, create=True)
         now = self.machine.clock.now()
         self._acg_last_access[acg_id] = now
         if updates:
-            if self.registry is not None:
-                self.registry.histogram("update.batch_size", unit="updates")\
-                    .observe(len(updates))
             self.wal.append_batch(acg_id, tuple(
                 (acg_id, u.file_id, u.op.value, u.path, u.attrs)
-                for u in updates))
+                for u in updates), sync=False)
             self.machine.compute(
                 _CACHE_ADD_OPS + _CACHE_ADD_BATCHED_OPS * (len(updates) - 1))
             for update in updates:
@@ -691,14 +729,11 @@ class IndexNode:
         state = self.repl.get(acg_id)
         if state is None:
             return len(updates)
-        # Replicated partition: sequence the batch in the replication log
-        # and stream it to installed followers before acking.  A follower
-        # that cannot be reached just falls behind (its ack watermark
-        # stays put); the periodic catch-up re-sends the suffix — the
-        # client's ack never hinges on follower liveness.
+        # Replicated partition: sequence the batch in the replication
+        # log; the envelope streams it to installed followers before
+        # acking.
         if updates:
             state.log.append(tuple(updates))
-        self._stream_to_followers(acg_id, state)
         return UpdateAck(len(updates), acg_id=acg_id, seq=state.log.last_seq,
                          repl_epoch=state.repl_epoch)
 
@@ -1084,11 +1119,15 @@ class IndexNode:
 
     # -- ACG maintenance -------------------------------------------------------------------
 
-    def handle_flush_acg(self, acg_id: int, records: Sequence[Tuple[int, int, int]]) -> None:
-        """Merge a client-flushed ACG fragment (weak consistency — no WAL)."""
-        replica = self.replica(acg_id, create=True)
-        replica.graph.merge(AccessCausalityGraph.from_records(list(records)))
-        self.machine.compute(_CACHE_ADD_OPS * max(1, len(records)))
+    def handle_flush_acg(self, fragments: Sequence[
+            Tuple[int, Sequence[Tuple[int, int, int]]]]) -> None:
+        """Merge one client flush's ACG fragments for this node —
+        ``(acg_id, records)`` per partition (weak consistency — no WAL)."""
+        for acg_id, records in fragments:
+            replica = self.replica(acg_id, create=True)
+            replica.graph.merge(
+                AccessCausalityGraph.from_records(list(records)))
+            self.machine.compute(_CACHE_ADD_OPS * max(1, len(records)))
 
     def handle_compute_split(self, acg_id: int,
                              policy: PartitioningPolicy) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -1177,7 +1216,8 @@ class IndexNode:
             return
         from repro.cluster.persistence import (PROPELLER_ROOT,
                                                checkpoint_replica,
-                                               replica_path)
+                                               replica_path,
+                                               write_checkpoint)
 
         if replica.acg_id in self.frozen:
             # A frozen partition checkpoints as its segment bytes — the
@@ -1186,8 +1226,8 @@ class IndexNode:
             # cold-tier round trip, immune to injected object faults).
             data = dump_segment(replica, self.name)
             self.shared_vfs.mkdir(f"{PROPELLER_ROOT}/{self.name}", parents=True)
-            self.shared_vfs.write_bytes(replica_path(self.name, replica.acg_id),
-                                        data)
+            write_checkpoint(self.shared_vfs,
+                             replica_path(self.name, replica.acg_id), data)
             self._shared_device.reset_head()
             self._shared_device.append(len(data))
             return
@@ -1297,8 +1337,7 @@ class IndexNode:
             if state.acked.get(follower, -1) < 0:
                 continue  # bootstrap install carries the epoch itself
             try:
-                self.rpc.call(follower, "replicate_apply", acg_id,
-                              state.repl_epoch, ())
+                self._replicate_one(follower, acg_id, state.repl_epoch, ())
             except DEGRADABLE_ERRORS:
                 continue
             except StaleReplEpoch:
@@ -1327,40 +1366,76 @@ class IndexNode:
         state.log = ReplicationLog()
         state.acked = {f: -1 for f in state.followers}
 
-    def _stream_to_followers(self, acg_id: int,
-                             state: PrimaryReplState) -> None:
-        """Send each installed follower the log suffix past its ack.
+    def _stream_to_followers(self, acg_ids: Iterable[int]) -> None:
+        """Send every installed follower of these partitions the log
+        suffix past its ack: one ``replicate_apply`` per follower *node*
+        carrying all of its partitions' suffixes, distinct followers in
+        flight at once (what lands on one follower is applied serially).
 
-        Best-effort: a transient failure detaches nothing — the ack
-        watermark simply stays behind and the next tick's catch-up
-        retries.  Un-installed followers (``acked == -1``) are skipped;
-        bootstrap happens on the catch-up path, not the hot ack path.
-        A stale-epoch rejection means a newer primary owns the partition
-        — this node self-deposes instead of retrying.
+        Best-effort: a follower that cannot be reached just falls behind
+        — its ack watermarks stay put and the next tick's catch-up
+        retries; the client's ack never hinges on follower liveness.
+        Un-installed followers (``acked == -1``) are skipped; bootstrap
+        happens on the catch-up path, not the hot ack path.  Outcomes
+        are per partition: a stale-epoch rejection means a newer primary
+        owns *that* partition — this node deposes itself for it alone —
+        and a follower that lost one partition's state is marked for
+        re-install of that one.
         """
         if self.rpc is None:
             return
-        for follower in state.followers:
-            acked = state.acked.get(follower, -1)
-            if acked < 0 or acked >= state.log.last_seq:
+        streams: Dict[str, List[Tuple[int, int, Any]]] = {}
+        for acg_id in acg_ids:
+            state = self.repl.get(acg_id)
+            if state is None:
                 continue
-            records = state.log.since(acked)
-            if records is None:
-                state.acked[follower] = -1  # trimmed past it: re-install
-                continue
-            try:
-                applied = self.rpc.call(follower, "replicate_apply", acg_id,
-                                        state.repl_epoch, records)
-            except DEGRADABLE_ERRORS:
-                continue
-            except StaleReplEpoch:
-                self._depose(acg_id)
-                return
-            except ClusterError:
-                state.acked[follower] = -1  # lost its state: re-install
-                continue
-            state.acked[follower] = applied
-            self.repl_streamed += len(records)
+            for follower in state.followers:
+                acked = state.acked.get(follower, -1)
+                if acked < 0 or acked >= state.log.last_seq:
+                    continue
+                records = state.log.since(acked)
+                if records is None:
+                    state.acked[follower] = -1  # trimmed past it: re-install
+                    continue
+                streams.setdefault(follower, []).append(
+                    (acg_id, state.repl_epoch, records))
+        if not streams:
+            return
+        with self.tracer.span("replicate", parallel=True, node=self.name,
+                              followers=len(streams)):
+            replies = scatter(
+                self.machine.clock, streams,
+                lambda follower: self.rpc.call(
+                    follower, "replicate_apply", tuple(streams[follower]),
+                    request_bytes=envelope_wire_bytes(
+                        [DEFAULT_MSG_BYTES] * len(streams[follower]))))
+        for follower, reply in replies.items():
+            # A leg that failed whole failed for each of its partitions.
+            outcomes = (reply.value if reply.ok
+                        else [reply] * len(streams[follower]))
+            for (acg_id, _, records), outcome in zip(streams[follower],
+                                                     outcomes):
+                state = self.repl.get(acg_id)
+                if state is None:
+                    continue  # deposed by another follower's answer
+                if outcome.ok:
+                    state.acked[follower] = outcome.value
+                    self.repl_streamed += len(records)
+                elif isinstance(outcome.error, DEGRADABLE_ERRORS):
+                    continue  # fell behind: the tick's catch-up retries
+                elif isinstance(outcome.error, StaleReplEpoch):
+                    self._depose(acg_id)
+                else:
+                    state.acked[follower] = -1  # lost its state: re-install
+
+    def _replicate_one(self, follower: str, acg_id: int, repl_epoch: int,
+                       records: Sequence[Any]) -> int:
+        """One partition's stream to one follower — a ``replicate_apply``
+        of one, for the catch-up and epoch-refresh paths.  Returns the
+        follower's applied sequence; raises what the follower met."""
+        (outcome,) = self.rpc.call(follower, "replicate_apply",
+                                   ((acg_id, repl_epoch, records),))
+        return outcome.unwrap()
 
     def _depose(self, acg_id: int) -> None:
         """Stop acting as a partition's replication primary.
@@ -1436,9 +1511,8 @@ class IndexNode:
             state.acked[follower] = -1
             self._install_follower(acg_id, state, follower)
             return
-        applied = self.rpc.call(follower, "replicate_apply", acg_id,
-                                state.repl_epoch, records)
-        state.acked[follower] = applied
+        state.acked[follower] = self._replicate_one(
+            follower, acg_id, state.repl_epoch, records)
         self.repl_streamed += len(records)
 
     # -- replication (RF > 1): follower half -------------------------------------------------
@@ -1499,10 +1573,25 @@ class IndexNode:
             applied_seq=seq)
         return seq
 
-    def handle_replicate_apply(self, acg_id: int, repl_epoch: int,
-                               records: Sequence[Tuple[int, Tuple[IndexUpdate, ...]]]
-                               ) -> int:
-        """Apply a log suffix to the follower replica; returns applied seq.
+    def handle_replicate_apply(
+            self, streams: Sequence[Tuple[int, int, Sequence[
+                Tuple[int, Tuple[IndexUpdate, ...]]]]]
+            ) -> Tuple[CallOutcome, ...]:
+        """Apply one primary's log suffixes — ``(acg_id, repl_epoch,
+        records)`` per partition — to the follower replicas here; returns
+        one outcome per stream, in order: the applied sequence, or the
+        error that partition alone met (:class:`StaleReplEpoch` fences a
+        deposed primary, :class:`UnknownAcg` reports lost state), so the
+        primary deposes or re-installs per partition."""
+        return tuple(
+            CallOutcome.capture(lambda s=stream: self._apply_stream(*s),
+                                (StaleReplEpoch, UnknownAcg))
+            for stream in streams)
+
+    def _apply_stream(self, acg_id: int, repl_epoch: int,
+                      records: Sequence[Tuple[int, Tuple[IndexUpdate, ...]]]
+                      ) -> int:
+        """Apply a log suffix to one follower replica; returns applied seq.
 
         Idempotent by sequence contiguity: records at or below the
         applied watermark are skipped (duplicate delivery, primary
@@ -1526,9 +1615,8 @@ class IndexNode:
                 continue
             if seq != st.applied_seq + 1:
                 break
-            # One record is one envelope: it applies atomically before
-            # the watermark advances, so hedged reads never see half of
-            # it.
+            # One record is one batch: it applies atomically before the
+            # watermark advances, so hedged reads never see half of it.
             st.replica.apply_batch(updates)
             st.applied_seq = seq
             st.last_apply_t = self.machine.clock.now()
@@ -1551,9 +1639,24 @@ class IndexNode:
         soundness argument) and this node becomes the partition's primary
         at ``repl_epoch``, continuing the sequence from its applied
         watermark.  Returns (applied_seq, file_count).
+
+        Idempotent under at-least-once delivery: a repeat at the same
+        ``repl_epoch`` for the partition this promotion already made
+        owned returns the same answer (raising instead would make the
+        Master file a partition this node now owns as lost).
         """
         st = self.followers.pop(acg_id, None)
         if st is None:
+            mine = self.repl.get(acg_id)
+            if (mine is not None and mine.promoted is not None
+                    and mine.repl_epoch == repl_epoch
+                    and acg_id in self.replicas):
+                # A repeat delivery of the promotion that made this node
+                # the primary (at-least-once RPC): same answer, no second
+                # promotion.
+                self.journal.emit("repl.promote_repeat", node=self.name,
+                                  acg_id=acg_id, repl_epoch=repl_epoch)
+                return mine.promoted
             raise UnknownAcg(f"{self.name} has no follower replica of ACG {acg_id}")
         self._next_incarnation += 1
         st.replica.incarnation = self._next_incarnation
@@ -1563,9 +1666,11 @@ class IndexNode:
         self.replicas[acg_id] = st.replica
         self.migrated_away.discard(acg_id)
         self._purge_result_cache(acg_id)
+        answer = (st.applied_seq, st.replica.file_count)
         self.repl[acg_id] = PrimaryReplState(
-            repl_epoch=repl_epoch, log=ReplicationLog(base=st.applied_seq))
-        return (st.applied_seq, st.replica.file_count)
+            repl_epoch=repl_epoch, log=ReplicationLog(base=st.applied_seq),
+            promoted=answer)
+        return answer
 
     def handle_drop_follower(self, acg_id: int) -> None:
         """Forget this node's follower replica of an ACG."""

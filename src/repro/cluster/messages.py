@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 
 class UpdateOp(enum.Enum):
@@ -50,22 +50,28 @@ class IndexUpdate:
 
 @dataclass(frozen=True)
 class UpdateBatch:
-    """A per-ACG batch envelope: one or more updates, one RPC, one
-    group commit.
+    """One partition's share of an update envelope: one or more updates,
+    one WAL frame, one group commit, one replication record.
 
     The client coalesces per-file updates (flushing on size/age
-    thresholds) and ships one envelope per (node, partition) pair.  The
-    envelope is sequence-shaped, so the Index Node handler — and every
-    forwarding path between client and primary — treats it like any
-    ``Sequence[IndexUpdate]``.
+    thresholds), groups them per partition, and ships every batch bound
+    for one Index Node in a single ``index_update`` RPC (the node's
+    *envelope*).  A batch is sequence-shaped, so the Index Node — and
+    every forwarding path between client and primary — treats it like
+    any ``Sequence[IndexUpdate]``.
 
-    ``wire_bytes`` amortizes the per-request framing across the
-    envelope: one 24-byte header plus the per-update payloads minus
-    their now-shared routing preamble.
+    ``epoch`` is the routing-epoch stamp of a cache-routed send; ``None``
+    marks a Master-routed (create-on-demand) one.  It is per batch, not
+    per envelope, because one flush may carry both kinds to one node.
+
+    ``wire_bytes`` amortizes the per-request framing across the batch:
+    one 24-byte header plus the per-update payloads minus their
+    now-shared routing preamble.
     """
 
     acg_id: int
     updates: Tuple[IndexUpdate, ...]
+    epoch: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.updates)
@@ -77,15 +83,27 @@ class UpdateBatch:
         return self.updates[i]
 
     def wire_bytes(self) -> int:
-        """Amortized serialized size: shared envelope header, packed updates."""
+        """Amortized serialized size: shared batch header, packed updates."""
         per_update = sum(u.wire_bytes() for u in self.updates)
         if len(self.updates) == 1:
             # Nothing is shared: the lone update's own framing is the
             # request header.
             return per_update
         # Each coalesced update sheds 16 bytes of per-request routing
-        # preamble (acg id, epoch, auth) that now rides on the envelope.
+        # preamble (acg id, epoch, auth) that now rides on the batch.
         return 24 + per_update - 16 * (len(self.updates) - 1)
+
+
+# What each part after the first adds to a multi-part request: its
+# partition id and length.  A one-part request is exactly its part.
+_PART_HEADER_BYTES = 8
+
+
+def envelope_wire_bytes(part_bytes: Sequence[int]) -> int:
+    """Serialized size of one node envelope from the sizes of its
+    per-partition parts — never less than their sum, so merging RPCs
+    saves messages, not bytes."""
+    return sum(part_bytes) + _PART_HEADER_BYTES * max(0, len(part_bytes) - 1)
 
 
 class UpdateAck(int):

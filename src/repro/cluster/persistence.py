@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.errors import ClusterError
 from repro.indexstructures.base import IndexKind
 from repro.indexstructures.serialization import dump_value, load_value
-from repro.fs.vfs import VirtualFileSystem
+from repro.fs.vfs import SYSTEM_PID, VirtualFileSystem
 from repro.query.planner import IndexSpec
 
 if TYPE_CHECKING:
@@ -99,8 +99,15 @@ def checkpoint_replica(vfs: VirtualFileSystem, node_name: str,
     """Write one replica's checkpoint to the shared VFS; returns path."""
     path = replica_path(node_name, replica.acg_id)
     vfs.mkdir(f"{PROPELLER_ROOT}/{node_name}", parents=True)
-    vfs.write_bytes(path, dump_replica(replica))
+    write_checkpoint(vfs, path, dump_replica(replica))
     return path
+
+
+def write_checkpoint(vfs: VirtualFileSystem, path: str, data: bytes) -> None:
+    """Write checkpoint bytes as the system: an index node's own files
+    must never look like user files to a client watching the same VFS
+    (an unfiltered ``index_dirty()`` would index them)."""
+    vfs.write_bytes(path, data, pid=SYSTEM_PID)
 
 
 def read_checkpoint(vfs: VirtualFileSystem, path: str) -> Dict[str, Any]:
@@ -109,7 +116,7 @@ def read_checkpoint(vfs: VirtualFileSystem, path: str) -> Dict[str, Any]:
     Accepts both frames: the legacy ``PACG`` checkpoint and a frozen
     ``PSEG`` segment (a frozen partition checkpoints as its segment
     bytes — same payload, tiered transfer format)."""
-    data = vfs.read_bytes(path)
+    data = vfs.read_bytes(path, pid=SYSTEM_PID)
     from repro.cluster import segments
 
     if segments.is_segment(data):
@@ -124,7 +131,7 @@ def remove_checkpoint(vfs: VirtualFileSystem, node_name: str, acg_id: int) -> bo
     path = replica_path(node_name, acg_id)
     if not vfs.exists(path):
         return False
-    vfs.unlink(path)
+    vfs.unlink(path, pid=SYSTEM_PID)
     return True
 
 

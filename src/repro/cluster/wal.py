@@ -38,9 +38,10 @@ class WriteAheadLog:
         self._buffer = bytearray()
         self._disk = disk
         self.records_appended = 0
-        # Every frame written is one simulated fsync, so a batch pays
-        # one per *batch*.  bytes_written / fsyncs gives the amortized
-        # fsync payload surfaced as ``wal.bytes_per_fsync``.
+        # One simulated fsync per frame — or per run of frames whose
+        # writer deferred it (an update envelope: one frame per
+        # partition, one fsync for the node).  bytes_written / fsyncs
+        # gives the amortized fsync payload (``wal.bytes_per_fsync``).
         self.fsyncs = 0
         self.bytes_written = 0
         # What the most recent replay() had to drop at a torn or corrupt
@@ -56,19 +57,35 @@ class WriteAheadLog:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def append(self, record: Tuple[Any, ...]) -> None:
-        """Durably append one record (a tuple of primitive values)."""
+    def append(self, record: Tuple[Any, ...], sync: bool = True) -> None:
+        """Append one record (a tuple of primitive values) as one frame.
+
+        ``sync=False`` leaves the frame to a later :meth:`sync` — the
+        writer of several frames that are acknowledged together pays one
+        simulated fsync for the lot.  The frame's bytes are charged to
+        the log device either way.
+        """
         body = dump_value(record)
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
         self._buffer.extend(frame)
         self.records_appended += 1
-        self.fsyncs += 1
         self.bytes_written += len(frame)
         if self._disk is not None:
             self._disk.append(len(frame))
+        if sync:
+            self.sync()
 
-    def append_batch(self, acg_id: int, records: Tuple[Tuple[Any, ...], ...]) -> None:
-        """Group-commit append: one frame, one simulated fsync, N records.
+    def sync(self) -> None:
+        """Make every frame appended so far durable: one simulated fsync.
+
+        Nothing may be acknowledged on the strength of a frame appended
+        with ``sync=False`` until this has run."""
+        self.fsyncs += 1
+
+    def append_batch(self, acg_id: int, records: Tuple[Tuple[Any, ...], ...],
+                     sync: bool = True) -> None:
+        """Group-commit append: one frame, N records, one simulated fsync
+        (or none yet, with ``sync=False`` — see :meth:`append`).
 
         The whole batch lives inside a single CRC frame, so the torn-tail
         rule in :meth:`replay` applies to the batch as a unit: a crash
@@ -77,7 +94,7 @@ class WriteAheadLog:
         the batch as ``(BATCH_TAG, acg_id, records)``; recovery expands
         it against the per-ACG commit watermark.
         """
-        self.append((self.BATCH_TAG, acg_id, tuple(records)))
+        self.append((self.BATCH_TAG, acg_id, tuple(records)), sync=sync)
         # ``append`` counted the frame as one record; count its riders.
         self.records_appended += len(records) - 1
 

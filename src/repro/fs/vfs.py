@@ -20,6 +20,13 @@ from repro.errors import BadFileDescriptor, IsADirectory
 from repro.fs.namespace import FileKind, Inode, Namespace, normalize
 from repro.sim.clock import SimClock
 
+# The pid the system's own components do their file I/O under (index-node
+# checkpoints, pre-existing files a trace replay materializes).  Negative
+# pids are never part of application causality: the File Access
+# Management module ignores them, so a system file is neither an ACG
+# vertex nor a dirty file to index.
+SYSTEM_PID = -1
+
 
 class OpenMode(enum.Flag):
     """Access mode flags for open()."""

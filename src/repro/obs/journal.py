@@ -24,6 +24,9 @@ Event taxonomy (the ``type`` field, dotted and prefix-queryable):
   (membership change, log-generation restart, or promotion fence);
 * ``repl.fence`` — a node rejected a stale-epoch stream or install;
 * ``repl.depose`` — a fenced primary stopped replicating a partition;
+* ``repl.promote_repeat`` — a node answered a re-delivered
+  ``promote_replica`` for a partition that promotion already made its
+  own (at-least-once delivery; no second promotion happened);
 * ``master.promote`` / ``master.depose`` / ``master.fence`` /
   ``master.restart`` — control-plane failover: a warm standby took over
   with a term bump, a deposed Master self-fenced after an Index Node

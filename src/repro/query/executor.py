@@ -27,6 +27,7 @@ from repro.indexstructures.base import Index
 from repro.indexstructures.postings import PostingList, intersect_all
 from repro.query.ast import And, Keyword, Predicate, conjuncts, matches
 from repro.query.planner import Plan
+from repro.sim.rpc import scatter
 
 # Failures that degrade a search leg instead of failing the whole query.
 # Anything else (parse errors, unknown index names, handler bugs) is a
@@ -232,20 +233,14 @@ def scatter_gather(clock, routing: Mapping[str, Sequence[int]],
     error after retries are recorded against the partitions they covered
     instead of aborting the fan-out.
     """
-    nodes = sorted(routing)
     outcome = FanoutOutcome()
-
-    def leg(node: str):
-        try:
-            return node, call(node), None
-        except DEGRADABLE_ERRORS as exc:
-            return node, None, exc
-
-    for node, batch, error in clock.parallel(
-            [(lambda n=n: leg(n)) for n in nodes]):
-        if error is not None:
+    for node, leg in scatter(clock, routing, call).items():
+        batch = leg.value
+        if not leg.ok:
+            if not isinstance(leg.error, DEGRADABLE_ERRORS):
+                raise leg.error
             outcome.unreachable[node] = sorted(routing[node])
-            outcome.errors[node] = f"{type(error).__name__}: {error}"
+            outcome.errors[node] = f"{type(leg.error).__name__}: {leg.error}"
         elif hasattr(batch, "results") and hasattr(batch, "not_owned"):
             # An epoch-stamped SearchReply: unpack results and record the
             # routing-health signals the client's retry round consumes.

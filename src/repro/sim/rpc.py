@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ClusterError, NodeDown, RpcTimeout
 from repro.obs.tracing import NULL_TRACER
@@ -27,7 +27,7 @@ from repro.sim.network import NetworkModel
 Handler = Callable[..., Any]
 
 # Rough serialized size of an RPC envelope plus a typical small payload.
-_DEFAULT_MSG_BYTES = 256
+DEFAULT_MSG_BYTES = 256
 
 # What a caller waits before declaring a lost message timed out when no
 # RetryPolicy overrides it (a generous same-switch request deadline).
@@ -80,6 +80,23 @@ class CallOutcome:
     value: Any = None
     error: Optional[Exception] = None
 
+    @classmethod
+    def capture(cls, thunk: Callable[[], Any],
+                errors=ClusterError) -> "CallOutcome":
+        """Run ``thunk``; its value, or the ``errors`` instance it
+        raised, as an outcome (anything else still propagates)."""
+        try:
+            return cls(ok=True, value=thunk())
+        except errors as exc:
+            return cls(ok=False, error=exc)
+
+    def unwrap(self) -> Any:
+        """The value, or raise the error — for a caller with nothing
+        else to tell apart."""
+        if not self.ok:
+            raise self.error
+        return self.value
+
 
 @dataclass
 class HedgedOutcome:
@@ -96,6 +113,28 @@ class HedgedOutcome:
     primary_end: float = 0.0
     secondary_end: Optional[float] = None
     hedged: bool = False
+
+
+def scatter(clock, targets: Iterable[str],
+            call: Callable[[str], Any]) -> Dict[str, CallOutcome]:
+    """Run ``call(target)`` for every target as logically concurrent work.
+
+    The one fan-out shape of the request path: search legs, update
+    envelopes, ACG fragments and replication streams all go out as one
+    call per node with every node in flight at once, so the caller waits
+    for the slowest leg (``SimClock.parallel``), a failed leg's timeout
+    burn included.  Work inside one leg stays serial — only distinct
+    targets overlap.  Targets run in sorted order (determinism).
+
+    Every :class:`ClusterError` a leg raises comes back as that target's
+    outcome instead of escaping: an exception leaving a ``parallel``
+    thunk would strand the clock mid-rewind.  The caller decides, once
+    all legs are in, which errors degrade and which to re-raise.
+    """
+    ordered = sorted(targets)
+    return dict(zip(ordered, clock.parallel(
+        [(lambda t=t: CallOutcome.capture(lambda: call(t)))
+         for t in ordered])))
 
 
 class RpcEndpoint:
@@ -224,8 +263,8 @@ class RpcNetwork:
         return result
 
     def call(self, target: str, method: str, *args: Any,
-             local: bool = False, request_bytes: int = _DEFAULT_MSG_BYTES,
-             response_bytes: int = _DEFAULT_MSG_BYTES, **kwargs: Any) -> Any:
+             local: bool = False, request_bytes: int = DEFAULT_MSG_BYTES,
+             response_bytes: int = DEFAULT_MSG_BYTES, **kwargs: Any) -> Any:
         """Synchronous RPC: charge request, run handler, charge response.
 
         With a :class:`RetryPolicy` attached, transient failures
@@ -285,10 +324,8 @@ class RpcNetwork:
         s_kwargs = secondary_kwargs if secondary_kwargs is not None else kwargs
 
         def leg(target: str, m: str, a: tuple, kw: dict) -> CallOutcome:
-            try:
-                return CallOutcome(ok=True, value=self.call(target, m, *a, **kw))
-            except _RETRIABLE as exc:
-                return CallOutcome(ok=False, error=exc)
+            return CallOutcome.capture(
+                lambda: self.call(target, m, *a, **kw), _RETRIABLE)
 
         race = clock.race(lambda: leg(primary, method, args, kwargs),
                           lambda: leg(secondary, s_method, s_args, s_kwargs),
@@ -305,7 +342,7 @@ class RpcNetwork:
         return outcome
 
     def multicall(self, targets: list, method: str, *args: Any,
-                  request_bytes: int = _DEFAULT_MSG_BYTES,
+                  request_bytes: int = DEFAULT_MSG_BYTES,
                   **kwargs: Any) -> Dict[str, CallOutcome]:
         """Parallel fan-out returning a per-target result/error map.
 
@@ -331,5 +368,5 @@ class RpcNetwork:
                         outcomes[t] = CallOutcome(ok=False, error=exc)
                     else:
                         outcomes[t] = CallOutcome(ok=True, value=value)
-            self.network.fanout([_DEFAULT_MSG_BYTES] * len(targets))
+            self.network.fanout([DEFAULT_MSG_BYTES] * len(targets))
         return outcomes

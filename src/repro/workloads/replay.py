@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Optional, Set
 from repro.cluster.client import PropellerClient
 from repro.cluster.service import PropellerService
 from repro.core.trace import AccessEvent
-from repro.fs.vfs import OpenMode
+from repro.fs.vfs import SYSTEM_PID, OpenMode
 
 
 @dataclass
@@ -68,7 +68,7 @@ def replay_trace(service: PropellerService, client: PropellerClient,
                 # A read of a file that predates the trace: materialize
                 # it as pre-existing (system pid, invisible to causality)
                 # and replay the read.
-                vfs.write_file(path, write_bytes, pid=-1)
+                vfs.write_file(path, write_bytes, pid=SYSTEM_PID)
                 fd = vfs.open(path, OpenMode.READ, pid=event.pid)
                 vfs.close(fd)
                 stats.reads += 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.index_node import IndexNode
-from repro.cluster.messages import IndexUpdate
+from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import UnknownAcg
 from repro.indexstructures import IndexKind
@@ -26,6 +26,14 @@ def up(fid, size, path=None):
                               path=path or f"/data/f{fid}.bin")
 
 
+def park(node, acg_id, updates):
+    """One partition's updates as an envelope of one; returns its ack."""
+    (outcome,) = node.handle_index_update(
+        [UpdateBatch(acg_id, tuple(updates))])
+    assert outcome.ok, outcome.error
+    return outcome.value
+
+
 def search_ids(node, acg_ids, query):
     results = node.handle_search(acg_ids, parse_query(query))
     out = set()
@@ -35,31 +43,31 @@ def search_ids(node, acg_ids, query):
 
 
 def test_update_is_cached_not_committed(node):
-    node.handle_index_update(1, [up(10, 100)])
+    park(node, 1, [up(10, 100)])
     assert len(node.cache) == 1
     assert node.replica(1).file_count == 0
 
 
 def test_update_appends_to_wal(node):
-    node.handle_index_update(1, [up(10, 100), up(11, 200)])
+    park(node, 1, [up(10, 100), up(11, 200)])
     assert node.wal.records_appended == 2
 
 
 def test_search_forces_commit_and_sees_update(node):
-    node.handle_index_update(1, [up(10, 100)])
+    park(node, 1, [up(10, 100)])
     assert search_ids(node, [1], "size>=100") == {10}
     assert len(node.cache) == 0
 
 
 def test_search_only_commits_queried_acg(node):
-    node.handle_index_update(1, [up(10, 100)])
-    node.handle_index_update(2, [up(20, 100)])
+    park(node, 1, [up(10, 100)])
+    park(node, 2, [up(20, 100)])
     search_ids(node, [1], "size>0")
     assert node.cache.pending_acgs() == [2]
 
 
 def test_tick_commits_after_timeout(node):
-    node.handle_index_update(1, [up(10, 100)])
+    park(node, 1, [up(10, 100)])
     node.machine.clock.charge(5.1)
     assert node.tick() == 1
     assert node.replica(1).file_count == 1
@@ -68,28 +76,28 @@ def test_tick_commits_after_timeout(node):
 
 
 def test_tick_before_timeout_is_noop(node):
-    node.handle_index_update(1, [up(10, 100)])
+    park(node, 1, [up(10, 100)])
     node.machine.clock.charge(1.0)
     assert node.tick() == 0
 
 
 def test_reupsert_replaces_old_index_entry(node):
-    node.handle_index_update(1, [up(10, 100)])
-    node.handle_index_update(1, [up(10, 5000)])
+    park(node, 1, [up(10, 100)])
+    park(node, 1, [up(10, 5000)])
     assert search_ids(node, [1], "size==100") == set()
     assert search_ids(node, [1], "size==5000") == {10}
 
 
 def test_delete_removes_from_index_and_store(node):
-    node.handle_index_update(1, [up(10, 100)])
-    node.handle_index_update(1, [IndexUpdate.delete(10)])
+    park(node, 1, [up(10, 100)])
+    park(node, 1, [IndexUpdate.delete(10)])
     assert search_ids(node, [1], "size>0") == set()
     assert node.replica(1).file_count == 0
 
 
 def test_kd_index_tolerates_non_numeric_attributes(node):
     node.handle_create_index(IndexSpec("kd", IndexKind.KDTREE, ("size", "rank")))
-    node.handle_index_update(1, [
+    park(node, 1, [
         IndexUpdate.upsert(10, {"size": 100, "rank": 2.0}, path="/a"),
         IndexUpdate.upsert(11, {"size": 200, "rank": "gold"}, path="/b"),
         IndexUpdate.upsert(12, {"size": 300}, path="/c"),
@@ -101,7 +109,7 @@ def test_kd_index_tolerates_non_numeric_attributes(node):
 
 
 def test_keyword_index_updates_on_path(node):
-    node.handle_index_update(1, [up(10, 100, path="/home/firefox/prefs.js")])
+    park(node, 1, [up(10, 100, path="/home/firefox/prefs.js")])
     assert search_ids(node, [1], "keyword:firefox") == {10}
 
 
@@ -115,7 +123,7 @@ def test_replica_unknown_without_create(node):
 
 
 def test_create_index_backfills_existing_data(node):
-    node.handle_index_update(1, [up(10, 100)])
+    park(node, 1, [up(10, 100)])
     node.cache.commit_all()
     node.handle_create_index(IndexSpec("kd", IndexKind.KDTREE, ("size", "mtime")))
     replica = node.replica(1)
@@ -127,7 +135,7 @@ def test_create_index_backfills_existing_data(node):
 
 
 def test_heartbeat_reports_sizes(node):
-    node.handle_index_update(1, [up(10, 100), up(11, 100)])
+    park(node, 1, [up(10, 100), up(11, 100)])
     node.cache.commit_all()
     heartbeat = node.make_heartbeat()
     assert heartbeat.node == "in1"
@@ -136,18 +144,18 @@ def test_heartbeat_reports_sizes(node):
 
 def test_compute_split_balanced(node):
     updates = [up(i, 100) for i in range(40)]
-    node.handle_index_update(1, updates)
+    park(node, 1, updates)
     # Chain ACG: 0-1-2-...-39.
     records = [(i, i + 1, 1) for i in range(39)]
-    node.handle_flush_acg(1, records)
+    node.handle_flush_acg([(1, records)])
     halves = node.handle_compute_split(1, PartitioningPolicy(split_threshold=20))
     assert len(halves[0]) + len(halves[1]) == 40
     assert abs(len(halves[0]) - len(halves[1])) <= 6
 
 
 def test_extract_install_migration_roundtrip(node):
-    node.handle_index_update(1, [up(i, 100 * i) for i in range(1, 6)])
-    node.handle_flush_acg(1, [(1, 2, 3), (3, 4, 1)])
+    park(node, 1, [up(i, 100 * i) for i in range(1, 6)])
+    node.handle_flush_acg([(1, [(1, 2, 3), (3, 4, 1)])])
     payload = node.handle_extract_partition(1, [1, 2])
     # Source no longer serves the moved files.
     assert search_ids(node, [1], "size>0") == {3, 4, 5}
@@ -160,7 +168,7 @@ def test_extract_install_migration_roundtrip(node):
 
 
 def test_drop_partition(node):
-    node.handle_index_update(1, [up(10, 100)])
+    park(node, 1, [up(10, 100)])
     node.cache.commit_all()
     node.handle_drop_partition(1)
     with pytest.raises(UnknownAcg):
@@ -168,8 +176,8 @@ def test_drop_partition(node):
 
 
 def test_wal_recovery_after_crash(node):
-    node.handle_index_update(1, [up(10, 100), up(11, 200)])
-    node.handle_index_update(2, [up(20, 300)])
+    park(node, 1, [up(10, 100), up(11, 200)])
+    park(node, 2, [up(20, 300)])
     # Crash: the in-memory cache is lost, the WAL survives.
     crashed = IndexNode("in1b", Machine(SimClock()))
     crashed.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.index_node import IndexNode
 from repro.cluster.master import MasterNode
-from repro.cluster.messages import IndexUpdate
+from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import ClusterError, UnknownIndexName, UnknownIndexNode
 from repro.indexstructures import IndexKind
@@ -137,9 +137,9 @@ def test_oversized_partition_triggers_split_and_migration():
         master.route_updates([i], hints={i: i - 1})
     assert master.partitions.get(acg).size == 40
     # The owning node must have the data to split.
-    rpc.call(node, "index_update", acg,
-             [IndexUpdate.upsert(i, {"size": i}) for i in range(40)])
-    rpc.call(node, "flush_acg", acg, [(i, i + 1, 1) for i in range(39)])
+    rpc.call(node, "index_update", [UpdateBatch(acg, tuple(
+        IndexUpdate.upsert(i, {"size": i}) for i in range(40)))])
+    rpc.call(node, "flush_acg", [(acg, [(i, i + 1, 1) for i in range(39)])])
     decisions = master.maybe_split()
     assert len(decisions) == 1
     decision = decisions[0]

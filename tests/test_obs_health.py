@@ -321,8 +321,8 @@ class TestClusterEmissions:
         journal = EventJournal(node.machine.clock)
         node.journal = journal
         node.handle_install_follower(1, "p1", 3, 0, [], [])
-        with pytest.raises(StaleReplEpoch):
-            node.handle_replicate_apply(1, 2, [])
+        (outcome,) = node.handle_replicate_apply([(1, 2, [])])
+        assert isinstance(outcome.error, StaleReplEpoch)
         assert journal.count("repl.fence") == 1
 
     def test_node_crash_and_restart_are_journaled(self):

@@ -48,3 +48,54 @@ def test_harness_entry_points_keep_their_signatures():
         and all(len(entry) == 3 for entry in service.loop._heap)
     assert isinstance(client._file_routes, dict)
     assert isinstance(client._route_nodes, dict)
+
+
+def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
+    """Resolving is not enough: the per-layer rows only mean what
+    ``perf/README.md`` says while a flush actually *calls* the patched
+    names (a handler reached some other way would book its time to the
+    caller's layer)."""
+    from repro.cluster.client import PropellerClient
+    from repro.cluster.wal import WriteAheadLog
+    from repro.indexstructures import IndexKind
+    from repro.sim.rpc import RpcNetwork
+
+    calls = {}
+
+    def count(cls, name):
+        original = cls.__dict__[name]
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, names in ((PropellerClient, ("flush_updates", "flush_acg")),
+                       (IndexNode, ("handle_index_update",
+                                    "handle_replicate_apply")),
+                       (WriteAheadLog, ("append_batch",)),
+                       (RpcNetwork, ("call",))):
+        for name in names:
+            count(cls, name)
+    # Patched before the deployment is built, as layertrace installs.
+    service = PropellerService(num_index_nodes=2, replication_factor=2)
+    client = service.make_client()
+    client.create_index("by_size", IndexKind.BTREE, ["size"])
+    service.vfs.write_file("/a", 10, pid=5)
+    client.index_path("/a", pid=5)
+    client.flush_updates()
+    service.sync_replication()
+    service.vfs.write_file("/a", 10, pid=5)
+    client.index_path("/a", pid=5)
+    calls.clear()
+    client.process_finished(5)
+    assert client.search("size>0") == ["/a"]      # flushes the rewrite
+    assert set(calls) == {"flush_updates", "flush_acg",
+                          "handle_index_update", "handle_replicate_apply",
+                          "append_batch", "call"}
+    registry = service.registry
+    assert registry.histogram("update.batch_size", unit="updates").count >= 2
+    assert sum(n.wal.fsyncs for n in service.index_nodes.values()) >= 2
+    assert sum(n.wal.bytes_written for n in service.index_nodes.values()) > 0
+    assert sum(n.repl_streamed for n in service.index_nodes.values()) >= 1
+    assert service.cluster.network.stats.bytes_sent > 0

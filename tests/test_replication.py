@@ -165,6 +165,68 @@ def test_failover_promotes_caught_up_follower():
     assert sorted(client.search("size>=0")) == before
 
 
+def test_duplicated_promote_replica_still_routes_to_the_promoted_node():
+    """At-least-once delivery runs ``promote_replica`` twice.  The second
+    dispatch finds the follower state already moved; answering it with an
+    error made the Master take the partition for un-promotable, fall
+    through to checkpoint adoption and file it under ``lost`` — routed to
+    nobody while the promoted node owned it."""
+    service, client, _ = make_replicated()
+    before = sorted(client.search("size>=0"))
+    victim = "in1"
+    owned = [p.partition_id for p in service.master.partitions.partitions()
+             if p.node == victim]
+    assert owned
+
+    class DuplicatePromotions:
+        delay_s = 0.0
+        duplicated = 0
+
+        def message_fate(self, target, method):
+            if method != "promote_replica":
+                return "ok"
+            self.duplicated += 1
+            return "duplicate"
+
+        def extra_latency_s(self, node):
+            return 0.0
+
+    service.rpc.faults = faults = DuplicatePromotions()
+    service.fail_node(victim)
+    assert service.failover(victim) == len(owned)
+    service.rpc.faults = None
+    assert faults.duplicated == len(owned)
+    event = service.master.failover_log[-1]
+    assert event.outcome == "promoted" and not event.lost
+    assert sorted(event.promoted) == sorted(owned)
+    assert service.journal.count("repl.promote_repeat") == len(owned)
+    for partition in service.master.partitions.partitions():
+        if partition.partition_id in owned:
+            # Routed to the node that now owns it, which primaries it at
+            # the Master's epoch — not to nobody.
+            node = service.index_nodes[partition.node]
+            assert partition.node != victim and node.owns(partition.partition_id)
+            assert (node.repl[partition.partition_id].repl_epoch
+                    == service.master.replica_sets.state(
+                        partition.partition_id).repl_epoch)
+    assert sorted(client.search("size>=0")) == before
+
+
+def test_repeated_promote_replica_answers_the_same_and_only_at_its_epoch():
+    node = _fresh_follower()
+    records = [(i + 1, (IndexUpdate.upsert(i + 1, {"size": i + 1}),))
+               for i in range(3)]
+    _apply(node, 1, records)
+    first = node.handle_promote_replica(1, repl_epoch=2)
+    incarnation = node.replicas[1].incarnation
+    assert node.handle_promote_replica(1, repl_epoch=2) == first == (3, 3)
+    assert node.replicas[1].incarnation == incarnation   # no second promotion
+    # Any other epoch is not a repeat of that promotion.
+    from repro.errors import UnknownAcg
+    with pytest.raises(UnknownAcg):
+        node.handle_promote_replica(1, repl_epoch=3)
+
+
 def test_failover_deferred_when_followers_lag():
     service, client, _ = make_replicated()
     victim = "in1"
@@ -517,6 +579,15 @@ def _fresh_follower():
     return node
 
 
+def _apply(node, epoch, records):
+    """ACG 1's stream as a ``replicate_apply`` of one; returns the applied
+    sequence or raises what the partition met."""
+    (outcome,) = node.handle_replicate_apply([(1, epoch, records)])
+    if not outcome.ok:
+        raise outcome.error
+    return outcome.value
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(0, N_RECORDS - 1), st.integers(1, N_RECORDS),
@@ -535,17 +606,17 @@ def test_replicate_apply_idempotent_under_resend_and_reorder(chunks):
             continue
         if epoch < max_epoch:
             with pytest.raises(ClusterError):
-                node.handle_replicate_apply(1, epoch, records[start:end])
+                _apply(node, epoch, records[start:end])
             continue
         max_epoch = max(max_epoch, epoch)
-        applied = node.handle_replicate_apply(1, epoch, records[start:end])
+        applied = _apply(node, epoch, records[start:end])
         st_state = node.followers[1]
         assert applied == st_state.applied_seq
         # The applied prefix is always exactly files 1..applied.
         assert set(st_state.replica.store.file_ids()) == set(
             range(1, applied + 1))
     # A final in-order full stream always converges the replica.
-    node.handle_replicate_apply(1, max_epoch, records)
+    _apply(node, max_epoch, records)
     st_state = node.followers[1]
     assert st_state.applied_seq == N_RECORDS
     assert set(st_state.replica.store.file_ids()) == set(
@@ -556,14 +627,14 @@ def test_replicate_apply_survives_promotion():
     node = _fresh_follower()
     records = [(i + 1, (IndexUpdate.upsert(i + 1, {"size": i + 1}),))
                for i in range(5)]
-    node.handle_replicate_apply(1, 1, records)
+    _apply(node, 1, records)
     applied, count = node.handle_promote_replica(1, repl_epoch=2)
     assert (applied, count) == (5, 5)
     # Re-delivery of the old stream after promotion cannot corrupt the
     # now-primary copy: the follower identity is gone.
     from repro.errors import UnknownAcg
     with pytest.raises(UnknownAcg):
-        node.handle_replicate_apply(1, 1, records)
+        _apply(node, 1, records)
     assert set(node.replicas[1].store.file_ids()) == {1, 2, 3, 4, 5}
     # The primary continues the sequence from its applied watermark.
     assert node.repl[1].log.last_seq == 5

@@ -138,11 +138,11 @@ def test_stamped_update_to_nonowner_nacks():
              for acg in node.replicas}
     missing_acg = max(owned) + 1000
     node = next(iter(service.index_nodes.values()))
-    from repro.cluster.messages import IndexUpdate
-    with pytest.raises(StaleRoute):
-        node.handle_index_update(
-            missing_acg, [IndexUpdate.upsert(999, {"size": 1}, path="/x")],
-            epoch=service.master.partitions.epoch)
+    from repro.cluster.messages import IndexUpdate, UpdateBatch
+    (outcome,) = node.handle_index_update([UpdateBatch(
+        missing_acg, (IndexUpdate.upsert(999, {"size": 1}, path="/x"),),
+        epoch=service.master.partitions.epoch)])
+    assert isinstance(outcome.error, StaleRoute)
     assert node.stale_route_nacks >= 1
 
 

@@ -4,7 +4,8 @@ splits over virtual time, and shared-storage hygiene."""
 import pytest
 
 from repro.cluster import PropellerService
-from repro.cluster.persistence import PROPELLER_ROOT, list_checkpoints
+from repro.cluster.persistence import (PROPELLER_ROOT, list_checkpoints,
+                                       replica_path)
 from repro.core.partitioner import PartitioningPolicy
 from repro.indexstructures import IndexKind
 
@@ -64,6 +65,38 @@ def test_checkpoint_files_are_system_owned_and_invisible_to_acg():
     assert client.access_manager.peek().vertex_count <= 60
     for path, inode in service.vfs.namespace.files(PROPELLER_ROOT):
         assert service.master.partitions.partition_of(inode.ino) is None
+
+
+def test_default_client_never_indexes_index_node_checkpoints():
+    """Checkpoints land on the VFS the client watches.  Written as the
+    system they are neither dirty files nor ACG vertices, so a client
+    with no ``pid_filter`` cannot index them — and removing one is not an
+    application unlink."""
+    service, client = build()
+    populate(service, client)
+    assert client.index_dirty() == 30             # the user files, drained
+    client.flush_updates()
+    vertices = client.access_manager.peek().vertex_count
+    service.advance(65.0)                         # two checkpoint rounds
+    assert list(service.vfs.namespace.files(PROPELLER_ROOT))
+    assert client.index_dirty() == 0
+    assert client.access_manager.peek().vertex_count == vertices
+    for query in ("size>=0", "keyword:ckpt", "keyword:propeller"):
+        assert not [p for p in client.search(query)
+                    if p.startswith(PROPELLER_ROOT + "/")]
+    assert len(client.search("size>=0")) == 30
+    # A finished migration removes the source's checkpoint: the client
+    # must not take that for an application unlink.
+    unlinked = []
+    client.access_manager._unlink_cb = lambda path, inode: unlinked.append(path)
+    moved = next(p for p in service.master.partitions.partitions()
+                 if p.node and list_checkpoints(service.vfs, p.node))
+    target = next(n for n in service.master.index_nodes if n != moved.node)
+    stale = replica_path(moved.node, moved.partition_id)
+    assert service.vfs.exists(stale)
+    service.master.migrate_partition(moved.partition_id, target)
+    assert not service.vfs.exists(stale)
+    assert unlinked == []
 
 
 def test_repeated_advance_is_stable():
