@@ -20,10 +20,10 @@ from repro.cluster.messages import (
     UpdateOp,
 )
 from repro.cluster.persistence import (
-    checkpoint_replica,
     list_checkpoints,
     read_checkpoint,
     replica_path,
+    write_checkpoint,
 )
 from repro.cluster.service import PropellerService
 from repro.cluster.wal import WriteAheadLog
@@ -41,8 +41,8 @@ __all__ = [
     "UpdateOp",
     "PropellerService",
     "WriteAheadLog",
-    "checkpoint_replica",
     "list_checkpoints",
     "read_checkpoint",
     "replica_path",
+    "write_checkpoint",
 ]

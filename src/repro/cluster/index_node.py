@@ -22,9 +22,11 @@ from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
                                     SearchReply, SearchResult, UpdateAck,
                                     UpdateBatch, UpdateOp,
                                     envelope_wire_bytes)
-from repro.cluster.segments import (FrozenPartition, SegmentCache, TierPolicy,
-                                    dump_segment, load_segment,
-                                    load_segment_payload, segment_key)
+from repro.cluster.persistence import (read_checkpoint, remove_checkpoint,
+                                       write_checkpoint)
+from repro.cluster.segments import (FrozenPartition, SegmentCache, SegmentView,
+                                    TierPolicy, dump_segment, load_segment,
+                                    segment_key)
 from repro.cluster.wal import WriteAheadLog
 from repro.core.acg import AccessCausalityGraph
 from repro.core.partitioner import PartitioningPolicy, split_partition
@@ -1144,8 +1146,9 @@ class IndexNode:
 
     def handle_extract_partition(self, acg_id: int,
                                  file_ids: Optional[Sequence[int]] = None
-                                 ) -> Dict[str, Any]:
-        """Package the state of ``file_ids`` for migration to another node.
+                                 ) -> bytes:
+        """Cut ``file_ids`` out of the partition, as a segment for another
+        node to install.
 
         ``file_ids=None`` means *everything this node hosts* for the ACG
         — the Master uses that for merges, where its own file map may
@@ -1157,13 +1160,7 @@ class IndexNode:
         replica = self.replica(acg_id)
         moving = (set(replica.store.file_ids()) if file_ids is None
                   else set(file_ids))
-        payload = {
-            "acg_records": replica.graph.subgraph(moving).to_records(),
-            "files": [
-                (f, dict(replica.store.attrs(f)), replica.store.attrs(f).get("path"))
-                for f in sorted(moving)
-            ],
-        }
+        segment = dump_segment(replica, self.name, file_ids=moving)
         # Removing the moved files from local state is part of migration
         # (apply(delete) also drops the ACG vertex).
         for file_id in sorted(moving):
@@ -1171,29 +1168,35 @@ class IndexNode:
         # The deletes above never entered the replication log, so any
         # followers now describe the pre-extraction store.
         self._reset_repl(acg_id)
-        return payload
+        return segment
 
-    def handle_install_partition(self, acg_id: int, payload: Dict[str, Any]) -> int:
-        """Install a migrated partition as a replica on this node.
+    @staticmethod
+    def _snapshot_rows(view: SegmentView) -> List[IndexUpdate]:
+        """A snapshot's rows as the upserts that install them, in the
+        dump's file-id order."""
+        updates = []
+        for file_id in view.store.file_ids():
+            attrs = dict(view.store.attrs(file_id))
+            path = attrs.pop("path", None)
+            updates.append(IndexUpdate.upsert(file_id, attrs, path=path))
+        return updates
 
-        Accepts the legacy ``{"acg_records", "files"}`` payload and the
-        tiered transfer format ``{"segment": bytes}`` — a frozen segment
-        dumped by the source, which unpacks to the same shape."""
+    def handle_install_partition(self, acg_id: int,
+                                 segment: bytes) -> Tuple[int, ...]:
+        """Install a split, merged or migrated partition's segment under
+        ``acg_id`` (the segment's own id is its source's); returns the
+        installed file ids."""
+        view = load_segment(segment)
         self._clear_stale_handoff(acg_id)
-        if "segment" in payload:
-            unpacked = load_segment_payload(payload["segment"])
-            payload = {"acg_records": unpacked["acg_records"],
-                       "files": unpacked["files"]}
         replica = self.replica(acg_id, create=True)
-        replica.graph.merge(AccessCausalityGraph.from_records(payload["acg_records"]))
-        for file_id, attrs, path in payload["files"]:
-            attrs = dict(attrs)
-            attrs.pop("path", None)
-            replica.apply(IndexUpdate.upsert(file_id, attrs, path=path))
+        replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
+        updates = self._snapshot_rows(view)
+        for update in updates:
+            replica.apply(update)
         # Installed content bypassed the replication log: force followers
         # back through a snapshot bootstrap.
         self._reset_repl(acg_id)
-        return len(payload["files"])
+        return tuple(u.file_id for u in updates)
 
     def handle_drop_partition(self, acg_id: int) -> None:
         """Forget a migrated-away ACG entirely."""
@@ -1211,31 +1214,24 @@ class IndexNode:
 
     # -- online migration (source/target protocol half) ---------------------------
 
-    def _checkpoint_one(self, replica: AcgReplica) -> None:
-        if self.shared_vfs is None:
-            return
-        from repro.cluster.persistence import (PROPELLER_ROOT,
-                                               checkpoint_replica,
-                                               replica_path,
-                                               write_checkpoint)
+    def _checkpoint_one(self, replica: AcgReplica) -> bytes:
+        """Dump one replica's segment and write it to shared storage (when
+        attached); returns the bytes.
 
-        if replica.acg_id in self.frozen:
-            # A frozen partition checkpoints as its segment bytes — the
-            # tiered transfer format ``read_checkpoint`` also accepts.
-            # Re-dumped from the live backing replica (deterministic, no
-            # cold-tier round trip, immune to injected object faults).
-            data = dump_segment(replica, self.name)
-            self.shared_vfs.mkdir(f"{PROPELLER_ROOT}/{self.name}", parents=True)
-            write_checkpoint(self.shared_vfs,
-                             replica_path(self.name, replica.acg_id), data)
+        Always dumped from the live replica, frozen or not (deterministic,
+        no cold-tier round trip, immune to injected object faults)."""
+        data = dump_segment(replica, self.name)
+        if self.shared_vfs is not None:
+            write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
             self._shared_device.reset_head()
-            self._shared_device.append(len(data))
-            return
-        checkpoint_replica(self.shared_vfs, self.name, replica)
-        self._shared_device.reset_head()
-        self._shared_device.append(replica.resident_bytes())
+            # A live partition's checkpoint models writing its index
+            # files, a frozen one's only the segment (docs/cost-model.md).
+            self._shared_device.append(
+                len(data) if replica.acg_id in self.frozen
+                else replica.resident_bytes())
+        return data
 
-    def handle_transfer_out(self, acg_id: int, target: str) -> Dict[str, Any]:
+    def handle_transfer_out(self, acg_id: int, target: str) -> bytes:
         """Migration step 1 (source side): drain, checkpoint, package —
         and durably record the handoff intent.
 
@@ -1246,26 +1242,15 @@ class IndexNode:
         self.cache.commit_for_search(acg_id)
         replica = self.replica(acg_id, create=True)
         # A fresh shared checkpoint means a source crash before the flip
-        # still fails over with all acknowledged data.
-        self._checkpoint_one(replica)
-        if self.tiering:
-            # Tiered transfer format: ship the compressed segment instead
-            # of the expanded file list (same payload on the far side).
-            payload: Dict[str, Any] = {"segment": dump_segment(replica, self.name)}
-        else:
-            payload = {
-                "acg_records": list(replica.graph.to_records()),
-                "files": [
-                    (f, dict(replica.store.attrs(f)), replica.store.attrs(f).get("path"))
-                    for f in sorted(replica.store.file_ids())
-                ],
-            }
+        # still fails over with all acknowledged data; the same bytes are
+        # the payload.
+        segment = self._checkpoint_one(replica)
         self.handoff_intents[acg_id] = target
         # The intent is durable (one small log write): a restart after a
         # crash must keep forwarding and keep WAL replay away from this
         # ACG, or a lost finish_migration would resurrect handed-off data.
         self._log_device.append(64)
-        return payload
+        return segment
 
     def handle_checkpoint_acg(self, acg_id: int) -> None:
         """Persist one ACG to shared storage right now (migration step 2,
@@ -1282,8 +1267,6 @@ class IndexNode:
         self._log_device.append(64)
         self.handle_drop_partition(acg_id)
         if self.shared_vfs is not None:
-            from repro.cluster.persistence import remove_checkpoint
-
             remove_checkpoint(self.shared_vfs, self.name, acg_id)
 
     def handle_cancel_transfer(self, acg_id: int) -> None:
@@ -1488,17 +1471,10 @@ class IndexNode:
         the snapshot is exactly consistent with ``log.last_seq``.
         """
         self.cache.commit_for_search(acg_id)
-        replica = self.replica(acg_id)
-        files = [
-            (f, dict(replica.store.attrs(f)), replica.store.attrs(f).get("path"))
-            for f in sorted(replica.store.file_ids())
-        ]
-        for entry in files:
-            entry[1].pop("path", None)
         seq = self.rpc.call(
             follower, "install_follower", acg_id, self.name,
             state.repl_epoch, state.log.last_seq,
-            list(replica.specs.values()), files)
+            dump_segment(self.replica(acg_id), self.name))
         state.acked[follower] = seq
 
     def _stream_one(self, acg_id: int, state: PrimaryReplState,
@@ -1519,10 +1495,9 @@ class IndexNode:
 
     def handle_install_follower(self, acg_id: int, primary: str,
                                 repl_epoch: int, seq: int,
-                                specs: Sequence[IndexSpec],
-                                files: Sequence[Tuple[int, Dict[str, Any], Optional[str]]]
-                                ) -> int:
-        """Bootstrap (or replace) this node's follower replica of an ACG.
+                                segment: bytes) -> int:
+        """Bootstrap (or replace) this node's follower replica of an ACG
+        from its primary's segment.
 
         Idempotent: re-installation simply rebuilds the follower from the
         fresh snapshot.  Returns the applied sequence (= ``seq``).
@@ -1558,16 +1533,15 @@ class IndexNode:
                     f"{repl_epoch}")
             # A newer primary exists: this node's primary claim is stale.
             self.repl.pop(acg_id, None)
+        view = load_segment(segment)
         self._next_incarnation += 1
         replica = AcgReplica(acg_id, self.machine,
                              incarnation=self._next_incarnation)
-        for spec in specs:
+        for spec in view.specs:
             replica.ensure_index(spec)
         for spec in self._global_specs.values():
             replica.ensure_index(spec)
-        replica.apply_batch([
-            IndexUpdate.upsert(file_id, dict(attrs), path=path)
-            for file_id, attrs, path in files])
+        replica.apply_batch(self._snapshot_rows(view))
         self.followers[acg_id] = FollowerState(
             primary=primary, repl_epoch=repl_epoch, replica=replica,
             applied_seq=seq)
@@ -1806,8 +1780,7 @@ class IndexNode:
                 # node's checkpoint is already scheduled for removal.
                 continue
             # The serialized write costs one sequential transfer on the
-            # shared-storage device (not the local index disk); frozen
-            # partitions checkpoint in segment format.
+            # shared-storage device (not the local index disk).
             self._checkpoint_one(replica)
             count += 1
         # Failover restores this snapshot: anything acknowledged after
@@ -1818,31 +1791,32 @@ class IndexNode:
     def handle_adopt_acg(self, checkpoint_path: str) -> int:
         """Failover: install an ACG from another node's shared checkpoint.
 
-        Returns the number of files adopted.
+        Returns the number of files adopted; raises ``FileNotFound`` for
+        a checkpoint never written and :class:`SegmentCorruption` for one
+        that fails validation (nothing is installed in either case).
         """
         if self.shared_vfs is None:
             raise ClusterError(f"{self.name} has no shared storage attached")
-        from repro.cluster.persistence import read_checkpoint
-
-        payload = read_checkpoint(self.shared_vfs, checkpoint_path)
-        acg_id = payload["acg_id"]
+        view = load_segment(read_checkpoint(self.shared_vfs, checkpoint_path))
+        acg_id = view.acg_id
         self._clear_stale_handoff(acg_id)
-        for spec in payload["specs"]:
+        for spec in view.specs:
             if spec.name not in self._global_specs:
                 self._global_specs[spec.name] = spec
         replica = self.replica(acg_id, create=True)
-        for spec in payload["specs"]:
+        for spec in view.specs:
             replica.ensure_index(spec)
-        replica.graph.merge(AccessCausalityGraph.from_records(payload["acg_records"]))
-        for file_id, attrs, path in payload["files"]:
-            replica.apply(IndexUpdate.upsert(file_id, attrs, path=path))
+        replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
+        updates = self._snapshot_rows(view)
+        for update in updates:
+            replica.apply(update)
         # Loading the checkpoint is one sequential read from shared storage.
         self._shared_device.reset_head()
         self._shared_device.read((acg_id % 4096) << 24, replica.resident_bytes())
         # Adopted content bypassed the replication log: force followers
         # back through a snapshot bootstrap.
         self._reset_repl(acg_id)
-        return len(payload["files"])
+        return len(updates)
 
     # -- crash recovery ----------------------------------------------------------------------
 

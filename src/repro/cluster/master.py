@@ -20,7 +20,8 @@ from repro.cluster.meta_wal import MetaState, MetaWal
 from repro.core.partition_manager import PartitionManager
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import (ClusterError, FileSystemError, NotActingMaster,
-                          StaleMasterTerm, UnknownIndexNode)
+                          SegmentCorruption, StaleMasterTerm,
+                          UnknownIndexNode)
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
@@ -1176,7 +1177,8 @@ class MasterNode:
         if not survivors:
             raise ClusterError("no surviving index nodes to fail over to")
         moved_ids: List[int] = []
-        lost_ids: List[int] = []
+        # Partition id -> why its checkpoint could not be adopted.
+        lost: Dict[int, str] = {}
         promoted_ids: List[int] = []
         watermarks: List[Tuple[int, int]] = []
         # Best lagging promotion candidate per partition — reported on a
@@ -1211,14 +1213,17 @@ class MasterNode:
                     target = self._least_loaded_effective(candidates)
                     try:
                         adopted = self._node_call(target, "adopt_acg", path)
-                    except FileSystemError:
-                        # The victim never checkpointed this ACG: its
-                        # data is gone with the node.  Leave the
-                        # partition unplaced so future updates re-create
-                        # it instead of crashing the whole failover.
+                    except (FileSystemError, SegmentCorruption) as exc:
+                        # The victim never checkpointed this ACG, or the
+                        # checkpoint fails validation: its data is gone
+                        # with the node.  Leave the partition unplaced so
+                        # future updates re-create it instead of crashing
+                        # the whole failover and stranding its neighbours.
                         partition.node = None
                         self._meta("place", partition.partition_id, None)
-                        lost_ids.append(partition.partition_id)
+                        lost[partition.partition_id] = (
+                            "corrupt" if isinstance(exc, SegmentCorruption)
+                            else "missing")
                         self._reported_sizes.pop(partition.partition_id, None)
                         self._drop_summary(partition.partition_id)
                         self._bump_routing(partition.partition_id)
@@ -1250,7 +1255,7 @@ class MasterNode:
             span.set_attribute("moved", len(moved_ids))
             span.set_attribute("promoted", len(promoted_ids))
             span.set_attribute("stranded", len(stranded_ids))
-        if stranded_ids and not moved_ids and not lost_ids and not promoted_ids:
+        if stranded_ids and not moved_ids and not lost and not promoted_ids:
             # Nothing could be placed this round: every survivor was
             # unreachable and every replica candidate was down or itself
             # lagging.  Name the deferral (instead of the old silent
@@ -1286,7 +1291,7 @@ class MasterNode:
         outcome = "promoted" if promoted_ids and not moved_ids else "adopted"
         event = FailoverEvent(
             t=self.machine.clock.now(), node=failed_node,
-            moved=tuple(sorted(moved_ids)), lost=tuple(sorted(lost_ids)),
+            moved=tuple(sorted(moved_ids)), lost=tuple(sorted(lost)),
             auto=auto, outcome=outcome,
             promoted=tuple(sorted(promoted_ids)),
             watermarks=tuple(sorted(watermarks)),
@@ -1294,6 +1299,7 @@ class MasterNode:
         self.journal.emit(f"failover.{outcome}", node=failed_node,
                           payload=event, auto=auto,
                           moved=list(event.moved), lost=list(event.lost),
+                          lost_reasons=dict(sorted(lost.items())),
                           promoted=list(event.promoted))
         self.registry.counter(
             "cluster.master.reassigned_partitions").inc(
@@ -1422,10 +1428,10 @@ class MasterNode:
         self._meta("newpart", new_partition.partition_id, target)
         for file_id in sorted(move):
             self._meta("file", file_id, new_partition.partition_id)
-        payload = self._node_call(source, "extract_partition", acg_id,
+        segment = self._node_call(source, "extract_partition", acg_id,
                                   tuple(sorted(move)))
-        moved = self._node_call(target, "install_partition",
-                                new_partition.partition_id, payload)
+        moved = len(self._node_call(target, "install_partition",
+                                    new_partition.partition_id, segment))
         # Both halves changed shape: clients must drop their per-file
         # routes for the source ACG and learn the new one.
         self._reported_sizes.pop(acg_id, None)
@@ -1500,7 +1506,7 @@ class MasterNode:
             self.journal.emit("migration.start", node=source, acg_id=acg_id,
                               payload=event, target=target)
             try:
-                payload = self._node_call(source, "transfer_out", acg_id, target)
+                segment = self._node_call(source, "transfer_out", acg_id, target)
             except ClusterError:
                 event.outcome = "aborted"
                 self.journal.emit("migration.aborted", node=source,
@@ -1508,8 +1514,8 @@ class MasterNode:
                 self.registry.counter("cluster.master.migrations_aborted").inc()
                 raise
             try:
-                moved = self._node_call(target, "install_partition", acg_id,
-                                        payload)
+                moved = len(self._node_call(target, "install_partition",
+                                            acg_id, segment))
                 self._node_call(target, "checkpoint_acg", acg_id)
             except StaleMasterTerm:
                 raise
@@ -1608,14 +1614,15 @@ class MasterNode:
             raise ClusterError("both partitions must be placed before merging")
         # file_ids=None extracts everything the node hosts, including
         # client-placed files the Master never heard about.
-        payload = self._node_call(absorb.node, "extract_partition",
+        segment = self._node_call(absorb.node, "extract_partition",
                                   absorb_id, None)
-        moved = self._node_call(keep.node, "install_partition", keep_id, payload)
+        installed = self._node_call(keep.node, "install_partition", keep_id,
+                                    segment)
         self._node_call(absorb.node, "drop_partition", absorb_id)
         for file_id in list(absorb.files):
             self.partitions.add_file(keep_id, file_id)
             self._meta("file", file_id, keep_id)
-        for file_id, _attrs, _path in payload["files"]:
+        for file_id in installed:
             if self.partitions.partition_of(file_id) is None:
                 self.partitions.add_file(keep_id, file_id)
                 self._meta("file", file_id, keep_id)
@@ -1645,7 +1652,7 @@ class MasterNode:
             # The survivor absorbed content outside the replication
             # stream: new log generation, forced fence.
             self._assign_followers(keep_id, force=True)
-        return moved
+        return len(installed)
 
     def merge_small_partitions(self, min_size: Optional[int] = None) -> int:
         """Merge undersized partitions pairwise until none (or one) is

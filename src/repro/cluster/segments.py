@@ -12,16 +12,15 @@ ordinary exact residual filter against the hydrated view, so answers are
 byte-identical to the live B+tree/hash path.  The first *write* thaws
 the partition back to the live path.
 
-The same bytes double as a transfer format: checkpoints
-(:mod:`repro.cluster.persistence` detects the segment magic) and online
-migration (``handle_install_partition`` accepts a ``{"segment": ...}``
-payload) can both carry a segment instead of the legacy checkpoint
-frame.
+The segment is also the *only* serialized form of a partition: the
+shared-storage checkpoint (:mod:`repro.cluster.persistence` stores these
+bytes), the split / merge / migration payload and the follower bootstrap
+are all :func:`dump_segment` output read back by :func:`load_segment`.
 
-Layout mirrors the checkpoint frame: ``PSEG`` magic, version, acg id and
-compressed-body length, CRC over the compressed body, then a
-zlib-compressed sequence of length-prefixed
-:func:`~repro.indexstructures.serialization.dump_value` sections.
+Layout: ``PSEG`` magic, version, acg id and compressed-body length, CRC
+over the compressed body, then a zlib-compressed sequence of
+length-prefixed :func:`~repro.indexstructures.serialization.dump_value`
+sections.
 """
 
 from __future__ import annotations
@@ -54,36 +53,48 @@ def segment_key(node_name: str, acg_id: int) -> str:
 # -- serialization ---------------------------------------------------------------
 
 
-def dump_segment(replica, node_name: str) -> bytes:
-    """Serialize one live replica into an immutable frozen segment.
+def dump_segment(replica, node_name: str,
+                 file_ids: Optional[Set[int]] = None) -> bytes:
+    """Serialize one live replica into an immutable segment.
+
+    ``file_ids`` restricts the dump to those of the replica's files (a
+    split's moving half): their rows, their postings and the induced
+    ACG subgraph.  The summary section stays the whole replica's — wider
+    than the subset needs, which is the safe direction for pruning.
 
     The dump is canonical — files, keywords and chunks are emitted in
-    sorted order — so freezing the same replica state twice yields the
+    sorted order — so dumping the same replica state twice yields the
     same bytes (the determinism the chaos replay check leans on).
     """
     watermark = (node_name, replica.incarnation, replica.applied)
+    if file_ids is None:
+        selected = sorted(replica.store.file_ids())
+        graph = replica.graph
+    else:
+        selected = sorted(f for f in file_ids if f in replica.store)
+        graph = replica.graph.subgraph(file_ids)
     sections: List[bytes] = []
     # 1. meta: acg id + commit watermark + file count.
     sections.append(dump_value((replica.acg_id, node_name,
                                 replica.incarnation, replica.applied,
-                                replica.file_count)))
+                                len(selected))))
     # 2. index specs, so a thaw/install can rebuild live structures.
     specs = tuple((s.name, s.kind.value, tuple(s.attrs))
                   for s in replica.specs.values())
     sections.append(dump_value(specs))
     # 3. attribute store: (file_id, attrs-as-pairs, path), sorted by id.
     files = []
-    for file_id in sorted(replica.store.file_ids()):
+    for file_id in selected:
         attrs = replica.store.attrs(file_id)
         path = attrs.get("path")
         pairs = tuple(sorted((k, v) for k, v in attrs.items() if k != "path"))
         files.append((file_id, pairs, path))
     sections.append(dump_value(tuple(files)))
     # 4. ACG edge/vertex records.
-    sections.append(dump_value(tuple(replica.graph.to_records())))
+    sections.append(dump_value(tuple(graph.to_records())))
     # 5. keyword postings: roaring chunk dumps per path keyword.
     postings: Dict[str, PostingList] = {}
-    for file_id in sorted(replica.store.file_ids()):
+    for file_id in selected:
         for term in sorted(replica.store.keywords(file_id)):
             postings.setdefault(term, PostingList()).add(file_id)
     sections.append(dump_value(tuple(
@@ -91,7 +102,7 @@ def dump_segment(replica, node_name: str) -> bytes:
     # 6. zone maps + Bloom summary (the RAM-resident pruning sidecar).
     snapshot = replica.summary.snapshot(replica.acg_id, watermark,
                                         dirty=False,
-                                        file_count=replica.file_count)
+                                        file_count=len(selected))
     bloom_bytes = snapshot.bloom_bits.to_bytes((snapshot.bloom_m + 7) // 8,
                                                "little")
     sections.append(dump_value((tuple(sorted(snapshot.attrs_seen)),
@@ -105,16 +116,11 @@ def dump_segment(replica, node_name: str) -> bytes:
     return header + body
 
 
-def is_segment(data: bytes) -> bool:
-    """Whether a blob is a frozen segment (vs a legacy checkpoint)."""
-    return data[:4] == SEGMENT_MAGIC
-
-
 def _parse_sections(data: bytes) -> List[Any]:
     if data[:4] != SEGMENT_MAGIC:
-        raise SegmentCorruption("not a frozen segment (bad magic)")
+        raise SegmentCorruption("not a segment (bad magic)")
     try:
-        version, _acg_id, body_len = struct.unpack_from("<IIQ", data, 4)
+        version, acg_id, body_len = struct.unpack_from("<IIQ", data, 4)
         (crc,) = struct.unpack_from("<I", data, 20)
     except struct.error as exc:
         raise SegmentCorruption(f"truncated segment header: {exc}") from None
@@ -137,15 +143,20 @@ def _parse_sections(data: bytes) -> List[Any]:
             raise SegmentCorruption("segment section length mismatch")
         offset = consumed
         sections.append(value)
+    # The CRC covers the body only; the header's copy of the id is
+    # checked against the CRC-covered meta section.
+    if sections[0][0] != acg_id:
+        raise SegmentCorruption(
+            f"segment header names ACG {acg_id}, body ACG {sections[0][0]}")
     return sections
 
 
 def load_segment(data: bytes) -> "SegmentView":
     """Parse and validate a segment into a searchable hydrated view.
 
-    Raises :class:`~repro.errors.SegmentCorruption` on any framing, CRC
-    or decompression failure — the caller falls back to its live backing
-    replica (hydrate-from-replica).
+    Raises :class:`~repro.errors.SegmentCorruption` — and nothing else —
+    on any framing, CRC or decompression failure: a hydration falls back
+    to its live backing replica, a failover counts the partition lost.
     """
     meta, specs_raw, files_raw, acg_records, postings_raw, summary_raw = \
         _parse_sections(data)
@@ -172,20 +183,6 @@ def load_segment(data: bytes) -> "SegmentView":
     return SegmentView(acg_id=acg_id, specs=specs, store=store,
                        acg_records=list(acg_records), postings=postings,
                        snapshot=snapshot, serialized_bytes=len(data))
-
-
-def load_segment_payload(data: bytes) -> Dict[str, Any]:
-    """Parse a segment into the legacy checkpoint payload shape
-    (``{acg_id, specs, files, acg_records}``) so adoption/installation
-    code consumes segments and checkpoints identically."""
-    view = load_segment(data)
-    files = [(file_id, dict(view.store.attrs(file_id)),
-              view.store.attrs(file_id).get("path"))
-             for file_id in sorted(view.store.file_ids())]
-    for _fid, attrs, _path in files:
-        attrs.pop("path", None)
-    return {"acg_id": view.acg_id, "specs": view.specs, "files": files,
-            "acg_records": list(view.acg_records)}
 
 
 # -- the hydrated view -----------------------------------------------------------

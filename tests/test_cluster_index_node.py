@@ -7,6 +7,7 @@ from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import UnknownAcg
 from repro.indexstructures import IndexKind
+from repro.query.ast import matches
 from repro.query.parser import parse_query
 from repro.query.planner import IndexSpec
 from repro.sim.clock import SimClock
@@ -156,15 +157,65 @@ def test_compute_split_balanced(node):
 def test_extract_install_migration_roundtrip(node):
     park(node, 1, [up(i, 100 * i) for i in range(1, 6)])
     node.handle_flush_acg([(1, [(1, 2, 3), (3, 4, 1)])])
-    payload = node.handle_extract_partition(1, [1, 2])
+    segment = node.handle_extract_partition(1, [1, 2])
     # Source no longer serves the moved files.
     assert search_ids(node, [1], "size>0") == {3, 4, 5}
     other = IndexNode("in2", Machine(SimClock()))
     other.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
-    assert other.handle_install_partition(7, payload) == 2
+    assert other.handle_install_partition(7, segment) == (1, 2)
     assert search_ids(other, [7], "size>0") == {1, 2}
     # The moved ACG fragment came along.
     assert other.replica(7).graph.weight(1, 2) == 3
+
+
+QUERIES = ("size>0", "size>=300", "size<250", "keyword:f2",
+           "keyword:data & size>150")
+
+
+def scan(rows, query, now=0.0):
+    """Brute-force reference: ``matches()`` over ``{file_id: (attrs,
+    keywords)}`` rows captured from a replica's store."""
+    predicate = parse_query(query)
+    return {fid for fid, (attrs, keywords) in rows.items()
+            if matches(predicate, attrs, keywords, now)}
+
+
+def rows_of(replica):
+    return {fid: (dict(replica.store.attrs(fid)), replica.store.keywords(fid))
+            for fid in replica.store.file_ids()}
+
+
+def test_extracted_subset_installs_exactly_and_leaves_the_complement(node):
+    park(node, 1, [up(i, 100 * i) for i in range(1, 7)])
+    node.cache.commit_all()
+    truth = rows_of(node.replica(1))
+    moving = {2, 3, 5}
+    segment = node.handle_extract_partition(1, sorted(moving))
+    other = IndexNode("in2", Machine(SimClock()))
+    other.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
+    other.handle_create_index(IndexSpec("by_kw", IndexKind.HASH, ("keyword",)))
+    assert set(other.handle_install_partition(7, segment)) == moving
+    for query in QUERIES:
+        assert search_ids(other, [7], query) == scan(
+            {f: r for f, r in truth.items() if f in moving}, query), query
+        assert search_ids(node, [1], query) == scan(
+            {f: r for f, r in truth.items() if f not in moving}, query), query
+
+
+def test_install_into_a_non_empty_replica_merges(node):
+    """The merge path: installed rows join what the partition already
+    holds, and the commit watermark moves by exactly the installed
+    count (summaries and cached results are versioned by it)."""
+    park(node, 1, [up(i, 100 * i) for i in range(1, 4)])
+    park(node, 2, [up(i, 100 * i) for i in range(4, 7)])
+    node.cache.commit_all()
+    truth = {**rows_of(node.replica(1)), **rows_of(node.replica(2))}
+    applied = node.replica(1).applied
+    segment = node.handle_extract_partition(2)
+    assert node.handle_install_partition(1, segment) == (4, 5, 6)
+    assert node.replica(1).applied == applied + 3
+    for query in QUERIES:
+        assert search_ids(node, [1], query) == scan(truth, query), query
 
 
 def test_drop_partition(node):

@@ -113,6 +113,9 @@ class TestFailoverMetrics:
         assert reg.value("cluster.master.failovers") == 1
         assert reg.value("cluster.master.partitions_lost") == lost
         assert reg.value("cluster.master.reassigned_partitions") == 0
+        reasons = service.journal.events(type="failover")[-1] \
+            .detail["lost_reasons"]
+        assert len(reasons) == lost and set(reasons.values()) == {"missing"}
 
     def test_double_failover_accumulates(self):
         service, client = build(nodes=4)

@@ -281,6 +281,14 @@ class TestHealthMonitor:
 
 # -- threaded emissions -------------------------------------------------------
 
+def empty_snapshot(acg_id):
+    """A primary's bootstrap segment for a partition with no files."""
+    from repro.cluster.index_node import AcgReplica
+    from repro.cluster.segments import dump_segment
+
+    return dump_segment(AcgReplica(acg_id, Machine(SimClock())), "p1")
+
+
 class TestClusterEmissions:
     def test_placement_emits_route_and_repl_epoch_bumps(self):
         service, _ = build_cluster()
@@ -306,9 +314,9 @@ class TestClusterEmissions:
         node = IndexNode("f1", Machine(SimClock()))
         journal = EventJournal(node.machine.clock)
         node.journal = journal
-        node.handle_install_follower(1, "p1", 3, 5, [], [])
+        node.handle_install_follower(1, "p1", 3, 5, empty_snapshot(1))
         with pytest.raises(StaleReplEpoch):
-            node.handle_install_follower(1, "p0", 2, 0, [], [])
+            node.handle_install_follower(1, "p0", 2, 0, empty_snapshot(1))
         fence = journal.events(type="repl.fence")[-1]
         assert fence.node == "f1" and fence.acg_id == 1
         assert fence.detail["stale_epoch"] == 2
@@ -320,7 +328,7 @@ class TestClusterEmissions:
         node = IndexNode("f1", Machine(SimClock()))
         journal = EventJournal(node.machine.clock)
         node.journal = journal
-        node.handle_install_follower(1, "p1", 3, 0, [], [])
+        node.handle_install_follower(1, "p1", 3, 0, empty_snapshot(1))
         (outcome,) = node.handle_replicate_apply([(1, 2, [])])
         assert isinstance(outcome.error, StaleReplEpoch)
         assert journal.count("repl.fence") == 1

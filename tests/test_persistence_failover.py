@@ -4,16 +4,14 @@ import pytest
 
 from repro.cluster import PropellerService
 from repro.cluster.persistence import (
-    PROPELLER_ROOT,
-    checkpoint_replica,
-    dump_replica,
     list_checkpoints,
-    load_replica_payload,
     read_checkpoint,
     replica_path,
+    write_checkpoint,
 )
+from repro.cluster.segments import dump_segment, load_segment
 from repro.core.partitioner import PartitioningPolicy
-from repro.errors import ClusterError, UnknownIndexNode
+from repro.errors import ClusterError, SegmentCorruption, UnknownIndexNode
 from repro.indexstructures import IndexKind
 
 
@@ -49,43 +47,51 @@ def a_replica(service):
 
 # -- checkpoint format ----------------------------------------------------------
 
+def checkpoint(service, node, replica):
+    """Write one replica's segment where failover looks for it."""
+    return write_checkpoint(service.vfs, node.name, replica.acg_id,
+                            dump_segment(replica, node.name))
+
+
 def test_dump_load_roundtrip():
     service, client = build()
     populate(service, client)
-    _, replica = a_replica(service)
-    payload = load_replica_payload(dump_replica(replica))
-    assert payload["acg_id"] == replica.acg_id
-    assert {s.name for s in payload["specs"]} == set(replica.specs)
-    assert len(payload["files"]) == replica.file_count
-    got_edges = {(u, v, w) for u, v, w in payload["acg_records"] if v != -1}
+    node, replica = a_replica(service)
+    view = load_segment(dump_segment(replica, node.name))
+    assert view.acg_id == replica.acg_id
+    assert {s.name for s in view.specs} == set(replica.specs)
+    assert view.file_count() == replica.file_count
+    for file_id in replica.store.file_ids():
+        assert view.store.attrs(file_id) == replica.store.attrs(file_id)
+    got_edges = {(u, v, w) for u, v, w in view.acg_records if v != -1}
     assert got_edges == set(replica.graph.edges())
 
 
 def test_checkpoint_crc_detects_corruption():
     service, client = build()
     populate(service, client)
-    _, replica = a_replica(service)
-    data = bytearray(dump_replica(replica))
+    node, replica = a_replica(service)
+    data = bytearray(dump_segment(replica, node.name))
     data[30] ^= 0xFF
-    with pytest.raises(ClusterError):
-        load_replica_payload(bytes(data))
+    with pytest.raises(SegmentCorruption):
+        load_segment(bytes(data))
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(ClusterError):
-        load_replica_payload(b"NOPE" + b"\x00" * 32)
+    with pytest.raises(SegmentCorruption):
+        load_segment(b"NOPE" + b"\x00" * 32)
 
 
 def test_checkpoint_files_land_on_shared_vfs():
     service, client = build()
     populate(service, client)
     node, replica = a_replica(service)
-    path = checkpoint_replica(service.vfs, node.name, replica)
+    path = checkpoint(service, node, replica)
     assert path == replica_path(node.name, replica.acg_id)
     assert service.vfs.exists(path)
     assert path in list_checkpoints(service.vfs, node.name)
-    payload = read_checkpoint(service.vfs, path)
-    assert payload["acg_id"] == replica.acg_id
+    view = load_segment(read_checkpoint(service.vfs, path))
+    assert view.acg_id == replica.acg_id
 
 
 def test_checkpoint_to_shared_covers_all_replicas():
@@ -108,7 +114,7 @@ def test_adopt_acg_restores_search_results():
     service, client = build()
     populate(service, client)
     node, replica = a_replica(service)
-    path = checkpoint_replica(service.vfs, node.name, replica)
+    path = checkpoint(service, node, replica)
     other = next(n for n in service.index_nodes.values() if n is not node)
     adopted = other.endpoint.dispatch("adopt_acg", path)
     assert adopted == replica.file_count
@@ -129,6 +135,43 @@ def test_failover_preserves_query_results():
     assert moved >= 1
     assert victim not in service.master.index_nodes
     assert client.search("size>0") == before
+
+
+def test_failover_with_one_corrupt_checkpoint_loses_only_that_partition():
+    """A checkpoint that fails validation is treated like one that was
+    never written: that partition is lost and counted, its healthy
+    neighbours are adopted, the victim is unregistered — one flipped
+    byte must not strand every partition of the dead node forever."""
+    service, client = build()
+    populate(service, client)
+    master = service.master
+    victim = max(master.index_nodes, key=master.partitions.node_load)
+    owned = sorted(p.partition_id for p in master.partitions.partitions()
+                   if p.node == victim)
+    assert len(owned) >= 2
+    service._checkpoint_all()
+    corrupt, healthy = owned[0], owned[1:]
+    doomed = {service.vfs.stat(path).ino for path in client.search("size>0")} \
+        & set(service.index_nodes[victim].replicas[corrupt].store.file_ids())
+    path = replica_path(victim, corrupt)
+    data = bytearray(read_checkpoint(service.vfs, path))
+    data[len(data) // 2] ^= 0x01
+    write_checkpoint(service.vfs, victim, corrupt, bytes(data))
+    before = client.search("size>0")
+    service.fail_node(victim)
+    assert service.failover(victim) == len(healthy)
+    assert victim not in master.index_nodes
+    event = master.failover_log[-1]
+    assert event.lost == (corrupt,) and sorted(event.moved) == healthy
+    assert service.registry.counter(
+        "cluster.master.partitions_lost").value == 1
+    journaled = service.journal.events(type="failover.adopted")[-1]
+    assert journaled.detail["lost_reasons"] == {corrupt: "corrupt"}
+    # Searches over the survivors are exact: everything but the lost
+    # partition's files.
+    assert doomed
+    assert client.search("size>0") == [
+        p for p in before if service.vfs.stat(p).ino not in doomed]
 
 
 def test_failover_requires_survivors():

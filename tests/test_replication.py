@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from repro.chaos.runner import run_chaos
 from repro.cluster import PropellerService
+from repro.cluster.index_node import AcgReplica
 from repro.cluster.messages import IndexUpdate, ReplicaSearchReply, UpdateAck
+from repro.cluster.segments import dump_segment
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import ClusterError, NodeDown
 from repro.indexstructures import IndexKind
@@ -49,6 +51,15 @@ def make_replicated(nodes=3, rf=2, files=60):
     service.advance(2 * HEARTBEAT_PERIOD_S)
     service.sync_replication()
     return service, client, paths
+
+
+def snapshot(acg_id, rows=()):
+    """What a primary ships to bootstrap a follower: the segment of a
+    replica holding ``rows`` — ``(file_id, attrs, path)`` each."""
+    replica = AcgReplica(acg_id, Machine(SimClock()))
+    replica.apply_batch([IndexUpdate.upsert(file_id, attrs, path=path)
+                         for file_id, attrs, path in rows])
+    return dump_segment(replica, "p1")
 
 
 def assert_converged(service):
@@ -334,16 +345,17 @@ def test_install_follower_fenced_below_current_epoch():
     from repro.errors import StaleReplEpoch
 
     node = IndexNode("f1", Machine(SimClock()))
-    node.handle_install_follower(1, "p1", 3, 5, [], [(1, {"size": 1}, "/a")])
+    node.handle_install_follower(1, "p1", 3, 5,
+                                 snapshot(1, [(1, {"size": 1}, "/a")]))
     before = node.followers[1]
     # A deposed primary's stale snapshot must not rewind the replica.
     with pytest.raises(StaleReplEpoch):
-        node.handle_install_follower(1, "p0", 2, 0, [], [])
+        node.handle_install_follower(1, "p0", 2, 0, snapshot(1))
     assert node.followers[1] is before
     assert before.repl_epoch == 3 and before.applied_seq == 5
     # Same-epoch re-install stays allowed: the live primary re-bootstraps
     # within a generation (e.g. after trimming past a follower's ack).
-    node.handle_install_follower(1, "p1", 3, 7, [], [])
+    node.handle_install_follower(1, "p1", 3, 7, snapshot(1))
     assert node.followers[1].applied_seq == 7
 
 
@@ -356,11 +368,11 @@ def test_install_follower_fenced_against_own_primary_claim():
     # At or below the node's own primary epoch the installer is the
     # stale one — rejected, claim kept.
     with pytest.raises(StaleReplEpoch):
-        node.handle_install_follower(1, "p0", 4, 0, [], [])
+        node.handle_install_follower(1, "p0", 4, 0, snapshot(1))
     assert 1 in node.repl
     # Strictly above it, this node's claim is the stale one: it cedes
     # the partition and becomes a follower of the newer primary.
-    node.handle_install_follower(1, "p2", 5, 3, [], [])
+    node.handle_install_follower(1, "p2", 5, 3, snapshot(1))
     assert 1 not in node.repl
     assert node.followers[1].repl_epoch == 5
 
@@ -575,7 +587,7 @@ def _fresh_follower():
     from repro.cluster.index_node import IndexNode
     node = IndexNode("f1", node_machine)
     node.handle_install_follower(1, "p1", repl_epoch=1, seq=0,
-                                 specs=[], files=[])
+                                 segment=snapshot(1))
     return node
 
 

@@ -17,9 +17,7 @@ from repro.cluster.segments import (
     SegmentView,
     TierPolicy,
     dump_segment,
-    is_segment,
     load_segment,
-    load_segment_payload,
     segment_key,
 )
 from repro.core.partitioner import PartitioningPolicy
@@ -77,9 +75,7 @@ class TestSegmentRoundTrip:
         now = service.clock.now()
         predicate = parse_query("size>16m")
         for acg_id, replica in sorted(node.replicas.items()):
-            data = dump_segment(replica, node.name)
-            assert is_segment(data)
-            view = load_segment(data)
+            view = load_segment(dump_segment(replica, node.name))
             assert view.acg_id == acg_id
             assert view.file_count() == replica.file_count
             oracle = {fid for fid in replica.store.file_ids()
@@ -99,18 +95,25 @@ class TestSegmentRoundTrip:
         replica = node.replicas[min(node.replicas)]
         assert dump_segment(replica, node.name) \
             == dump_segment(replica, node.name)
+        # The subset form (a split's moving half) too, and it is not the
+        # full dump under another name.
+        half = set(sorted(replica.store.file_ids())[::2])
+        assert dump_segment(replica, node.name, file_ids=half) \
+            == dump_segment(replica, node.name, file_ids=set(half))
+        assert load_segment(dump_segment(replica, node.name, file_ids=half)
+                            ).file_count() == len(half) < replica.file_count
 
     def test_payload_shape_matches_checkpoint(self):
         service, client = build()
         populate(service, client, n=40)
         node = next(n for n in service.index_nodes.values() if n.replicas)
         replica = node.replicas[min(node.replicas)]
-        payload = load_segment_payload(dump_segment(replica, node.name))
-        assert payload["acg_id"] == replica.acg_id
-        assert len(payload["files"]) == replica.file_count
-        for _fid, attrs, path in payload["files"]:
-            assert "path" not in attrs
-            assert path.startswith("/data/")
+        view = load_segment(dump_segment(replica, node.name))
+        assert view.acg_id == replica.acg_id
+        assert view.file_count() == replica.file_count
+        for fid in view.store.file_ids():
+            assert view.store.attrs(fid) == replica.store.attrs(fid)
+            assert view.store.attrs(fid)["path"].startswith("/data/")
 
     def test_corruption_detected(self):
         service, client = build()
@@ -126,6 +129,28 @@ class TestSegmentRoundTrip:
         flipped[40] ^= 0xFF
         with pytest.raises(SegmentCorruption):
             load_segment(bytes(flipped))
+
+    def test_every_bit_flip_and_truncation_is_rejected(self):
+        """Exhaustive, not sampled: the one serialized form of a
+        partition rejects every single-bit flip and every proper prefix
+        with SegmentCorruption — no other exception type, never a view.
+        Header bytes 8-11 (the acg id) sit outside the CRC; a flip there
+        must not be accepted as another partition's segment."""
+        service, client = build()
+        populate(service, client, n=6)
+        node = next(n for n in service.index_nodes.values() if n.replicas)
+        replica = node.replicas[min(node.replicas)]
+        data = dump_segment(replica, node.name)
+        assert load_segment(data).file_count() == replica.file_count
+        assert len(data) < 2048  # keeps the sweep well under a second
+        for cut in range(len(data)):
+            with pytest.raises(SegmentCorruption):
+                load_segment(data[:cut])
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(SegmentCorruption):
+                load_segment(bytes(flipped))
 
 
 # -- freeze / search equivalence --------------------------------------------------
@@ -481,7 +506,7 @@ class TestSegmentTransferFormat:
 
         acg_id = min(node.frozen)
         data = service.vfs.read_bytes(replica_path(node.name, acg_id))
-        assert is_segment(data)
+        assert load_segment(data).acg_id == acg_id
 
     def test_crash_restart_recovers_from_segment_checkpoint(self):
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
@@ -494,6 +519,26 @@ class TestSegmentTransferFormat:
         node.restart()
         assert not node.frozen  # tier state is volatile
         assert client.search("size>16m") == oracle
+
+    @pytest.mark.parametrize("tiering", [False, True])
+    def test_transfer_out_ships_the_checkpoint_it_wrote(self, tiering):
+        """Dumped once: the migration payload is byte-for-byte the shared
+        checkpoint transfer_out has just written, whatever ``tiering``
+        says (it gates the freeze driver, not the wire shape)."""
+        from repro.cluster.persistence import read_checkpoint, replica_path
+
+        service, client = build(tiering=tiering, freeze_age_s=3.0,
+                                min_bytes=1)
+        populate(service, client)
+        node = next(n for n in service.index_nodes.values() if n.replicas)
+        acg_id = min(node.replicas)
+        target = next(name for name in sorted(service.index_nodes)
+                      if name != node.name)
+        payload = node.handle_transfer_out(acg_id, target)
+        assert payload == read_checkpoint(
+            service.vfs, replica_path(node.name, acg_id))
+        assert load_segment(payload).file_count() \
+            == node.replicas[acg_id].file_count
 
     def test_migration_ships_segment_when_tiering_on(self):
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
