@@ -57,7 +57,6 @@ from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, RpcEndpoint,
 
 # CPU cost constants (order-of-magnitude figures for 2014-era Xeons).
 _CACHE_ADD_OPS = 2_000          # hash insert into the in-memory cache
-_COMMIT_UPDATE_OPS = 8_000      # apply one update to one index
 _EXAMINE_OPS = 500              # residual-filter one candidate
 _REBUILD_OPS_PER_FILE = 100     # re-observe one file during summary rebuild
 # Group-commit amortization.  A batch envelope pays the full per-update
@@ -113,8 +112,8 @@ class AcgReplica:
         # the watermark that versions summaries and the result cache.
         self.incarnation = incarnation
         self.applied = 0
-        # Pruning summary, widened in lock-step with every apply() — the
-        # bookkeeping rides on the commit's existing CPU charge.
+        # Pruning summary, widened in lock-step with every apply_batch() —
+        # the bookkeeping rides on the commit's existing CPU charge.
         self.summary = PartitionSummary()
 
     # On-disk footprint multiplier: the attribute store plus roughly one
@@ -172,47 +171,17 @@ class AcgReplica:
             if key is not None:
                 index.remove(key, file_id)
 
-    def apply(self, update: IndexUpdate) -> None:
-        """Apply one committed update to the store and every index."""
-        self.machine.compute(_COMMIT_UPDATE_OPS * max(1, len(self.specs)))
-        self.applied += 1
-        if update.op is UpdateOp.DELETE:
-            self._deindex(update.file_id)
-            self.store.drop(update.file_id)
-            self.graph.remove_file(update.file_id)
-            # Deletes leave the summary wide (safe direction); rebuild
-            # deterministically once the slack passes the live set size.
-            self.summary.note_delete()
-            if self.summary.needs_rebuild(len(self.store)):
-                self.machine.compute(
-                    _REBUILD_OPS_PER_FILE * max(1, len(self.store)))
-                self.summary.rebuild(self.store)
-            return
-        self._deindex(update.file_id)
-        self.store.put(update.file_id, update.attr_dict, path=update.path)
-        attrs = self.store.attrs(update.file_id)
-        self.summary.observe(attrs, self.store.keywords(update.file_id))
-        for name, spec in self.specs.items():
-            index = self.indexes[name]
-            if spec.attrs[0] == KEYWORD_ATTR and spec.kind is IndexKind.HASH:
-                for token in self.store.keywords(update.file_id):
-                    index.insert(token, update.file_id)
-                continue
-            key = self._index_key(spec, attrs)
-            if key is not None:
-                index.insert(key, update.file_id)
-
     def apply_batch(self, updates: Sequence[IndexUpdate]) -> None:
         """Apply one group commit: amortized charge, bulk index insert.
 
-        Final index/store/summary state is identical to calling
-        :meth:`apply` per update in order (upserts carry complete
-        attribute snapshots, so last-write-wins composes), but the work
-        is batched: store mutations run in order, index insertions for
-        upserted files are deferred, grouped per index, and merged in one
-        sorted pass (``bulk_insert``), and the summary widens once per
-        batch over the surviving files.  The CPU charge amortizes
-        accordingly: full setup once, a marginal cost per update.
+        Final index/store/summary state is what applying the updates
+        one by one in order would leave (upserts carry complete attribute
+        snapshots, so last-write-wins composes), but the work is batched:
+        store mutations run in order, index insertions for upserted files
+        are deferred, grouped per index, and merged in one sorted pass
+        (``bulk_insert``), and the summary widens once per batch over the
+        surviving files.  The CPU charge amortizes accordingly: full
+        setup once, a marginal cost per update.
         """
         if not updates:
             return
@@ -1162,24 +1131,31 @@ class IndexNode:
                   else set(file_ids))
         segment = dump_segment(replica, self.name, file_ids=moving)
         # Removing the moved files from local state is part of migration
-        # (apply(delete) also drops the ACG vertex).
-        for file_id in sorted(moving):
-            replica.apply(IndexUpdate.delete(file_id))
+        # (a delete also drops the ACG vertex).
+        replica.apply_batch([IndexUpdate.delete(file_id)
+                             for file_id in sorted(moving)])
         # The deletes above never entered the replication log, so any
         # followers now describe the pre-extraction store.
         self._reset_repl(acg_id)
         return segment
 
     @staticmethod
-    def _snapshot_rows(view: SegmentView) -> List[IndexUpdate]:
-        """A snapshot's rows as the upserts that install them, in the
-        dump's file-id order."""
+    def _install_snapshot(replica: AcgReplica,
+                          view: SegmentView) -> Tuple[int, ...]:
+        """The one way a parsed segment reaches a replica — empty or not:
+        ensure its index specs, merge its ACG records, apply its rows as
+        one batch of upserts.  Returns the installed file ids (the
+        dump's order, ascending)."""
+        for spec in view.specs:
+            replica.ensure_index(spec)
+        replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
         updates = []
         for file_id in view.store.file_ids():
             attrs = dict(view.store.attrs(file_id))
             path = attrs.pop("path", None)
             updates.append(IndexUpdate.upsert(file_id, attrs, path=path))
-        return updates
+        replica.apply_batch(updates)
+        return tuple(update.file_id for update in updates)
 
     def handle_install_partition(self, acg_id: int,
                                  segment: bytes) -> Tuple[int, ...]:
@@ -1188,15 +1164,12 @@ class IndexNode:
         installed file ids."""
         view = load_segment(segment)
         self._clear_stale_handoff(acg_id)
-        replica = self.replica(acg_id, create=True)
-        replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
-        updates = self._snapshot_rows(view)
-        for update in updates:
-            replica.apply(update)
+        installed = self._install_snapshot(
+            self.replica(acg_id, create=True), view)
         # Installed content bypassed the replication log: force followers
         # back through a snapshot bootstrap.
         self._reset_repl(acg_id)
-        return tuple(u.file_id for u in updates)
+        return installed
 
     def handle_drop_partition(self, acg_id: int) -> None:
         """Forget a migrated-away ACG entirely."""
@@ -1537,11 +1510,9 @@ class IndexNode:
         self._next_incarnation += 1
         replica = AcgReplica(acg_id, self.machine,
                              incarnation=self._next_incarnation)
-        for spec in view.specs:
-            replica.ensure_index(spec)
         for spec in self._global_specs.values():
             replica.ensure_index(spec)
-        replica.apply_batch(self._snapshot_rows(view))
+        self._install_snapshot(replica, view)
         self.followers[acg_id] = FollowerState(
             primary=primary, repl_epoch=repl_epoch, replica=replica,
             applied_seq=seq)
@@ -1804,19 +1775,14 @@ class IndexNode:
             if spec.name not in self._global_specs:
                 self._global_specs[spec.name] = spec
         replica = self.replica(acg_id, create=True)
-        for spec in view.specs:
-            replica.ensure_index(spec)
-        replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
-        updates = self._snapshot_rows(view)
-        for update in updates:
-            replica.apply(update)
+        installed = self._install_snapshot(replica, view)
         # Loading the checkpoint is one sequential read from shared storage.
         self._shared_device.reset_head()
         self._shared_device.read((acg_id % 4096) << 24, replica.resident_bytes())
         # Adopted content bypassed the replication log: force followers
         # back through a snapshot bootstrap.
         self._reset_repl(acg_id)
-        return len(updates)
+        return len(installed)
 
     # -- crash recovery ----------------------------------------------------------------------
 

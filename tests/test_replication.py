@@ -238,6 +238,26 @@ def test_repeated_promote_replica_answers_the_same_and_only_at_its_epoch():
         node.handle_promote_replica(1, repl_epoch=3)
 
 
+def test_promoted_follower_carries_its_primarys_acg():
+    """The bootstrap segment ships the ACG records with the rows, so a
+    promoted follower can compute a split from real causality instead of
+    an empty graph."""
+    from repro.cluster.index_node import IndexNode
+
+    primary = AcgReplica(1, Machine(SimClock()))
+    primary.apply_batch([IndexUpdate.upsert(i, {"size": i}, path=f"/d/f{i}")
+                         for i in (1, 2, 3)])
+    primary.graph.add_causality(1, 2, 3)
+    primary.graph.add_file(3)
+    node = IndexNode("f1", Machine(SimClock()))
+    node.handle_install_follower(1, "p1", 1, 0, dump_segment(primary, "p1"))
+    assert node.handle_promote_replica(1, repl_epoch=2) == (0, 3)
+    promoted = node.replicas[1]
+    assert promoted.graph.weight(1, 2) == 3
+    assert sorted(promoted.graph.to_records()) \
+        == sorted(primary.graph.to_records())
+
+
 def test_failover_deferred_when_followers_lag():
     service, client, _ = make_replicated()
     victim = "in1"
