@@ -23,7 +23,6 @@ from repro.cluster.persistence import (
     list_checkpoints,
     read_checkpoint,
     replica_path,
-    write_checkpoint,
 )
 from repro.cluster.service import PropellerService
 from repro.cluster.wal import WriteAheadLog
@@ -44,5 +43,4 @@ __all__ = [
     "list_checkpoints",
     "read_checkpoint",
     "replica_path",
-    "write_checkpoint",
 ]

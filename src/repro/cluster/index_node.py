@@ -25,8 +25,8 @@ from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
 from repro.cluster.persistence import (read_checkpoint, remove_checkpoint,
                                        write_checkpoint)
 from repro.cluster.segments import (FrozenPartition, SegmentCache, SegmentView,
-                                    TierPolicy, dump_segment, load_segment,
-                                    segment_key)
+                                    TierPolicy, decode_segment, dump_segment,
+                                    encode_segment, load_segment, segment_key)
 from repro.cluster.wal import WriteAheadLog
 from repro.core.acg import AccessCausalityGraph
 from repro.core.partitioner import PartitioningPolicy, split_partition
@@ -1129,7 +1129,7 @@ class IndexNode:
         replica = self.replica(acg_id)
         moving = (set(replica.store.file_ids()) if file_ids is None
                   else set(file_ids))
-        segment = dump_segment(replica, self.name, file_ids=moving)
+        segment = encode_segment(replica, self.name, file_ids=moving)
         # Removing the moved files from local state is part of migration
         # (a delete also drops the ACG vertex).
         replica.apply_batch([IndexUpdate.delete(file_id)
@@ -1162,7 +1162,7 @@ class IndexNode:
         """Install a split, merged or migrated partition's segment under
         ``acg_id`` (the segment's own id is its source's); returns the
         installed file ids."""
-        view = load_segment(segment)
+        view = decode_segment(segment)
         self._clear_stale_handoff(acg_id)
         installed = self._install_snapshot(
             self.replica(acg_id, create=True), view)
@@ -1193,7 +1193,7 @@ class IndexNode:
 
         Always dumped from the live replica, frozen or not (deterministic,
         no cold-tier round trip, immune to injected object faults)."""
-        data = dump_segment(replica, self.name)
+        data = encode_segment(replica, self.name)
         if self.shared_vfs is not None:
             write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
             self._shared_device.reset_head()
@@ -1229,7 +1229,9 @@ class IndexNode:
         """Persist one ACG to shared storage right now (migration step 2,
         target side: the flip must not outrun durability)."""
         self.cache.commit_for_search(acg_id)
-        self._checkpoint_one(self.replica(acg_id, create=True))
+        replica = self.replica(acg_id, create=True)
+        if self.shared_vfs is not None:
+            self._checkpoint_one(replica)
 
     def handle_finish_migration(self, acg_id: int) -> None:
         """Migration step 4 (source side): drop the handed-off replica,
@@ -1447,7 +1449,7 @@ class IndexNode:
         seq = self.rpc.call(
             follower, "install_follower", acg_id, self.name,
             state.repl_epoch, state.log.last_seq,
-            dump_segment(self.replica(acg_id), self.name))
+            encode_segment(self.replica(acg_id), self.name))
         state.acked[follower] = seq
 
     def _stream_one(self, acg_id: int, state: PrimaryReplState,
@@ -1506,7 +1508,7 @@ class IndexNode:
                     f"{repl_epoch}")
             # A newer primary exists: this node's primary claim is stale.
             self.repl.pop(acg_id, None)
-        view = load_segment(segment)
+        view = decode_segment(segment)
         self._next_incarnation += 1
         replica = AcgReplica(acg_id, self.machine,
                              incarnation=self._next_incarnation)
@@ -1768,7 +1770,8 @@ class IndexNode:
         """
         if self.shared_vfs is None:
             raise ClusterError(f"{self.name} has no shared storage attached")
-        view = load_segment(read_checkpoint(self.shared_vfs, checkpoint_path))
+        view = decode_segment(
+            read_checkpoint(self.shared_vfs, checkpoint_path))
         acg_id = view.acg_id
         self._clear_stale_handoff(acg_id)
         for spec in view.specs:

@@ -3,7 +3,7 @@
 Section IV: "All the indices, as well as the ACGs and their metadata, are
 stored as regular files in the underlying shared file system."  One ACG
 replica is persisted as one file under ``/.propeller/`` on the shared
-VFS holding its segment bytes (:func:`repro.cluster.segments.dump_segment`
+VFS holding its segment bytes (:func:`repro.cluster.segments.encode_segment`
 — the one serialized form of a partition).  This module knows paths and
 bytes, not the format.
 

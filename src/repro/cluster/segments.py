@@ -15,7 +15,7 @@ the partition back to the live path.
 The segment is also the *only* serialized form of a partition: the
 shared-storage checkpoint (:mod:`repro.cluster.persistence` stores these
 bytes), the split / merge / migration payload and the follower bootstrap
-are all :func:`dump_segment` output read back by :func:`load_segment`.
+are all :func:`encode_segment` output read back by :func:`decode_segment`.
 
 Layout: ``PSEG`` magic, version, acg id and compressed-body length, CRC
 over the compressed body, then a zlib-compressed sequence of
@@ -53,14 +53,15 @@ def segment_key(node_name: str, acg_id: int) -> str:
 # -- serialization ---------------------------------------------------------------
 
 
-def dump_segment(replica, node_name: str,
-                 file_ids: Optional[Set[int]] = None) -> bytes:
-    """Serialize one live replica into an immutable segment.
+def encode_segment(replica, node_name: str,
+                   file_ids: Optional[Set[int]] = None) -> bytes:
+    """Serialize one live replica into an immutable segment (the writer).
 
     ``file_ids`` restricts the dump to those of the replica's files (a
     split's moving half): their rows, their postings and the induced
-    ACG subgraph.  The summary section stays the whole replica's — wider
-    than the subset needs, which is the safe direction for pruning.
+    ACG subgraph; ids the replica does not host are left out.  The
+    summary section stays the whole replica's — wider than the subset
+    needs, which is the safe direction for pruning.
 
     The dump is canonical — files, keywords and chunks are emitted in
     sorted order — so dumping the same replica state twice yields the
@@ -69,10 +70,12 @@ def dump_segment(replica, node_name: str,
     watermark = (node_name, replica.incarnation, replica.applied)
     if file_ids is None:
         selected = sorted(replica.store.file_ids())
-        graph = replica.graph
+        acg_records = replica.graph.to_records()
     else:
         selected = sorted(f for f in file_ids if f in replica.store)
-        graph = replica.graph.subgraph(file_ids)
+        # An induced subgraph lists its vertices in set-iteration order;
+        # sorted, equal subsets give equal bytes whatever built the set.
+        acg_records = sorted(replica.graph.subgraph(file_ids).to_records())
     sections: List[bytes] = []
     # 1. meta: acg id + commit watermark + file count.
     sections.append(dump_value((replica.acg_id, node_name,
@@ -91,7 +94,7 @@ def dump_segment(replica, node_name: str,
         files.append((file_id, pairs, path))
     sections.append(dump_value(tuple(files)))
     # 4. ACG edge/vertex records.
-    sections.append(dump_value(tuple(graph.to_records())))
+    sections.append(dump_value(tuple(acg_records)))
     # 5. keyword postings: roaring chunk dumps per path keyword.
     postings: Dict[str, PostingList] = {}
     for file_id in selected:
@@ -114,6 +117,14 @@ def dump_segment(replica, node_name: str,
                                          len(body)) \
         + struct.pack("<I", zlib.crc32(body))
     return header + body
+
+
+def dump_segment(replica, node_name: str) -> bytes:
+    """Freeze one replica: :func:`encode_segment` under the cold tier's
+    own name.  The per-layer ledger (``perf/layertrace.py``) patches this
+    and :func:`load_segment`, so it books freezes and hydrations to the
+    tier and a live node's snapshots, which call the codec, to the node."""
+    return encode_segment(replica, node_name)
 
 
 def _parse_sections(data: bytes) -> List[Any]:
@@ -151,8 +162,8 @@ def _parse_sections(data: bytes) -> List[Any]:
     return sections
 
 
-def load_segment(data: bytes) -> "SegmentView":
-    """Parse and validate a segment into a searchable hydrated view.
+def decode_segment(data: bytes) -> "SegmentView":
+    """Parse and validate a segment into a searchable view (the reader).
 
     Raises :class:`~repro.errors.SegmentCorruption` — and nothing else —
     on any framing, CRC or decompression failure: a hydration falls back
@@ -183,6 +194,12 @@ def load_segment(data: bytes) -> "SegmentView":
     return SegmentView(acg_id=acg_id, specs=specs, store=store,
                        acg_records=list(acg_records), postings=postings,
                        snapshot=snapshot, serialized_bytes=len(data))
+
+
+def load_segment(data: bytes) -> "SegmentView":
+    """Hydrate one frozen segment: :func:`decode_segment` under the cold
+    tier's own name (see :func:`dump_segment`)."""
+    return decode_segment(data)
 
 
 # -- the hydrated view -----------------------------------------------------------

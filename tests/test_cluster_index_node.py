@@ -190,11 +190,15 @@ def test_extracted_subset_installs_exactly_and_leaves_the_complement(node):
     node.cache.commit_all()
     truth = rows_of(node.replica(1))
     moving = {2, 3, 5}
-    segment = node.handle_extract_partition(1, sorted(moving))
+    # 99 is an id the Master asked to move but this node does not host:
+    # it is left out, not installed on the target as an empty row.
+    segment = node.handle_extract_partition(1, sorted(moving | {99}))
     other = IndexNode("in2", Machine(SimClock()))
     other.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     other.handle_create_index(IndexSpec("by_kw", IndexKind.HASH, ("keyword",)))
     assert set(other.handle_install_partition(7, segment)) == moving
+    assert 99 not in other.replica(7).store
+    assert other.replica(7).file_count == len(moving)
     for query in QUERIES:
         assert search_ids(other, [7], query) == scan(
             {f: r for f, r in truth.items() if f in moving}, query), query

@@ -284,9 +284,9 @@ class TestHealthMonitor:
 def empty_snapshot(acg_id):
     """A primary's bootstrap segment for a partition with no files."""
     from repro.cluster.index_node import AcgReplica
-    from repro.cluster.segments import dump_segment
+    from repro.cluster.segments import encode_segment
 
-    return dump_segment(AcgReplica(acg_id, Machine(SimClock())), "p1")
+    return encode_segment(AcgReplica(acg_id, Machine(SimClock())), "p1")
 
 
 class TestClusterEmissions:

@@ -99,3 +99,40 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     assert sum(n.wal.bytes_written for n in service.index_nodes.values()) > 0
     assert sum(n.repl_streamed for n in service.index_nodes.values()) >= 1
     assert service.cluster.network.stats.bytes_sent > 0
+
+
+def test_only_the_cold_tier_calls_the_segment_names_perf_patches():
+    """``perf/tests`` holds that ``cluster.segments`` is the cold tier:
+    zero calls on every workload but ``cold-tier``.  A live node's
+    periodic checkpoints and follower bootstraps write and read the same
+    format through ``encode_segment`` / ``decode_segment`` — booked to
+    the node that runs them — and only a freeze or a hydration goes
+    through the patched ``dump_segment`` / ``load_segment``."""
+    from perf.layertrace import LayerTracer
+    from repro.cluster.persistence import list_checkpoints
+    from repro.indexstructures import IndexKind
+
+    tracer = LayerTracer()
+    tracer.install()
+    try:
+        service = PropellerService(num_index_nodes=2, replication_factor=2)
+        client = service.make_client()
+        client.create_index("by_size", IndexKind.BTREE, ["size"])
+        tracer.start(service.clock)
+        for i in range(8):
+            service.vfs.write_file(f"/f{i}", 4096 + i, pid=5)
+            client.index_path(f"/f{i}", pid=5)
+        client.flush_updates()
+        service.advance(35.0)        # past one checkpoint period
+        assert any(n.followers for n in service.index_nodes.values())
+        assert tracer.fn_calls["IndexNode.checkpoint_to_shared"] >= 2
+        assert any(list_checkpoints(service.vfs, name)
+                   for name in service.index_nodes)
+        assert tracer.calls.get("cluster.segments", 0) == 0
+        service.set_tiering(True, freeze_age_s=3.0, min_bytes=1)
+        service.advance(10.0)
+        assert client.search("size>0") == [f"/f{i}" for i in range(8)]
+        assert tracer.fn_calls["dump_segment"] >= 1
+        assert tracer.fn_calls["load_segment"] >= 1
+    finally:
+        tracer.uninstall()

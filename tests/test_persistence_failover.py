@@ -9,7 +9,7 @@ from repro.cluster.persistence import (
     replica_path,
     write_checkpoint,
 )
-from repro.cluster.segments import dump_segment, load_segment
+from repro.cluster.segments import decode_segment, encode_segment
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import ClusterError, SegmentCorruption, UnknownIndexNode
 from repro.indexstructures import IndexKind
@@ -50,14 +50,14 @@ def a_replica(service):
 def checkpoint(service, node, replica):
     """Write one replica's segment where failover looks for it."""
     return write_checkpoint(service.vfs, node.name, replica.acg_id,
-                            dump_segment(replica, node.name))
+                            encode_segment(replica, node.name))
 
 
 def test_dump_load_roundtrip():
     service, client = build()
     populate(service, client)
     node, replica = a_replica(service)
-    view = load_segment(dump_segment(replica, node.name))
+    view = decode_segment(encode_segment(replica, node.name))
     assert view.acg_id == replica.acg_id
     assert {s.name for s in view.specs} == set(replica.specs)
     assert view.file_count() == replica.file_count
@@ -71,15 +71,15 @@ def test_checkpoint_crc_detects_corruption():
     service, client = build()
     populate(service, client)
     node, replica = a_replica(service)
-    data = bytearray(dump_segment(replica, node.name))
+    data = bytearray(encode_segment(replica, node.name))
     data[30] ^= 0xFF
     with pytest.raises(SegmentCorruption):
-        load_segment(bytes(data))
+        decode_segment(bytes(data))
 
 
 def test_bad_magic_rejected():
     with pytest.raises(SegmentCorruption):
-        load_segment(b"NOPE" + b"\x00" * 32)
+        decode_segment(b"NOPE" + b"\x00" * 32)
 
 
 def test_checkpoint_files_land_on_shared_vfs():
@@ -90,7 +90,7 @@ def test_checkpoint_files_land_on_shared_vfs():
     assert path == replica_path(node.name, replica.acg_id)
     assert service.vfs.exists(path)
     assert path in list_checkpoints(service.vfs, node.name)
-    view = load_segment(read_checkpoint(service.vfs, path))
+    view = decode_segment(read_checkpoint(service.vfs, path))
     assert view.acg_id == replica.acg_id
 
 

@@ -19,7 +19,7 @@ from repro.chaos.runner import run_chaos
 from repro.cluster import PropellerService
 from repro.cluster.index_node import AcgReplica
 from repro.cluster.messages import IndexUpdate, ReplicaSearchReply, UpdateAck
-from repro.cluster.segments import dump_segment
+from repro.cluster.segments import encode_segment
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import ClusterError, NodeDown
 from repro.indexstructures import IndexKind
@@ -59,7 +59,7 @@ def snapshot(acg_id, rows=()):
     replica = AcgReplica(acg_id, Machine(SimClock()))
     replica.apply_batch([IndexUpdate.upsert(file_id, attrs, path=path)
                          for file_id, attrs, path in rows])
-    return dump_segment(replica, "p1")
+    return encode_segment(replica, "p1")
 
 
 def assert_converged(service):
@@ -250,7 +250,7 @@ def test_promoted_follower_carries_its_primarys_acg():
     primary.graph.add_causality(1, 2, 3)
     primary.graph.add_file(3)
     node = IndexNode("f1", Machine(SimClock()))
-    node.handle_install_follower(1, "p1", 1, 0, dump_segment(primary, "p1"))
+    node.handle_install_follower(1, "p1", 1, 0, encode_segment(primary, "p1"))
     assert node.handle_promote_replica(1, repl_epoch=2) == (0, 3)
     promoted = node.replicas[1]
     assert promoted.graph.weight(1, 2) == 3

@@ -8,6 +8,8 @@ empty), the segment cache, a fresh hydration, or the
 degrade-to-live-replica fallback.
 """
 
+import itertools
+
 import pytest
 
 from repro.chaos.faults import FaultInjector
@@ -17,6 +19,7 @@ from repro.cluster.segments import (
     SegmentView,
     TierPolicy,
     dump_segment,
+    encode_segment,
     load_segment,
     segment_key,
 )
@@ -93,15 +96,31 @@ class TestSegmentRoundTrip:
         populate(service, client, n=40)
         node = next(n for n in service.index_nodes.values() if n.replicas)
         replica = node.replicas[min(node.replicas)]
+        ids = sorted(replica.store.file_ids())
+        for file_id in ids:
+            replica.graph.add_file(file_id)
+        assert encode_segment(replica, node.name) \
+            == encode_segment(replica, node.name)
+        # Freezing is the same writer under the cold tier's name.
         assert dump_segment(replica, node.name) \
-            == dump_segment(replica, node.name)
-        # The subset form (a split's moving half) too, and it is not the
-        # full dump under another name.
-        half = set(sorted(replica.store.file_ids())[::2])
-        assert dump_segment(replica, node.name, file_ids=half) \
-            == dump_segment(replica, node.name, file_ids=set(half))
-        assert load_segment(dump_segment(replica, node.name, file_ids=half)
-                            ).file_count() == len(half) < replica.file_count
+            == encode_segment(replica, node.name)
+        # The subset form (a split's moving half) too — for equal sets
+        # that iterate in different orders, as an induced subgraph's
+        # vertices would otherwise follow.
+        one, other = next(
+            (set(pair), set(reversed(pair)))
+            for pair in itertools.combinations(ids, 2)
+            if list(set(pair)) != list(set(reversed(pair))))
+        assert one == other
+        assert replica.graph.subgraph(one).to_records() \
+            != replica.graph.subgraph(other).to_records()
+        assert encode_segment(replica, node.name, file_ids=one) \
+            == encode_segment(replica, node.name, file_ids=other)
+        # ... and it is not the full dump under another name.
+        half = set(ids[::2])
+        view = load_segment(encode_segment(replica, node.name, file_ids=half))
+        assert view.file_count() == len(half) < replica.file_count
+        assert {v for v, _, _ in view.acg_records} == half
 
     def test_payload_shape_matches_checkpoint(self):
         service, client = build()
