@@ -211,19 +211,21 @@ def _render_tail_latency(registry) -> str:
 
 def _render_memory_tiers(service) -> str:
     """Per-node byte accounting across storage tiers: live resident
-    replicas, hydrated segment cache and uncommitted index cache (RAM),
-    the WAL (local disk), and frozen segments (cold object store)."""
+    replicas, the segment cache (segment bytes / state decoded from
+    them) and the uncommitted index cache (RAM), the WAL (local disk),
+    and frozen segments (cold object store)."""
     rows = []
     for row in service.memory_tiers():
         frozen = (f"{row['frozen']} ({row['frozen_acgs']} acgs)"
                   if row["frozen_acgs"] else "0")
-        rows.append([row["node"], row["resident"], row["segment_cache"],
-                     row["index_cache"], row["wal"], frozen])
+        rows.append([row["node"], row["resident"], row["segment_cache_bytes"],
+                     row["segment_cache_decoded"], row["index_cache"],
+                     row["wal"], frozen])
     if not rows:
         return ""
     return render_table(
-        ["node", "resident B", "seg cache B", "idx cache B", "wal B",
-         "frozen B"], rows, title="memory tiers")
+        ["node", "resident B", "seg bytes B", "seg decoded B", "idx cache B",
+         "wal B", "frozen B"], rows, title="memory tiers")
 
 
 def cmd_partition(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Set, Tuple, Union)
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
@@ -69,7 +69,8 @@ _COMMIT_BATCHED_UPDATE_OPS = 2_000  # marginal bulk-apply cost per update
 # doc-at-a-time; one examine charge covers this many matches.
 _VECTOR_WIDTH = 8
 # Tiered storage: CPU to serialize one file into a frozen segment and
-# to parse it back out during hydration (zlib + framing per file).
+# to parse one row back out of it — charged when a search decodes the
+# row, not when the segment is fetched (a memoised row is free).
 _FREEZE_OPS_PER_FILE = 200
 _HYDRATE_OPS_PER_FILE = 150
 
@@ -398,6 +399,8 @@ class IndexNode:
         self.tier_freezes = 0
         self.tier_thaws = 0
         self.tier_hydrations = 0
+        self.tier_rows_decoded = 0
+        self.tier_postings_decoded = 0
         self.tier_fallbacks = 0
         self.tier_summary_prunes = 0
         self.tier_repairs = 0
@@ -535,15 +538,15 @@ class IndexNode:
     def drop_resident(self) -> None:
         """Cold-start: forget every loaded ACG (cf. dropping page caches).
 
-        Hydrated segment views are part of the same cold-start surface,
-        so the segment cache empties too (a no-op with tiering off)."""
+        Cached segments are part of the same cold-start surface, so the
+        segment cache empties too (a no-op with tiering off)."""
         self._resident.clear()
         self._resident_bytes = 0
         self.segment_cache.clear()
 
     def drop_caches(self) -> None:
         """Memory-pressure eviction of the node-local volatile caches:
-        the search result cache and the hydrated segment views.  The
+        the search result cache and the cached segment views.  The
         next search against a frozen partition must go back to the cold
         tier — the path the chaos harness's cache-pressure op exists to
         exercise.  Resident index bodies stay loaded (that cold-start
@@ -819,12 +822,13 @@ class IndexNode:
                           reason=reason)
 
     def _hydrate(self, acg_id: int, frozen: FrozenPartition):
-        """Fetch + parse one segment from the cold tier (cache miss path).
+        """Fetch + validate one segment from the cold tier (cache miss
+        path); nothing is decoded until a search reads it.
 
-        Returns the hydrated view, or None when the cold tier cannot
-        serve it — one retry for a transient object-store error, a
-        repair (re-dump from the live backing replica) for a corrupt
-        segment; either way the caller falls back to the replica.
+        Returns the view, or None when the cold tier cannot serve it —
+        one retry for a transient object-store error, a repair (re-dump
+        from the live backing replica) for a corrupt segment; either way
+        the caller falls back to the replica.
         """
         t0 = self.machine.clock.now()
         with self.tracer.span("hydrate", node=self.name, acg=acg_id) as span:
@@ -845,8 +849,6 @@ class IndexNode:
                 return None
             except ObjectStoreError:
                 return None
-            self.machine.compute(
-                _HYDRATE_OPS_PER_FILE * max(1, view.file_count()))
             span.set_attribute("segment_bytes", frozen.serialized_bytes)
         self.tier_hydrations += 1
         if self.registry is not None:
@@ -960,14 +962,17 @@ class IndexNode:
             span.set_attribute("matches", len(result.file_ids))
         return result
 
-    def _run_leg(self, acg_id: int, store: AttributeStore,
+    def _run_leg(self, acg_id: int,
+                 store: Union[AttributeStore, SegmentView],
                  match: Callable[[], Set[int]]) -> SearchResult:
         """The costed core every search leg shares (live, frozen,
         follower): charge the scan setup, run ``match`` for the exact
         file ids, charge materializing them — bitmap postings extract
         matches word-at-a-time, so one examine charge covers
         ``_VECTOR_WIDTH`` of them (ceil: a partial word still costs a
-        word) — and answer with the sorted paths from ``store``."""
+        word) — and answer with the sorted paths from ``store`` (its
+        ``len`` and ``attrs`` are all a leg reads: a live attribute
+        store, or a frozen partition's segment view)."""
         self.machine.compute(_EXAMINE_OPS * max(1, len(store) // 64))
         file_ids = match()
         self.machine.compute(
@@ -1002,16 +1007,32 @@ class IndexNode:
         view = self.segment_cache.get(frozen.key)
         if view is None:
             view = self._hydrate(acg_id, frozen)
-        if view is None:
-            # Cold tier unavailable: serve from the live backing replica
-            # (still frozen — the next leg tries the cold tier again).
-            self.tier_fallbacks += 1
-            return self._search_live_body(acg_id, predicate, index_names, now)
-        with self.tracer.span("segment_scan", node=self.name, acg=acg_id) as span:
-            result = self._run_leg(acg_id, view.store,
-                                   lambda: view.search(predicate, now))
-            span.set_attribute("matches", len(result.file_ids))
-        return result
+        if view is not None:
+            rows, postings = view.rows_decoded, view.postings_decoded
+            try:
+                with self.tracer.span("segment_scan", node=self.name,
+                                      acg=acg_id) as span:
+                    result = self._run_leg(acg_id, view,
+                                           lambda: view.search(predicate, now))
+                    span.set_attribute("matches", len(result.file_ids))
+            except SegmentCorruption:
+                # CRC-valid but inconsistent inside, found while
+                # decoding: the same self-heal as a hydrate-time failure.
+                self.segment_cache.invalidate(frozen.key)
+                self._repair_segment(acg_id, frozen)
+            else:
+                # The parse charge follows the work: rows this search
+                # had to decode, none for the ones it found memoised.
+                decoded = view.rows_decoded - rows
+                self.tier_rows_decoded += decoded
+                self.tier_postings_decoded += view.postings_decoded - postings
+                self.machine.compute(_HYDRATE_OPS_PER_FILE * decoded)
+                self.segment_cache.recharge()
+                return result
+        # Cold tier unavailable: serve from the live backing replica
+        # (still frozen — the next leg tries the cold tier again).
+        self.tier_fallbacks += 1
+        return self._search_live_body(acg_id, predicate, index_names, now)
 
     def handle_search(self, acg_ids: Sequence[int], predicate: Predicate,
                       index_names: Optional[Sequence[str]] = None,
@@ -1149,11 +1170,8 @@ class IndexNode:
         for spec in view.specs:
             replica.ensure_index(spec)
         replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
-        updates = []
-        for file_id in view.store.file_ids():
-            attrs = dict(view.store.attrs(file_id))
-            path = attrs.pop("path", None)
-            updates.append(IndexUpdate.upsert(file_id, attrs, path=path))
+        updates = [IndexUpdate.upsert(file_id, attrs, path=path)
+                   for file_id, attrs, path in view.rows()]
         replica.apply_batch(updates)
         return tuple(update.file_id for update in updates)
 

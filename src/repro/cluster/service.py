@@ -219,6 +219,17 @@ class PropellerService:
                                  for n in self.index_nodes.values()))
         reg.gauge_fn("tier.segment_cache.hit_rate",
                      self._segment_cache_hit_rate)
+        # What the lazy segment views had to decode, and how often the
+        # caches made room by dropping decoded state instead of bytes.
+        reg.gauge_fn("tier.rows_decoded",
+                     lambda: sum(n.tier_rows_decoded
+                                 for n in self.index_nodes.values()))
+        reg.gauge_fn("tier.postings_decoded",
+                     lambda: sum(n.tier_postings_decoded
+                                 for n in self.index_nodes.values()))
+        reg.gauge_fn("tier.views_shed",
+                     lambda: sum(n.segment_cache.stats.sheds
+                                 for n in self.index_nodes.values()))
         for name, node in self.index_nodes.items():
             self._register_node_metrics(name, node)
 
@@ -285,6 +296,8 @@ class PropellerService:
                      lambda n=node: n.frozen_bytes())
         reg.gauge_fn(f"{prefix}.tier.segment_cache_bytes",
                      lambda n=node: n.segment_cache.estimated_bytes())
+        reg.gauge_fn(f"{prefix}.tier.segment_cache_decoded_bytes",
+                     lambda n=node: n.segment_cache.decoded_bytes())
         reg.gauge_fn(f"{prefix}.tier.segment_cache_hit_rate",
                      lambda n=node: n.segment_cache.stats.hit_rate())
         reg.gauge_fn(f"{prefix}.tier.freezes", lambda n=node: n.tier_freezes)
@@ -435,18 +448,23 @@ class PropellerService:
         """Per-node byte accounting across the storage tiers — the table
         ``repro profile`` and ``repro status`` render.
 
-        Tiers per node: live resident replicas (RAM), the hydrated
-        segment cache (RAM), the uncommitted index-cache buffer (RAM),
-        the WAL (local disk), and frozen segments (cold object store).
+        Tiers per node: live resident replicas (RAM), the segment
+        cache (RAM) split into the segment bytes it holds and the state
+        searches have decoded from them, the uncommitted index-cache
+        buffer (RAM), the WAL (local disk), and frozen segments (cold
+        object store).
         """
         rows: List[Dict[str, object]] = []
         for name in sorted(self.index_nodes):
             node = self.index_nodes[name]
+            decoded = node.segment_cache.decoded_bytes()
             rows.append({
                 "node": name,
                 "ram_budget": node.machine.spec.ram_bytes,
                 "resident": node._resident_bytes,
-                "segment_cache": node.segment_cache.estimated_bytes(),
+                "segment_cache_bytes":
+                    node.segment_cache.estimated_bytes() - decoded,
+                "segment_cache_decoded": decoded,
                 "index_cache": node.cache.estimated_bytes(),
                 "wal": len(node.wal),
                 "frozen": node.frozen_bytes(),

@@ -265,6 +265,16 @@ class PostingList:
 
     # -- introspection ------------------------------------------------------
 
+    def estimated_bytes(self) -> int:
+        """Rough RAM footprint: 2 bytes per id in an array chunk, the
+        full 8 KiB for a bitmap chunk, plus per-chunk and per-list
+        overhead — the same order-of-magnitude estimate
+        ``AttributeStore.estimated_bytes`` makes for rows."""
+        return 64 + sum(
+            16 + ((1 << CHUNK_SHIFT) // 8 if isinstance(chunk, int)
+                  else 2 * len(chunk))
+            for chunk in self._chunks.values())
+
     def chunk_kinds(self) -> Dict[str, int]:
         """How many chunks are arrays vs bitmaps (for tests/metrics)."""
         kinds = {"array": 0, "bitmap": 0}

@@ -62,7 +62,7 @@ def test_dump_load_roundtrip():
     assert {s.name for s in view.specs} == set(replica.specs)
     assert view.file_count() == replica.file_count
     for file_id in replica.store.file_ids():
-        assert view.store.attrs(file_id) == replica.store.attrs(file_id)
+        assert view.attrs(file_id) == replica.store.attrs(file_id)
     got_edges = {(u, v, w) for u, v, w in view.acg_records if v != -1}
     assert got_edges == set(replica.graph.edges())
 

@@ -14,9 +14,10 @@ import pytest
 
 from repro.chaos.faults import FaultInjector
 from repro.cluster import PropellerService
+from repro.cluster.index_node import AcgReplica
+from repro.cluster.messages import IndexUpdate
 from repro.cluster.segments import (
     SegmentCache,
-    SegmentView,
     TierPolicy,
     dump_segment,
     encode_segment,
@@ -29,8 +30,8 @@ from repro.fs.vfs import OpenMode
 from repro.indexstructures import IndexKind
 from repro.query import parse_query
 from repro.query.ast import matches
-from repro.query.executor import AttributeStore
 from repro.sim.clock import SimClock
+from repro.sim.machine import Machine
 from repro.sim.objectstore import ObjectStoreModel, SimObjectStore
 
 
@@ -130,9 +131,15 @@ class TestSegmentRoundTrip:
         view = load_segment(dump_segment(replica, node.name))
         assert view.acg_id == replica.acg_id
         assert view.file_count() == replica.file_count
-        for fid in view.store.file_ids():
-            assert view.store.attrs(fid) == replica.store.attrs(fid)
-            assert view.store.attrs(fid)["path"].startswith("/data/")
+        assert [fid for fid, _, _ in view.rows()] \
+            == sorted(replica.store.file_ids())
+        for fid, attrs, path in view.rows():
+            assert dict(attrs, path=path) == replica.store.attrs(fid)
+            assert view.attrs(fid) == replica.store.attrs(fid)
+            assert path.startswith("/data/")
+        assert view.snapshot == replica.summary.snapshot(
+            replica.acg_id, (node.name, replica.incarnation, replica.applied),
+            dirty=False, file_count=replica.file_count)
 
     def test_corruption_detected(self):
         service, client = build()
@@ -152,9 +159,11 @@ class TestSegmentRoundTrip:
     def test_every_bit_flip_and_truncation_is_rejected(self):
         """Exhaustive, not sampled: the one serialized form of a
         partition rejects every single-bit flip and every proper prefix
-        with SegmentCorruption — no other exception type, never a view.
-        Header bytes 8-11 (the acg id) sit outside the CRC; a flip there
-        must not be accepted as another partition's segment."""
+        with SegmentCorruption — no other exception type, never a view,
+        and at validation time: the lazy reader is never reached.  The
+        CRC covers the header too (magic, version, acg id, body length),
+        so a flipped acg id is not another partition's segment, and a
+        segment with anything appended is as torn as a truncated one."""
         service, client = build()
         populate(service, client, n=6)
         node = next(n for n in service.index_nodes.values() if n.replicas)
@@ -170,6 +179,8 @@ class TestSegmentRoundTrip:
             flipped[bit // 8] ^= 1 << (bit % 8)
             with pytest.raises(SegmentCorruption):
                 load_segment(bytes(flipped))
+        with pytest.raises(SegmentCorruption):
+            load_segment(data + b"\x00")
 
 
 # -- freeze / search equivalence --------------------------------------------------
@@ -333,21 +344,21 @@ class TestColdTierFaults:
 # -- segment cache ----------------------------------------------------------------
 
 
-def _view(acg_id, nbytes):
-    """A SegmentView whose resident footprint is roughly ``nbytes``."""
-    store = AttributeStore()
-    i = 0
-    while store.estimated_bytes() < nbytes:
-        store.put(acg_id * 10000 + i, {"size": i}, f"/f{i}")
-        i += 1
-    return SegmentView(acg_id=acg_id, specs=[], store=store, acg_records=[],
-                       postings={}, snapshot=None, serialized_bytes=nbytes)
+def _view(acg_id, files=8):
+    """A view over a real segment of ``files`` rows (nothing decoded)."""
+    replica = AcgReplica(acg_id, Machine(SimClock()))
+    replica.apply_batch([
+        IndexUpdate.upsert(acg_id * 10000 + i, {"size": i},
+                           path=f"/d{acg_id}/f{i}")
+        for i in range(files)])
+    return load_segment(dump_segment(replica, "n1"))
 
 
 class TestSegmentCache:
     def test_lru_eviction_under_byte_budget(self):
-        cache = SegmentCache(budget_bytes=4096, admit_fraction=1.0)
-        a, b, c = _view(1, 1500), _view(2, 1500), _view(3, 1500)
+        a, b, c = _view(1), _view(2), _view(3)
+        budget = sum(v.resident_bytes() for v in (a, b, c)) - 1
+        cache = SegmentCache(budget_bytes=budget, admit_fraction=1.0)
         cache.put("a", a)
         cache.put("b", b)
         assert cache.get("a") is a  # touch: b is now LRU
@@ -355,32 +366,58 @@ class TestSegmentCache:
         assert "b" not in cache
         assert cache.get("a") is a and cache.get("c") is c
         assert cache.stats.evictions == 1
-        assert cache.estimated_bytes() <= 4096
+        assert cache.estimated_bytes() <= budget
 
     def test_admission_rejects_oversized(self):
-        cache = SegmentCache(budget_bytes=4096, admit_fraction=0.25)
-        small, huge = _view(1, 500), _view(2, 3000)
+        small, huge = _view(1, files=2), _view(2, files=200)
+        cache = SegmentCache(budget_bytes=4 * small.resident_bytes(),
+                             admit_fraction=0.25)
         assert cache.put("small", small)
         assert not cache.put("huge", huge)
         assert cache.stats.rejected == 1
         assert "small" in cache and "huge" not in cache
 
     def test_resize_shrink_evicts(self):
-        cache = SegmentCache(budget_bytes=8192, admit_fraction=1.0)
-        for i in range(4):
-            cache.put(f"k{i}", _view(i, 1500))
-        cache.resize(2048)
-        assert cache.estimated_bytes() <= 2048
-        assert len(cache) < 4
+        views = [_view(i) for i in range(4)]
+        cache = SegmentCache(budget_bytes=1 << 20, admit_fraction=1.0)
+        for i, view in enumerate(views):
+            cache.put(f"k{i}", view)
+        budget = 2 * views[0].resident_bytes()
+        cache.resize(budget)
+        assert cache.estimated_bytes() <= budget
+        assert 0 < len(cache) < 4
         with pytest.raises(ValueError):
             cache.resize(0)
+        # The budget binds the last view as it binds the others.
+        cache.resize(1)
+        assert len(cache) == 0 and cache.estimated_bytes() == 0
 
     def test_hit_rate(self):
         cache = SegmentCache(budget_bytes=4096, admit_fraction=1.0)
-        cache.put("a", _view(1, 500))
+        cache.put("a", _view(1))
         cache.get("a")
         cache.get("missing")
         assert cache.stats.hit_rate() == 0.5
+
+    def test_decoded_state_is_shed_before_any_bytes_are_evicted(self):
+        views = [_view(i) for i in range(3)]
+        held = sum(v.resident_bytes() for v in views)
+        cache = SegmentCache(budget_bytes=1 << 20, admit_fraction=1.0)
+        for i, view in enumerate(views):
+            cache.put(f"k{i}", view)
+            assert view.search(parse_query("size>=0"), 0.0)
+        assert cache.decoded_bytes() > 0
+        assert cache.estimated_bytes() == held + cache.decoded_bytes()
+        # Room for every segment's bytes and one view's decoded state:
+        # the two least recently used views give theirs up, nobody goes.
+        cache.resize(held + views[2].decoded_bytes())
+        assert len(cache) == 3 and cache.stats.evictions == 0
+        assert cache.stats.sheds == 2
+        assert [v.decoded_bytes() > 0 for v in views] == [False, False, True]
+        # A shed view answers the same, by decoding again.
+        decoded = views[0].rows_decoded
+        assert len(views[0].search(parse_query("size>=0"), 0.0)) == 8
+        assert views[0].rows_decoded == 2 * decoded
 
 
 # -- tier policy ------------------------------------------------------------------
