@@ -13,8 +13,8 @@ per Index Node, every node in flight at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.cluster.messages import (IndexUpdate, RouteEntry, RouteTable,
                                     SearchResult, UpdateBatch, UpdateOp,
@@ -34,7 +34,8 @@ from repro.query.summary import SummarySnapshot, summary_may_match
 from repro.query.parser import parse_query, parse_query_directory
 from repro.query.planner import IndexSpec
 from repro.replication.hedging import HedgedReply, HedgePolicy
-from repro.sim.rpc import CallOutcome, HedgedOutcome, RpcNetwork, scatter
+from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, HedgedOutcome,
+                           RpcNetwork, scatter)
 
 DEFAULT_BATCH_SIZE = 128
 
@@ -95,6 +96,22 @@ class _Send:
     note_nack: bool = True
 
 
+def _envelopes(sends: Sequence[_Send]) -> Dict[str, List[_Send]]:
+    """The sends grouped per Index Node: one envelope each."""
+    envelopes: Dict[str, List[_Send]] = {}
+    for send in sends:
+        envelopes.setdefault(send.node, []).append(send)
+    return envelopes
+
+
+def _batches(envelope: Sequence[_Send]) -> Tuple[UpdateBatch, ...]:
+    return tuple(send.batch for send in envelope)
+
+
+def _envelope_bytes(envelope: Sequence[_Send]) -> int:
+    return envelope_wire_bytes([send.batch.wire_bytes() for send in envelope])
+
+
 class PropellerClient:
     """One client's view of the Propeller service."""
 
@@ -143,6 +160,8 @@ class PropellerClient:
         )
         vfs.add_observer(self.access_manager)
         self._pending: List[Tuple[int, IndexUpdate]] = []  # (hint, update)
+        # file id → its slot in ``_pending`` (coalescing is a lookup).
+        self._pending_slot: Dict[int, int] = {}
         # -- client-side route cache (the routing-epoch protocol) -------------
         # The Master serves a versioned route table; this cache routes
         # update batches and search fan-outs locally, refreshing only
@@ -479,8 +498,7 @@ class PropellerClient:
     def _on_unlink(self, path: str, inode: Inode) -> None:
         # Cancel any still-batched updates for this file: flushing an
         # upsert *after* the delete would resurrect a dead file.
-        self._pending = [(h, u) for h, u in self._pending
-                         if u.file_id != inode.ino]
+        self._drop_pending(inode.ino)
         cached_acg = self._file_routes.get(inode.ino)
         try:
             route: Optional[RouteEntry] = self._master_call(
@@ -496,10 +514,15 @@ class PropellerClient:
             return
         # Prefer the Master's answer; fall back to the route cache for
         # client-placed files the Master never learned about.
+        epoch: Optional[int] = None
         if route is not None and route.node:
             target_node, target_acg = route.node, route.acg_id
         elif cached_acg is not None and self._route_nodes.get(cached_acg):
+            # Cache-routed, so epoch-stamped: a node the partition has
+            # since left must NACK, not re-create an empty shell of it
+            # (which it would then answer searches from).
             target_node, target_acg = self._route_nodes[cached_acg], cached_acg
+            epoch = self._route_epoch
         elif inode.ino in self._stale_files:
             # The Master never learned this client-placed file and a
             # full-table refresh evicted its route — but it WAS indexed,
@@ -528,8 +551,8 @@ class PropellerClient:
         # path that no longer exists.  If the owning node is dead
         # even after retries the unlink itself must not fail — the
         # stale entry is recorded as debt instead.
-        delete = _Send(target_node,
-                       UpdateBatch(target_acg, (IndexUpdate.delete(inode.ino),)))
+        delete = _Send(target_node, UpdateBatch(
+            target_acg, (IndexUpdate.delete(inode.ino),), epoch))
         _, nacked, unreachable = self._scatter_updates([delete])
         if unreachable:
             # The cached owner was unreachable — a failover may already
@@ -558,10 +581,7 @@ class PropellerClient:
         """A rename keeps the inode but changes the path — and therefore
         the keyword index entries — so re-index under the new path if the
         file was indexed (or queued) before."""
-        was_pending = any(u.file_id == inode.ino for _, u in self._pending)
-        self._pending = [(h, u) for h, u in self._pending
-                         if u.file_id != inode.ino]
-        if was_pending or self._is_indexed(inode.ino):
+        if self._drop_pending(inode.ino) or self._is_indexed(inode.ino):
             attrs: Dict[str, Any] = {name: getattr(inode, name)
                                      for name in _INODE_ATTRS}
             attrs.update(inode.attributes)
@@ -596,18 +616,30 @@ class PropellerClient:
         reaches ``batch_size`` or its oldest entry has waited past
         ``batch_age_s``."""
         now = self.vfs.clock.now()
-        for i, (old_hint, old) in enumerate(self._pending):
-            if old.file_id == update.file_id:
-                self._pending[i] = (hint if hint != -1 else old_hint, update)
-                break
+        slot = self._pending_slot.get(update.file_id)
+        if slot is not None:
+            old_hint = self._pending[slot][0]
+            self._pending[slot] = (hint if hint != -1 else old_hint, update)
         else:
             if not self._pending:
                 self._pending_since = now
+            self._pending_slot[update.file_id] = len(self._pending)
             self._pending.append((hint, update))
         if (len(self._pending) >= self.batch_size
                 or (self._pending_since is not None
                     and now - self._pending_since >= self.batch_age_s)):
             self.flush_updates()
+
+    def _drop_pending(self, file_id: int) -> bool:
+        """Cancel a file's queued update; says whether there was one
+        (rare, so the slots behind it are simply re-numbered)."""
+        if self._pending_slot.pop(file_id, None) is None:
+            return False
+        self._pending = [(h, u) for h, u in self._pending
+                         if u.file_id != file_id]
+        self._pending_slot = {u.file_id: i
+                              for i, (_, u) in enumerate(self._pending)}
+        return True
 
     def index_path(self, path: str, pid: int = 0) -> None:
         """Queue one file for (re)indexing; sent when the batch fills."""
@@ -659,14 +691,37 @@ class PropellerClient:
         NACKs that batch alone with :class:`~repro.errors.StaleRoute`,
         which triggers one shared route-table refresh and a re-send (or
         a Master-routed fallback when the refresh doesn't change the
-        route) — see :meth:`_deliver`.  Delivery failures re-queue just
+        route) — see :meth:`_heal`.  Delivery failures re-queue just
         the partitions they hit, **placement hints intact**.  Returns the
         number of updates actually delivered (acknowledged).
+
+        A search does not call this: its legs carry the envelopes
+        (:meth:`_search_raw`) through the same halves — :meth:`_route_pending`,
+        then :meth:`_account` and :meth:`_heal`.
         """
-        if not self._pending:
-            return 0
         flush_t0 = self.vfs.clock.now()
+        sends, hint_of = self._route_pending()
+        delivered, _, _ = self._heal(*self._scatter_updates(sends), hint_of)
+        self._observe_ack(delivered, flush_t0)
+        return delivered
+
+    def _observe_ack(self, delivered: int, t0: float) -> None:
+        """Batch acknowledgement latency — what the update_ack SLO
+        watches.  Only acknowledged rounds observe: an all-requeued one
+        has no ack to time."""
+        if delivered > 0 and self.registry is not None:
+            self.registry.histogram(
+                "cluster.client.update_ack_latency_s").observe(
+                    self.vfs.clock.now() - t0)
+
+    def _route_pending(self) -> Tuple[List[_Send], Dict[int, int]]:
+        """Take the queue and route it: ``(sends, hint_of)``, the
+        per-partition batches with the node each goes to and the
+        placement hints a requeue must keep.  Nothing is sent."""
+        if not self._pending:
+            return [], {}
         pending, self._pending = self._pending, []
+        self._pending_slot = {}
         self._pending_since = None
         hint_of: Dict[int, int] = {}
         for h, u in pending:
@@ -705,15 +760,7 @@ class PropellerClient:
         for update in unrouted_deletes:
             sends.extend(self._route_unrouted_delete(update))
         sends.extend(self._route_via_master(via_master, hint_of))
-        delivered = self._deliver(sends, hint_of)
-        if delivered > 0 and self.registry is not None:
-            # Batch acknowledgement latency — what the update_ack SLO
-            # watches.  Only acknowledged flushes observe: an all-requeued
-            # round has no ack to time.
-            self.registry.histogram(
-                "cluster.client.update_ack_latency_s").observe(
-                    self.vfs.clock.now() - flush_t0)
-        return delivered
+        return sends, hint_of
 
     def _route_unrouted_delete(self, update: IndexUpdate) -> List[_Send]:
         """Find where a DELETE with no usable cached route must go: a
@@ -749,7 +796,9 @@ class PropellerClient:
                  hint_of: Dict[int, int]) -> None:
         # Hints ride along on the requeue: a later Master-routed retry
         # must still honor ACG co-location.
-        self._pending.extend((hint_of.get(u.file_id, -1), u) for u in updates)
+        for update in updates:
+            self._pending_slot.setdefault(update.file_id, len(self._pending))
+            self._pending.append((hint_of.get(update.file_id, -1), update))
         self.updates_requeued += len(updates)
         if self.registry is not None:
             self.registry.counter(
@@ -773,28 +822,35 @@ class PropellerClient:
         forwarding target) could not be reached."""
         if not sends:
             return 0, [], []
-        envelopes: Dict[str, List[_Send]] = {}
-        for send in sends:
-            envelopes.setdefault(send.node, []).append(send)
+        envelopes = _envelopes(sends)
+        replies = self._scatter(
+            "update_scatter", envelopes,
+            lambda node: self.rpc.call(
+                node, "index_update", _batches(envelopes[node]),
+                local=self.local,
+                request_bytes=_envelope_bytes(envelopes[node])))
+        for reply in replies.values():
+            if not reply.ok and not isinstance(reply.error, DEGRADABLE_ERRORS):
+                raise reply.error
+        return self._account(envelopes, {node: reply.value for node, reply
+                                         in replies.items() if reply.ok})
 
-        def call(node: str) -> Any:
-            batches = tuple(send.batch for send in envelopes[node])
-            return self.rpc.call(
-                node, "index_update", batches, local=self.local,
-                request_bytes=envelope_wire_bytes(
-                    [batch.wire_bytes() for batch in batches]))
-
+    def _account(self, envelopes: Mapping[str, Sequence[_Send]],
+                 replies: Mapping[str, Sequence[CallOutcome]]
+                 ) -> Tuple[int, List[_Send], List[_Send]]:
+        """The one place envelope replies are read, whatever carried the
+        envelope (an ``index_update`` of its own or a search leg):
+        ``replies[node]`` holds one outcome per batch, in order; a node
+        with no reply could not be reached.  Learns the acks, counts the
+        NACKs, returns ``(delivered, nacked, unreachable)``."""
         delivered = 0
         nacked: List[_Send] = []
         unreachable: List[_Send] = []
-        replies = self._scatter("update_scatter", envelopes, call)
-        for node, reply in replies.items():
-            if not reply.ok:
-                if not isinstance(reply.error, DEGRADABLE_ERRORS):
-                    raise reply.error
+        for node in sorted(envelopes):
+            if not replies.get(node):
                 unreachable.extend(envelopes[node])
                 continue
-            for send, outcome in zip(envelopes[node], reply.value):
+            for send, outcome in zip(envelopes[node], replies[node]):
                 if outcome.ok:
                     self._learn_ack(outcome.value)
                     delivered += self._sent(send.batch.updates)
@@ -813,10 +869,14 @@ class PropellerClient:
                 self._forget_file(update.file_id)
         return len(updates)
 
-    def _deliver(self, sends: Sequence[_Send],
-                 hint_of: Dict[int, int]) -> int:
-        """Scatter one flush's sends and heal what did not land; returns
-        the number of updates acknowledged.
+    def _heal(self, delivered: int, nacked: List[_Send],
+              unreachable: List[_Send],
+              hint_of: Dict[int, int]) -> Tuple[int, Set[int], bool]:
+        """Heal what a first round of envelopes did not land (the
+        arguments are what :meth:`_account` made of its replies).
+        Returns the number of updates acknowledged over both rounds, the
+        partitions a re-send went to, and whether the route table was
+        refreshed on the way.
 
         Per partition, exactly as before the sends travelled together: a
         cache-routed (stamped) batch that NACKed or found its node
@@ -826,7 +886,6 @@ class PropellerClient:
         not move, and re-queued otherwise.  Master-routed batches that
         fail re-queue at once.  The re-sends go out as a second scatter;
         whatever that one cannot land re-queues (hints intact)."""
-        delivered, nacked, unreachable = self._scatter_updates(sends)
         failed = ([(True, send) for send in nacked]
                   + [(False, send) for send in unreachable])
         refreshed = False
@@ -863,7 +922,8 @@ class PropellerClient:
         landed, nacked, unreachable = self._scatter_updates(resend)
         for send in nacked + unreachable:
             self._requeue(send.batch.updates, hint_of)
-        return delivered + landed
+        return (delivered + landed,
+                {send.batch.acg_id for send in resend}, refreshed)
 
     def _route_via_master(self, updates: Sequence[IndexUpdate],
                           hint_of: Dict[int, int]) -> List[_Send]:
@@ -1141,9 +1201,13 @@ class PropellerClient:
         # which partitions a lagging replica ended up answering for.
         hedge_ctx: Dict[str, Set[int]] = {"lagging": set()}
         with self.tracer.span("search", query=query) as root:
-            # Any pending updates of ours must be visible to our own search.
-            with self.tracer.span("flush_updates"):
-                self.flush_updates()
+            # Any pending updates of ours must be visible to our own
+            # search — so they ride it: routed as a flush routes them,
+            # each node's envelope travels inside that node's leg and is
+            # parked, fsynced and replicated there before it searches.
+            with self.tracer.span("route_pending"):
+                sends, hint_of = self._route_pending()
+            envelopes = _envelopes(sends)
             self.searches_issued += 1
             if self._route_epoch == 0:
                 try:
@@ -1180,6 +1244,8 @@ class PropellerClient:
             legs: Dict[str, List[int]] = {n: list(a) for n, a in routing.items()}
             for node, skips in pruned.items():
                 legs.setdefault(node, []).extend(sorted(skips))
+            for node in envelopes:
+                legs.setdefault(node, [])   # an envelope but no leg
             names = [index_name] if index_name else None
             if not legs:
                 outcome = FanoutOutcome()
@@ -1196,14 +1262,22 @@ class PropellerClient:
                         clock, legs,
                         lambda n: self._call_search_leg(
                             n, routing.get(n, []), pruned.get(n) or None,
-                            predicate, names, hedge_ctx, deadline_t))
+                            predicate, names, hedge_ctx, deadline_t,
+                            envelopes.get(n, ())))
                     if outcome.degraded:
                         span.set_attribute(
                             "unreachable", sorted(outcome.unreachable))
-            if (outcome.stale or outcome.unreachable
+            # The carried envelopes' replies take the flush's own
+            # accounting and healing; what had to be re-sent is searched
+            # again below, so the answer still sees the write.
+            delivered, resent, refreshed = self._heal(
+                *self._account(envelopes, outcome.update_outcomes), hint_of)
+            self._observe_ack(delivered, start)
+            if (outcome.stale or outcome.unreachable or resent
                     or outcome.max_node_epoch() > self._route_epoch):
                 outcome = self._retry_search(clock, outcome, predicate, names,
-                                             hedge_ctx, deadline_t)
+                                             hedge_ctx, deadline_t,
+                                             resent, refreshed)
             results = list(outcome.results)
         self.last_outcome = outcome
         self._last_lagging = sorted(hedge_ctx["lagging"])
@@ -1218,6 +1292,10 @@ class PropellerClient:
                 unreachable_nodes=sorted(outcome.unreachable))
         if self.registry is not None:
             self.registry.counter("cluster.client.searches").inc()
+            if sends:
+                self.registry.counter("cluster.client.searches_carrying").inc()
+                self.registry.counter("cluster.client.updates_carried").inc(
+                    sum(len(send.batch) for send in sends))
             if self._last_lagging:
                 self.registry.counter("cluster.client.partial_searches").inc()
             if outcome.degraded:
@@ -1240,7 +1318,8 @@ class PropellerClient:
                          pruned: Optional[Dict[int, Tuple[str, int, int]]],
                          predicate: Predicate, names: Optional[List[str]],
                          hedge_ctx: Dict[str, Set[int]],
-                         deadline_t: Optional[float]):
+                         deadline_t: Optional[float],
+                         envelope: Sequence[_Send] = ()):
         """One search leg, hedged to a follower replica when possible.
 
         Without a hedging policy (RF = 1) this is exactly the historical
@@ -1249,29 +1328,47 @@ class PropellerClient:
         the policy's p95-derived delay, and the first *sound* answer
         wins.  The follower searches the pruned partitions too (it
         cannot validate summary skips), so a follower answer is always
-        oracle-equal to an unpruned primary answer."""
+        oracle-equal to an unpruned primary answer.
+
+        A leg that carries an ``envelope`` of pending updates is charged
+        for its length, is never raced and never feeds the hedge timer:
+        no follower can be sound for writes not yet acked, and the leg
+        contains a replication round trip.  A follower is only asked if
+        the primary cannot be reached (the envelope then re-queues)."""
         policy = self.hedging
         leg_acgs = sorted(set(acg_ids) | set(pruned or ()))
         secondary = (self._hedge_secondary(node, leg_acgs)
                      if policy is not None and policy.enabled else None)
         clock = self.vfs.clock
         leg_start = clock.now()
+        kwargs: Dict[str, Any] = dict(local=self.local,
+                                      epoch=self._route_epoch, pruned=pruned)
+        if envelope:
+            kwargs.update(updates=_batches(envelope),
+                          request_bytes=(DEFAULT_MSG_BYTES
+                                         + _envelope_bytes(envelope)))
         if secondary is None:
             reply = self.rpc.call(node, "search", acg_ids, predicate,
-                                  names, local=self.local,
-                                  epoch=self._route_epoch, pruned=pruned)
-            if policy is not None:
+                                  names, **kwargs)
+            if policy is not None and not envelope:
                 policy.observe(clock.now() - leg_start)
             return reply
         min_seqs = {a: self._repl_seq_seen[a] for a in leg_acgs
                     if self._repl_seq_seen.get(a)}
-        out = self.rpc.hedged_call(
-            node, secondary, "search", policy.delay_s(),
-            acg_ids, predicate, names,
-            secondary_method="search_replica",
-            secondary_args=(leg_acgs, predicate, names, min_seqs),
-            secondary_kwargs={"local": self.local},
-            local=self.local, epoch=self._route_epoch, pruned=pruned)
+        if envelope:
+            primary = CallOutcome.capture(
+                lambda: self.rpc.call(node, "search", acg_ids, predicate,
+                                      names, **kwargs), (NodeDown, RpcTimeout))
+            if primary.ok:
+                return primary.value
+            out = HedgedOutcome(primary=primary, primary_end=clock.now())
+        else:
+            out = self.rpc.hedged_call(
+                node, secondary, "search", policy.delay_s(),
+                acg_ids, predicate, names,
+                secondary_method="search_replica",
+                secondary_args=(leg_acgs, predicate, names, min_seqs),
+                secondary_kwargs={"local": self.local}, **kwargs)
         if not out.hedged and not out.primary.ok:
             # The primary failed *before* the hedge timer (a dead node
             # fails instantly without a retry policy), so the race never
@@ -1357,7 +1454,9 @@ class PropellerClient:
                       predicate: Predicate,
                       names: Optional[List[str]],
                       hedge_ctx: Dict[str, Set[int]],
-                      deadline_t: Optional[float] = None) -> FanoutOutcome:
+                      deadline_t: Optional[float] = None,
+                      resent: AbstractSet[int] = frozenset(),
+                      refreshed: bool = False) -> FanoutOutcome:
         """One retry round after a stale fan-out: refresh the route table
         and re-query only the partitions the first round didn't serve.
 
@@ -1366,13 +1465,21 @@ class PropellerClient:
         are suspect, so it fails open and searches everything left.  The
         retry legs go through the same hedged path as the first round:
         the refreshed route table carries the current replica sets, so a
-        leg whose primary is down can still be rescued by a follower."""
+        leg whose primary is down can still be rescued by a follower.
+
+        ``resent`` names partitions whose carried updates only landed
+        with a healing re-send, after the first round had searched them:
+        their first-round answers are dropped and asked again.
+        ``refreshed``: healing already pulled the route table."""
         self._note_nacks(sum(len(v) for v in outcome.stale.values()))
-        try:
-            self._refresh_routes()
-        except DEGRADABLE_ERRORS:
-            return outcome
-        served = {r.acg_id for r in outcome.results} | outcome.pruned_ok
+        if not refreshed:
+            try:
+                self._refresh_routes()
+            except DEGRADABLE_ERRORS:
+                return outcome
+        results = [r for r in outcome.results if r.acg_id not in resent]
+        pruned_ok = outcome.pruned_ok - resent
+        served = {r.acg_id for r in results} | pruned_ok
         routing: Dict[str, List[int]] = {}
         for acg_id, node in self._route_nodes.items():
             if node and acg_id not in served:
@@ -1380,9 +1487,9 @@ class PropellerClient:
         if not routing:
             # Everything still placed was already answered; the failed
             # legs covered partitions the fresh table no longer lists.
-            return FanoutOutcome(results=list(outcome.results),
+            return FanoutOutcome(results=results,
                                  node_epochs=dict(outcome.node_epochs),
-                                 pruned_ok=set(outcome.pruned_ok))
+                                 pruned_ok=pruned_ok)
         with self.tracer.span("fanout_retry", parallel=True,
                               nodes=len(routing)):
             retry = scatter_gather(
@@ -1391,12 +1498,12 @@ class PropellerClient:
                     n, routing[n], None, predicate, names,
                     hedge_ctx, deadline_t))
         return FanoutOutcome(
-            results=list(outcome.results) + list(retry.results),
+            results=results + list(retry.results),
             unreachable=retry.unreachable,
             errors=retry.errors,
             stale=retry.stale,
             node_epochs={**outcome.node_epochs, **retry.node_epochs},
-            pruned_ok=outcome.pruned_ok | retry.pruned_ok)
+            pruned_ok=pruned_ok | retry.pruned_ok)
 
     def profile_search(self, query: str,
                        index_name: Optional[str] = None):

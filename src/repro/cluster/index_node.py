@@ -1037,8 +1037,15 @@ class IndexNode:
     def handle_search(self, acg_ids: Sequence[int], predicate: Predicate,
                       index_names: Optional[Sequence[str]] = None,
                       epoch: Optional[int] = None,
-                      pruned: Optional[Dict[int, Tuple[str, int, int]]] = None):
+                      pruned: Optional[Dict[int, Tuple[str, int, int]]] = None,
+                      updates: Sequence[UpdateBatch] = ()):
         """Search the given ACGs; commits their pending updates first.
+
+        ``updates`` is the client's pending envelope for this node,
+        riding the leg: it goes through :meth:`handle_index_update`
+        whole *before* anything below runs — so a skip over a partition
+        it touched fails open — and its per-batch outcomes come back as
+        ``update_outcomes``.
 
         Legacy (unstamped) calls silently skip ACGs this node does not
         host and return a bare result list.  Epoch-stamped calls return a
@@ -1055,6 +1062,11 @@ class IndexNode:
         like a normal leg.  This is what makes pruning false negatives
         impossible: the node, which has ground truth, gets the last word.
         """
+        update_outcomes: Tuple[CallOutcome, ...] = ()
+        if updates:
+            with self.tracer.span("carry", node=self.name,
+                                  batches=len(updates)):
+                update_outcomes = self.handle_index_update(updates)
         if epoch is None:
             # Legacy path has no validation protocol: never honour skips,
             # just search the pruned ACGs along with the rest.
@@ -1062,7 +1074,8 @@ class IndexNode:
                                    if a not in acg_ids]
             return [self._search_one(acg_id, predicate, index_names)
                     for acg_id in ids if acg_id in self.replicas]
-        reply = SearchReply(node=self.name, epoch=self.route_epoch_seen)
+        reply = SearchReply(node=self.name, epoch=self.route_epoch_seen,
+                            update_outcomes=update_outcomes)
         not_owned: List[int] = []
         pruned_ok: List[int] = []
         for acg_id, watermark in sorted((pruned or {}).items()):

@@ -209,6 +209,10 @@ class SearchReply:
     # answer, proven by the node.  Unvalidated skips are searched anyway
     # and come back in ``results`` instead.
     pruned_ok: Tuple[int, ...] = ()
+    # The envelope this leg carried (``updates=``): one outcome per
+    # batch, in order — exactly what ``index_update`` would have
+    # answered.  Empty when the search carried nothing.
+    update_outcomes: Tuple[Any, ...] = ()
 
 
 @dataclass

@@ -55,13 +55,17 @@ class BloomFilter:
 
     def add(self, token: str) -> None:
         """Set the token's bits."""
-        for pos in _positions(token, self.m_bits, self.k):
-            self.bits |= 1 << pos
-        self.count += 1
+        self.add_all((token,))
 
     def add_all(self, tokens: Iterable[str]) -> None:
+        """Set every token's bits: gathered in one byte mask and OR-ed
+        into ``bits`` once, not one full-width int per bit set."""
+        mask = bytearray((self.m_bits + 7) // 8)
         for token in tokens:
-            self.add(token)
+            for pos in _positions(token, self.m_bits, self.k):
+                mask[pos >> 3] |= 1 << (pos & 7)
+            self.count += 1
+        self.bits |= int.from_bytes(mask, "little")
 
     def might_contain(self, token: str) -> bool:
         """False means *definitely absent*; True means "maybe"."""

@@ -102,7 +102,7 @@ class QueryProfile:
                 continue
             span = row.span
             notes = []
-            for key in ("target", "acg", "access_path", "reason"):
+            for key in ("target", "acg", "batches", "access_path", "reason"):
                 if key in span.attributes:
                     notes.append(f"{key}={span.attributes[key]}")
             if span.metrics:

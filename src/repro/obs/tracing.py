@@ -7,10 +7,11 @@ never *charges* the clock, so enabling it cannot change a benchmark's
 numbers.  One search yields a tree like::
 
     search
-    ├─ flush_updates
-    ├─ rpc:route_search
+    ├─ route_pending               (pending updates → per-node envelopes)
     └─ fanout                      (parallel: wall time = slowest leg)
        ├─ rpc:search  target=in1
+       │  ├─ carry                 (only if updates were pending: park,
+       │  │  └─ replicate           one WAL fsync, stream to followers)
        │  ├─ cache_commit
        │  ├─ page_faults
        │  ├─ plan

@@ -202,6 +202,10 @@ class FanoutOutcome:
     # watermark matched, nothing pending) — these count as served even
     # though no SearchResult came back for them.
     pruned_ok: Set[int] = field(default_factory=set)
+    # node → the per-batch outcomes of the update envelope its leg
+    # carried (a leg that carried none, or was answered by a follower,
+    # has no entry).
+    update_outcomes: Dict[str, Sequence[Any]] = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
@@ -239,6 +243,8 @@ def scatter_gather(clock, routing: Mapping[str, Sequence[int]],
         if not leg.ok:
             if not isinstance(leg.error, DEGRADABLE_ERRORS):
                 raise leg.error
+            if not routing[node]:
+                continue  # nothing was asked of it: nothing is missing
             outcome.unreachable[node] = sorted(routing[node])
             outcome.errors[node] = f"{type(leg.error).__name__}: {leg.error}"
         elif hasattr(batch, "results") and hasattr(batch, "not_owned"):
@@ -249,6 +255,8 @@ def scatter_gather(clock, routing: Mapping[str, Sequence[int]],
             if batch.not_owned:
                 outcome.stale[node] = sorted(batch.not_owned)
             outcome.pruned_ok.update(getattr(batch, "pruned_ok", ()))
+            if getattr(batch, "update_outcomes", ()):
+                outcome.update_outcomes[node] = batch.update_outcomes
         else:
             outcome.results.extend(batch)
     return outcome

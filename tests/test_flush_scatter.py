@@ -348,16 +348,23 @@ def test_profiled_search_with_pending_updates_sums_to_its_latency():
     stages = profile.by_stage()
     assert sum(s["self_s"] for s in stages.values()) == pytest.approx(
         profile.total_s)
-    scatters = [row.span for row in profile.rows
-                if row.span.name == "update_scatter"]
-    assert len(scatters) == 1
-    scatter = scatters[0]
-    assert scatter.attributes["parallel"] is True
-    assert [c.name for c in scatter.children] == ["rpc:index_update"] * 4
+    # The pending envelopes rode the search legs: no scatter of their
+    # own, one ``carry`` stage inside each node's ``rpc:search``.
+    names = [row.span.name for row in profile.rows]
+    assert "update_scatter" not in names and "rpc:index_update" not in names
+    assert [c.name for c in profile.root.children] == [
+        "route_pending", "rpc:summary_table", "fanout"]
+    fanout = profile.root.children[-1]
+    assert fanout.attributes["parallel"] is True
+    assert [c.name for c in fanout.children] == ["rpc:search"] * 4
+    for leg in fanout.children:
+        assert leg.children[0].name == "carry"
+        assert [c.name for c in leg.children[0].children] == ["replicate"]
+        assert "cache_commit" in [c.name for c in leg.children[1:]]
     # The critical path counts the slowest leg only.
-    assert scatter.duration == pytest.approx(
-        max(c.duration for c in scatter.children))
-    assert "replicate" in stages and "rpc:replicate_apply" in stages
+    assert fanout.duration == pytest.approx(
+        max(c.duration for c in fanout.children))
+    assert {"carry", "replicate", "rpc:replicate_apply"} <= set(stages)
 
 
 def test_batch_size_is_observed_once_per_node_envelope():

@@ -54,7 +54,9 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     """Resolving is not enough: the per-layer rows only mean what
     ``perf/README.md`` says while a flush actually *calls* the patched
     names (a handler reached some other way would book its time to the
-    caller's layer)."""
+    caller's layer) — and while a search that carries the pending
+    envelope on its legs still parks, fsyncs and streams through the
+    same class-level names, with no ``flush_updates`` in front of it."""
     from repro.cluster.client import PropellerClient
     from repro.cluster.wal import WriteAheadLog
     from repro.indexstructures import IndexKind
@@ -85,17 +87,22 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     client.index_path("/a", pid=5)
     client.flush_updates()
     service.sync_replication()
+    update_path = {"handle_index_update", "handle_replicate_apply",
+                   "append_batch", "call"}
+    service.vfs.write_file("/a", 10, pid=5)
+    client.index_path("/a", pid=5)
+    calls.clear()
+    client.flush_updates()                        # the explicit flush
+    assert set(calls) == update_path | {"flush_updates"}
     service.vfs.write_file("/a", 10, pid=5)
     client.index_path("/a", pid=5)
     calls.clear()
     client.process_finished(5)
-    assert client.search("size>0") == ["/a"]      # flushes the rewrite
-    assert set(calls) == {"flush_updates", "flush_acg",
-                          "handle_index_update", "handle_replicate_apply",
-                          "append_batch", "call"}
+    assert client.search("size>0") == ["/a"]      # carries the rewrite
+    assert set(calls) == update_path | {"flush_acg"}
     registry = service.registry
-    assert registry.histogram("update.batch_size", unit="updates").count >= 2
-    assert sum(n.wal.fsyncs for n in service.index_nodes.values()) >= 2
+    assert registry.histogram("update.batch_size", unit="updates").count >= 3
+    assert sum(n.wal.fsyncs for n in service.index_nodes.values()) >= 3
     assert sum(n.wal.bytes_written for n in service.index_nodes.values()) > 0
     assert sum(n.repl_streamed for n in service.index_nodes.values()) >= 1
     assert service.cluster.network.stats.bytes_sent > 0

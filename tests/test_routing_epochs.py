@@ -146,6 +146,28 @@ def test_stamped_update_to_nonowner_nacks():
     assert node.stale_route_nacks >= 1
 
 
+def test_unlink_after_an_unseen_migration_leaves_no_shell_on_the_old_owner():
+    """The unlink's delete for a client-placed file goes by the cached
+    route; when the partition has moved behind the client's back the old
+    owner must NACK it — an unstamped delete used to re-create an empty
+    replica there, which then answered searches as the owner (found by
+    ``test_stateful_operations``)."""
+    service, client = build()
+    paths = index_files(service, client, 6, pid=1)
+    service.commit_all()
+    acg_id = client._file_routes[service.vfs.stat(paths[0]).ino]
+    source = client._route_nodes[acg_id]
+    target = next(n for n in service.index_nodes if n != source)
+    service.master.migrate_partition(acg_id, target)
+    assert acg_id not in service.index_nodes[source].replicas
+    service.vfs.unlink(paths[0], pid=1)
+    assert acg_id not in service.index_nodes[source].replicas   # NACKed
+    assert [u.file_id for _, u in client._pending]              # and queued
+    assert client.search("size>=0") == sorted(paths[1:])
+    assert client._pending == [] and client.lost_deletes == []
+    assert client._route_nodes[acg_id] == target
+
+
 def test_client_several_epochs_stale_converges():
     service, client = build()
     paths = index_files(service, client, 24, pid=1)
