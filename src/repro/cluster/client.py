@@ -644,6 +644,7 @@ class PropellerClient:
     def index_path(self, path: str, pid: int = 0) -> None:
         """Queue one file for (re)indexing; sent when the batch fills."""
         update, hint = self._update_for(path, pid=pid)
+        self.access_manager.discard_dirty(update.file_id)
         self.freshness.stamp(update.file_id, self.vfs.clock.now())
         self._enqueue(hint if hint is not None else -1, update)
 

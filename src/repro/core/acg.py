@@ -16,7 +16,8 @@ class AccessCausalityGraph:
     """Weighted directed multigraph of file access causality."""
 
     def __init__(self) -> None:
-        # out[u][v] = weight of directed edge u -> v
+        # out[u][v] = weight of directed edge u -> v; in[v][u] mirrors it.
+        # Both always hold the same vertices, inserted in the same order.
         self._out: Dict[int, Dict[int, int]] = {}
         self._in: Dict[int, Dict[int, int]] = {}
 
@@ -24,8 +25,9 @@ class AccessCausalityGraph:
 
     def add_file(self, file_id: int) -> None:
         """Ensure a vertex exists (isolated files are valid graph members)."""
-        self._out.setdefault(file_id, {})
-        self._in.setdefault(file_id, {})
+        if file_id not in self._out:
+            self._out[file_id] = {}
+            self._in[file_id] = {}
 
     def add_causality(self, producer: int, consumer: int, weight: int = 1) -> None:
         """Record ``weight`` observations of producer → consumer."""
@@ -33,10 +35,16 @@ class AccessCausalityGraph:
             raise ValueError(f"weight must be positive: {weight}")
         if producer == consumer:
             raise ValueError("self-causality is not recorded")
-        self.add_file(producer)
-        self.add_file(consumer)
-        self._out[producer][consumer] = self._out[producer].get(consumer, 0) + weight
-        self._in[consumer][producer] = self._in[consumer].get(producer, 0) + weight
+        targets = self._out.get(producer)
+        if targets is None:
+            targets = self._out[producer] = {}
+            self._in[producer] = {}
+        sources = self._in.get(consumer)
+        if sources is None:
+            self._out[consumer] = {}
+            sources = self._in[consumer] = {}
+        targets[consumer] = targets.get(consumer, 0) + weight
+        sources[producer] = sources.get(producer, 0) + weight
 
     def add_pairs(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Record a stream of (producer, consumer) causality pairs."""
@@ -60,9 +68,13 @@ class AccessCausalityGraph:
         """
         for u in other._out:
             self.add_file(u)
+        # Every endpoint is now a vertex here, so each edge is two bumps.
         for u, targets in other._out.items():
+            mine = self._out[u]
             for v, w in targets.items():
-                self.add_causality(u, v, w)
+                mine[v] = mine.get(v, 0) + w
+                sources = self._in[v]
+                sources[u] = sources.get(u, 0) + w
 
     # -- inspection -------------------------------------------------------------
 

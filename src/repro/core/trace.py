@@ -8,8 +8,10 @@ and opened fB *for writing* at t1 > t0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import (Deque, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,10 @@ class TraceRecorder:
     """Accumulates events per process and emits causal pairs incrementally.
 
     Unlike :func:`causal_pairs` (batch, exact), the recorder is the online
-    form the client runs: events must arrive in nondecreasing time order
-    per process, and causal pairs are produced as writes happen.
+    form the client runs, once per intercepted open — so it takes the
+    access as plain values, not as an :class:`AccessEvent`: accesses must
+    arrive in nondecreasing time order per process, and producers are
+    reported as writes happen.
 
     ``window`` bounds how many recent accesses per process count as
     producers.  Without a bound, a process that writes N files makes the
@@ -67,19 +71,21 @@ class TraceRecorder:
         if window < 1:
             raise ValueError(f"window must be >= 1: {window}")
         self.window = window
-        self._history: Dict[int, List[Tuple[float, int]]] = {}
+        self._history: Dict[int, Deque[Tuple[float, int]]] = {}
 
-    def record(self, event: AccessEvent) -> List[Tuple[int, int]]:
-        """Ingest one event; return the new (producer, consumer) pairs."""
-        seen = self._history.setdefault(event.pid, [])
-        pairs: List[Tuple[int, int]] = []
-        if event.write:
-            producers = {fid for t, fid in seen if t < event.t_open and fid != event.file_id}
-            pairs = [(producer, event.file_id) for producer in sorted(producers)]
-        seen.append((event.t_open, event.file_id))
-        if len(seen) > self.window:
-            del seen[: len(seen) - self.window]
-        return pairs
+    def record(self, pid: int, file_id: int, write: bool,
+               t_open: float) -> Sequence[int]:
+        """Ingest one access; return its producers in ascending order —
+        each is a new (producer, ``file_id``) causal pair."""
+        seen = self._history.get(pid)
+        if seen is None:
+            seen = self._history[pid] = deque(maxlen=self.window)
+        producers: Sequence[int] = ()
+        if write:
+            producers = sorted({fid for t, fid in seen
+                                if t < t_open and fid != file_id})
+        seen.append((t_open, file_id))
+        return producers
 
     def last_file(self, pid: int, exclude: Optional[int] = None) -> Optional[int]:
         """Most recent file this process touched (None if unseen) — used

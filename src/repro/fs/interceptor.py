@@ -1,7 +1,7 @@
 """File Access Management — the client-side FUSE shim.
 
-Observes a :class:`~repro.fs.vfs.VirtualFileSystem`, converting open calls
-into :class:`~repro.core.trace.AccessEvent`s and building a per-client ACG
+Observes a :class:`~repro.fs.vfs.VirtualFileSystem`, feeding each open to
+a :class:`~repro.core.trace.TraceRecorder` and building a per-client ACG
 in RAM exactly as the paper's client does (Section IV).  Create/unlink are
 surfaced through callbacks so the Propeller client can keep the Master
 Node's file→ACG mapping current.
@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.acg import AccessCausalityGraph
-from repro.core.trace import AccessEvent, TraceRecorder
+from repro.core.trace import TraceRecorder
 from repro.fs.namespace import Inode
-from repro.fs.vfs import OpenMode
+from repro.fs.vfs import WRITE_BIT, OpenMode
 from repro.obs.freshness import NULL_FRESHNESS
 
 
@@ -66,17 +66,13 @@ class FileAccessManager:
         """VFS observer hook: record an open as an access event."""
         if not self._watches(pid):
             return
-        event = AccessEvent(
-            pid=pid,
-            file_id=inode.ino,
-            read=bool(mode & OpenMode.READ),
-            write=bool(mode & OpenMode.WRITE),
-            t_open=t,
-        )
         self.events_seen += 1
-        self._acg.add_file(inode.ino)
-        for producer, consumer in self._recorder.record(event):
-            self._acg.add_causality(producer, consumer)
+        ino = inode.ino
+        acg = self._acg
+        acg.add_file(ino)
+        for producer in self._recorder.record(
+                pid, ino, mode._value_ & WRITE_BIT != 0, t):
+            acg.add_causality(producer, ino)
 
     def on_close(self, pid: int, path: str, inode: Inode, mode: OpenMode, t: float) -> None:
         # Close marks the end of the access; causality is keyed on opens,
@@ -84,7 +80,7 @@ class FileAccessManager:
         # the file's content changed, which starts the staleness clock.
         if not self._watches(pid):
             return
-        if mode & OpenMode.WRITE:
+        if mode._value_ & WRITE_BIT:
             self.freshness.stamp(inode.ino, t)
             self._dirty[inode.ino] = path
 
@@ -134,6 +130,11 @@ class FileAccessManager:
     def dirty_count(self) -> int:
         """How many distinct files are waiting in the dirty buffer."""
         return len(self._dirty)
+
+    def discard_dirty(self, file_id: int) -> None:
+        """The client has just read this file's current state to index
+        it: its dirt is spent (a later write marks it again)."""
+        self._dirty.pop(file_id, None)
 
     def drain_dirty(self) -> List[Tuple[int, str]]:
         """Hand over the coalesced dirty set (insertion order) and reset.

@@ -54,10 +54,11 @@ class Inode:
 
 def normalize(path: str) -> str:
     """Canonicalize a path to the '/a/b/c' form used as namespace keys."""
-    if not path.startswith("/"):
-        path = "/" + path
-    norm = posixpath.normpath(path)
-    return "/" if norm in (".", "/") else norm
+    if (path[:1] == "/" and "//" not in path and "/." not in path
+            and (path[-1] != "/" or path == "/")):
+        return path  # already canonical: no empty, '.' or '..' component
+    # One leading slash: normpath alone would keep exactly two.
+    return posixpath.normpath("/" + path.lstrip("/"))
 
 
 def split(path: str) -> Tuple[str, str]:
@@ -74,6 +75,13 @@ class Namespace:
         self._ids = itertools.count(2)
         self.root = Inode(ino=1, kind=FileKind.DIRECTORY)
         self._inodes: Dict[int, Inode] = {1: self.root}
+        # Positive dentry cache: normalized path -> inode, so a path seen
+        # before resolves with one probe instead of a walk from the root.
+        # Misses are never cached (a create after a miss needs no
+        # invalidation).  Unlinking an object or renaming a file drops
+        # its own key; renaming a directory re-homes every descendant, so
+        # it clears the lot.
+        self._dentries: Dict[str, Inode] = {}
 
     def __len__(self) -> int:
         """Total number of inodes (including the root directory)."""
@@ -93,10 +101,25 @@ class Namespace:
 
     # -- path resolution -------------------------------------------------
 
+    def lookup(self, path: str) -> Tuple[str, Inode]:
+        """(normalized path, inode) at ``path``, or raise
+        :class:`FileNotFound` / :class:`NotADirectory`."""
+        node = self._dentries.get(path)
+        if node is not None:
+            return path, node  # only normalized paths are keys
+        norm = normalize(path)
+        node = self._dentries.get(norm)
+        if node is None:
+            node = self._dentries[norm] = self._walk(norm)
+        return norm, node
+
     def resolve(self, path: str) -> Inode:
         """Return the inode at ``path`` or raise :class:`FileNotFound`."""
+        return self.lookup(path)[1]
+
+    def _walk(self, norm: str) -> Inode:
+        """The dentry cache's miss path: walk ``norm`` down from the root."""
         node = self.root
-        norm = normalize(path)
         if norm == "/":
             return node
         for part in norm.strip("/").split("/"):
@@ -111,7 +134,7 @@ class Namespace:
     def exists(self, path: str) -> bool:
         """Whether a path resolves to an inode."""
         try:
-            self.resolve(path)
+            self.lookup(path)
             return True
         except (FileNotFound, NotADirectory):
             return False
@@ -147,7 +170,7 @@ class Namespace:
             if parents and existing.is_dir:
                 return existing
             raise FileExists(norm)
-        node = self._new_inode(FileKind.DIRECTORY, now, uid)
+        node = self._dentries[norm] = self._new_inode(FileKind.DIRECTORY, now, uid)
         parent.children[name] = node.ino
         parent.mtime = now
         return node
@@ -161,7 +184,7 @@ class Namespace:
             raise NotADirectory(parent_path)
         if name in parent.children:
             raise FileExists(norm)
-        node = self._new_inode(FileKind.FILE, now, uid)
+        node = self._dentries[norm] = self._new_inode(FileKind.FILE, now, uid)
         parent.children[name] = node.ino
         parent.mtime = now
         return node
@@ -179,6 +202,7 @@ class Namespace:
                 raise IsADirectory(f"directory not empty: {norm}")
         del parent.children[name]
         del self._inodes[node.ino]
+        self._dentries.pop(norm, None)  # a removable directory is empty
         parent.mtime = now
         return node
 
@@ -201,6 +225,10 @@ class Namespace:
         old_parent = self.resolve(old_parent_path)
         del old_parent.children[old_name]
         new_parent.children[new_name] = node.ino
+        if node.is_dir:
+            self._dentries.clear()
+        else:
+            self._dentries.pop(old_norm, None)
         old_parent.mtime = now
         new_parent.mtime = now
         return node

@@ -117,7 +117,7 @@ class ProfiledFS:
         """Close the descriptor; a written file is re-indexed inline."""
         self.clock.charge(self.profile.close_cost_s)
         record = self.vfs._lookup_fd(fd)
-        path, wrote = record.path, bool(record.mode & OpenMode.WRITE)
+        path, wrote = record.path, record.writable
         self.vfs.close(fd)
         if wrote:
             self._indexed(path)

@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol
 
-from repro.errors import BadFileDescriptor, IsADirectory
+from repro.errors import (BadFileDescriptor, FileNotFound, IsADirectory,
+                          NotADirectory)
 from repro.fs.namespace import FileKind, Inode, Namespace, normalize
 from repro.sim.clock import SimClock
 
@@ -47,14 +48,24 @@ class FsObserver(Protocol):
     def on_setattr(self, pid: int, path: str, inode: Inode, name: str, value: Any, t: float) -> None: ...
 
 
+# ``Flag.__and__`` builds a member per test: the per-event paths test these
+# bits of ``mode._value_`` instead, once per open (or per observer hook).
+READ_BIT = OpenMode.READ.value
+WRITE_BIT = OpenMode.WRITE.value
+_EVENTS = ("on_open", "on_close", "on_create", "on_unlink", "on_rename",
+           "on_write", "on_setattr")
+
+
 @dataclass
 class _OpenFile:
-    fd: int
+    """One descriptor: the path (normalized) and inode resolved at open,
+    so no later call on the descriptor touches the namespace."""
     pid: int
     path: str
     inode: Inode
     mode: OpenMode
-    opened_at: float
+    readable: bool
+    writable: bool
 
 
 class VirtualFileSystem:
@@ -70,6 +81,9 @@ class VirtualFileSystem:
         self._fds = itertools.count(3)
         self._open_files: Dict[int, _OpenFile] = {}
         self._observers: List[FsObserver] = []
+        # Event name -> the bound callbacks of the observers implementing
+        # it, rebuilt whenever the observer list changes.
+        self._hooks: Dict[str, List[Any]] = {event: [] for event in _EVENTS}
         # Dynamic query-directory handler: when set (by a Propeller
         # client), ``readdir("/foo/?size>1m")`` runs the file search
         # instead of listing a real directory (Section IV).
@@ -78,18 +92,22 @@ class VirtualFileSystem:
     # -- observers -----------------------------------------------------------
 
     def add_observer(self, observer: FsObserver) -> None:
-        """Register an observer for namespace/I-O events."""
+        """Register an observer for namespace/I-O events.
+
+        Its callbacks are bound here, once: a callback attached to the
+        observer afterwards is not seen."""
         self._observers.append(observer)
+        self._bind_hooks()
 
     def remove_observer(self, observer: FsObserver) -> None:
         """Detach a previously registered observer."""
         self._observers.remove(observer)
+        self._bind_hooks()
 
-    def _notify(self, method: str, *args: Any) -> None:
-        for observer in self._observers:
-            callback = getattr(observer, method, None)
-            if callback is not None:
-                callback(*args)
+    def _bind_hooks(self) -> None:
+        for event, hooks in self._hooks.items():
+            bound = (getattr(o, event, None) for o in self._observers)
+            hooks[:] = [callback for callback in bound if callback is not None]
 
     # -- namespace operations ---------------------------------------------------
 
@@ -99,21 +117,29 @@ class VirtualFileSystem:
 
     def create(self, path: str, pid: int = 0, uid: int = 0) -> Inode:
         """Create a file and notify observers."""
-        inode = self.namespace.create(path, now=self.clock.now(), uid=uid)
-        self._notify("on_create", pid, normalize(path), inode, self.clock.now())
+        now = self.clock.now()
+        inode = self.namespace.create(path, now=now, uid=uid)
+        norm = normalize(path)
+        for hook in self._hooks["on_create"]:
+            hook(pid, norm, inode, now)
         return inode
 
     def unlink(self, path: str, pid: int = 0) -> Inode:
         """Remove a file and notify observers."""
-        inode = self.namespace.unlink(path, now=self.clock.now())
-        self._notify("on_unlink", pid, normalize(path), inode, self.clock.now())
+        now = self.clock.now()
+        inode = self.namespace.unlink(path, now=now)
+        norm = normalize(path)
+        for hook in self._hooks["on_unlink"]:
+            hook(pid, norm, inode, now)
         return inode
 
     def rename(self, old: str, new: str, pid: int = 0) -> Inode:
         """Move a file or directory; observers get on_rename."""
-        inode = self.namespace.rename(old, new, now=self.clock.now())
-        self._notify("on_rename", pid, normalize(old), normalize(new),
-                     inode, self.clock.now())
+        now = self.clock.now()
+        inode = self.namespace.rename(old, new, now=now)
+        old_norm, new_norm = normalize(old), normalize(new)
+        for hook in self._hooks["on_rename"]:
+            hook(pid, old_norm, new_norm, inode, now)
         return inode
 
     def set_query_handler(self, handler) -> None:
@@ -156,15 +182,23 @@ class VirtualFileSystem:
              create: bool = False, uid: int = 0) -> int:
         """Open a file, optionally creating it; returns a descriptor."""
         self.clock.charge(self.OPEN_SYSCALL_COST_S)
-        if create and not self.namespace.exists(path):
+        try:
+            norm, inode = self.namespace.lookup(path)
+        except (FileNotFound, NotADirectory):
+            if not create:
+                raise
             self.create(path, pid=pid, uid=uid)
-        inode = self.namespace.resolve(path)
+            norm, inode = self.namespace.lookup(path)
         if inode.is_dir:
-            raise IsADirectory(normalize(path))
+            raise IsADirectory(norm)
         fd = next(self._fds)
-        record = _OpenFile(fd, pid, normalize(path), inode, mode, self.clock.now())
-        self._open_files[fd] = record
-        self._notify("on_open", pid, record.path, inode, mode, self.clock.now())
+        bits = mode._value_
+        self._open_files[fd] = _OpenFile(pid, norm, inode, mode,
+                                         bool(bits & READ_BIT),
+                                         bool(bits & WRITE_BIT))
+        now = self.clock.now()
+        for hook in self._hooks["on_open"]:
+            hook(pid, norm, inode, mode, now)
         return fd
 
     def _lookup_fd(self, fd: int) -> _OpenFile:
@@ -173,32 +207,37 @@ class VirtualFileSystem:
         except KeyError:
             raise BadFileDescriptor(str(fd)) from None
 
+    def _written(self, record: _OpenFile, nbytes: int) -> None:
+        """Stamp the inode of a write and tell the observers."""
+        inode = record.inode
+        now = inode.mtime = self.clock.now()
+        for hook in self._hooks["on_write"]:
+            hook(record.pid, record.path, inode, nbytes, now)
+
+    def _writable(self, fd: int) -> _OpenFile:
+        record = self._lookup_fd(fd)
+        if not record.writable:
+            raise BadFileDescriptor(f"fd {fd} not open for writing")
+        return record
+
     def write(self, fd: int, nbytes: int) -> None:
         """Append ``nbytes`` to the file (sizes matter; contents do not)."""
-        record = self._lookup_fd(fd)
-        if not record.mode & OpenMode.WRITE:
-            raise BadFileDescriptor(f"fd {fd} not open for writing")
+        record = self._writable(fd)
         record.inode.size += nbytes
         record.inode.data = None  # size-only write invalidates byte content
-        record.inode.mtime = self.clock.now()
-        self._notify("on_write", record.pid, record.path, record.inode,
-                     nbytes, self.clock.now())
+        self._written(record, nbytes)
 
     def truncate(self, fd: int, size: int = 0) -> None:
         """Reset a file's size (invalidates byte content)."""
-        record = self._lookup_fd(fd)
-        if not record.mode & OpenMode.WRITE:
-            raise BadFileDescriptor(f"fd {fd} not open for writing")
+        record = self._writable(fd)
         record.inode.size = size
         record.inode.data = None
-        record.inode.mtime = self.clock.now()
-        self._notify("on_write", record.pid, record.path, record.inode,
-                     0, self.clock.now())
+        self._written(record, 0)
 
     def read(self, fd: int, nbytes: int) -> int:
         """Read up to ``nbytes``; returns how many are available."""
         record = self._lookup_fd(fd)
-        if not record.mode & OpenMode.READ:
+        if not record.readable:
             raise BadFileDescriptor(f"fd {fd} not open for reading")
         return min(nbytes, record.inode.size)
 
@@ -207,17 +246,18 @@ class VirtualFileSystem:
         record = self._open_files.pop(fd, None)
         if record is None:
             raise BadFileDescriptor(str(fd))
-        self._notify("on_close", record.pid, record.path, record.inode,
-                     record.mode, self.clock.now())
+        now = self.clock.now()
+        for hook in self._hooks["on_close"]:
+            hook(record.pid, record.path, record.inode, record.mode, now)
 
     def setattr(self, path: str, name: str, value: Any, pid: int = 0) -> None:
         """Set a user-defined attribute (the arbitrary fields Propeller
         indexes beyond inode metadata)."""
-        inode = self.namespace.resolve(path)
+        norm, inode = self.namespace.lookup(path)
         inode.attributes[name] = value
-        inode.mtime = self.clock.now()
-        self._notify("on_setattr", pid, normalize(path), inode, name, value,
-                     self.clock.now())
+        now = inode.mtime = self.clock.now()
+        for hook in self._hooks["on_setattr"]:
+            hook(pid, norm, inode, name, value, now)
 
     # -- whole-file byte content (shared-storage persistence) ------------------------
 
@@ -226,16 +266,14 @@ class VirtualFileSystem:
         needed).  Used by components that persist state to the shared
         file system — checkpointed indices, ACGs, Master metadata."""
         fd = self.open(path, OpenMode.WRITE, pid=pid, create=True, uid=uid)
+        record = self._open_files[fd]
         try:
-            record = self._lookup_fd(fd)
             record.inode.data = bytes(data)
             record.inode.size = len(data)
-            record.inode.mtime = self.clock.now()
-            self._notify("on_write", record.pid, record.path, record.inode,
-                         len(data), self.clock.now())
+            self._written(record, len(data))
         finally:
             self.close(fd)
-        return self.namespace.resolve(path)
+        return record.inode
 
     def read_bytes(self, path: str, pid: int = 0) -> bytes:
         """Read a file's full byte content (b'' for size-only files)."""
@@ -251,8 +289,9 @@ class VirtualFileSystem:
     def write_file(self, path: str, nbytes: int, pid: int = 0, uid: int = 0) -> Inode:
         """create+open+write+close in one call (used by workload generators)."""
         fd = self.open(path, OpenMode.WRITE, pid=pid, create=True, uid=uid)
+        inode = self._open_files[fd].inode
         try:
             self.write(fd, nbytes)
         finally:
             self.close(fd)
-        return self.namespace.resolve(path)
+        return inode

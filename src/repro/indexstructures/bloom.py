@@ -59,12 +59,16 @@ class BloomFilter:
 
     def add_all(self, tokens: Iterable[str]) -> None:
         """Set every token's bits: gathered in one byte mask and OR-ed
-        into ``bits`` once, not one full-width int per bit set."""
+        into ``bits`` once, not one full-width int per bit set; a token
+        repeated within the call is hashed once."""
         mask = bytearray((self.m_bits + 7) // 8)
+        hashed = set()
         for token in tokens:
-            for pos in _positions(token, self.m_bits, self.k):
-                mask[pos >> 3] |= 1 << (pos & 7)
             self.count += 1
+            if token not in hashed:
+                hashed.add(token)
+                for pos in _positions(token, self.m_bits, self.k):
+                    mask[pos >> 3] |= 1 << (pos & 7)
         self.bits |= int.from_bytes(mask, "little")
 
     def might_contain(self, token: str) -> bool:

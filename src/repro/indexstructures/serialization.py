@@ -20,72 +20,95 @@ _TAG_NONE = 4
 _TAG_TUPLE = 5
 
 
+_TAG = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+_TAGGED_I64 = struct.Struct("<Bq")
+_TAGGED_F64 = struct.Struct("<Bd")
+_TAGGED_U32 = struct.Struct("<BI")
+_NONE = _TAG.pack(_TAG_NONE)
+
+
 def dump_value(value: Any) -> bytes:
     """Encode one value as a tagged binary record."""
-    if value is None:
-        return struct.pack("<B", _TAG_NONE)
-    if isinstance(value, bool):
-        # Store bools as ints; they round-trip as 0/1 which is what
-        # attribute predicates compare against.
-        return struct.pack("<Bq", _TAG_INT, int(value))
-    if isinstance(value, int):
-        return struct.pack("<Bq", _TAG_INT, value)
-    if isinstance(value, float):
-        return struct.pack("<Bd", _TAG_FLOAT, value)
-    if isinstance(value, str):
+    out = bytearray()
+    _dump_into(value, out)
+    return bytes(out)
+
+
+def _dump_into(value: Any, out: bytearray) -> None:
+    """Append ``value``'s record to ``out`` (one buffer for the whole
+    record: a partition's ACG is a single tuple of 10^5 values).  The
+    exact type picks the branch; a subclass encodes as its base type."""
+    kind = type(value)
+    if kind is str:
         raw = value.encode("utf-8")
-        return struct.pack("<BI", _TAG_STR, len(raw)) + raw
-    if isinstance(value, bytes):
-        return struct.pack("<BI", _TAG_BYTES, len(value)) + value
-    if isinstance(value, tuple):
-        parts = [struct.pack("<BI", _TAG_TUPLE, len(value))]
-        parts.extend(dump_value(item) for item in value)
-        return b"".join(parts)
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+        out += _TAGGED_U32.pack(_TAG_STR, len(raw))
+        out += raw
+    elif kind is int or kind is bool:
+        # Bools are stored as ints; they round-trip as 0/1 which is what
+        # attribute predicates compare against.
+        out += _TAGGED_I64.pack(_TAG_INT, value)
+    elif kind is tuple:
+        out += _TAGGED_U32.pack(_TAG_TUPLE, len(value))
+        for item in value:
+            _dump_into(item, out)
+    elif kind is float:
+        out += _TAGGED_F64.pack(_TAG_FLOAT, value)
+    elif value is None:
+        out += _NONE
+    elif kind is bytes:
+        out += _TAGGED_U32.pack(_TAG_BYTES, len(value))
+        out += value
+    else:
+        for base in (int, float, str, bytes, tuple):
+            if isinstance(value, base):
+                return _dump_into(base(value), out)
+        raise TypeError(f"cannot serialize value of type {kind.__name__}")
 
 
 def load_value(data: bytes, offset: int) -> Tuple[Any, int]:
     """Decode one record at ``offset``; return (value, next_offset)."""
-    (tag,) = struct.unpack_from("<B", data, offset)
+    (tag,) = _TAG.unpack_from(data, offset)
     offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_INT:
-        (v,) = struct.unpack_from("<q", data, offset)
-        return v, offset + 8
-    if tag == _TAG_FLOAT:
-        (v,) = struct.unpack_from("<d", data, offset)
-        return v, offset + 8
     if tag == _TAG_STR:
-        (n,) = struct.unpack_from("<I", data, offset)
+        (n,) = _U32.unpack_from(data, offset)
         offset += 4
         return data[offset:offset + n].decode("utf-8"), offset + n
-    if tag == _TAG_BYTES:
-        (n,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        return bytes(data[offset:offset + n]), offset + n
+    if tag == _TAG_INT:
+        return _I64.unpack_from(data, offset)[0], offset + 8
     if tag == _TAG_TUPLE:
-        (n,) = struct.unpack_from("<I", data, offset)
+        (n,) = _U32.unpack_from(data, offset)
         offset += 4
         items: List[Any] = []
+        append = items.append
         for _ in range(n):
             item, offset = load_value(data, offset)
-            items.append(item)
+            append(item)
         return tuple(items), offset
+    if tag == _TAG_FLOAT:
+        return _F64.unpack_from(data, offset)[0], offset + 8
+    if tag == _TAG_NONE:
+        return None, offset
+    if tag == _TAG_BYTES:
+        (n,) = _U32.unpack_from(data, offset)
+        offset += 4
+        return bytes(data[offset:offset + n]), offset + n
     raise ValueError(f"unknown value tag: {tag}")
 
 
 def dump_record(fields: Tuple[Any, ...]) -> bytes:
     """Encode a record (tuple of values) with a length prefix."""
     body = dump_value(fields)
-    return struct.pack("<I", len(body)) + body
+    return _U32.pack(len(body)) + body
 
 
 def iter_records(data: bytes) -> Iterator[Tuple[Any, ...]]:
     """Decode back-to-back :func:`dump_record` frames."""
     offset = 0
     while offset < len(data):
-        (n,) = struct.unpack_from("<I", data, offset)
+        (n,) = _U32.unpack_from(data, offset)
         offset += 4
         value, end = load_value(data, offset)
         if end != offset + n:

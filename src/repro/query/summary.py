@@ -36,7 +36,7 @@ Safety contract — **false negatives must be impossible**:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from repro.errors import QueryError
 from repro.indexstructures.bloom import BloomFilter
@@ -70,29 +70,29 @@ class PartitionSummary:
     def observe(self, attrs: Mapping[str, Any],
                 keywords: Iterable[str]) -> None:
         """Widen the summary to cover one (new or refreshed) file."""
-        for name, value in attrs.items():
-            self.attrs_seen.add(name)
-            if _is_numeric(value):
-                zone = self.zones.get(name)
-                if zone is None:
-                    self.zones[name] = [value, value]
-                else:
-                    if value < zone[0]:
-                        zone[0] = value
-                    if value > zone[1]:
-                        zone[1] = value
-        self.bloom.add_all(keywords)
+        self.observe_batch(((attrs, keywords),))
 
     def observe_batch(self, entries: Iterable[Tuple[Mapping[str, Any],
                                                     Iterable[str]]]) -> None:
-        """One widening pass for a whole group commit.
-
-        Equivalent to calling :meth:`observe` per entry (widening is
-        commutative and monotone), but the group-commit path pays the
-        bookkeeping once per batch instead of once per update.
-        """
+        """One widening pass for a whole group commit (widening is
+        commutative and monotone): the files of a partition share most of
+        their path tokens, so the batch's keywords go to the Bloom filter
+        together — one mask, each distinct token hashed once."""
+        batch_keywords: List[str] = []
         for attrs, keywords in entries:
-            self.observe(attrs, keywords)
+            batch_keywords.extend(keywords)
+            for name, value in attrs.items():
+                self.attrs_seen.add(name)
+                if _is_numeric(value):
+                    zone = self.zones.get(name)
+                    if zone is None:
+                        self.zones[name] = [value, value]
+                    else:
+                        if value < zone[0]:
+                            zone[0] = value
+                        if value > zone[1]:
+                            zone[1] = value
+        self.bloom.add_all(batch_keywords)
 
     def note_delete(self) -> None:
         self.deletes_since_rebuild += 1
@@ -108,8 +108,8 @@ class PartitionSummary:
         self.zones = {}
         self.attrs_seen = set()
         self.deletes_since_rebuild = 0
-        for file_id in store.file_ids():
-            self.observe(store.attrs(file_id), store.keywords(file_id))
+        self.observe_batch((store.attrs(file_id), store.keywords(file_id))
+                           for file_id in store.file_ids())
 
     def snapshot(self, acg_id: int, watermark: Tuple[str, int, int],
                  dirty: bool, file_count: int) -> "SummarySnapshot":

@@ -50,32 +50,37 @@ def replay_trace(service: PropellerService, client: PropellerClient,
     stats = ReplayStats()
     seen_pids: Set[int] = set()
     made_dirs: Set[str] = set()
+    paths: Dict[int, str] = {}
     for event in events:
         stats.events += 1
         seen_pids.add(event.pid)
-        path = path_of(event.file_id)
-        parent = path.rsplit("/", 1)[0] or "/"
-        if parent not in made_dirs:
-            vfs.mkdir(parent, parents=True)
-            made_dirs.add(parent)
-        if not vfs.exists(path):
-            stats.files_created += 1
-            if event.write:
-                # The process genuinely creates this file: its write-open
-                # is the trace event itself.
-                vfs.write_file(path, write_bytes, pid=event.pid)
-            else:
-                # A read of a file that predates the trace: materialize
-                # it as pre-existing (system pid, invisible to causality)
-                # and replay the read.
-                vfs.write_file(path, write_bytes, pid=SYSTEM_PID)
-                fd = vfs.open(path, OpenMode.READ, pid=event.pid)
-                vfs.close(fd)
-                stats.reads += 1
-            if index_on_write:
-                client.index_path(path, pid=event.pid)
-                stats.index_updates += 1
-            continue
+        path = paths.get(event.file_id)
+        if path is None:
+            # This replay's first touch of the file: name it, and find
+            # out — once, not before every open — whether it exists yet.
+            path = paths[event.file_id] = path_of(event.file_id)
+            parent = path.rsplit("/", 1)[0] or "/"
+            if parent not in made_dirs:
+                vfs.mkdir(parent, parents=True)
+                made_dirs.add(parent)
+            if not vfs.exists(path):
+                stats.files_created += 1
+                if event.write:
+                    # The process genuinely creates this file: its
+                    # write-open is the trace event itself.
+                    vfs.write_file(path, write_bytes, pid=event.pid)
+                else:
+                    # A read of a file that predates the trace:
+                    # materialize it as pre-existing (system pid,
+                    # invisible to causality) and replay the read.
+                    vfs.write_file(path, write_bytes, pid=SYSTEM_PID)
+                    fd = vfs.open(path, OpenMode.READ, pid=event.pid)
+                    vfs.close(fd)
+                    stats.reads += 1
+                if index_on_write:
+                    client.index_path(path, pid=event.pid)
+                    stats.index_updates += 1
+                continue
         if event.write:
             fd = vfs.open(path, OpenMode.WRITE, pid=event.pid)
             vfs.write(fd, write_bytes)

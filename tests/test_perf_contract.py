@@ -50,6 +50,19 @@ def test_harness_entry_points_keep_their_signatures():
     assert isinstance(client._route_nodes, dict)
 
 
+def count_calls(monkeypatch, calls, targets):
+    """Wrap each ``(class, names)`` target at class level, the way
+    ``layertrace`` installs — before the deployment is built — counting
+    the calls that arrive through the patched name."""
+    for cls, names in targets:
+        for name in names:
+            def counted(*args, _original=cls.__dict__[name], _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+
+
 def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     """Resolving is not enough: the per-layer rows only mean what
     ``perf/README.md`` says while a flush actually *calls* the patched
@@ -63,23 +76,11 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     from repro.sim.rpc import RpcNetwork
 
     calls = {}
-
-    def count(cls, name):
-        original = cls.__dict__[name]
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(cls, name, counted)
-
-    for cls, names in ((PropellerClient, ("flush_updates", "flush_acg")),
-                       (IndexNode, ("handle_index_update",
-                                    "handle_replicate_apply")),
-                       (WriteAheadLog, ("append_batch",)),
-                       (RpcNetwork, ("call",))):
-        for name in names:
-            count(cls, name)
-    # Patched before the deployment is built, as layertrace installs.
+    count_calls(monkeypatch, calls, (
+        (PropellerClient, ("flush_updates", "flush_acg")),
+        (IndexNode, ("handle_index_update", "handle_replicate_apply")),
+        (WriteAheadLog, ("append_batch",)),
+        (RpcNetwork, ("call",))))
     service = PropellerService(num_index_nodes=2, replication_factor=2)
     client = service.make_client()
     client.create_index("by_size", IndexKind.BTREE, ["size"])
@@ -106,6 +107,46 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     assert sum(n.wal.bytes_written for n in service.index_nodes.values()) > 0
     assert sum(n.repl_streamed for n in service.index_nodes.values()) >= 1
     assert service.cluster.network.stats.bytes_sent > 0
+
+
+def test_ingest_path_runs_through_the_names_perf_patches(monkeypatch):
+    """The interception path binds its observer hooks once and keeps the
+    open's inode on the descriptor — but every event still goes through
+    the class-level names ``perf/layertrace.py`` patches, patched (as it
+    patches them) before the deployment is built: a hook bound some other
+    way, or a fast path inlined past one of these, would move time out of
+    the ``fs.vfs`` / ``fs.interceptor`` / ``core.acg`` rows.  The call
+    counts may fall; none may read 0."""
+    from repro.core.acg import AccessCausalityGraph
+    from repro.fs.interceptor import FileAccessManager
+    from repro.fs.vfs import VirtualFileSystem
+    from repro.indexstructures import IndexKind
+    from repro.workloads.apps import (THRIFT_SPEC, CompileApplication,
+                                      scaled_spec)
+    from repro.workloads.replay import replay_trace
+
+    calls = {}
+    patched = (
+        (VirtualFileSystem, ("open", "write", "close", "exists", "stat",
+                             "write_file", "create", "mkdir")),
+        (FileAccessManager, ("on_open", "on_close", "on_create")),
+        (AccessCausalityGraph, ("add_file", "add_causality", "merge")),
+    )
+    count_calls(monkeypatch, calls, patched)
+    service = PropellerService(num_index_nodes=2)
+    client = service.make_client()
+    client.create_index("by_size", IndexKind.BTREE, ["size"])
+    app = CompileApplication(scaled_spec(THRIFT_SPEC, 0.05))
+    events = app.trace()
+    replay_trace(service, client, events, app.path_of,
+                 finish_processes=False)
+    assert client.flush_acg() > 0
+    assert set(calls) == {name for _, names in patched for name in names}
+    # Same events as ever: one open and one close hook per trace event,
+    # plus the system-pid materialisation of each pre-existing file.
+    assert calls["open"] >= len(events)
+    assert calls["close"] == calls["on_open"] == calls["on_close"] \
+        == calls["open"]
 
 
 def test_only_the_cold_tier_calls_the_segment_names_perf_patches():

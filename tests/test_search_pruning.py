@@ -179,6 +179,23 @@ def test_rebuild_sheds_delete_slack():
     assert summary_may_match(snap, Keyword("small"), 0.0)
 
 
+def test_batch_widening_equals_one_file_at_a_time():
+    """A group commit widens once for the lot — one Bloom mask, repeated
+    path tokens hashed once — and must land on the same summary, token
+    count included, as observing its files one by one."""
+    entries = [({"size": 10 * i, "mtime": 1.5 - i, "path": f"/src/d{i % 2}/f{i}.c"},
+                ["src", f"d{i % 2}", f"f{i}", "c", "src"]) for i in range(9)]
+    single, batched = PartitionSummary(), PartitionSummary()
+    for attrs, keywords in entries:
+        single.observe(attrs, keywords)
+    batched.observe_batch(iter(entries))
+    for summary in (single, batched):
+        assert summary.bloom.count == 45
+    assert (batched.bloom.bits, batched.zones, batched.attrs_seen) \
+        == (single.bloom.bits, single.zones, single.attrs_seen)
+    assert batched.snapshot(1, WM, False, 9) == single.snapshot(1, WM, False, 9)
+
+
 # ---------------------------------------------------------------------------
 # Satellite accessors
 

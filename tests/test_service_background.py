@@ -74,7 +74,7 @@ def test_default_client_never_indexes_index_node_checkpoints():
     application unlink."""
     service, client = build()
     populate(service, client)
-    assert client.index_dirty() == 30             # the user files, drained
+    assert client.index_dirty() == 0              # index_path spent their dirt
     client.flush_updates()
     vertices = client.access_manager.peek().vertex_count
     service.advance(65.0)                         # two checkpoint rounds
