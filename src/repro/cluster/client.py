@@ -91,9 +91,6 @@ class _Send:
 
     node: str
     batch: UpdateBatch
-    # Whether a StaleRoute NACK counts as a stale route-cache entry (a
-    # probe-located delete's does not: no cached route was consulted).
-    note_nack: bool = True
 
 
 def _envelopes(sends: Sequence[_Send]) -> Dict[str, List[_Send]]:
@@ -169,8 +166,7 @@ class PropellerClient:
         # ``_route_sizes`` mirror the Master's partition→node map and its
         # view of each partition's file count; ``_file_routes`` /
         # ``_acg_files`` hold the per-file routes this client placed or
-        # learned; ``_stale_files`` are files whose cached route was
-        # invalidated (they must re-learn their home from the Master).
+        # learned — always into a partition the table shows placed.
         self._route_epoch = 0
         self._cluster_target = 0
         self._route_nodes: Dict[int, Optional[str]] = {}
@@ -189,7 +185,6 @@ class PropellerClient:
         self._last_lagging: List[int] = []
         self._file_routes: Dict[int, int] = {}
         self._acg_files: Dict[int, Set[int]] = {}
-        self._stale_files: Set[int] = set()
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self.stale_route_nacks = 0
@@ -294,44 +289,41 @@ class PropellerClient:
             self._repl_seq_seen[ack.acg_id] = seq
 
     def _apply_route_table(self, table: RouteTable) -> None:
+        """Adopt a route table and settle this client's file routes.
+
+        A table names the partitions that changed; whether a change
+        moved files (split, merge) or only the partition (migration,
+        failover) is the Master's knowledge, so the files this client
+        keeps in those partitions are looked up there in one round trip
+        — none when it keeps no file in them.  Splits and merges teach
+        the Master every file they move: its answer wins, and a file it
+        does not know is where this client put it.  A file left in a
+        partition that is gone or lost is forgotten, to be placed anew.
+
+        The lookup comes first, so a lost one leaves cache and epoch as
+        they were and the next refresh names the same partitions."""
         if table.fresh:
             self._route_epoch = max(self._route_epoch, table.epoch)
             return
+        named = (list(self._acg_files) if table.full
+                 else [entry.acg_id for entry in table.entries])
+        files = sorted(file_id for acg_id in named
+                       for file_id in self._acg_files.get(acg_id, ()))
+        homes: Dict[int, int] = self._master_call(
+            "lookup_file", files, local=self.local,
+            request_bytes=8 * len(files)) if files else {}
         self._cluster_target = table.cluster_target
         if table.full:
-            # Snapshot: replace wholesale.  Per-file routes into ACGs we
-            # can no longer vouch for go stale and re-learn their home
-            # from the Master on their next flush.
             self._route_nodes.clear()
             self._route_sizes.clear()
             self._route_replicas.clear()
-            self._stale_files.update(self._file_routes)
-            self._file_routes.clear()
-            self._acg_files.clear()
-            for entry in table.entries:
-                if entry.size < 0:
-                    continue
-                self._route_nodes[entry.acg_id] = entry.node
-                self._route_sizes[entry.acg_id] = entry.size
-                if entry.replicas:
-                    self._route_replicas[entry.acg_id] = entry.replicas
-            self._route_epoch = table.epoch
-            return
         for entry in table.entries:
             if entry.size < 0:
-                # Merged away: forget the partition and re-learn where
-                # its files went.
+                # Merged away.
                 self._route_nodes.pop(entry.acg_id, None)
                 self._route_sizes.pop(entry.acg_id, None)
                 self._route_replicas.pop(entry.acg_id, None)
-                self._invalidate_acg(entry.acg_id)
                 continue
-            known = entry.acg_id in self._route_sizes
-            if known and self._route_sizes[entry.acg_id] != entry.size:
-                # The partition changed shape (a split or merge moved
-                # files): per-file routes into it may be wrong now.  A
-                # pure node change (migration, failover) keeps them.
-                self._invalidate_acg(entry.acg_id)
             self._route_nodes[entry.acg_id] = entry.node
             self._route_sizes[entry.acg_id] = entry.size
             if entry.replicas:
@@ -339,11 +331,12 @@ class PropellerClient:
             else:
                 self._route_replicas.pop(entry.acg_id, None)
         self._route_epoch = table.epoch
-
-    def _invalidate_acg(self, acg_id: int) -> None:
-        for file_id in self._acg_files.pop(acg_id, set()):
-            self._file_routes.pop(file_id, None)
-            self._stale_files.add(file_id)
+        for file_id in files:
+            acg_id = homes.get(file_id, self._file_routes[file_id])
+            if self._route_nodes.get(acg_id):
+                self._learn_route(file_id, acg_id)
+            else:
+                self._forget_file(file_id)
 
     def _refresh_routes(self) -> None:
         table: RouteTable = self._master_call(
@@ -352,6 +345,16 @@ class PropellerClient:
         if self.registry is not None:
             self.registry.counter("cluster.client.route_refreshes").inc()
         self._apply_route_table(table)
+
+    def _first_contact(self) -> None:
+        """One full-table pull before the first routing decision, so
+        local placement sees existing partitions and the clustering
+        target."""
+        if self._route_epoch == 0:
+            try:
+                self._refresh_routes()
+            except DEGRADABLE_ERRORS:
+                pass
 
     def _refresh_summaries(self) -> None:
         """Throttled poll of the Master's partition-summary table.
@@ -377,30 +380,21 @@ class PropellerClient:
         self._summary_version = table.version
         self._summaries = {s.acg_id: s for s in table.entries}
 
-    def _learn_route(self, file_id: int, acg_id: int,
-                     node: Optional[str] = None) -> None:
+    def _learn_route(self, file_id: int, acg_id: int) -> None:
         old = self._file_routes.get(file_id)
         if old is not None and old != acg_id:
             self._acg_files.get(old, set()).discard(file_id)
         self._file_routes[file_id] = acg_id
         self._acg_files.setdefault(acg_id, set()).add(file_id)
-        self._stale_files.discard(file_id)
-        if node is not None and self._route_nodes.get(acg_id) != node:
-            # A Master-routed answer is at least as fresh as our table:
-            # adopt its placement (it may have just assigned a node to a
-            # partition our table still shows unplaced).
-            self._route_nodes[acg_id] = node
-            self._route_sizes.setdefault(acg_id, 0)
 
     def _forget_file(self, file_id: int) -> None:
         acg_id = self._file_routes.pop(file_id, None)
         if acg_id is not None:
             self._acg_files.get(acg_id, set()).discard(file_id)
-        self._stale_files.discard(file_id)
 
     def _locate_file(self, file_id: int) -> Tuple[Optional[Tuple[str, int]], bool]:
-        """Presence probe for a file whose cached route was evicted by a
-        full-table refresh: ask each Index Node which owned ACG holds it.
+        """Presence probe for a delete of a file this client never
+        placed: ask each Index Node which owned ACG holds it.
 
         Returns ``((node, acg_id) | None, scan_complete)``; an incomplete
         scan means some node was unreachable, so a miss must be treated
@@ -433,9 +427,10 @@ class PropellerClient:
         return max(self._route_sizes.get(acg_id, 0),
                    len(self._acg_files.get(acg_id, ())))
 
-    def _pick_open_acg(self) -> Optional[int]:
-        """Mirror of the Master's placement rule: the smallest placed
-        partition still under the clustering target (ties to the oldest)."""
+    def _pick_open_acg(self, pack: bool = False) -> Optional[int]:
+        """A placed partition still under the clustering target: the
+        smallest (new files spread), or with ``pack`` the fullest (a
+        burst fills one partition before the next); ties to the oldest."""
         best: Optional[int] = None
         best_key: Optional[Tuple[int, int]] = None
         for acg_id, node in self._route_nodes.items():
@@ -444,35 +439,32 @@ class PropellerClient:
             size = self._cache_size(acg_id)
             if size >= self._cluster_target:
                 continue
-            key = (size, acg_id)
+            key = (-size if pack else size, acg_id)
             if best_key is None or key < best_key:
                 best, best_key = acg_id, key
         return best
 
-    def _resolve_local(self, update: IndexUpdate, hint: int,
-                       alloc_state: Dict[str, bool]) -> Optional[int]:
-        """Route one update through the cache; None means "ask the Master".
+    def _resolve_local(self, file_id: int, hint: int,
+                       alloc_state: Dict[str, bool],
+                       place: bool = True) -> Optional[int]:
+        """The one placement rule: a file's partition, from the cache.
 
-        New files without a placement hint are placed locally — into the
-        smallest open cached partition, allocating a fresh slab from the
-        Master when every cached partition is full.  Hinted files whose
-        producer we cannot resolve locally defer to the Master so the
-        ACG co-location rule is never silently broken."""
-        file_id = update.file_id
+        A file already routed stays where it is.  A new one (``place``)
+        joins its producer (``hint``) when that has a route — causality
+        is the partitioning criterion.  Otherwise it goes to an open
+        cached partition — the smallest when it has no producer, the
+        fullest when its producer is not placed yet (it is one of a
+        burst being indexed together: keep the burst together) — a
+        fresh slab being allocated from the Master when every cached
+        partition is full.
+        None: not routed and not to be placed (a delete), or no
+        partition could be allocated — the update waits for next time."""
         acg_id = self._file_routes.get(file_id)
-        if acg_id is not None:
-            return acg_id if self._route_nodes.get(acg_id) else None
-        if file_id in self._stale_files or update.op is UpdateOp.DELETE:
-            return None
-        if hint != -1:
-            hinted = self._file_routes.get(hint)
-            if hinted is not None and self._route_nodes.get(hinted):
-                self._learn_route(file_id, hinted)
-                return hinted
-            return None
-        if self._cluster_target <= 0:
-            return None
-        acg_id = self._pick_open_acg()
+        if acg_id is not None or not place:
+            return acg_id
+        acg_id = self._file_routes.get(hint)
+        if acg_id is None:
+            acg_id = self._pick_open_acg(pack=hint != -1)
         if acg_id is None and not alloc_state.get("failed"):
             try:
                 self._apply_route_table(self._master_call(
@@ -482,9 +474,8 @@ class PropellerClient:
                 alloc_state["failed"] = True
                 return None
             acg_id = self._pick_open_acg()
-        if acg_id is None:
-            return None
-        self._learn_route(file_id, acg_id)
+        if acg_id is not None:
+            self._learn_route(file_id, acg_id)
         return acg_id
 
     # -- namespace-change callbacks (from File Access Management) ----------------
@@ -513,34 +504,13 @@ class PropellerClient:
                 self.registry.counter("cluster.client.lost_deletes").inc()
             return
         # Prefer the Master's answer; fall back to the route cache for
-        # client-placed files the Master never learned about.
-        epoch: Optional[int] = None
+        # client-placed files the Master never learned about.  A node
+        # the partition has since left NACKs the delete (it requeues and
+        # heals); it never answers for a partition it does not host.
         if route is not None and route.node:
             target_node, target_acg = route.node, route.acg_id
-        elif cached_acg is not None and self._route_nodes.get(cached_acg):
-            # Cache-routed, so epoch-stamped: a node the partition has
-            # since left must NACK, not re-create an empty shell of it
-            # (which it would then answer searches from).
+        elif cached_acg is not None:
             target_node, target_acg = self._route_nodes[cached_acg], cached_acg
-            epoch = self._route_epoch
-        elif inode.ino in self._stale_files:
-            # The Master never learned this client-placed file and a
-            # full-table refresh evicted its route — but it WAS indexed,
-            # so its copy is still out there.  Locate it before the
-            # delete has nowhere to go and the entry quietly survives.
-            located, complete = self._locate_file(inode.ino)
-            if located is None:
-                self.freshness.forget(inode.ino)
-                self._forget_file(inode.ino)
-                if not complete:
-                    # A node we could not reach may hold the copy: record
-                    # the debt rather than pretending the delete landed.
-                    self.lost_deletes.append(inode.ino)
-                    if self.registry is not None:
-                        self.registry.counter(
-                            "cluster.client.lost_deletes").inc()
-                return
-            target_node, target_acg = located
         else:
             # Never indexed: any stamped-but-unsent change dies with it.
             self.freshness.forget(inode.ino)
@@ -552,7 +522,7 @@ class PropellerClient:
         # even after retries the unlink itself must not fail — the
         # stale entry is recorded as debt instead.
         delete = _Send(target_node, UpdateBatch(
-            target_acg, (IndexUpdate.delete(inode.ino),), epoch))
+            target_acg, (IndexUpdate.delete(inode.ino),), self._route_epoch))
         _, nacked, unreachable = self._scatter_updates([delete])
         if unreachable:
             # The cached owner was unreachable — a failover may already
@@ -591,12 +561,12 @@ class PropellerClient:
 
     def _is_indexed(self, file_id: int) -> bool:
         """Is this file indexed?  The route cache answers for files this
-        client placed itself; only unknown files cost a Master lookup
-        (read-only — unlike route_updates, it never creates a mapping)."""
-        if file_id in self._file_routes or file_id in self._stale_files:
+        client placed itself; only unknown files cost a (read-only)
+        Master lookup."""
+        if file_id in self._file_routes:
             return True
-        return self._master_call("lookup_file", file_id,
-                                 local=self.local) is not None
+        return bool(self._master_call("lookup_file", [file_id],
+                                      local=self.local))
 
     def _update_for(self, path: str, pid: int = 0) -> Tuple[IndexUpdate, Optional[int]]:
         inode = self.vfs.stat(path)
@@ -678,23 +648,21 @@ class PropellerClient:
         """Send the queued updates: **one envelope per Index Node, every
         node in flight at once**.
 
-        Routing comes first and stays per update: locally-routable
-        updates are grouped per partition and stamped with the cached
-        routing epoch; updates the cache cannot answer — stale routes,
-        hinted files with unknown producers — take one Master round-trip
-        (their batches go unstamped, create-on-demand), and deletes with
-        no usable route are located first.  Then every batch bound for
-        one node rides a single ``index_update`` RPC and the nodes' RPCs
-        overlap, so the flush costs the slowest node's leg, not the sum
+        Routing comes first and stays per update: every update is
+        routed — a new file placed — from the cache
+        (:meth:`_resolve_local`), grouped per partition and stamped with
+        the cached routing epoch; a delete of a file this client never
+        placed is located first.  Then every batch bound for one node
+        rides a single ``index_update`` RPC and the nodes' RPCs overlap,
+        so the flush costs the slowest node's leg, not the sum
         (:meth:`_scatter_updates`).
 
-        The reply is per partition: a node that no longer owns one
-        NACKs that batch alone with :class:`~repro.errors.StaleRoute`,
-        which triggers one shared route-table refresh and a re-send (or
-        a Master-routed fallback when the refresh doesn't change the
-        route) — see :meth:`_heal`.  Delivery failures re-queue just
-        the partitions they hit, **placement hints intact**.  Returns the
-        number of updates actually delivered (acknowledged).
+        The reply is per partition: a node that does not host one NACKs
+        that batch alone with :class:`~repro.errors.StaleRoute`, which
+        triggers one shared route-table refresh and a re-send where the
+        route moved — see :meth:`_heal`.  Everything else re-queues,
+        just the partitions it hit, **placement hints intact**.  Returns
+        the number of updates actually delivered (acknowledged).
 
         A search does not call this: its legs carry the envelopes
         (:meth:`_search_raw`) through the same halves — :meth:`_route_pending`,
@@ -727,56 +695,53 @@ class PropellerClient:
         hint_of: Dict[int, int] = {}
         for h, u in pending:
             hint_of.setdefault(u.file_id, h)
-        if self._route_epoch == 0:
-            # First contact: one full-table pull so local placement sees
-            # existing partitions and the clustering target.
-            try:
-                self._refresh_routes()
-            except DEGRADABLE_ERRORS:
-                pass
+        self._first_contact()
         alloc_state: Dict[str, bool] = {}
         stamped: Dict[Tuple[str, int], List[IndexUpdate]] = {}
-        via_master: List[IndexUpdate] = []
+        unplaced: List[IndexUpdate] = []
         unrouted_deletes: List[IndexUpdate] = []
         for _, update in pending:
+            is_delete = update.op is UpdateOp.DELETE
             acg_id = self._resolve_local(
-                update, hint_of.get(update.file_id, -1), alloc_state)
-            if acg_id is None:
-                self._note_route(hit=False)
-                if update.op is UpdateOp.DELETE:
-                    # A delete the cache cannot route must never take the
-                    # route_updates path: the Master would place the
-                    # unknown file as *new* and the delete would no-op in
-                    # an empty ACG while the real copy survived.
-                    unrouted_deletes.append(update)
-                else:
-                    via_master.append(update)
-            else:
-                self._note_route(hit=True)
+                update.file_id, hint_of.get(update.file_id, -1), alloc_state,
+                place=not is_delete)
+            self._note_route(hit=acg_id is not None)
+            if acg_id is not None:
                 stamped.setdefault(
                     (self._route_nodes[acg_id], acg_id), []).append(update)
-        sends = [_Send(node, UpdateBatch(acg_id, tuple(updates),
-                                         self._route_epoch))
-                 for (node, acg_id), updates in stamped.items()]
+            elif is_delete:
+                unrouted_deletes.append(update)
+            else:
+                unplaced.append(update)
+        sends = self._stamp(stamped)
         for update in unrouted_deletes:
             sends.extend(self._route_unrouted_delete(update))
-        sends.extend(self._route_via_master(via_master, hint_of))
+        self._requeue(unplaced, hint_of)
         return sends, hint_of
 
+    def _stamp(self, groups: Mapping[Tuple[str, int], Sequence[IndexUpdate]]
+               ) -> List[_Send]:
+        """One batch per (node, partition) group, stamped with the
+        cached routing epoch."""
+        return [_Send(node, UpdateBatch(acg_id, tuple(updates),
+                                        self._route_epoch))
+                for (node, acg_id), updates in groups.items()]
+
     def _route_unrouted_delete(self, update: IndexUpdate) -> List[_Send]:
-        """Find where a DELETE with no usable cached route must go: a
-        read-only Master lookup first, then a cluster presence probe for
-        client-placed files the Master never learned about.  Returns the
+        """Find where a DELETE of a file this client never placed must
+        go: a read-only Master lookup first, then a cluster presence
+        probe for files another client placed.  Returns the
         send (or nothing, when the file is nowhere or the Master could
         not be asked — the latter re-queues it)."""
         target: Optional[Tuple[str, int]] = None
         try:
-            acg_id = self._master_call("lookup_file",
-                                       update.file_id, local=self.local)
+            acg_id = self._master_call(
+                "lookup_file", [update.file_id],
+                local=self.local).get(update.file_id)
         except DEGRADABLE_ERRORS:
             self._requeue([update], {})
             return []
-        if acg_id is not None and self._route_nodes.get(acg_id):
+        if self._route_nodes.get(acg_id):
             target = (self._route_nodes[acg_id], acg_id)
         if target is None:
             target, complete = self._locate_file(update.file_id)
@@ -791,12 +756,12 @@ class PropellerClient:
                     self.registry.counter("cluster.client.lost_deletes").inc()
             return []
         node, acg_id = target
-        return [_Send(node, UpdateBatch(acg_id, (update,)), note_nack=False)]
+        return [_Send(node, UpdateBatch(acg_id, (update,), self._route_epoch))]
 
     def _requeue(self, updates: Sequence[IndexUpdate],
                  hint_of: Dict[int, int]) -> None:
-        # Hints ride along on the requeue: a later Master-routed retry
-        # must still honor ACG co-location.
+        # Hints ride along on the requeue: a later placement must
+        # still honor ACG co-location.
         for update in updates:
             self._pending_slot.setdefault(update.file_id, len(self._pending))
             self._pending.append((hint_of.get(update.file_id, -1), update))
@@ -856,8 +821,7 @@ class PropellerClient:
                     self._learn_ack(outcome.value)
                     delivered += self._sent(send.batch.updates)
                 elif isinstance(outcome.error, StaleRoute):
-                    if send.note_nack:
-                        self._note_nacks(len(send.batch))
+                    self._note_nacks(len(send.batch))
                     nacked.append(send)
                 else:
                     unreachable.append(send)
@@ -879,88 +843,44 @@ class PropellerClient:
         partitions a re-send went to, and whether the route table was
         refreshed on the way.
 
-        Per partition, exactly as before the sends travelled together: a
-        cache-routed (stamped) batch that NACKed or found its node
-        unreachable shares one route refresh with the others, then is
-        re-sent under the fresh epoch when its route genuinely moved,
-        healed through the Master-routed path when a NACKed route did
-        not move, and re-queued otherwise.  Master-routed batches that
-        fail re-queue at once.  The re-sends go out as a second scatter;
-        whatever that one cannot land re-queues (hints intact)."""
-        failed = ([(True, send) for send in nacked]
-                  + [(False, send) for send in unreachable])
+        The batches that NACKed or found their node unreachable share
+        one route refresh, which also settles where their files live
+        now.  Each update is then re-sent under the fresh epoch when its
+        route genuinely moved — the partition to another node (migration,
+        failover) or the file to another partition (split, merge) — and
+        re-queued otherwise: the node is down and routing has not moved
+        yet, or it missed its ownership grant, which the Master repairs
+        from the node's next heartbeat.  The re-sends go out as a second
+        scatter; whatever that one cannot land re-queues (hints intact)."""
+        failed = nacked + unreachable
         refreshed = False
-        if any(send.batch.epoch is not None for _, send in failed):
+        if failed:
             try:
                 self._refresh_routes()
                 refreshed = True
             except DEGRADABLE_ERRORS:
                 pass
-        resend: List[_Send] = []
-        fallback: List[IndexUpdate] = []
-        for was_nacked, send in failed:
-            batch = send.batch
-            new_node = self._route_nodes.get(batch.acg_id)
-            if batch.epoch is None:
-                self._requeue(batch.updates, hint_of)
-            elif refreshed and new_node and new_node != send.node:
-                # The route genuinely moved (migration or failover):
-                # resend under the fresh epoch.
-                resend.append(_Send(
-                    new_node,
-                    UpdateBatch(batch.acg_id, batch.updates, self._route_epoch),
-                    note_nack=was_nacked))
-            elif was_nacked:
-                # Same route even after a refresh: the node most likely
-                # missed its ownership grant.  Heal through the
-                # Master-routed path (unstamped, create-on-demand).
-                fallback.extend(batch.updates)
-            else:
-                # The node is down and routing hasn't moved yet; the next
-                # flush retries (failover may re-home it by then).
-                self._requeue(batch.updates, hint_of)
-        resend.extend(self._route_via_master(fallback, hint_of))
+        moved: Dict[Tuple[str, int], List[IndexUpdate]] = {}
+        alloc_state: Dict[str, bool] = {}
+        for send in failed:
+            old = (send.node, send.batch.acg_id)
+            for update in send.batch.updates:
+                acg_id = self._resolve_local(
+                    update.file_id, hint_of.get(update.file_id, -1),
+                    alloc_state, place=update.op is not UpdateOp.DELETE)
+                if acg_id is None:
+                    acg_id = send.batch.acg_id
+                new = (self._route_nodes.get(acg_id), acg_id)
+                if refreshed and new[0] and new != old:
+                    moved.setdefault(new, []).append(update)
+                else:
+                    self._requeue([update], hint_of)
+        resend = self._stamp(moved)
         landed, nacked, unreachable = self._scatter_updates(resend)
         for send in nacked + unreachable:
             self._requeue(send.batch.updates, hint_of)
         return (delivered + landed,
                 {send.batch.acg_id for send in resend}, refreshed)
-
-    def _route_via_master(self, updates: Sequence[IndexUpdate],
-                          hint_of: Dict[int, int]) -> List[_Send]:
-        """The Master routes the updates; the sends go unstamped
-        (create-on-demand on the Index Node heals ownership gaps)."""
-        if not updates:
-            return []
-        file_ids = [u.file_id for u in updates]
-        hints = {u.file_id: hint_of[u.file_id] for u in updates
-                 if hint_of.get(u.file_id, -1) != -1}
-        try:
-            routes: List[RouteEntry] = self._master_call(
-                "route_updates", file_ids, hints,
-                local=self.local, request_bytes=8 * len(file_ids))
-        except DEGRADABLE_ERRORS:
-            # The routing round-trip itself was lost: nothing went out.
-            self._requeue(updates, hint_of)
-            return []
-        route_by_file = {r.file_id: r for r in routes}
-        by_target: Dict[Tuple[str, int], List[IndexUpdate]] = {}
-        unrouted: List[IndexUpdate] = []
-        for update in updates:
-            route = route_by_file.get(update.file_id)
-            if route is None or not route.node:
-                # A partial or inconsistent route list must not drop the
-                # rest of the batch on the floor — requeue what the
-                # Master didn't answer for.
-                unrouted.append(update)
-                continue
-            if update.op is not UpdateOp.DELETE:
-                self._learn_route(update.file_id, route.acg_id, node=route.node)
-            by_target.setdefault((route.node, route.acg_id), []).append(update)
-        if unrouted:
-            self._requeue(unrouted, hint_of)
-        return [_Send(node, UpdateBatch(acg_id, tuple(target_updates)))
-                for (node, acg_id), target_updates in by_target.items()]
 
     # -- ACG flush ----------------------------------------------------------------------
 
@@ -973,11 +893,11 @@ class PropellerClient:
     def flush_acg(self) -> int:
         """Push the client-side ACG to the Index Nodes that own each edge.
 
-        Vertices with a cached route are grouped locally; only the
-        remainder costs a Master routing round-trip (whose answers are
-        learned into the cache for next time).  The fragments then go
-        out like the updates do: one ``flush_acg`` RPC per node, all
-        nodes at once."""
+        Vertices are grouped by their cached route; one with none yet
+        goes with its producer, and is left out when that has none
+        either (the ACG is weakly consistent; nothing is placed here).
+        The fragments then go out like the updates do: one ``flush_acg``
+        RPC per node, all nodes at once."""
         acg = self.access_manager.drain()
         if acg.vertex_count == 0:
             return 0
@@ -987,26 +907,13 @@ class PropellerClient:
         for u, v, _ in acg.edges():
             hints.setdefault(v, u)
         placement: Dict[int, Tuple[str, int]] = {}
-        unknown: List[int] = []
         for file_id in vertices:
             acg_id = self._file_routes.get(file_id)
-            node = self._route_nodes.get(acg_id) if acg_id is not None else None
-            if acg_id is not None and node and file_id not in self._stale_files:
-                self._note_route(hit=True)
-                placement[file_id] = (node, acg_id)
-            else:
-                self._note_route(hit=False)
-                unknown.append(file_id)
-        if unknown:
-            routes: List[RouteEntry] = self._master_call(
-                "route_updates", unknown,
-                {f: hints[f] for f in unknown if f in hints},
-                local=self.local, request_bytes=8 * len(unknown))
-            for route in routes:
-                if not route.node:
-                    continue
-                self._learn_route(route.file_id, route.acg_id, node=route.node)
-                placement[route.file_id] = (route.node, route.acg_id)
+            self._note_route(hit=acg_id is not None)
+            if acg_id is None:
+                acg_id = self._file_routes.get(hints.get(file_id, -1))
+            if acg_id is not None:
+                placement[file_id] = (self._route_nodes[acg_id], acg_id)
         # One envelope per Index Node — all of its partitions' fragments
         # in a single RPC — and every node in flight at once.
         fragments: Dict[str, Dict[int, List[Tuple[int, int, int]]]] = {}
@@ -1210,11 +1117,7 @@ class PropellerClient:
                 sends, hint_of = self._route_pending()
             envelopes = _envelopes(sends)
             self.searches_issued += 1
-            if self._route_epoch == 0:
-                try:
-                    self._refresh_routes()
-                except DEGRADABLE_ERRORS:
-                    pass
+            self._first_contact()
             self._refresh_summaries()
             # Fan out along the cached route table — every placed
             # partition, since even a zero-size one may have absorbed

@@ -593,8 +593,9 @@ class IndexNode:
     def handle_own_partition(self, acg_id: int, epoch: int) -> None:
         """Master grant: this node owns ``acg_id`` as of ``epoch``.
 
-        Creates an empty replica shell if needed, so epoch-stamped
-        updates and searches are accepted immediately."""
+        Creates an empty replica shell if needed — the only way a
+        partition with no content yet comes to be hosted: no update,
+        search or ACG fragment ever creates one."""
         self._clear_stale_handoff(acg_id)
         self.route_epoch_seen = max(self.route_epoch_seen, epoch)
         self.replica(acg_id, create=True)
@@ -612,8 +613,8 @@ class IndexNode:
         """Dual-ownership window: relay one batch to the migration target
         (an envelope of one).
 
-        The relay stays epoch-stamped so a target that does not own the
-        ACG either (an aborted migration's debris) NACKs instead of
+        A target that does not host the ACG either (an aborted
+        migration's debris) NACKs like any other node instead of
         silently absorbing updates the Master still routes here."""
         acg_id = batch.acg_id
         target = self.handoff_intents[acg_id]
@@ -622,10 +623,8 @@ class IndexNode:
             raise StaleRoute(f"{self.name} handed off ACG {acg_id}",
                              epoch=self.route_epoch_seen)
         self.forwarded_updates += len(batch)
-        stamp = batch.epoch if batch.epoch is not None else self.route_epoch_seen
-        relayed = UpdateBatch(acg_id, batch.updates, stamp)
-        (outcome,) = self.rpc.call(target, "index_update", (relayed,),
-                                   request_bytes=relayed.wire_bytes())
+        (outcome,) = self.rpc.call(target, "index_update", (batch,),
+                                   request_bytes=batch.wire_bytes())
         return outcome.unwrap()
 
     # -- update path --------------------------------------------------------------
@@ -675,13 +674,12 @@ class IndexNode:
         WAL frame (fsync left to the envelope), cache park,
         replication-log append.  Returns the partition's ack.
 
-        Epoch-stamped batches are only accepted for ACGs this node
-        hosts — anything else raises :class:`StaleRoute` so the client
-        refreshes its route cache.  Unstamped (Master-routed) batches are
-        create-on-demand.  (A handed-off ACG never gets here: the
-        envelope forwards it — the old owner must never apply.)"""
+        A batch is only accepted for an ACG this node hosts — anything
+        else raises :class:`StaleRoute` so the client refreshes its
+        route cache.  (A handed-off ACG never gets here: the envelope
+        forwards it — the old owner must never apply.)"""
         acg_id, updates = batch.acg_id, batch.updates
-        if batch.epoch is not None and acg_id not in self.replicas:
+        if acg_id not in self.replicas:
             self.stale_route_nacks += len(updates)
             raise StaleRoute(f"{self.name} does not own ACG {acg_id}",
                              epoch=self.route_epoch_seen)
@@ -689,7 +687,6 @@ class IndexNode:
             # Writes thaw: the partition returns to the live B+tree/hash
             # path before the update takes the ordinary WAL→cache route.
             self._thaw(acg_id, reason="write")
-        self.replica(acg_id, create=True)
         now = self.machine.clock.now()
         self._acg_last_access[acg_id] = now
         if updates:
@@ -1036,9 +1033,9 @@ class IndexNode:
 
     def handle_search(self, acg_ids: Sequence[int], predicate: Predicate,
                       index_names: Optional[Sequence[str]] = None,
-                      epoch: Optional[int] = None,
+                      epoch: int = 0,
                       pruned: Optional[Dict[int, Tuple[str, int, int]]] = None,
-                      updates: Sequence[UpdateBatch] = ()):
+                      updates: Sequence[UpdateBatch] = ()) -> SearchReply:
         """Search the given ACGs; commits their pending updates first.
 
         ``updates`` is the client's pending envelope for this node,
@@ -1047,11 +1044,10 @@ class IndexNode:
         it touched fails open — and its per-batch outcomes come back as
         ``update_outcomes``.
 
-        Legacy (unstamped) calls silently skip ACGs this node does not
-        host and return a bare result list.  Epoch-stamped calls return a
-        :class:`SearchReply` that also *names* the requested ACGs this
-        node does not own (``not_owned``) — the search-path stale-route
-        NACK — plus the node's own routing epoch.
+        The :class:`SearchReply` *names* the requested ACGs this node
+        does not own (``not_owned``) — the search-path stale-route NACK
+        — and carries the node's own routing epoch; ``epoch`` is the
+        caller's, the stamp every routed request bears.
 
         ``pruned`` maps ACG ids the client wants to *skip* to the summary
         watermark its skip decision was based on.  The skip is honoured
@@ -1067,13 +1063,6 @@ class IndexNode:
             with self.tracer.span("carry", node=self.name,
                                   batches=len(updates)):
                 update_outcomes = self.handle_index_update(updates)
-        if epoch is None:
-            # Legacy path has no validation protocol: never honour skips,
-            # just search the pruned ACGs along with the rest.
-            ids = list(acg_ids) + [a for a in sorted(pruned or ())
-                                   if a not in acg_ids]
-            return [self._search_one(acg_id, predicate, index_names)
-                    for acg_id in ids if acg_id in self.replicas]
         reply = SearchReply(node=self.name, epoch=self.route_epoch_seen,
                             update_outcomes=update_outcomes)
         not_owned: List[int] = []
@@ -1127,9 +1116,12 @@ class IndexNode:
     def handle_flush_acg(self, fragments: Sequence[
             Tuple[int, Sequence[Tuple[int, int, int]]]]) -> None:
         """Merge one client flush's ACG fragments for this node —
-        ``(acg_id, records)`` per partition (weak consistency — no WAL)."""
+        ``(acg_id, records)`` per partition (weak consistency — no WAL:
+        a fragment for a partition this node does not host is dropped)."""
         for acg_id, records in fragments:
-            replica = self.replica(acg_id, create=True)
+            replica = self.replicas.get(acg_id)
+            if replica is None:
+                continue
             replica.graph.merge(
                 AccessCausalityGraph.from_records(list(records)))
             self.machine.compute(_CACHE_ADD_OPS * max(1, len(records)))

@@ -1,12 +1,13 @@
 """Master Node.
 
 The central index-metadata and coordination server (Section IV): it holds
-the file→ACG mapping and ACG locations, routes client requests, assigns
-new ACGs to the least-loaded Index Node, tracks heartbeats, periodically
+the ACG locations — served to clients as a versioned route table — and
+the file→ACG mapping of every file a split or merge has moved, allocates
+new ACGs on the least-loaded Index Node, tracks heartbeats, periodically
 checkpoints its metadata to shared storage, and coordinates background
-splits and migrations.  It never serves file I/O or index contents itself,
-which is why the paper argues one Master scales to hundreds of Index
-Nodes.
+splits and migrations.  It places no file (clients do, from the table)
+and never serves file I/O or index contents itself, which is why the
+paper argues one Master scales to hundreds of Index Nodes.
 """
 
 from __future__ import annotations
@@ -227,11 +228,9 @@ class MasterNode:
         for method, handler in [
             ("register_index_node", self.register_index_node),
             ("create_index", self.create_index),
-            ("route_updates", self.route_updates),
             ("route_search", self.route_search),
             ("route_table", self.route_table),
             ("allocate_partitions", self.allocate_partitions),
-            ("file_created", self.file_created),
             ("file_deleted", self.file_deleted),
             ("lookup_file", self.lookup_file),
             ("report_heartbeat", self.report_heartbeat),
@@ -638,10 +637,10 @@ class MasterNode:
     def _notify_owner(self, node: Optional[str], acg_id: int, epoch: int) -> None:
         """Tell an Index Node it now owns a partition (best-effort).
 
-        A lost notification is safe: the node NACKs epoch-stamped updates
-        it doesn't know about, the client falls back to Master-routed
-        (unstamped) sends, and the node's create-on-demand path heals the
-        ownership gap."""
+        A lost notification is safe: the node NACKs updates and
+        searches for a partition it does not host, the client requeues,
+        and the node's next heartbeat — which omits the partition —
+        gets the grant re-sent (:meth:`report_heartbeat`)."""
         if node is None:
             return
         try:
@@ -814,64 +813,6 @@ class MasterNode:
 
     # -- routing --------------------------------------------------------------------
 
-    def _assign_new_file(self, file_id: int, hint_file: Optional[int]) -> int:
-        """Place a new file: with its causal producer when known (that is
-        the ACG locality rule), else into the smallest open partition,
-        else into a brand-new partition on the least-loaded node."""
-        self._require_nodes()
-        if hint_file is not None:
-            hinted = self.partitions.partition_of(hint_file)
-            if hinted is not None:
-                # Causality is the partitioning criterion: always co-locate
-                # with the producer.  The background split (maybe_split)
-                # bounds partition growth afterwards.
-                self.partitions.add_file(hinted, file_id)
-                self._meta("file", file_id, hinted)
-                return hinted
-        open_partitions = [p for p in self.partitions.partitions()
-                           if self._effective_size(p) < self.policy.cluster_target]
-        if open_partitions:
-            smallest = min(open_partitions, key=self._effective_size)
-            self.partitions.add_file(smallest.partition_id, file_id)
-            self._meta("file", file_id, smallest.partition_id)
-            return smallest.partition_id
-        node = self._least_loaded_effective(self.index_nodes)
-        partition = self.partitions.new_partition(files=[file_id], node=node)
-        self._meta("newpart", partition.partition_id, node)
-        self._meta("file", file_id, partition.partition_id)
-        self._notify_owner(node, partition.partition_id,
-                           self._bump_routing(partition.partition_id))
-        self._assign_followers(partition.partition_id)
-        return partition.partition_id
-
-    def route_updates(self, file_ids: Sequence[int],
-                      hints: Optional[Dict[int, int]] = None) -> List[RouteEntry]:
-        """Answer: for each file, which ACG on which Index Node.
-
-        Unknown files get assigned (the paper: MN allocates metadata for
-        the new ACG and places it on the least-loaded IN).
-        """
-        hints = hints or {}
-        self._require_acting()
-        self._count_route_rpc()
-        entries: List[RouteEntry] = []
-        for file_id in file_ids:
-            self.machine.compute(_ROUTE_LOOKUP_OPS)
-            acg_id = self.partitions.partition_of(file_id)
-            if acg_id is None:
-                acg_id = self._assign_new_file(file_id, hints.get(file_id))
-            partition = self.partitions.get(acg_id)
-            if partition.node is None:
-                partition.node = self._least_loaded_effective(self.index_nodes)
-                self._meta("place", acg_id, partition.node)
-                self._notify_owner(partition.node, acg_id,
-                                   self._bump_routing(acg_id))
-                # Re-placing a lost partition starts an empty store and a
-                # fresh log; fence any followers surviving from before.
-                self._assign_followers(acg_id, force=True)
-            entries.append(RouteEntry(file_id=file_id, acg_id=acg_id, node=partition.node))
-        return entries
-
     def route_search(self, index_name: Optional[str] = None) -> Dict[str, List[int]]:
         """node → ACG ids to search (every ACG that can carry the index)."""
         if index_name is not None and index_name not in self.index_specs:
@@ -893,30 +834,16 @@ class MasterNode:
 
     # -- namespace change notifications ------------------------------------------------
 
-    def file_created(self, file_id: int, hint_file: Optional[int] = None) -> RouteEntry:
-        """Place a newly created file (assigning an ACG if unknown)."""
+    def lookup_file(self, file_ids: Sequence[int]) -> Dict[int, int]:
+        """Read-only file→ACG lookup for a batch of files; a file this
+        Master never heard of (client-placed, or unindexed) is left out.
+        Never assigns anything."""
         self._require_acting()
-        self.machine.compute(_ROUTE_LOOKUP_OPS)
-        acg_id = self.partitions.partition_of(file_id)
-        if acg_id is None:
-            acg_id = self._assign_new_file(file_id, hint_file)
-        partition = self.partitions.get(acg_id)
-        if partition.node is None:
-            partition.node = self._least_loaded_effective(self.index_nodes)
-            self._meta("place", acg_id, partition.node)
-            self._notify_owner(partition.node, acg_id, self._bump_routing(acg_id))
-            # Fresh placement of a previously-lost partition: fence any
-            # followers surviving from the old generation.
-            self._assign_followers(acg_id, force=True)
-        return RouteEntry(file_id=file_id, acg_id=acg_id, node=partition.node)
-
-    def lookup_file(self, file_id: int) -> Optional[int]:
-        """Read-only file→ACG lookup (None when the file is unindexed).
-
-        Unlike :meth:`route_updates`, this never assigns anything."""
-        self._require_acting()
-        self.machine.compute(_ROUTE_LOOKUP_OPS)
-        return self.partitions.partition_of(file_id)
+        self.machine.compute(_ROUTE_LOOKUP_OPS * max(1, len(file_ids)))
+        homes = ((file_id, self.partitions.partition_of(file_id))
+                 for file_id in file_ids)
+        return {file_id: acg_id for file_id, acg_id in homes
+                if acg_id is not None}
 
     def file_deleted(self, file_id: int) -> Optional[RouteEntry]:
         """Forget a deleted file; returns where it used to live."""
@@ -946,6 +873,14 @@ class MasterNode:
             partition = by_id.get(acg_id)
             if partition is not None and partition.node == heartbeat.node:
                 self._reported_sizes[acg_id] = size
+        # ``acg_sizes`` lists every replica the node hosts, empty ones
+        # included: a partition placed here that it omits never got its
+        # ``own_partition`` grant (or a restart lost the empty shell).
+        hosted = {acg_id for acg_id, _size in heartbeat.acg_sizes}
+        for acg_id, partition in by_id.items():
+            if partition.node == heartbeat.node and acg_id not in hosted:
+                self._notify_owner(heartbeat.node, acg_id,
+                                   self.partitions.epoch)
         # Tier-residency piggyback: which partitions the node keeps
         # frozen on the cold tier (placement/status reads this; empty —
         # and free — when tiering is off).
@@ -1051,7 +986,8 @@ class MasterNode:
         conclusively_down = []
         for node in list(self.index_nodes):
             try:
-                heartbeat = self._node_call(node, "heartbeat")
+                # (Recording it may re-send a lost grant: fenced alike.)
+                self.report_heartbeat(self._node_call(node, "heartbeat"))
             except NodeDown:
                 # The endpoint itself is down — process death, not a lost
                 # message (retries already ruled those out).
@@ -1067,7 +1003,6 @@ class MasterNode:
                 # deposal; abort the whole round — a stale Master must
                 # not detect failures, fail anything over, or split.
                 return []
-            self.report_heartbeat(heartbeat)
         try:
             self._retry_migration_debris()
             self._retry_follower_syncs()
@@ -1216,9 +1151,10 @@ class MasterNode:
                     except (FileSystemError, SegmentCorruption) as exc:
                         # The victim never checkpointed this ACG, or the
                         # checkpoint fails validation: its data is gone
-                        # with the node.  Leave the partition unplaced so
-                        # future updates re-create it instead of crashing
-                        # the whole failover and stranding its neighbours.
+                        # with the node.  Leave the partition unplaced —
+                        # clients forget the files they kept in it and
+                        # place them anew — instead of crashing the whole
+                        # failover and stranding its neighbours.
                         partition.node = None
                         self._meta("place", partition.partition_id, None)
                         lost[partition.partition_id] = (

@@ -60,9 +60,10 @@ class UpdateBatch:
     every forwarding path between client and primary — treats it like
     any ``Sequence[IndexUpdate]``.
 
-    ``epoch`` is the routing-epoch stamp of a cache-routed send; ``None``
-    marks a Master-routed (create-on-demand) one.  It is per batch, not
-    per envelope, because one flush may carry both kinds to one node.
+    ``epoch`` is the routing epoch of the cached route table the sender
+    routed by.  Every batch carries one: a node that does not host
+    ``acg_id`` NACKs with :class:`~repro.errors.StaleRoute`, it never
+    creates the partition.
 
     ``wire_bytes`` amortizes the per-request framing across the batch:
     one 24-byte header plus the per-update payloads minus their
@@ -71,7 +72,7 @@ class UpdateBatch:
 
     acg_id: int
     updates: Tuple[IndexUpdate, ...]
-    epoch: Optional[int] = None
+    epoch: int
 
     def __len__(self) -> int:
         return len(self.updates)

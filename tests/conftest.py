@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import PropellerService
 from repro.core.partitioner import PartitioningPolicy
@@ -10,6 +11,20 @@ from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures import IndexKind
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
+
+# ``--hypothesis-profile deep``: the budget CI's chaos-smoke job gives the
+# two cluster state machines — derandomized, so a failure there is the
+# same failure on every run.  500 examples is what it took the operations
+# machine to find the twice-indexed rewrite at the commit that had it.
+settings.register_profile("deep", max_examples=500, derandomize=True,
+                          deadline=None)
+
+
+def machine_examples(tier1: int) -> int:
+    """``max_examples`` for a cluster state machine: the ``deep``
+    profile's when it is the active one, else tier-1's small budget."""
+    deep = settings.get_profile("deep")
+    return deep.max_examples if settings.default is deep else tier1
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.index_node import IndexNode
 from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.core.partitioner import PartitioningPolicy
-from repro.errors import UnknownAcg
+from repro.errors import StaleRoute, UnknownAcg
 from repro.indexstructures import IndexKind
 from repro.query.ast import matches
 from repro.query.parser import parse_query
@@ -27,18 +27,24 @@ def up(fid, size, path=None):
                               path=path or f"/data/f{fid}.bin")
 
 
+EPOCH = 1
+
+
 def park(node, acg_id, updates):
-    """One partition's updates as an envelope of one; returns its ack."""
+    """One partition's updates as an envelope of one; returns its ack.
+    The Master's grant comes first: no update creates a partition."""
+    node.handle_own_partition(acg_id, EPOCH)
     (outcome,) = node.handle_index_update(
-        [UpdateBatch(acg_id, tuple(updates))])
+        [UpdateBatch(acg_id, tuple(updates), EPOCH)])
     assert outcome.ok, outcome.error
     return outcome.value
 
 
 def search_ids(node, acg_ids, query):
-    results = node.handle_search(acg_ids, parse_query(query))
+    reply = node.handle_search(acg_ids, parse_query(query), epoch=EPOCH)
+    assert reply.not_owned == ()
     out = set()
-    for r in results:
+    for r in reply.results:
         out |= r.file_ids
     return out
 
@@ -115,7 +121,24 @@ def test_keyword_index_updates_on_path(node):
 
 
 def test_search_unknown_acg_skipped(node):
-    assert node.handle_search([99], parse_query("size>0")) == []
+    reply = node.handle_search([99], parse_query("size>0"), epoch=EPOCH)
+    assert reply.results == [] and reply.not_owned == (99,)
+
+
+def test_no_data_path_rpc_creates_a_partition(node):
+    """An update, a search or an ACG fragment for a partition this node
+    does not host is NACKed, named or dropped — never hosted."""
+    park(node, 1, [up(10, 100)])
+    (outcome,) = node.handle_index_update(
+        [UpdateBatch(2, (up(20, 100),), EPOCH)])
+    assert isinstance(outcome.error, StaleRoute)
+    reply = node.handle_search([1, 2], parse_query("size>0"), epoch=EPOCH,
+                               pruned={3: ("in1", 1, 0)})
+    assert reply.not_owned == (2, 3)
+    assert [r.acg_id for r in reply.results] == [1]
+    node.handle_flush_acg([(2, [(20, 21, 1)]), (1, [(10, 11, 1)])])
+    assert node.replica(1).graph.weight(10, 11) == 1
+    assert sorted(node.replicas) == [1] and len(node.cache) == 0
 
 
 def test_replica_unknown_without_create(node):

@@ -413,7 +413,10 @@ class TestEndToEnd:
         assert client.flush_updates() == 1   # stale primary acked it
         victim_node.tick()
         service.advance(1.0)
-        assert victim_node.repl == {}        # deposed, claim dropped
+        # Deposed, claim dropped (the victim's other partition — the
+        # empty one a slab allocation left it — saw no write to fence).
+        stale_acg = client._file_routes[service.vfs.stat(stale_path).ino]
+        assert stale_acg not in victim_node.repl
 
         service.recover_node(victim)
         service.advance(10.0)

@@ -168,6 +168,117 @@ def test_unlink_after_an_unseen_migration_leaves_no_shell_on_the_old_owner():
     assert client._route_nodes[acg_id] == target
 
 
+def test_rewrite_after_an_unseen_migration_stays_in_its_partition(monkeypatch):
+    """A refresh that names a partition this client has files in asks the
+    Master where they are now — once, for all of them — and a file the
+    Master never heard of is where the client put it.  Evicting the
+    routes instead sent the next rewrite to the Master, which placed the
+    "unknown" file as new: one file, two partitions, both answering."""
+    service, client = build()
+    paths = index_files(service, client, 20, pid=7)
+    service.commit_all()
+    service.advance(6)
+    routes = dict(client._file_routes)
+    assert set(routes.values()) == {1} and client._route_nodes[1] == "in1"
+    service.master.migrate_partition(1, "in2")      # behind the client's back
+
+    master_calls = []
+    real = type(service.rpc).call
+
+    def call(self, target, method, *args, **kwargs):
+        if target == "master":
+            master_calls.append((method, args))
+        return real(self, target, method, *args, **kwargs)
+
+    monkeypatch.setattr(type(service.rpc), "call", call)
+    service.vfs.write_file(paths[5], 50, pid=7)
+    client.index_path(paths[5], pid=7)
+    assert client.flush_updates() == 1              # NACK, refresh, re-send
+    after_refresh = list(master_calls)
+    service.vfs.write_file(paths[0], 7000, pid=7)
+    client.index_path(paths[0], pid=7)
+    assert client.flush_updates() == 1
+    ino = service.vfs.stat(paths[0]).ino
+    service.commit_all()
+    assert hosts_of(service, ino) == ["in2"]
+    assert paths[0] not in client.search("size<=100")
+    assert client.search("size>=7000") == [paths[0]]
+    # The migration dropped no file route, and settling the 20 cost one
+    # batched lookup with the refresh — no per-file Master call, then or
+    # for the second rewrite.
+    assert client._file_routes == routes
+    routing_calls = [call for call in master_calls
+                     if call[0] != "summary_table"]      # the searches' poll
+    assert routing_calls == after_refresh
+    assert [method for method, _ in after_refresh] == [
+        "route_table", "lookup_file"]
+    assert after_refresh[1][1] == (sorted(routes),)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "open: a node accepts a batch for a partition it hosts whatever the "
+    "batch's epoch, so a rewrite routed by a pre-split table lands in the "
+    "half the file left (ROADMAP, 'Delete the remaining twins')"))
+def test_rewrite_after_an_unseen_split_stays_in_one_partition():
+    """The other door to a twice-indexed file: not a second placement,
+    a stale first one.  The stamp is there; the node does not read it."""
+    service, client = build(split=12)
+    paths = index_files(service, client, 20, pid=7)
+    service.commit_all()
+    service.master.poll_heartbeats()
+    service.master.poll_heartbeats()                # size reported, then split
+    assert service.master.splits
+    for path in paths:
+        service.vfs.write_file(path, 5000, pid=7)
+        client.index_path(path, pid=7)
+    client.flush_updates()
+    service.commit_all()
+    assert all(len(hosts_of(service, service.vfs.stat(path).ino)) == 1
+               for path in paths)
+    assert client.search("size<=200") == []
+
+
+def test_lost_grant_is_repaired_from_the_heartbeat_not_by_the_data_path():
+    """``own_partition`` is best-effort.  A node that never got it NACKs
+    the partition's updates — nothing on the data path makes it host one
+    — the client requeues, and the Master re-grants when the node's
+    heartbeat omits a partition placed there."""
+    service, client = build(nodes=3)
+    injector = FaultInjector(seed=0)
+    injector.arm_method_fault("in1", "own_partition")
+    service.rpc.faults = injector
+    if not service.vfs.exists("/d"):
+        service.vfs.mkdir("/d")
+    paths = [f"/d/g{i}" for i in range(8)]
+    for i, path in enumerate(paths):                # no producers: spread
+        service.vfs.write_file(path, 10 + i, pid=100 + i)
+        client.index_path(path, pid=100 + i)
+    delivered = client.flush_updates()
+    in1 = service.index_nodes["in1"]
+    ungranted = [p.partition_id
+                 for p in service.master.partitions.partitions()
+                 if p.node == "in1" and p.partition_id not in in1.replicas]
+    assert len(ungranted) == 1, "the data path created the partition"
+    (acg_id,) = ungranted
+    waiting = sorted(u.file_id for _, u in client._pending)
+    assert waiting == sorted(f for f, a in client._file_routes.items()
+                             if a == acg_id) and waiting
+    assert delivered == len(paths) - len(waiting)
+    assert client.stale_route_nacks == len(waiting)
+    # Another flush before the repair: NACKed again, still nothing hosted.
+    assert client.flush_updates() == 0
+    assert acg_id not in in1.replicas
+    service.master.poll_heartbeats()                # heartbeat omits it: re-grant
+    assert acg_id in in1.replicas
+    assert acg_id in dict(in1.make_heartbeat().acg_sizes)
+    assert client.flush_updates() == len(waiting)
+    assert client._pending == []
+    service.commit_all()
+    for path in paths:
+        assert len(hosts_of(service, service.vfs.stat(path).ino)) == 1
+    assert client.search("size>=0") == sorted(paths)
+
+
 def test_client_several_epochs_stale_converges():
     service, client = build()
     paths = index_files(service, client, 24, pid=1)

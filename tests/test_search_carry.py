@@ -327,15 +327,15 @@ def test_deadline_partial_answer_while_the_envelope_requeues():
     assert answer.degraded and not answer.partial
 
 
-# -- (j) a Master-routed batch to a node the fan-out did not know ---------------
+# -- (j) a batch placed on a node the fan-out did not know -----------------------
 
 
-def test_master_routed_batch_to_a_new_node_is_found_by_the_same_search(
-        rpc_log):
+def test_batch_placed_on_a_new_node_is_found_by_the_same_search(rpc_log):
     service, client, parts = build(nodes=5, files=20)
     assert set(client._route_nodes.values()) == {"in1", "in2", "in3", "in4"}
     assert all(len(paths) == 5 for paths in parts.values())     # all full
-    # A file whose producer this client cannot place: the Master routes it.
+    # A file whose producer has no route yet, and every partition full:
+    # the client places it on a fresh slab.
     service.vfs.write_file("/d/unindexed", 10, pid=0)
     fd = service.vfs.open("/d/unindexed", pid=77)
     service.vfs.close(fd)
@@ -343,13 +343,13 @@ def test_master_routed_batch_to_a_new_node_is_found_by_the_same_search(
     client.index_path("/d/new", pid=77)
     del rpc_log[:]
     assert client.search("size>=9000") == ["/d/new"]
-    assert len(calls(rpc_log, "route_updates")) == 1
+    assert len(calls(rpc_log, "allocate_partitions")) == 1
     assert calls(rpc_log, "index_update") == []
     (node, _, args, kwargs), = [entry for entry in calls(rpc_log, "search")
                                 if "updates" in entry[3]]
     assert node == "in5"
     (batch,) = kwargs["updates"]
-    assert batch.epoch is None                    # create-on-demand
+    assert batch.epoch == client._route_epoch     # stamped like any other
     assert args[0] == [batch.acg_id]              # ... and searched there
     assert client._pending == []
 
@@ -357,11 +357,11 @@ def test_master_routed_batch_to_a_new_node_is_found_by_the_same_search(
 def test_envelope_only_leg_to_a_dead_node_requeues_without_degrading():
     service, client, parts = build(nodes=5, files=20)
     assert "in5" not in client._route_nodes.values()
-    ino = service.vfs.stat(parts[1][0]).ino
+    ino = 10**6                       # a file this client never placed
     # A probe-located delete for a node the client fans nothing out to:
     # an envelope with no leg.
-    send = _Send("in5", UpdateBatch(9, (IndexUpdate.delete(ino),)),
-                 note_nack=False)
+    send = _Send("in5", UpdateBatch(9, (IndexUpdate.delete(ino),),
+                                    client._route_epoch))
     client._route_pending = lambda: ([send], {})
     service.index_nodes["in5"].endpoint.fail()
     answer = client.search_detailed("size>=0")

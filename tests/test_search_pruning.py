@@ -291,7 +291,10 @@ def test_bloom_false_positive_leg_is_searched_and_exact(indexed_service):
     # Exact answer; the false-positive legs were searched, not pruned.
     assert answer == sorted(by_group[3])
     searched = service.registry.value("search.partitions_searched") - searched0
-    assert searched == len(client._summaries)
+    # (An empty partition — a slab allocation leaves some — is pruned by
+    # its file count whatever its Bloom filter says.)
+    assert searched == sum(1 for snap in client._summaries.values()
+                           if snap.file_count) == 2
 
 
 def test_pending_uncommitted_update_is_never_pruned(indexed_service):
@@ -317,7 +320,7 @@ def test_stale_summary_after_migration_fails_open(indexed_service):
     # Migrate a partition the tag0x query prunes; its summary (and the
     # watermark inside it) now names the *old* replica.
     ino = ino_of(service, by_group[3][0])
-    acg_id = service.master.lookup_file(ino)
+    acg_id = client._file_routes[ino]
     source = client._route_nodes[acg_id]
     target = next(n for n in service.index_nodes if n != source)
     service.master.migrate_partition(acg_id, target)

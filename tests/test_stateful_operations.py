@@ -17,6 +17,8 @@ from repro.cluster import PropellerService
 from repro.core.partitioner import PartitioningPolicy
 from repro.indexstructures import IndexKind
 
+from tests.conftest import machine_examples
+
 
 class OperationsMachine(RuleBasedStateMachine):
     @initialize()
@@ -43,6 +45,15 @@ class OperationsMachine(RuleBasedStateMachine):
             self.client.index_path(path, pid=pid)
             self.model[path] = size + self.counter
 
+    @rule(size=st.integers(1, 10_000))
+    def rewrite_one(self, size):
+        if not self.model:
+            return
+        path = sorted(self.model)[self.rng.randrange(len(self.model))]
+        self.service.vfs.write_file(path, size, pid=1)    # appends
+        self.client.index_path(path, pid=1)
+        self.model[path] = self.service.vfs.stat(path).size
+
     @rule()
     def delete_one(self):
         if not self.model:
@@ -64,8 +75,11 @@ class OperationsMachine(RuleBasedStateMachine):
     @rule()
     def migrate_random_partition(self):
         master = self.service.master
+        # Clients place files without telling the Master: ask the owner.
+        nodes = self.service.index_nodes
         placed = [p for p in master.partitions.partitions()
-                  if p.files and p.node]
+                  if p.node and p.partition_id in nodes[p.node].replicas
+                  and nodes[p.node].replicas[p.partition_id].file_count]
         if not placed:
             return
         partition = placed[self.rng.randrange(len(placed))]
@@ -99,11 +113,33 @@ class OperationsMachine(RuleBasedStateMachine):
 
     # -- the one property that matters ----------------------------------------------
 
-    @rule(threshold=st.integers(0, 20_000))
+    @rule(threshold=st.integers(0, 30_000))
     def search_matches_model(self, threshold):
         got = set(self.client.search(f"size>{threshold}"))
         want = {p for p, size in self.model.items() if size > threshold}
         assert got == want, sorted(got ^ want)[:5]
+
+    @invariant()
+    def every_file_has_one_home(self):
+        """No modelled file is held by two owned replicas — the stale
+        copy a second placement leaves behind — and one with nothing
+        in flight is held by exactly one."""
+        if not hasattr(self, "service"):
+            return
+        nodes = [self.service.index_nodes[name]
+                 for name in self.service.master.index_nodes]
+        in_flight = set(self.client._pending_slot)
+        for node in nodes:
+            for acg_id in node.cache.pending_acgs():
+                in_flight.update(u.file_id
+                                 for u in node.cache.pending_ops(acg_id))
+        for path in self.model:
+            ino = self.service.vfs.stat(path).ino
+            homes = [(node.name, acg_id) for node in nodes
+                     for acg_id, replica in node.replicas.items()
+                     if node.owns(acg_id) and ino in replica.store]
+            assert len(homes) <= 1, (path, homes)
+            assert homes or ino in in_flight, path
 
     @invariant()
     def loads_account_for_every_file(self):
@@ -116,5 +152,5 @@ class OperationsMachine(RuleBasedStateMachine):
 
 
 TestOperations = OperationsMachine.TestCase
-TestOperations.settings = settings(max_examples=10, stateful_step_count=30,
-                                   deadline=None)
+TestOperations.settings = settings(max_examples=machine_examples(10),
+                                   stateful_step_count=30, deadline=None)

@@ -25,6 +25,8 @@ from repro.core.partitioner import PartitioningPolicy
 from repro.fs.vfs import OpenMode
 from repro.indexstructures import IndexKind
 
+from tests.conftest import machine_examples
+
 
 class PropellerMachine(RuleBasedStateMachine):
     paths = Bundle("paths")
@@ -92,4 +94,4 @@ class PropellerMachine(RuleBasedStateMachine):
 
 TestPropellerStateful = PropellerMachine.TestCase
 TestPropellerStateful.settings = settings(
-    max_examples=12, stateful_step_count=25, deadline=None)
+    max_examples=machine_examples(12), stateful_step_count=25, deadline=None)
