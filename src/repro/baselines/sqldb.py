@@ -53,6 +53,16 @@ class _PagedStore(AttributeStore):
         self._pool.touch("rows", file_id // self.ROWS_PER_PAGE)
         return super().attrs(file_id)
 
+    def select(self, candidates, match):
+        """Row at a time: every candidate examined is a row read."""
+        result = set()
+        for file_id in candidates:
+            if file_id in result or file_id not in self:
+                continue
+            if match(self.attrs(file_id), self.keywords(file_id)):
+                result.add(file_id)
+        return result
+
 
 class MiniSQL:
     """A centralized two-table store with global B+tree indices.

@@ -13,6 +13,8 @@ per Index Node, every node in flight at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import eq
 from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
@@ -33,6 +35,7 @@ from repro.query.executor import DEGRADABLE_ERRORS, FanoutOutcome, scatter_gathe
 from repro.query.summary import SummarySnapshot, summary_may_match
 from repro.query.parser import parse_query, parse_query_directory
 from repro.query.planner import IndexSpec
+from repro.query.prepared import PreparedCache, PreparedQuery
 from repro.replication.hedging import HedgedReply, HedgePolicy
 from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, HedgedOutcome,
                            RpcNetwork, scatter)
@@ -57,6 +60,9 @@ _ALLOC_BATCH = 4
 # change on heartbeat delivery (every ~5 s), so polling faster buys
 # nothing; the fresh-marker protocol makes the poll itself nearly free.
 _SUMMARY_REFRESH_MIN_S = 5.0
+
+# Distinct query strings a client keeps parsed and prepared.
+_QUERY_MEMO_CAP = 1024
 
 
 @dataclass
@@ -91,6 +97,23 @@ class _Send:
 
     node: str
     batch: UpdateBatch
+
+
+def merged_paths(results: Sequence[SearchResult]) -> List[str]:
+    """Every path the legs answered, sorted, each once.
+
+    A leg's ``paths`` arrive sorted, so the concatenation is a handful
+    of ascending runs — which is what the sort merges.  Partitions hold
+    disjoint files; a path answered twice (both halves of a hand-off
+    caught mid-flight) is dropped where the sort puts it: next to its
+    twin."""
+    merged: List[str] = []
+    for result in results:
+        merged.extend(result.paths)
+    merged.sort()
+    if any(map(eq, merged, islice(merged, 1, None))):
+        merged = [path for path, _ in groupby(merged)]
+    return merged
 
 
 def _envelopes(sends: Sequence[_Send]) -> Dict[str, List[_Send]]:
@@ -202,6 +225,10 @@ class PropellerClient:
         # Ops/testing knob: False forces every leg to be searched (the
         # unpruned fan-out), which oracles prove pruning lossless against.
         self.prune_searches = True
+        # Query string → its parsed predicate, prepared (canonical form,
+        # compiled summary check, Bloom probe masks): a repeated query
+        # pays the parser and the preparation once.
+        self._queries = PreparedCache(_QUERY_MEMO_CAP)
         self.searches_issued = 0
         self.updates_sent = 0
         self.updates_requeued = 0
@@ -970,20 +997,15 @@ class PropellerClient:
         may be accepted, not how long the search may run.  Use
         :meth:`search_detailed` to see which partitions were stale.
         """
-        results = self._search_raw(parse_query(query), index_name,
+        results = self._search_raw(self._prepare(query), index_name,
                                    query=query, deadline_s=deadline_s)
+        paths = merged_paths(results)
         if sort_by is None:
-            paths = sorted({p for r in results for p in r.paths})
             return paths[:limit] if limit is not None else paths
-        # Attribute ordering needs values: gather (path, key) pairs from
-        # the per-node answers' id->attrs via a second aggregation pass.
-        keyed: Dict[str, Any] = {}
-        for result in results:
-            for path in result.paths:
-                keyed.setdefault(path, None)
+        # Attribute ordering needs values: a stat per result path.
         values = self._attribute_values(results, sort_by)
         ordered = sorted(
-            keyed,
+            paths,
             key=lambda p: ((values.get(p) is None),
                            values.get(p) if values.get(p) is not None else 0,
                            p),
@@ -1034,7 +1056,8 @@ class PropellerClient:
         The scope prefix restricts results to paths under it.
         """
         scope, predicate = parse_query_directory(query_path)
-        paths = self._search(predicate, None)
+        paths = merged_paths(
+            self._search_raw(PreparedQuery(predicate), None))
         if scope == "/":
             return paths
         prefix = scope.rstrip("/") + "/"
@@ -1048,9 +1071,9 @@ class PropellerClient:
 
         Missing attributes come back as None.  Rows are ordered by path.
         """
-        results = self._search_raw(parse_query(query), index_name)
+        results = self._search_raw(self._prepare(query), index_name)
         rows: List[Dict[str, Any]] = []
-        for path in sorted({p for r in results for p in r.paths}):
+        for path in merged_paths(results):
             try:
                 inode = self.vfs.stat(path)
             except Exception:
@@ -1067,13 +1090,19 @@ class PropellerClient:
     def explain(self, query: str,
                 index_name: Optional[str] = None) -> Dict[int, List[str]]:
         """EXPLAIN a query: ACG id → the access paths its Index Node
-        would use.  Nothing is executed or committed."""
-        predicate = parse_query(query)
-        routing: Dict[str, List[int]] = self._master_call(
-            "route_search", index_name, local=self.local)
+        would use.  Nothing is executed or committed.
+
+        Fans out along the route table like a search, freshly pulled: an
+        operator's question should see partitions reshaped since this
+        client last routed anything."""
+        predicate = self._prepare(query).predicate
+        try:
+            self._refresh_routes()
+        except DEGRADABLE_ERRORS:
+            pass   # no Master: the cached table is what a search would use
         names = [index_name] if index_name else None
         out: Dict[int, List[str]] = {}
-        for node, acg_ids in sorted(routing.items()):
+        for node, acg_ids in sorted(self._placed().items()):
             for acg_id, descriptions in self.rpc.call(
                     node, "explain", acg_ids, predicate, names,
                     local=self.local):
@@ -1082,25 +1111,34 @@ class PropellerClient:
 
     def search_ids(self, query: str, index_name: Optional[str] = None) -> Set[int]:
         """Like :meth:`search` but returns file ids."""
-        results = self._search_raw(parse_query(query), index_name)
+        results = self._search_raw(self._prepare(query), index_name)
         ids: Set[int] = set()
         for result in results:
             ids |= result.file_ids
         return ids
 
-    def _search(self, predicate: Predicate, index_name: Optional[str]) -> List[str]:
-        results = self._search_raw(predicate, index_name)
-        paths: Set[str] = set()
-        for result in results:
-            paths.update(result.paths)
-        return sorted(paths)
+    def _placed(self, served: AbstractSet[int] = frozenset()
+                ) -> Dict[str, List[int]]:
+        """node → the partitions the cached route table places on it,
+        less the ones already ``served``."""
+        routing: Dict[str, List[int]] = {}
+        for acg_id, node in self._route_nodes.items():
+            if node and acg_id not in served:
+                routing.setdefault(node, []).append(acg_id)
+        return routing
 
-    def _search_raw(self, predicate: Predicate,
+    def _prepare(self, query: str) -> PreparedQuery:
+        """Parse and prepare an API-form query, once per distinct string
+        (a malformed one raises ``QueryError`` every time)."""
+        return self._queries.get(query, parse_query)
+
+    def _search_raw(self, prepared: PreparedQuery,
                     index_name: Optional[str],
                     query: Optional[str] = None,
                     deadline_s: Optional[float] = None) -> List[SearchResult]:
         clock = self.vfs.clock
         start = clock.now()
+        predicate = prepared.predicate   # what the wire carries
         # The partial-answer opt-in is enforced as an *absolute* virtual
         # time: a lagging replica's answer is only accepted if it landed
         # by this instant.  None means "never accept stale data".
@@ -1137,7 +1175,7 @@ class PropellerClient:
                 snap = (self._summaries.get(acg_id)
                         if self.prune_searches else None)
                 if (snap is not None and not snap.dirty
-                        and not summary_may_match(snap, predicate, now)):
+                        and not summary_may_match(snap, prepared, now)):
                     pruned.setdefault(node, {})[acg_id] = snap.watermark
                 else:
                     routing.setdefault(node, []).append(acg_id)
@@ -1383,11 +1421,7 @@ class PropellerClient:
                 return outcome
         results = [r for r in outcome.results if r.acg_id not in resent]
         pruned_ok = outcome.pruned_ok - resent
-        served = {r.acg_id for r in results} | pruned_ok
-        routing: Dict[str, List[int]] = {}
-        for acg_id, node in self._route_nodes.items():
-            if node and acg_id not in served:
-                routing.setdefault(node, []).append(acg_id)
+        routing = self._placed({r.acg_id for r in results} | pruned_ok)
         if not routing:
             # Everything still placed was already answered; the failed
             # legs covered partitions the fresh table no longer lists.

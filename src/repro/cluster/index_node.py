@@ -32,13 +32,12 @@ from repro.core.acg import AccessCausalityGraph
 from repro.core.partitioner import PartitioningPolicy, split_partition
 from repro.errors import (ClusterError, ObjectStoreError, SegmentCorruption,
                           StaleMasterTerm, StaleReplEpoch, StaleRoute,
-                          UnknownAcg, WalCorruption)
+                          UnknownAcg, UnknownIndexName, WalCorruption)
 from repro.indexstructures.base import Index, IndexKind, make_index
 from repro.obs.freshness import NULL_FRESHNESS
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.tracing import NULL_TRACER
 from repro.query.ast import Predicate
-from repro.query.canonical import canonicalize, is_time_dependent
 from repro.query.executor import (DEGRADABLE_ERRORS, AttributeStore, execute,
                                   execute_plans, tokenize_path)
 from repro.replication.log import ReplicationLog
@@ -49,8 +48,8 @@ from repro.query.planner import (
     IndexSpec,
     Plan,
     plan_query,
-    plan_query_set,
 )
+from repro.query.prepared import PreparedCache, PreparedQuery
 from repro.sim.machine import Machine
 from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, RpcEndpoint,
                            scatter)
@@ -77,6 +76,9 @@ _HYDRATE_OPS_PER_FILE = 150
 # Per-node result cache entries (each is one ACG's answer to one
 # canonical predicate at one commit watermark).
 _RESULT_CACHE_CAP = 256
+# Distinct predicates a node keeps prepared (canonical form, compiled
+# matcher, plans per spec set) between requests.
+_PREPARED_CAP = 512
 
 # RPCs only a Master originates.  Each is registered behind a term
 # fence: the caller stamps its master term and a stamp older than the
@@ -328,6 +330,7 @@ class IndexNode:
         # still matches — a commit invalidates by watermark advance, for
         # free.  Time-dependent predicates are never cached.
         self._result_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self._prepared = PreparedCache(_PREPARED_CAP)
         self.result_cache_hits = 0
         self.result_cache_misses = 0
         # Ops/benchmarking knob: False bypasses the result cache so every
@@ -898,8 +901,19 @@ class IndexNode:
         for key in [k for k in self._result_cache if k[0] == acg_id]:
             del self._result_cache[key]
 
-    def _search_one(self, acg_id: int, predicate: Predicate,
+    def _prepare(self, predicate: Union[Predicate, PreparedQuery]
+                 ) -> PreparedQuery:
+        """This node's prepared form of a predicate off the wire: once
+        per request, and kept between requests (what it compiles for one
+        ``now`` a time-dependent predicate recompiles for the next)."""
+        if isinstance(predicate, PreparedQuery):
+            return predicate
+        return self._prepared.get(predicate)
+
+    def _search_one(self, acg_id: int,
+                    predicate: Union[Predicate, PreparedQuery],
                     index_names: Optional[Sequence[str]]) -> SearchResult:
+        query = self._prepare(predicate)
         now = self.machine.clock.now()
         self._acg_last_access[acg_id] = now
         self.cache.commit_for_search(acg_id)
@@ -911,9 +925,9 @@ class IndexNode:
         # cache and writes thaw first, so the (incarnation, applied) tail
         # cannot move while frozen.
         cache_key = None
-        if self.result_caching and not is_time_dependent(predicate):
+        if self.result_caching and not query.time_dependent:
             replica = self.replicas[acg_id]
-            cache_key = (acg_id, canonicalize(predicate),
+            cache_key = (acg_id, query.canonical,
                          tuple(index_names) if index_names else None)
             entry = self._result_cache.get(cache_key)
             if entry is not None:
@@ -925,9 +939,9 @@ class IndexNode:
                     return cached
             self.result_cache_misses += 1
         if acg_id in self.frozen:
-            result = self._search_frozen(acg_id, predicate, index_names, now)
+            result = self._search_frozen(acg_id, query, index_names, now)
         else:
-            result = self._search_live_body(acg_id, predicate, index_names, now)
+            result = self._search_live_body(acg_id, query, index_names, now)
         if cache_key is not None:
             replica = self.replicas[acg_id]
             self._result_cache[cache_key] = (
@@ -937,7 +951,16 @@ class IndexNode:
                 self._result_cache.popitem(last=False)
         return result
 
-    def _search_live_body(self, acg_id: int, predicate: Predicate,
+    @staticmethod
+    def _plans(replica: "AcgReplica", query: PreparedQuery,
+               index_names: Optional[Sequence[str]],
+               now: float) -> List[Plan]:
+        """The access plans over the replica's (named) indexes."""
+        specs = [replica.specs[n] for n in (index_names or replica.specs)
+                 if n in replica.specs]
+        return query.plans(specs, now)
+
+    def _search_live_body(self, acg_id: int, query: PreparedQuery,
                           index_names: Optional[Sequence[str]],
                           now: float) -> SearchResult:
         """The live (B+tree/hash) execution body of one search leg."""
@@ -945,16 +968,15 @@ class IndexNode:
             span.set_attribute("resident", self.is_resident(acg_id))
             self._ensure_resident(acg_id)
         replica = self.replicas[acg_id]
-        specs = [replica.specs[n] for n in (index_names or replica.specs)
-                 if n in replica.specs]
         with self.tracer.span("plan", node=self.name, acg=acg_id) as span:
-            plans = plan_query_set(predicate, specs, now)
-            span.set_attribute(
-                "access_path", "; ".join(p.describe() for p in plans))
+            plans = self._plans(replica, query, index_names, now)
+            if self.tracer.enabled:
+                span.set_attribute(
+                    "access_path", "; ".join(p.describe() for p in plans))
         with self.tracer.span("index_scan", node=self.name, acg=acg_id) as span:
             result = self._run_leg(
                 acg_id, replica.store,
-                lambda: execute_plans(plans, predicate, replica.indexes,
+                lambda: execute_plans(plans, query, replica.indexes,
                                       replica.store, now))
             span.set_attribute("matches", len(result.file_ids))
         return result
@@ -968,19 +990,17 @@ class IndexNode:
         matches word-at-a-time, so one examine charge covers
         ``_VECTOR_WIDTH`` of them (ceil: a partial word still costs a
         word) — and answer with the sorted paths from ``store`` (its
-        ``len`` and ``attrs`` are all a leg reads: a live attribute
+        ``len`` and ``paths`` are all a leg reads: a live attribute
         store, or a frozen partition's segment view)."""
         self.machine.compute(_EXAMINE_OPS * max(1, len(store) // 64))
         file_ids = match()
         self.machine.compute(
             _EXAMINE_OPS * ((len(file_ids) + _VECTOR_WIDTH - 1) // _VECTOR_WIDTH))
-        paths = tuple(sorted(
-            p for p in (store.attrs(f).get("path") for f in file_ids)
-            if p is not None))
         return SearchResult(node=self.name, acg_id=acg_id,
-                            file_ids=frozenset(file_ids), paths=paths)
+                            file_ids=frozenset(file_ids),
+                            paths=tuple(store.paths(file_ids)))
 
-    def _search_frozen(self, acg_id: int, predicate: Predicate,
+    def _search_frozen(self, acg_id: int, query: PreparedQuery,
                        index_names: Optional[Sequence[str]],
                        now: float) -> SearchResult:
         """Execute one search leg against a frozen partition.
@@ -994,7 +1014,7 @@ class IndexNode:
         """
         frozen = self.frozen[acg_id]
         self.machine.compute(_EXAMINE_OPS)
-        if not summary_may_match(frozen.snapshot, predicate, now):
+        if not summary_may_match(frozen.snapshot, query, now):
             # Zone maps / bloom say no possible match: byte-identical to
             # the empty answer a full scan would produce (fail-open
             # summaries only ever return False when provably empty).
@@ -1010,7 +1030,7 @@ class IndexNode:
                 with self.tracer.span("segment_scan", node=self.name,
                                       acg=acg_id) as span:
                     result = self._run_leg(acg_id, view,
-                                           lambda: view.search(predicate, now))
+                                           lambda: view.search(query, now))
                     span.set_attribute("matches", len(result.file_ids))
             except SegmentCorruption:
                 # CRC-valid but inconsistent inside, found while
@@ -1029,7 +1049,7 @@ class IndexNode:
         # Cold tier unavailable: serve from the live backing replica
         # (still frozen — the next leg tries the cold tier again).
         self.tier_fallbacks += 1
-        return self._search_live_body(acg_id, predicate, index_names, now)
+        return self._search_live_body(acg_id, query, index_names, now)
 
     def handle_search(self, acg_ids: Sequence[int], predicate: Predicate,
                       index_names: Optional[Sequence[str]] = None,
@@ -1057,7 +1077,11 @@ class IndexNode:
         pending updates, recreated replica — fails open and is searched
         like a normal leg.  This is what makes pruning false negatives
         impossible: the node, which has ground truth, gets the last word.
+
+        The predicate is prepared once for the whole request: every
+        partition below shares its cache-key parts, plans and matcher.
         """
+        query = self._prepare(predicate)
         update_outcomes: Tuple[CallOutcome, ...] = ()
         if updates:
             with self.tracer.span("carry", node=self.name,
@@ -1078,12 +1102,12 @@ class IndexNode:
             else:
                 self.prune_fallbacks += 1
                 reply.results.append(
-                    self._search_one(acg_id, predicate, index_names))
+                    self._search_one(acg_id, query, index_names))
         for acg_id in acg_ids:
             if not self.owns(acg_id):
                 not_owned.append(acg_id)
                 continue
-            reply.results.append(self._search_one(acg_id, predicate, index_names))
+            reply.results.append(self._search_one(acg_id, query, index_names))
         if not_owned:
             self.stale_route_nacks += len(not_owned)
             reply.not_owned = tuple(sorted(not_owned))
@@ -1098,18 +1122,17 @@ class IndexNode:
 
         Uses the same ownership test as the search path: a handed-off
         (migrated-away) replica must not report plans for an ACG this
-        node no longer answers for."""
+        node no longer answers for.  An index name this node was never
+        told about (``create_index`` reaches every node) names nothing:
+        :class:`~repro.errors.UnknownIndexName`."""
+        for name in index_names or ():
+            if name not in self._global_specs:
+                raise UnknownIndexName(name)
+        query = self._prepare(predicate)
         now = self.machine.clock.now()
-        out: List[Tuple[int, List[str]]] = []
-        for acg_id in acg_ids:
-            if not self.owns(acg_id):
-                continue
-            replica = self.replicas[acg_id]
-            specs = [replica.specs[n] for n in (index_names or replica.specs)
-                     if n in replica.specs]
-            plans = plan_query_set(predicate, specs, now)
-            out.append((acg_id, [plan.describe() for plan in plans]))
-        return out
+        return [(acg_id, [plan.describe() for plan in self._plans(
+                    self.replicas[acg_id], query, index_names, now)])
+                for acg_id in acg_ids if self.owns(acg_id)]
 
     # -- ACG maintenance -------------------------------------------------------------------
 
@@ -1670,6 +1693,7 @@ class IndexNode:
         client's opt-in partial-results deadline).  ACGs with no follower
         replica here come back in ``missing``.
         """
+        query = self._prepare(predicate)
         reply = ReplicaSearchReply(node=self.name, epoch=self.route_epoch_seen)
         applied: List[Tuple[int, int]] = []
         lagging: List[int] = []
@@ -1680,7 +1704,7 @@ class IndexNode:
                 missing.append(acg_id)
                 continue
             reply.results.append(
-                self._search_follower(st, predicate, index_names))
+                self._search_follower(st, query, index_names))
             applied.append((acg_id, st.applied_seq))
             if min_seqs and st.applied_seq < min_seqs.get(acg_id, 0):
                 lagging.append(acg_id)
@@ -1689,19 +1713,17 @@ class IndexNode:
         reply.missing = tuple(missing)
         return reply
 
-    def _search_follower(self, st: FollowerState, predicate: Predicate,
+    def _search_follower(self, st: FollowerState, query: PreparedQuery,
                          index_names: Optional[Sequence[str]]) -> SearchResult:
         """One follower replica's answer — the :meth:`_search_one` core
         without commit forcing, result caching, or residency I/O (the
         follower store is memory-resident by construction)."""
         now = self.machine.clock.now()
         replica = st.replica
-        specs = [replica.specs[n] for n in (index_names or replica.specs)
-                 if n in replica.specs]
-        plans = plan_query_set(predicate, specs, now)
+        plans = self._plans(replica, query, index_names, now)
         return self._run_leg(
             replica.acg_id, replica.store,
-            lambda: execute_plans(plans, predicate, replica.indexes,
+            lambda: execute_plans(plans, query, replica.indexes,
                                   replica.store, now))
 
     # -- liveness -----------------------------------------------------------------------------

@@ -228,7 +228,6 @@ class MasterNode:
         for method, handler in [
             ("register_index_node", self.register_index_node),
             ("create_index", self.create_index),
-            ("route_search", self.route_search),
             ("route_table", self.route_table),
             ("allocate_partitions", self.allocate_partitions),
             ("file_deleted", self.file_deleted),
@@ -810,27 +809,6 @@ class MasterNode:
             self._assign_followers(partition.partition_id)
             loads[node] += self.policy.cluster_target
         return self._build_route_table(since_epoch)
-
-    # -- routing --------------------------------------------------------------------
-
-    def route_search(self, index_name: Optional[str] = None) -> Dict[str, List[int]]:
-        """node → ACG ids to search (every ACG that can carry the index)."""
-        if index_name is not None and index_name not in self.index_specs:
-            from repro.errors import UnknownIndexName
-
-            raise UnknownIndexName(index_name)
-        self._require_acting()
-        self._count_route_rpc()
-        routing: Dict[str, List[int]] = {}
-        for partition in self.partitions.partitions():
-            # Every placed partition is searched: with client-side
-            # placement the Master cannot tell an empty partition from
-            # one whose files it simply never heard about.
-            if partition.node is None:
-                continue
-            self.machine.compute(_ROUTE_LOOKUP_OPS)
-            routing.setdefault(partition.node, []).append(partition.partition_id)
-        return routing
 
     # -- namespace change notifications ------------------------------------------------
 

@@ -47,15 +47,17 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.errors import SegmentCorruption
 from repro.indexstructures.base import IndexKind
 from repro.indexstructures.postings import PostingList, intersect_all
 from repro.indexstructures.serialization import dump_value, load_value
-from repro.query.ast import Keyword, Predicate, conjuncts, matches
+from repro.query.ast import Predicate
 from repro.query.executor import AttributeStore
 from repro.query.planner import IndexSpec
+from repro.query.prepared import PreparedQuery, prepare
 from repro.query.summary import SummarySnapshot
 
 SEGMENT_MAGIC = b"PSEG"
@@ -437,10 +439,17 @@ class SegmentView:
         """The file's attribute dict, path included ({} if unknown)."""
         return self._store.attrs(file_id) if self._has_row(file_id) else {}
 
-    def search(self, predicate: Predicate, now: float) -> Set[int]:
+    def paths(self, file_ids: Iterable[int]) -> List[str]:
+        """The paths of the given files, sorted — rows decoded if needed."""
+        return self._store.paths(
+            [file_id for file_id in file_ids if self._has_row(file_id)])
+
+    def search(self, predicate: Union[Predicate, PreparedQuery],
+               now: float) -> Set[int]:
         """Exact matching file ids (same answer as the live path)."""
-        terms = [c.term for c in conjuncts(predicate)
-                 if isinstance(c, Keyword)]
+        query = prepare(predicate)
+        terms = query.keyword_terms
+        match = query.matcher(now)
         try:
             if terms:
                 candidates = intersect_all(
@@ -452,13 +461,13 @@ class SegmentView:
                         if file_id not in self._store:
                             self._memoise_row(body, i)
                 candidates = self._store.file_ids()
+            attrs, keywords = self._store.attrs, self._store.keywords
             result: Set[int] = set()
             for file_id in candidates:
                 if not self._has_row(file_id):
                     raise SegmentCorruption(
                         f"segment posting names file {file_id}, no such row")
-                if matches(predicate, self._store.attrs(file_id),
-                           self._store.keywords(file_id), now):
+                if match(attrs(file_id), keywords(file_id)):
                     result.add(file_id)
             return result
         finally:

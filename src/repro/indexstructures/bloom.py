@@ -39,6 +39,17 @@ def _positions(token: str, m_bits: int, k: int) -> Iterable[int]:
         yield (h1 + i * h2) % m_bits
 
 
+def probe_mask(token: str, m_bits: int, k: int) -> int:
+    """The token's ``k`` positions as one int with those bits set: a
+    filter of that geometry may contain the token iff
+    ``bits & mask == mask``.  Computed once, a mask tests any number of
+    filters without hashing again."""
+    mask = 0
+    for pos in _positions(token, m_bits, k):
+        mask |= 1 << pos
+    return mask
+
+
 class BloomFilter:
     """Deterministic add-only Bloom filter over string tokens."""
 
@@ -73,8 +84,8 @@ class BloomFilter:
 
     def might_contain(self, token: str) -> bool:
         """False means *definitely absent*; True means "maybe"."""
-        return all(self.bits >> pos & 1
-                   for pos in _positions(token, self.m_bits, self.k))
+        mask = probe_mask(token, self.m_bits, self.k)
+        return self.bits & mask == mask
 
     def __contains__(self, token: str) -> bool:
         return self.might_contain(token)

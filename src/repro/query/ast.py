@@ -11,8 +11,10 @@ bounds.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterator, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Sequence,
+                    Set, Tuple, Union)
 
 from repro.errors import QueryError
 
@@ -24,6 +26,30 @@ _OPS: Dict[str, Callable[[Any, Any], bool]] = {
     ">=": operator.ge,
     ">": operator.gt,
 }
+
+
+_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+
+
+def path_tokens(text: str) -> List[str]:
+    """The lower-cased alphanumeric runs of ``text``, in order — what a
+    path is indexed under, and so what a keyword term is looked up as."""
+    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+
+
+def tokenize_path(path: str) -> FrozenSet[str]:
+    """Keywords of a path: lower-cased alphanumeric runs, plus stem splits.
+
+    ``/home/john/.mozilla/prefs.js`` → {home, john, mozilla, prefs, js}.
+    This mirrors the paper's MySQL schema, which extracts keywords from
+    the full file path.
+    """
+    return frozenset(path_tokens(path))
+
+
+def is_numeric(value: Any) -> bool:
+    """Whether a value orders with numbers (bool counts; complex does not)."""
+    return isinstance(value, (int, float))
 
 
 @dataclass(frozen=True)
@@ -107,6 +133,12 @@ def matches(predicate: Predicate, attrs: Dict[str, Any],
 
     Missing attributes never match a comparison (matching SQL NULL
     semantics under conjunction).
+
+    This is the *reference interpreter*: the oracles (brute-force scan,
+    crawler baseline, chaos checker) evaluate with it, and the serving
+    path's compiled matcher
+    (:meth:`repro.query.prepared.PreparedQuery.matcher`) is pinned to it
+    by differential tests.
     """
     if isinstance(predicate, Compare):
         resolved = predicate.resolved(now)

@@ -17,16 +17,16 @@ partial-results semantic partition-parallel search needs).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Set, Tuple)
+                    Mapping, Optional, Sequence, Set, Tuple, Union)
 
 from repro.errors import DiskIOError, NodeDown, QueryError, RpcTimeout, UnknownIndexName
 from repro.indexstructures.base import Index
 from repro.indexstructures.postings import PostingList, intersect_all
-from repro.query.ast import And, Keyword, Predicate, conjuncts, matches
+from repro.query.ast import Predicate, tokenize_path
 from repro.query.planner import Plan
+from repro.query.prepared import Matcher, PreparedQuery, prepare
 from repro.sim.rpc import scatter
 
 # Failures that degrade a search leg instead of failing the whole query.
@@ -34,17 +34,7 @@ from repro.sim.rpc import scatter
 # caller mistake and still propagates.
 DEGRADABLE_ERRORS = (NodeDown, RpcTimeout, DiskIOError)
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-
-
-def tokenize_path(path: str) -> FrozenSet[str]:
-    """Keywords of a path: lower-cased alphanumeric runs, plus stem splits.
-
-    ``/home/john/.mozilla/prefs.js`` → {home, john, mozilla, prefs, js}.
-    This mirrors the paper's MySQL schema, which extracts keywords from
-    the full file path.
-    """
-    return frozenset(t for t in _TOKEN_SPLIT.split(path.lower()) if t)
+_NO_KEYWORDS: FrozenSet[str] = frozenset()
 
 
 class AttributeStore:
@@ -87,11 +77,29 @@ class AttributeStore:
 
     def keywords(self, file_id: int) -> FrozenSet[str]:
         """The file's path keywords (empty set if unknown)."""
-        return self._keywords.get(file_id, frozenset())
+        return self._keywords.get(file_id, _NO_KEYWORDS)
 
     def file_ids(self) -> Iterator[int]:
         """Iterate every known file id."""
         return iter(self._attrs)
+
+    def select(self, candidates: Iterable[int], match: Matcher) -> Set[int]:
+        """The candidates this store holds whose row passes ``match``
+        (a compiled :meth:`~repro.query.prepared.PreparedQuery.matcher`)
+        — evaluated in bulk, one pass over the store's own dicts.  A
+        store whose row reads cost something overrides this."""
+        rows, keywords = self._attrs, self._keywords
+        return {file_id for file_id in candidates
+                if (attrs := rows.get(file_id)) is not None
+                and match(attrs, keywords.get(file_id, _NO_KEYWORDS))}
+
+    def paths(self, file_ids: Iterable[int]) -> List[str]:
+        """The paths of the given files, sorted (a file with no path, or
+        unknown, contributes none)."""
+        rows = self._attrs
+        found = [rows[file_id].get("path") for file_id in file_ids
+                 if file_id in rows]
+        return sorted([path for path in found if path is not None])
 
     def estimated_bytes(self) -> int:
         """Rough serialized size, used by the page-cache cost model.
@@ -113,21 +121,20 @@ def _candidates(plan: Plan, indexes: Mapping[str, Index],
     if plan.access in ("hash_eq", "keyword"):
         return index.get(plan.key)
     if plan.access == "btree_range":
-        return [value for _, value in index.range(  # type: ignore[attr-defined]
+        return index.range_values(  # type: ignore[attr-defined]
             plan.low, plan.high,
-            include_low=plan.include_low, include_high=plan.include_high)]
+            include_low=plan.include_low, include_high=plan.include_high)
     if plan.access == "kdtree_range":
         return [value for _, value in index.range(plan.lows, plan.highs)]  # type: ignore[attr-defined]
     raise QueryError(f"unknown access path: {plan.access!r}")
 
 
-def _keyword_posting_candidates(plan: Plan, predicate: Predicate,
+def _keyword_posting_candidates(plan: Plan, query: PreparedQuery,
                                 indexes: Mapping[str, Index]
                                 ) -> Optional[PostingList]:
     """AND the posting lists of every top-level keyword conjunct.
 
-    Every keyword that is a mandatory conjunct (``conjuncts`` only
-    flattens top-level ANDs, so each is required) narrows the candidate
+    Every keyword that is a mandatory conjunct narrows the candidate
     set up front with a vectorized bitmap AND, instead of leaving all
     but the planned term to a per-doc membership test in the residual
     filter.  Returns None when the predicate has no top-level keyword
@@ -135,7 +142,7 @@ def _keyword_posting_candidates(plan: Plan, predicate: Predicate,
     plan's own term.  Exactness is untouched either way: candidates
     still run through the full residual filter.
     """
-    terms = [c.term for c in conjuncts(predicate) if isinstance(c, Keyword)]
+    terms = query.keyword_terms
     if not terms:
         return None
     index = indexes[plan.index_name]
@@ -143,32 +150,33 @@ def _keyword_posting_candidates(plan: Plan, predicate: Predicate,
         PostingList.from_iterable(index.get(term)) for term in terms)
 
 
-def execute(plan: Plan, predicate: Predicate, indexes: Mapping[str, Index],
-            store: AttributeStore, now: float) -> Set[int]:
-    """Run one plan; return the exact set of matching file ids."""
+def execute(plan: Plan, predicate: Union[Predicate, PreparedQuery],
+            indexes: Mapping[str, Index], store: AttributeStore,
+            now: float) -> Set[int]:
+    """Run one plan; return the exact set of matching file ids.
+
+    Every candidate of every access path passes the query's compiled
+    matcher — the whole predicate, not what the access path left over."""
+    query = prepare(predicate)
     candidates: Optional[Iterable[int]] = None
     if (plan.access == "keyword"
             and plan.index_name is not None and plan.index_name in indexes):
-        candidates = _keyword_posting_candidates(plan, predicate, indexes)
+        candidates = _keyword_posting_candidates(plan, query, indexes)
     if candidates is None:
         candidates = _candidates(plan, indexes, store)
-    result: Set[int] = set()
-    for file_id in candidates:
-        if file_id in result or file_id not in store:
-            continue
-        if matches(predicate, store.attrs(file_id), store.keywords(file_id), now):
-            result.add(file_id)
-    return result
+    return store.select(candidates, query.matcher(now))
 
 
-def execute_plans(plans: Iterable[Plan], predicate: Predicate,
+def execute_plans(plans: Iterable[Plan],
+                  predicate: Union[Predicate, PreparedQuery],
                   indexes: Mapping[str, Index], store: AttributeStore,
                   now: float) -> Set[int]:
     """Union of several plans (disjunctive queries), still exact: every
     candidate is re-checked against the full predicate."""
+    query = prepare(predicate)
     result: Set[int] = set()
     for plan in plans:
-        result |= execute(plan, predicate, indexes, store, now)
+        result |= execute(plan, query, indexes, store, now)
     return result
 
 

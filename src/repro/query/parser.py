@@ -6,7 +6,8 @@ Grammar (both the API form and the query-directory form use it)::
     disjunct := conjunct ('|' conjunct)*
     conjunct := term ('&' term)*
     term     := '!' term | '(' disjunct ')' | keyword | compare
-    keyword  := 'keyword' ':' IDENT
+    keyword  := 'keyword' ':' TERM      (a TERM of several alphanumeric
+                                         runs, ``prefs.js``, is their AND)
     compare  := ATTR OP literal
     OP       := < <= == != >= >
     literal  := NUMBER [size-unit | time-unit] | STRING
@@ -23,7 +24,8 @@ import re
 from typing import List, Optional, Tuple
 
 from repro.errors import QueryError
-from repro.query.ast import And, Compare, Keyword, Not, Or, Predicate, RelativeAge
+from repro.query.ast import (And, Compare, Keyword, Not, Or, Predicate,
+                             RelativeAge, path_tokens)
 
 _SIZE_UNITS = {
     "b": 1,
@@ -142,7 +144,16 @@ class _Parser:
             if term_kind == "number":
                 number, unit = term_value  # type: ignore[misc]
                 term_value = f"{number:g}{unit}"
-            return Keyword(str(term_value).lower())
+            # A term is looked up the way paths are indexed: by its
+            # alphanumeric runs, all of which the path must carry.
+            tokens = path_tokens(str(term_value))
+            if not tokens:
+                raise QueryError(
+                    f"keyword term {term_value!r} has no letters or digits "
+                    f"({self.source!r})")
+            if len(tokens) == 1:
+                return Keyword(tokens[0])
+            return And(tuple(Keyword(token) for token in tokens))
         op = self.expect("op")
         literal = self._literal(str(value))
         return Compare(str(value), str(op), literal)

@@ -36,22 +36,19 @@ Safety contract — **false negatives must be impossible**:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from functools import cached_property
+from typing import (Any, Dict, FrozenSet, Iterable, List, Mapping, Tuple,
+                    Union)
 
-from repro.errors import QueryError
-from repro.indexstructures.bloom import BloomFilter
-from repro.query.ast import (And, Compare, Keyword, Not, Or, Predicate,
-                             RelativeAge)
+from repro.indexstructures.bloom import BloomFilter, probe_mask
+from repro.query.ast import Predicate, is_numeric
+from repro.query.prepared import PreparedQuery, prepare
 
 # A widened summary is rebuilt (shrunk back to ground truth) only after
 # deletes have accumulated past max(_REBUILD_MIN_DELETES, live file
 # count): rebuilds are deterministic but cost a full store sweep, so they
 # must stay rare relative to the deletes that motivate them.
 _REBUILD_MIN_DELETES = 32
-
-
-def _is_numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, complex)
 
 
 class PartitionSummary:
@@ -83,7 +80,7 @@ class PartitionSummary:
             batch_keywords.extend(keywords)
             for name, value in attrs.items():
                 self.attrs_seen.add(name)
-                if _is_numeric(value):
+                if is_numeric(value):
                     zone = self.zones.get(name)
                     if zone is None:
                         self.zones[name] = [value, value]
@@ -149,71 +146,28 @@ class SummarySnapshot:
     bloom_m: int
     bloom_k: int
 
+    @cached_property
+    def zone_map(self) -> Dict[str, Tuple[float, float]]:
+        """``zones`` by attribute name (derived; not part of the wire
+        form or of equality)."""
+        return {name: (lo, hi) for name, lo, hi in self.zones}
+
     def keyword_may_match(self, term: str) -> bool:
-        bloom = BloomFilter(self.bloom_m, self.bloom_k, bits=self.bloom_bits)
-        return bloom.might_contain(term)
+        mask = probe_mask(term, self.bloom_m, self.bloom_k)
+        return self.bloom_bits & mask == mask
 
 
-def _compare_may_match(snapshot: SummarySnapshot, predicate: Compare,
-                       now: float) -> bool:
-    if predicate.attr not in snapshot.attrs_seen:
-        # No covered file carries this attribute at all, and a missing
-        # attribute never satisfies *any* comparison (SQL-NULL
-        # semantics in ast.matches) — prunable regardless of op.
-        return False
-    time_derived = isinstance(predicate.value, RelativeAge)
-    resolved = predicate.resolved(now)
-    if not _is_numeric(resolved.value):
-        return True  # string compare: zones don't cover it — fail open
-    if resolved.op == "!=":
-        return True
-    zone = next((z for z in snapshot.zones if z[0] == resolved.attr), None)
-    if zone is None:
-        # Attribute seen, but never with a numeric value.  A numeric
-        # comparison against non-numeric stored values evaluates False,
-        # but a *mixed* attribute could have had numeric values widened
-        # away — zones are only reset on rebuild, so absence here means
-        # genuinely never numeric.  Still fail open: cheap and simple.
-        return True
-    _, lo, hi = zone
-    value = resolved.value
-    if resolved.op == ">":
-        return hi > value  # sound for time-derived: cutoff only grows
-    if resolved.op == ">=":
-        return hi >= value
-    if time_derived:
-        # Resolved <, <= or == from a RelativeAge: the allowed set grows
-        # or moves as the node's clock passes the client's — fail open.
-        return True
-    if resolved.op == "<":
-        return lo < value
-    if resolved.op == "<=":
-        return lo <= value
-    if resolved.op == "==":
-        return lo <= value <= hi
-    return True
-
-
-def summary_may_match(snapshot: SummarySnapshot, predicate: Predicate,
+def summary_may_match(snapshot: SummarySnapshot,
+                      predicate: Union[Predicate, PreparedQuery],
                       now: float) -> bool:
     """Could *any* file covered by this snapshot satisfy the predicate?
 
     False is a proof of emptiness (the leg can be skipped, subject to
     node-side watermark validation); True just means "cannot rule it
-    out".
+    out".  The rules above are compiled once per query
+    (:meth:`~repro.query.prepared.PreparedQuery.summary_check`); a
+    caller with many snapshots to test prepares the predicate first.
     """
     if snapshot.file_count == 0:
         return False  # an empty committed partition matches nothing
-    if isinstance(predicate, Compare):
-        return _compare_may_match(snapshot, predicate, now)
-    if isinstance(predicate, Keyword):
-        return snapshot.keyword_may_match(predicate.term)
-    if isinstance(predicate, And):
-        return all(summary_may_match(snapshot, c, now)
-                   for c in predicate.children)
-    if isinstance(predicate, Or):
-        return any(summary_may_match(snapshot, c, now)
-                   for c in predicate.children)
-    if isinstance(predicate, Not):
-        return True  # negation over an over-approximation: fail open
-    raise QueryError(f"unknown predicate node: {predicate!r}")
+    return prepare(predicate).summary_check(now)(snapshot)

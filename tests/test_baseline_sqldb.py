@@ -78,6 +78,22 @@ def test_queries_charge_time(db):
     assert db.machine.clock.now() > t0
 
 
+def test_every_candidate_row_examined_is_a_row_read(db):
+    """What makes candidate verification expensive on a big table: the
+    executor's bulk evaluation must not bypass the paged store — one
+    buffer-pool touch per candidate row, matching or not."""
+    for i in range(100):
+        db.insert_file(i, {"size": i, "mtime": float(i % 2)}, path=f"/f{i}")
+    db.flush()
+    touched = []
+    pool_touch = db.buffer_pool.touch
+    db.buffer_pool.touch = lambda ns, page, write=False: (
+        touched.append(page) if ns == "rows" else None,
+        pool_touch(ns, page, write))[1]
+    assert db.query("size>=50 & mtime==1") == set(range(51, 100, 2))
+    assert sorted(touched) == sorted(i // 32 for i in range(50, 100))
+
+
 def test_global_index_cost_grows_with_dataset():
     """The structural contrast with Propeller: per-update cost grows with
     total dataset size (deeper tree, colder buffer pool)."""

@@ -47,6 +47,31 @@ def test_keyword_search(indexed_service):
     assert client.search("keyword:file00007") == ["/data/file00007.bin"]
 
 
+def test_keyword_term_with_punctuation_finds_the_file(indexed_service):
+    """``docs/query-language.md``'s own example.  As one token,
+    ``prefs.js`` equals no keyword of any file: the Bloom summaries
+    "proved" every partition empty and the answer was silently [] — and
+    the brute-force oracle agreed, because it shares the parser."""
+    from repro.baselines.bruteforce import BruteForceSearcher
+
+    service, client = indexed_service
+    vfs = service.vfs
+    for directory in ("/home", "/home/john", "/home/john/.mozilla"):
+        vfs.mkdir(directory)
+    wanted = "/home/john/.mozilla/prefs.js"
+    paths = [wanted, "/home/john/.mozilla/prefs.css", "/home/john/notes.js"]
+    for path in paths:
+        vfs.write_file(path, 100, pid=9)
+    client.index_paths(paths, pid=9)
+    service.commit_all()
+    service.advance(6.0)     # a heartbeat: the summaries reach the client
+    for query in ("keyword:prefs.js", "keyword:'prefs.js'",
+                  "keyword:js & keyword:prefs"):
+        assert client.search(query) == [wanted], query
+        assert BruteForceSearcher(vfs).query(query) == [wanted], query
+    assert client.search("keyword:john & !keyword:prefs.js") == paths[1:]
+
+
 def test_query_directory_scoping(indexed_service):
     service, client = indexed_service
     populate(service, client, n=30)

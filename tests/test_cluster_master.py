@@ -140,19 +140,28 @@ def test_create_index_propagates_and_rejects_duplicates():
         master.create_index(spec)
 
 
-def test_route_search_unknown_index():
-    master, _, _ = make_cluster()
+def test_explain_unknown_index():
+    """A named index no node was ever told about names nothing — the
+    nodes say so now; the Master's ``route_search`` used to."""
+    master, _, rpc = make_cluster()
+    client, vfs = make_client(master, rpc)
+    index(client, vfs, ["a"])
     with pytest.raises(UnknownIndexName):
-        master.route_search("ghost")
+        client.explain("size>0", "ghost")
 
 
-def test_route_search_covers_all_partitions():
-    master, _, _ = make_cluster()
-    master.create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
+def test_explain_covers_all_partitions():
+    """Every placed partition is explained, including ones allocated
+    behind this client's back: explain pulls the table first."""
+    master, _, rpc = make_cluster()
+    client, _ = make_client(master, rpc)
+    client.create_index("by_size", IndexKind.BTREE, ["size"])
     master.allocate_partitions(3)
-    routing = master.route_search("by_size")
-    covered = {acg for acgs in routing.values() for acg in acgs}
-    assert covered == {p.partition_id for p in master.partitions.partitions()}
+    plans = client.explain("size>0", "by_size")
+    placed = {p.partition_id for p in master.partitions.partitions()}
+    assert len(placed) == 3 and set(plans) == placed
+    assert all(paths == ["BTREE RANGE by_size (0, +inf]"]
+               for paths in plans.values())
 
 
 def test_file_deleted_forgets_a_known_file():

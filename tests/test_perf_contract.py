@@ -109,6 +109,83 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
     assert service.cluster.network.stats.bytes_sent > 0
 
 
+def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
+    """The search-side twin: a query is prepared once and evaluated in
+    bulk, but one client search — a result-cache miss on a live
+    partition, a summary-pruned partition, a frozen partition — still
+    *calls* every query-stack name ``perf/layertrace.py`` patches,
+    installed (as it installs them) before the deployment is built, so
+    the ``query.*`` / ``cluster.*`` rows keep meaning what
+    ``perf/README.md`` says.  One hot name is not in ``TARGETS``:
+    ``BPlusTree.range_values``, the values-only leaf-slice scan the range
+    access path now uses — its time is booked to its caller's layer,
+    ``query.executor``; ``BPlusTree.range`` (the pair generator) serves
+    snapshot encoding."""
+    from perf.layertrace import LayerTracer
+    from repro.core.partitioner import PartitioningPolicy
+    from repro.indexstructures import IndexKind
+    from repro.indexstructures.btree import BPlusTree
+
+    calls = {}
+    count_calls(monkeypatch, calls, ((BPlusTree, ("range_values",)),))
+    tracer = LayerTracer()
+    tracer.install()
+    try:
+        service = PropellerService(
+            num_index_nodes=2,
+            policy=PartitioningPolicy(split_threshold=50, cluster_target=10))
+        client = service.make_client()
+        client.create_index("by_size", IndexKind.BTREE, ["size"])
+        vfs = service.vfs
+        small = [f"/small{i}" for i in range(4)]
+        big = [f"/big{i}" for i in range(8)]
+        # One writer per group of four: each file joins its producer's
+        # partition, so a group is a partition.
+        for i, path in enumerate(small + big):
+            vfs.write_file(path, (10 if path in small else 5000) + i,
+                           pid=7 + i // 4)
+            client.index_path(path, pid=7 + i // 4)
+        client.flush_updates()
+        home = {path: client._file_routes[vfs.stat(path).ino]
+                for path in small + big}
+        assert len(set(home.values())) == 3 and home[big[0]] != home[big[7]]
+        assert not {home[p] for p in small} & {home[p] for p in big}
+        service.set_tiering(True, freeze_age_s=20.0, min_bytes=1)
+        service.advance(30.0)                      # everything freezes
+        vfs.write_file(big[0], 6000, pid=5)        # ... one partition thaws
+        client.index_path(big[0], pid=5)
+        client.flush_updates()
+        service.commit_all()
+        service.advance(6.0)                       # summaries reach the client
+        frozen = {a for n in service.index_nodes.values() for a in n.frozen}
+        assert home[big[0]] not in frozen
+        assert {home[p] for p in big} & frozen and {home[p] for p in small} <= frozen
+        tracer.start(service.clock)
+        assert client.search("size>=5000") == sorted(big)
+        tracer.stop()
+        # Skipped: the small files' partition and the slab's empty one.
+        assert service.registry.value("search.partitions_pruned") == 2
+        assert service.registry.value("search.partitions_searched") == 2
+        for name in ("parse_query", "summary_may_match", "plan_query_set",
+                     "execute_plans", "execute", "SegmentView.search",
+                     "IndexNode.handle_search"):
+            assert tracer.fn_calls.get(name, 0) >= 1, name
+        assert calls == {"range_values": 1}
+        # The repeat hits the client's query memo and the nodes' result
+        # caches: nothing is parsed, planned or executed again.
+        before = dict(tracer.fn_calls)
+        tracer.start(service.clock)
+        assert client.search("size>=5000") == sorted(big)
+        tracer.stop()
+        for name in ("parse_query", "plan_query_set", "execute_plans",
+                     "SegmentView.search"):
+            assert tracer.fn_calls[name] == before[name], name
+        assert tracer.fn_calls["summary_may_match"] \
+            > before["summary_may_match"]
+    finally:
+        tracer.uninstall()
+
+
 def test_ingest_path_runs_through_the_names_perf_patches(monkeypatch):
     """The interception path binds its observer hooks once and keeps the
     open's inode on the descriptor — but every event still goes through

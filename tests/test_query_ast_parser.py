@@ -140,6 +140,24 @@ def test_parse_keyword_term():
     assert parse_query("keyword:FireFox") == Keyword("firefox")
 
 
+def test_parse_keyword_term_is_tokenised_like_a_path():
+    """A path is indexed under its alphanumeric runs, so that is what a
+    term is looked up as: ``prefs.js`` is ``prefs`` AND ``js`` — as one
+    token it could equal no keyword of any file."""
+    assert parse_query("keyword:prefs.js") \
+        == parse_query("keyword:prefs & keyword:js") \
+        == And((Keyword("prefs"), Keyword("js")))
+    assert parse_query("keyword:'My-File_v2'") \
+        == And((Keyword("my"), Keyword("file"), Keyword("v2")))
+    assert parse_query("keyword:'.bashrc'") == Keyword("bashrc")
+    assert parse_query("keyword:1.5") == And((Keyword("1"), Keyword("5")))
+    negated = parse_query("size>1 & !keyword:a-b")
+    assert negated.children[1] == Not(And((Keyword("a"), Keyword("b"))))
+    for bad in ("keyword:'...'", "keyword:_", "keyword:''"):
+        with pytest.raises(QueryError):
+            parse_query(bad)
+
+
 def test_parse_paper_queries():
     q1 = parse_query("size > 1g & mtime < 1day")
     assert isinstance(q1, And) and len(q1.children) == 2

@@ -77,8 +77,8 @@ def test_lazy_equals_brute_force_equals_live(frozen):
     for node in dep.service.index_nodes.values():
         for acg_id in sorted(node.frozen):
             data = segment_bytes(dep, node, acg_id)
-            live = {q: set(node._search_live_body(acg_id, p, None,
-                                                  now).file_ids)
+            live = {q: set(node._search_live_body(acg_id, node._prepare(p),
+                                                  None, now).file_ids)
                     for q, p in predicates.items()}
             reference = load_segment(data)
             for order in (lookups + scans, scans + lookups):
@@ -245,7 +245,8 @@ def test_out_of_range_table_entry_falls_back_and_repairs(frozen, mutate,
     node.drop_caches()
     predicate = parse_query(query)
     now = dep.clock.now()
-    live = node._search_live_body(acg_id, predicate, None, now)
+    live = node._search_live_body(acg_id, node._prepare(predicate), None,
+                                  now)
     repairs, fallbacks = node.tier_repairs, node.tier_fallbacks
     journaled = len(dep.service.journal.events(type="tier.repair"))
     assert node._search_one(acg_id, predicate, None) == live
