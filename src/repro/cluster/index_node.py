@@ -95,6 +95,41 @@ _MASTER_RPCS = frozenset({
     "reset_follower_ack",
 })
 
+_KeyOf = Callable[[Dict[str, Any]], Optional[Any]]
+# A non-keyword index as one commit walks it: the index, its key function
+# and the batch's ``(key, file_id)`` pairs for it.
+_Keyed = Tuple[Index, _KeyOf, List[Tuple[Any, int]]]
+# An ACG replica's indexes as one commit walks them
+# (:meth:`AcgReplica._spec_groups`): the keyword hash indexes, the rest.
+_SpecGroups = Tuple[List[Index], List[_Keyed]]
+
+
+def _key_of(spec: IndexSpec) -> _KeyOf:
+    """How a file's attributes map to its key in ``spec``'s (non-keyword)
+    index; None means the file is not in that index."""
+    if spec.kind is not IndexKind.KDTREE:
+        attr = spec.attrs[0]
+        return lambda attrs: attrs.get(attr)
+    names = spec.attrs
+
+    def point(attrs: Dict[str, Any]) -> Optional[Tuple[float, ...]]:
+        values = [attrs.get(a) for a in names]
+        # A K-D index covers only files where every attribute is
+        # present *and numeric*; others are served by the residual
+        # filter path.
+        if any(v is None or isinstance(v, (str, bytes)) for v in values):
+            return None
+        try:
+            return tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            return None
+    return point
+
+
+def _is_keyword_index(spec: IndexSpec) -> bool:
+    """A keyword hash index holds one entry per path token of a file."""
+    return spec.attrs[0] == KEYWORD_ATTR and spec.kind is IndexKind.HASH
+
 
 class AcgReplica:
     """Everything one Index Node keeps for one ACG."""
@@ -146,31 +181,32 @@ class AcgReplica:
 
     # -- applying committed updates ------------------------------------------
 
-    def _index_key(self, spec: IndexSpec, attrs: Dict[str, Any]) -> Optional[Any]:
-        if spec.kind is IndexKind.KDTREE:
-            values = [attrs.get(a) for a in spec.attrs]
-            # A K-D index covers only files where every attribute is
-            # present *and numeric*; others are served by the residual
-            # filter path.
-            if any(v is None or isinstance(v, (str, bytes)) for v in values):
-                return None
-            try:
-                return tuple(float(v) for v in values)
-            except (TypeError, ValueError):
-                return None
-        value = attrs.get(spec.attrs[0])
-        return value
+    def _spec_groups(self) -> _SpecGroups:
+        """The replica's indexes sorted by how a file maps to keys — once
+        per batch instead of once per file per spec: keyword hash indexes
+        (one key per path token), and the rest (single-attribute or K-D),
+        each with its key function and an empty list for the batch's
+        ``(key, file_id)`` pairs."""
+        keyword: List[Index] = []
+        keyed: List[_Keyed] = []
+        for name, spec in self.specs.items():
+            if _is_keyword_index(spec):
+                keyword.append(self.indexes[name])
+            else:
+                keyed.append((self.indexes[name], _key_of(spec), []))
+        return keyword, keyed
 
-    def _deindex(self, file_id: int) -> None:
+    def _deindex(self, file_id: int, groups: _SpecGroups) -> None:
+        if file_id not in self.store:
+            return  # first index of a new file: nothing to clear
         old_attrs = self.store.attrs(file_id)
         old_keywords = self.store.keywords(file_id)
-        for name, spec in self.specs.items():
-            index = self.indexes[name]
-            if spec.attrs[0] == KEYWORD_ATTR and spec.kind is IndexKind.HASH:
-                for token in old_keywords:
-                    index.remove(token, file_id)
-                continue
-            key = self._index_key(spec, old_attrs)
+        keyword, keyed = groups
+        for index in keyword:
+            for token in old_keywords:
+                index.remove(token, file_id)
+        for index, key_of, _ in keyed:
+            key = key_of(old_attrs)
             if key is not None:
                 index.remove(key, file_id)
 
@@ -191,6 +227,8 @@ class AcgReplica:
         nspecs = max(1, len(self.specs))
         self.machine.compute(_COMMIT_BATCH_BASE_OPS * nspecs
                              + _COMMIT_BATCHED_UPDATE_OPS * nspecs * len(updates))
+        groups = self._spec_groups()
+        store = self.store
         # Files upserted in this batch whose index entries are deferred
         # (dict preserves first-upsert order for deterministic inserts).
         pending: Dict[int, None] = {}
@@ -199,40 +237,42 @@ class AcgReplica:
             file_id = update.file_id
             if update.op is UpdateOp.DELETE:
                 pending.pop(file_id, None)
-                self._deindex(file_id)
-                self.store.drop(file_id)
+                self._deindex(file_id, groups)
+                store.drop(file_id)
                 self.graph.remove_file(file_id)
                 self.summary.note_delete()
-                if self.summary.needs_rebuild(len(self.store)):
+                if self.summary.needs_rebuild(len(store)):
                     self.machine.compute(
-                        _REBUILD_OPS_PER_FILE * max(1, len(self.store)))
-                    self.summary.rebuild(self.store)
+                        _REBUILD_OPS_PER_FILE * max(1, len(store)))
+                    self.summary.rebuild(store)
                 continue
             if file_id not in pending:
                 # First touch this batch: clear the file's live index
                 # entries once; re-upserts below only refresh the store.
-                self._deindex(file_id)
+                self._deindex(file_id, groups)
                 pending[file_id] = None
-            self.store.put(update.file_id, update.attr_dict, path=update.path)
+            store.put(file_id, update.attr_dict, path=update.path)
+        keyword, keyed = groups
         entries: List[Tuple[Dict[str, Any], Sequence[str]]] = []
-        by_index: Dict[str, List[Tuple[Any, int]]] = {}
+        tokens: List[Tuple[str, int]] = []
         for file_id in pending:
-            if file_id not in self.store:
+            if file_id not in store:
                 continue
-            attrs = self.store.attrs(file_id)
-            keywords = self.store.keywords(file_id)
+            attrs = store.attrs(file_id)
+            keywords = store.keywords(file_id)
             entries.append((attrs, keywords))
-            for name, spec in self.specs.items():
-                if spec.attrs[0] == KEYWORD_ATTR and spec.kind is IndexKind.HASH:
-                    by_index.setdefault(name, []).extend(
-                        (token, file_id) for token in keywords)
-                    continue
-                key = self._index_key(spec, attrs)
+            if keyword:
+                tokens.extend((token, file_id) for token in keywords)
+            for _, key_of, pairs in keyed:
+                key = key_of(attrs)
                 if key is not None:
-                    by_index.setdefault(name, []).append((key, file_id))
+                    pairs.append((key, file_id))
         self.summary.observe_batch(entries)
-        for name, pairs in by_index.items():
-            index = self.indexes[name]
+        batches = [(index, tokens) for index in keyword]
+        batches += [(index, pairs) for index, _, pairs in keyed]
+        for index, pairs in batches:
+            if not pairs:
+                continue
             bulk = getattr(index, "bulk_insert", None)
             if bulk is not None:
                 bulk(pairs)
@@ -568,13 +608,13 @@ class IndexNode:
     @staticmethod
     def _backfill_index(replica: AcgReplica, spec: IndexSpec) -> None:
         index = replica.ensure_index(spec)
+        key_of = None if _is_keyword_index(spec) else _key_of(spec)
         for file_id in replica.store.file_ids():
-            attrs = replica.store.attrs(file_id)
-            if spec.attrs[0] == KEYWORD_ATTR and spec.kind is IndexKind.HASH:
+            if key_of is None:
                 for token in replica.store.keywords(file_id):
                     index.insert(token, file_id)
                 continue
-            key = replica._index_key(spec, attrs)
+            key = key_of(replica.store.attrs(file_id))
             if key is not None:
                 index.insert(key, file_id)
 

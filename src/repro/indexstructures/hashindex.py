@@ -5,10 +5,15 @@ A directory of 2^d pointers to buckets, each bucket holding at most
 when local depth would exceed global depth the directory doubles.  This is
 the disk-friendly hash organisation database systems used in the paper's
 era, and it gives the page hook a natural unit (one bucket = one page).
+
+A key's values are an insertion-ordered dict (value -> None): membership,
+insert and remove are O(1) however many files share a keyword, and
+iteration order is the order values arrived in.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -17,32 +22,49 @@ from repro.indexstructures.base import Index, IndexKind, PageHook
 DEFAULT_BUCKET_CAPACITY = 32
 _HASH_BITS = 64
 _HASH_MASK = (1 << _HASH_BITS) - 1
+# Distinct str keys whose hash is memoised (path tokens: a partition's
+# files share most of theirs, so a commit re-hashes the same few).
+_STR_HASH_MEMO = 1 << 16
+# Integral floats inside this range hash as the int they equal.
+_INT_KEY_LIMIT = 1 << 127
 
 
-def _stable_hash(key: Any) -> int:
-    """Deterministic across runs (unlike str hash with PYTHONHASHSEED)."""
-    if isinstance(key, bytes):
-        data = key
-    elif isinstance(key, str):
-        data = key.encode("utf-8")
-    elif isinstance(key, bool):
-        data = b"\x01" if key else b"\x00"
-    elif isinstance(key, int):
-        data = key.to_bytes(16, "little", signed=True)
-    elif isinstance(key, float):
-        data = repr(key).encode("ascii")
-    elif isinstance(key, tuple):
-        h = 0x345678
-        for item in key:
-            h = (h * 1000003) ^ _stable_hash(item)
-        return h & _HASH_MASK
-    else:
-        raise TypeError(f"unhashable index key type: {type(key).__name__}")
-    # FNV-1a
+def _fnv1a(data: bytes) -> int:
     h = 0xCBF29CE484222325
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & _HASH_MASK
     return h
+
+
+@functools.lru_cache(maxsize=_STR_HASH_MEMO)
+def _str_hash(key: str) -> int:
+    return _fnv1a(key.encode("utf-8"))
+
+
+def _stable_hash(key: Any) -> int:
+    """Deterministic across runs (unlike str hash with PYTHONHASHSEED).
+
+    Keys the bucket dict treats as one (``1 == 1.0 == True``,
+    ``0.0 == -0.0``) hash alike: bools and integral floats take the int
+    encoding.
+    """
+    if isinstance(key, str):
+        return _str_hash(key)
+    if isinstance(key, bytes):
+        return _fnv1a(key)
+    if isinstance(key, float) and key.is_integer() \
+            and -_INT_KEY_LIMIT <= key < _INT_KEY_LIMIT:
+        key = int(key)
+    if isinstance(key, int):
+        return _fnv1a(key.to_bytes(16, "little", signed=True))
+    if isinstance(key, float):
+        return _fnv1a(repr(key).encode("ascii"))
+    if isinstance(key, tuple):
+        h = 0x345678
+        for item in key:
+            h = (h * 1000003) ^ _stable_hash(item)
+        return h & _HASH_MASK
+    raise TypeError(f"unhashable index key type: {type(key).__name__}")
 
 
 class _Bucket:
@@ -51,7 +73,7 @@ class _Bucket:
     def __init__(self, bucket_id: int, local_depth: int) -> None:
         self.bucket_id = bucket_id
         self.local_depth = local_depth
-        self.entries: Dict[Any, List[Any]] = {}
+        self.entries: Dict[Any, Dict[Any, None]] = {}
 
 
 class ExtendibleHashIndex(Index):
@@ -97,7 +119,7 @@ class ExtendibleHashIndex(Index):
             if b is bucket and slot & high_bit:
                 self._directory[slot] = sibling
         # Redistribute entries.
-        stay: Dict[Any, List[Any]] = {}
+        stay: Dict[Any, Dict[Any, None]] = {}
         for key, values in bucket.entries.items():
             if _stable_hash(key) & high_bit:
                 sibling.entries[key] = values
@@ -124,12 +146,12 @@ class ExtendibleHashIndex(Index):
             values = bucket.entries.get(key)
             if values is not None:
                 if value not in values:
-                    values.append(value)
+                    values[value] = None
                     self._size += 1
                 self._touch(bucket, write=True)
                 return
             if len(bucket.entries) < self.bucket_capacity:
-                bucket.entries[key] = [value]
+                bucket.entries[key] = {value: None}
                 self._size += 1
                 self._touch(bucket, write=True)
                 return
@@ -143,22 +165,21 @@ class ExtendibleHashIndex(Index):
         (one keyword, many files) resolve the bucket once instead of
         re-walking the directory per pair.  Returns pairs added.
         """
-        grouped: dict = {}
+        grouped: Dict[Any, Dict[Any, None]] = {}
         for key, value in pairs:
-            bucket = grouped.setdefault(key, [])
-            if value not in bucket:
-                bucket.append(value)
+            group = grouped.get(key)
+            if group is None:
+                grouped[key] = {value: None}
+            else:
+                group[value] = None
         added = 0
         for key, new_values in grouped.items():
-            first = new_values[0]
             before = self._size
-            self.insert(key, first)  # may split; re-resolves the bucket
-            bucket = self._bucket_for(key)
-            values = bucket.entries[key]
-            for value in new_values[1:]:
-                if value not in values:
-                    values.append(value)
-                    self._size += 1
+            self.insert(key, next(iter(new_values)))  # may split
+            values = self._bucket_for(key).entries[key]
+            held = len(values)
+            values.update(new_values)  # appends only the values not held
+            self._size += len(values) - held
             added += self._size - before
         return added
 
@@ -174,7 +195,7 @@ class ExtendibleHashIndex(Index):
         else:
             if value not in values:
                 return 0
-            values.remove(value)
+            del values[value]
             removed = 1
             if not values:
                 del bucket.entries[key]
@@ -185,7 +206,7 @@ class ExtendibleHashIndex(Index):
     def get(self, key: Any) -> List[Any]:
         """All values stored under exactly ``key`` ([] if absent)."""
         bucket = self._bucket_for(key)
-        return list(bucket.entries.get(key, []))
+        return list(bucket.entries.get(key, ()))
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """Every (key, value) pair (arbitrary order)."""

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # annotation-only import, like repro.obs.tracing
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 DEFAULT_MAX_PENDING = 65536
 DEFAULT_PENDING_TTL_S = 120.0
@@ -71,6 +71,12 @@ class FreshnessTracker:
         self._pending: "OrderedDict[int, float]" = OrderedDict()
         self.dropped = 0
         self.expired = 0
+        # Instruments looked up on first use and kept (the registry never
+        # drops one): node -> its staleness histogram; the worst gauge;
+        # the visible counter.
+        self._staleness: Dict[str, "Histogram"] = {}
+        self._worst: Optional["Gauge"] = None
+        self._visible: Optional["Counter"] = None
 
     # -- producer side -------------------------------------------------------
 
@@ -98,12 +104,18 @@ class FreshnessTracker:
         if t0 is None:
             return None
         staleness = max(0.0, t - t0)
-        self.registry.histogram(f"cluster.{node}{_STALENESS_SUFFIX}",
-                                unit="s").observe(staleness)
-        worst = self.registry.gauge(_WORST_GAUGE)
+        histogram = self._staleness.get(node)
+        if histogram is None:
+            histogram = self._staleness[node] = self.registry.histogram(
+                f"cluster.{node}{_STALENESS_SUFFIX}", unit="s")
+        histogram.observe(staleness)
+        worst = self._worst
+        if worst is None:
+            worst = self._worst = self.registry.gauge(_WORST_GAUGE)
+            self._visible = self.registry.counter(_VISIBLE_COUNTER)
         if staleness > worst.value:
             worst.set(staleness)
-        self.registry.counter(_VISIBLE_COUNTER).inc()
+        self._visible.inc()
         return staleness
 
     def forget(self, file_id: int) -> None:

@@ -41,7 +41,7 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Mapping, Tuple,
                     Union)
 
 from repro.indexstructures.bloom import BloomFilter, probe_mask
-from repro.query.ast import Predicate, is_numeric
+from repro.query.ast import Predicate
 from repro.query.prepared import PreparedQuery, prepare
 
 # A widened summary is rebuilt (shrunk back to ground truth) only after
@@ -76,19 +76,19 @@ class PartitionSummary:
         their path tokens, so the batch's keywords go to the Bloom filter
         together — one mask, each distinct token hashed once."""
         batch_keywords: List[str] = []
+        attrs_seen, zones = self.attrs_seen, self.zones
         for attrs, keywords in entries:
             batch_keywords.extend(keywords)
+            attrs_seen.update(attrs)
             for name, value in attrs.items():
-                self.attrs_seen.add(name)
-                if is_numeric(value):
-                    zone = self.zones.get(name)
+                if isinstance(value, (int, float)):  # ast.is_numeric
+                    zone = zones.get(name)
                     if zone is None:
-                        self.zones[name] = [value, value]
-                    else:
-                        if value < zone[0]:
-                            zone[0] = value
-                        if value > zone[1]:
-                            zone[1] = value
+                        zones[name] = [value, value]
+                    elif value < zone[0]:
+                        zone[0] = value
+                    elif value > zone[1]:
+                        zone[1] = value
         self.bloom.add_all(batch_keywords)
 
     def note_delete(self) -> None:

@@ -140,6 +140,46 @@ class TestFreshnessTracker:
         assert NULL_FRESHNESS.expire(100.0) == 0
         assert isinstance(NULL_FRESHNESS, NullFreshness)
 
+    def test_bound_instruments_equal_the_per_call_lookups(self):
+        """``visible`` looks its instruments up once per node and keeps
+        them; the registry must read exactly as when every call looked
+        all three up by name — same instruments, created in the same
+        order, same values — with nodes interleaved and unstamped files
+        in between."""
+        def per_call_visible(reg, pending, node, file_id, t):
+            t0 = pending.pop(file_id, None)
+            if t0 is None:
+                return None
+            staleness = max(0.0, t - t0)
+            reg.histogram(f"cluster.{node}.staleness_s",
+                          unit="s").observe(staleness)
+            worst = reg.gauge("cluster.freshness.worst_s")
+            if staleness > worst.value:
+                worst.set(staleness)
+            reg.counter("cluster.freshness.visible_events").inc()
+            return staleness
+
+        rng = random.Random(25)
+        reg, ref = MetricsRegistry(), MetricsRegistry()
+        tracker, pending = FreshnessTracker(reg), {}
+        for file_id in range(400):
+            t = file_id * 0.01
+            if rng.random() < 0.8:
+                tracker.stamp(file_id, t)
+                pending.setdefault(file_id, t)
+        for step in range(500):
+            node = rng.choice(("in1", "in2", "in3"))
+            file_id, t = rng.randrange(420), 4.0 + step * rng.random()
+            assert tracker.visible(node, file_id, t) \
+                == per_call_visible(ref, pending, node, file_id, t)
+        assert list(reg.find("cluster")) == list(ref.find("cluster"))
+        for name, instrument in ref.items():
+            assert reg.value(name) == ref.value(name), name
+            if name.endswith(".staleness_s"):
+                assert reg.find(name)[name].reservoir_values() \
+                    == instrument.reservoir_values(), name
+        assert tracker.nodes() == ["in1", "in2", "in3"]
+
 
 class TestServiceWiring:
     def test_enable_timeline_tracks_cluster_series(self):

@@ -261,3 +261,58 @@ def test_only_the_cold_tier_calls_the_segment_names_perf_patches():
         assert tracer.fn_calls["load_segment"] >= 1
     finally:
         tracer.uninstall()
+
+
+def test_commit_path_runs_through_the_names_perf_patches(monkeypatch):
+    """A group commit costs in proportion to what changed — postings are
+    dicts, a token's hash is memoised, an unseen file skips the
+    de-index, freshness instruments are bound once — but a commit that
+    a search forces still *calls* every name ``perf/layertrace.py``
+    patches on that path, so the ``indexstructures.hashindex``,
+    ``indexstructures.btree``, ``query.summary`` and ``obs`` rows keep
+    attributing commit time: the rewrite de-indexes through
+    ``ExtendibleHashIndex.remove``, inserts through both ``bulk_insert``
+    names, widens through ``observe_batch``, and resolves one
+    ``FreshnessTracker.visible`` per stamped file."""
+    from repro.indexstructures import IndexKind
+    from repro.indexstructures.btree import BPlusTree
+    from repro.indexstructures.hashindex import ExtendibleHashIndex
+    from repro.obs.freshness import FreshnessTracker
+    from repro.query.summary import PartitionSummary
+
+    hash_calls, tree_calls, calls = {}, {}, {}
+    count_calls(monkeypatch, hash_calls,
+                ((ExtendibleHashIndex, ("remove", "bulk_insert")),))
+    count_calls(monkeypatch, tree_calls, ((BPlusTree, ("bulk_insert",)),))
+    count_calls(monkeypatch, calls, ((PartitionSummary, ("observe_batch",)),
+                                     (FreshnessTracker, ("visible",))))
+    service = PropellerService(num_index_nodes=2)
+    tracker = service.enable_freshness()
+    client = service.make_client()
+    client.create_index("by_size", IndexKind.BTREE, ["size"])
+    client.create_index("by_kw", IndexKind.HASH, ["keyword"])
+    service.vfs.mkdir("/src")
+    service.vfs.mkdir("/src/lib")
+    paths = [f"/src/lib/f{i}.c" for i in range(6)]
+    for i, path in enumerate(paths):
+        service.vfs.write_file(path, 100 + i, pid=5)
+        client.index_path(path, pid=5)
+    client.flush_updates()
+    service.commit_all()
+    assert tracker.pending == 0
+    for i, path in enumerate(paths[:4]):
+        service.vfs.write_file(path, 1000 + i, pid=5)
+        client.index_path(path, pid=5)
+    assert tracker.pending == 4
+    visible_before = service.registry.value("cluster.freshness.visible_events")
+    for counts in (hash_calls, tree_calls, calls):
+        counts.clear()
+    assert client.search("size>=1000") == paths[:4]   # forces the commit
+    assert hash_calls["remove"] >= 4 * 4      # src, lib, f<i>, c per file
+    assert hash_calls["bulk_insert"] >= 1
+    assert tree_calls == {"bulk_insert": hash_calls["bulk_insert"]}
+    assert calls["observe_batch"] >= 1
+    assert calls["visible"] == 4
+    assert tracker.pending == 0
+    assert service.registry.value("cluster.freshness.visible_events") \
+        == visible_before + 4
