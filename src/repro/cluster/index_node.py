@@ -102,6 +102,20 @@ _Keyed = Tuple[Index, _KeyOf, List[Tuple[Any, int]]]
 # An ACG replica's indexes as one commit walks them
 # (:meth:`AcgReplica._spec_groups`): the keyword hash indexes, the rest.
 _SpecGroups = Tuple[List[Index], List[_Keyed]]
+# What the indexes hold for one file before a commit touches it: its key
+# in each non-keyword index (in ``_Keyed`` order) and its path keywords;
+# None for a file the store does not hold.
+_Indexed = Optional[Tuple[List[Any], FrozenSet[str]]]
+
+
+def _same_key(old: Any, new: Any) -> bool:
+    """Whether a file's key in an index stays put across a commit: equal
+    *and* of one type, so ``1`` → ``1.0`` still moves (the index keeps
+    the key the store holds), and not NaN — NaN equals nothing, so it
+    keeps its remove-then-insert, K-D coordinates included."""
+    if type(old) is not type(new) or old != new:
+        return False
+    return type(new) is not tuple or all(x == x for x in new)
 
 
 def _key_of(spec: IndexSpec) -> _KeyOf:
@@ -196,48 +210,53 @@ class AcgReplica:
                 keyed.append((self.indexes[name], _key_of(spec), []))
         return keyword, keyed
 
-    def _deindex(self, file_id: int, groups: _SpecGroups) -> None:
-        if file_id not in self.store:
-            return  # first index of a new file: nothing to clear
-        old_attrs = self.store.attrs(file_id)
-        old_keywords = self.store.keywords(file_id)
-        keyword, keyed = groups
-        for index in keyword:
-            for token in old_keywords:
-                index.remove(token, file_id)
-        for index, key_of, _ in keyed:
-            key = key_of(old_attrs)
-            if key is not None:
-                index.remove(key, file_id)
-
     def apply_batch(self, updates: Sequence[IndexUpdate]) -> None:
-        """Apply one group commit: amortized charge, bulk index insert.
+        """Apply one group commit: amortized charge, delta index update.
 
         Final index/store/summary state is what applying the updates
         one by one in order would leave (upserts carry complete attribute
-        snapshots, so last-write-wins composes), but the work is batched:
-        store mutations run in order, index insertions for upserted files
-        are deferred, grouped per index, and merged in one sorted pass
-        (``bulk_insert``), and the summary widens once per batch over the
-        surviving files.  The CPU charge amortizes accordingly: full
-        setup once, a marginal cost per update.
+        snapshots, so last-write-wins composes), but the work is what the
+        batch changed.  Store mutations run in order; a file's first
+        touch records what the indexes hold for it.  After the batch each
+        index removes and inserts only the keys that moved — none for a
+        rewrite under the same path with the same key, every key for a
+        file new to the store, and the pre-batch keys of a deleted one —
+        the insertions grouped per index and merged in one sorted pass
+        (``bulk_insert``).  The summary widens once per batch over the
+        surviving upserted files: zones and attribute names from their
+        full attributes, the Bloom filter from their *added* tokens,
+        which sets the same bits as adding every token because the
+        filter holds every token of every stored file (it is add-only,
+        and a rebuild works from the store).  The CPU charge is counted
+        from the batch, not the delta: full setup once, a marginal cost
+        per update.
         """
         if not updates:
             return
         nspecs = max(1, len(self.specs))
         self.machine.compute(_COMMIT_BATCH_BASE_OPS * nspecs
                              + _COMMIT_BATCHED_UPDATE_OPS * nspecs * len(updates))
-        groups = self._spec_groups()
+        keyword, keyed = self._spec_groups()
         store = self.store
-        # Files upserted in this batch whose index entries are deferred
-        # (dict preserves first-upsert order for deterministic inserts).
+        # Each touched file's pre-batch index entries, taken before
+        # ``store.put`` refreshes its attribute dict in place.
+        before: Dict[int, _Indexed] = {}
+        # Files upserted in this batch and stored at its end (dict keeps
+        # first-upsert-after-last-delete order for deterministic inserts).
         pending: Dict[int, None] = {}
+        # A rebuild resets the Bloom filter to what the store holds at
+        # that moment: a token a file held before the batch is then no
+        # longer known to be in it.
+        rebuilt = False
         for update in updates:
             self.applied += 1
             file_id = update.file_id
+            if file_id not in before:
+                before[file_id] = None if file_id not in store else (
+                    [key_of(store.attrs(file_id)) for _, key_of, _ in keyed],
+                    store.keywords(file_id))
             if update.op is UpdateOp.DELETE:
                 pending.pop(file_id, None)
-                self._deindex(file_id, groups)
                 store.drop(file_id)
                 self.graph.remove_file(file_id)
                 self.summary.note_delete()
@@ -245,28 +264,50 @@ class AcgReplica:
                     self.machine.compute(
                         _REBUILD_OPS_PER_FILE * max(1, len(store)))
                     self.summary.rebuild(store)
+                    rebuilt = True
                 continue
-            if file_id not in pending:
-                # First touch this batch: clear the file's live index
-                # entries once; re-upserts below only refresh the store.
-                self._deindex(file_id, groups)
-                pending[file_id] = None
+            pending[file_id] = None
             store.put(file_id, update.attr_dict, path=update.path)
-        keyword, keyed = groups
-        entries: List[Tuple[Dict[str, Any], Sequence[str]]] = []
+        for file_id, old in before.items():
+            if old is None or file_id in pending:
+                continue
+            old_keys, old_keywords = old   # deleted: every pre-batch key goes
+            for index in keyword:
+                for token in old_keywords:
+                    index.remove(token, file_id)
+            for (index, _, _), key in zip(keyed, old_keys):
+                if key is not None:
+                    index.remove(key, file_id)
+        entries: List[Tuple[Dict[str, Any], Iterable[str]]] = []
         tokens: List[Tuple[str, int]] = []
         for file_id in pending:
-            if file_id not in store:
-                continue
             attrs = store.attrs(file_id)
             keywords = store.keywords(file_id)
-            entries.append((attrs, keywords))
+            old = before[file_id]
+            if old is None:
+                added = keywords
+                for _, key_of, pairs in keyed:
+                    key = key_of(attrs)
+                    if key is not None:
+                        pairs.append((key, file_id))
+            else:
+                old_keys, old_keywords = old
+                added = keywords - old_keywords
+                if keyword:
+                    for token in old_keywords - keywords:
+                        for index in keyword:
+                            index.remove(token, file_id)
+                for (index, key_of, pairs), old_key in zip(keyed, old_keys):
+                    key = key_of(attrs)
+                    if _same_key(old_key, key):
+                        continue
+                    if old_key is not None:
+                        index.remove(old_key, file_id)
+                    if key is not None:
+                        pairs.append((key, file_id))
             if keyword:
-                tokens.extend((token, file_id) for token in keywords)
-            for _, key_of, pairs in keyed:
-                key = key_of(attrs)
-                if key is not None:
-                    pairs.append((key, file_id))
+                tokens.extend((token, file_id) for token in added)
+            entries.append((attrs, keywords if rebuilt else added))
         self.summary.observe_batch(entries)
         batches = [(index, tokens) for index in keyword]
         batches += [(index, pairs) for index, _, pairs in keyed]
@@ -352,7 +393,7 @@ class IndexNode:
         # checkpointed here as regular files, and failover restores from
         # here (Section IV).
         self.shared_vfs = None
-        self.cache = IndexCache(self._commit_updates, timeout_s=cache_timeout_s)
+        self.cache = IndexCache(self._commit_cached, timeout_s=cache_timeout_s)
         self.tracer = NULL_TRACER
         self.freshness = NULL_FRESHNESS
         # Cluster event journal (lifecycle, fences, deposals); wired by
@@ -776,6 +817,17 @@ class IndexNode:
         for update in updates:
             self.freshness.visible(self.name, update.file_id, now)
 
+    def _commit_cached(self, acg_id: int, updates: List[IndexUpdate]) -> None:
+        """The cache's commit: :meth:`_commit_updates`, then reclaim the
+        WAL if that emptied the cache.  Whatever drained it — a timeout,
+        a search, a flush — every record in the log is now committed to
+        the disk-backed replicas.  (Crash replay commits directly and
+        truncates only once the whole log replayed: a replay that stops
+        at a damaged frame leaves the log, and its evidence, in place.)"""
+        self._commit_updates(acg_id, updates)
+        if not len(self.cache):
+            self._truncate_wal()
+
     def tick(self) -> int:
         """Commit timed-out cache buckets (called by the event loop).
 
@@ -784,8 +836,6 @@ class IndexNode:
         store.  The driver is fully gated on ``tiering`` so the default
         path charges nothing extra."""
         committed = self.cache.commit_due(self.machine.clock.now())
-        if committed and not len(self.cache):
-            self._truncate_wal()
         if self.tiering and self.object_store is not None:
             self._freeze_cold(self.machine.clock.now())
         for acg_id in sorted(self.repl):

@@ -53,16 +53,15 @@ def probe_mask(token: str, m_bits: int, k: int) -> int:
 class BloomFilter:
     """Deterministic add-only Bloom filter over string tokens."""
 
-    __slots__ = ("m_bits", "k", "bits", "count")
+    __slots__ = ("m_bits", "k", "bits")
 
     def __init__(self, m_bits: int = DEFAULT_BITS, k: int = DEFAULT_HASHES,
-                 bits: int = 0, count: int = 0) -> None:
+                 bits: int = 0) -> None:
         if m_bits <= 0 or k <= 0:
             raise ValueError(f"need positive geometry: m={m_bits}, k={k}")
         self.m_bits = m_bits
         self.k = k
         self.bits = bits
-        self.count = count  # tokens added (not distinct; sizing heuristic)
 
     def add(self, token: str) -> None:
         """Set the token's bits."""
@@ -75,7 +74,6 @@ class BloomFilter:
         mask = bytearray((self.m_bits + 7) // 8)
         hashed = set()
         for token in tokens:
-            self.count += 1
             if token not in hashed:
                 hashed.add(token)
                 for pos in _positions(token, self.m_bits, self.k):
@@ -95,12 +93,10 @@ class BloomFilter:
         if (other.m_bits, other.k) != (self.m_bits, self.k):
             raise ValueError("cannot merge Bloom filters of different geometry")
         self.bits |= other.bits
-        self.count += other.count
 
     def fill_ratio(self) -> float:
         """Fraction of bits set (a saturation / false-positive proxy)."""
         return bin(self.bits).count("1") / self.m_bits
 
     def copy(self) -> "BloomFilter":
-        return BloomFilter(self.m_bits, self.k, bits=self.bits,
-                           count=self.count)
+        return BloomFilter(self.m_bits, self.k, bits=self.bits)

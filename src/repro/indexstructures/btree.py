@@ -448,6 +448,13 @@ class BPlusTree(Index):
             node = node.children[0]
         return node.keys[0]
 
+    def _separators(self, children: List[_Node]) -> List[Any]:
+        """The separator keys over ``children`` (siblings, so all leaves
+        or all internal): each child's leftmost key but the first's."""
+        if isinstance(children[0], _Leaf):
+            return [child.keys[0] for child in children[1:]]
+        return [self._leftmost_key_of(child) for child in children[1:]]
+
     # -- bulk insert (group commit) ----------------------------------------
 
     def bulk_insert(self, pairs) -> int:
@@ -459,6 +466,14 @@ class BPlusTree(Index):
         multi-way into ~2/3-full chunks (same fill/runt policy as
         ``bulk_load``).  Returns the number of pairs actually added
         (duplicates are idempotent, as with :meth:`insert`).
+
+        The work is proportional to where the batch lands, not to the
+        tree: each node bisects its separators for the children the batch
+        reaches, and each leaf reached bisects its keys for the new ones
+        (bisection needs totally ordered keys, as every lookup here does:
+        a NaN key has no place in the tree).  Every separator on the
+        descent is re-derived from its child's leftmost key, which also
+        refreshes separators a delete left stale.
         """
         grouped: dict = {}
         for key, value in pairs:
@@ -477,7 +492,7 @@ class BPlusTree(Index):
             for i in range(0, len(nodes), fill + 1):
                 parent = _Internal(next(self._ids))
                 parent.children = nodes[i:i + fill + 1]
-                parent.keys = [self._leftmost_key_of(c) for c in parent.children[1:]]
+                parent.keys = self._separators(parent.children)
                 self._touch(parent, write=True)
                 parents.append(parent)
             if len(parents) > 1 and len(parents[-1].children) < min_children:
@@ -485,13 +500,13 @@ class BPlusTree(Index):
                 merged = prev.children + last.children
                 if len(merged) <= self.order + 1:
                     prev.children = merged
-                    prev.keys = [self._leftmost_key_of(c) for c in merged[1:]]
+                    prev.keys = self._separators(merged)
                     parents.pop()
                 else:
                     half = len(merged) // 2
                     prev.children, last.children = merged[:half], merged[half:]
-                    prev.keys = [self._leftmost_key_of(c) for c in prev.children[1:]]
-                    last.keys = [self._leftmost_key_of(c) for c in last.children[1:]]
+                    prev.keys = self._separators(prev.children)
+                    last.keys = self._separators(last.children)
             nodes = list(parents)
             self._height += 1
         self._root = nodes[0]
@@ -504,26 +519,30 @@ class BPlusTree(Index):
         entry is always ``node`` itself (so an untouched parent pointer
         stays valid); extras are freshly split right siblings, each at
         least min-full thanks to the runt fixup.
+
+        A run of items goes to the first child, at or after the previous
+        run's, whose separator is above the run's first key (the last
+        child takes the rest) — found by bisection over the separators and
+        the items, so children the batch misses are not visited.
         """
         if isinstance(node, _Leaf):
             return self._bulk_merge_leaf(node, items)
         self._touch(node)
+        seps, children = node.keys, node.children
+        # The items' keys as their own list: bisect's ``key=`` needs 3.10.
+        keys = [key for key, _ in items]
         out_children: List[_Node] = []
-        i = 0
-        for ci, child in enumerate(node.children):
-            hi = node.keys[ci] if ci < len(node.keys) else None
-            j = i
-            while hi is not None and j < len(items) and items[j][0] < hi:
-                j += 1
-            if hi is None:
-                j = len(items)
-            if j > i:
-                out_children.extend(self._bulk_merge(child, items[i:j]))
-            else:
-                out_children.append(child)
-            i = j
+        ci = i = 0
+        while i < len(items):
+            c = bisect.bisect_right(seps, keys[i], ci)
+            out_children.extend(children[ci:c])
+            j = (len(items) if c == len(seps)
+                 else bisect.bisect_left(keys, seps[c], i))
+            out_children.extend(self._bulk_merge(children[c], items[i:j]))
+            ci, i = c + 1, j
+        out_children.extend(children[ci:])
         node.children = out_children
-        node.keys = [self._leftmost_key_of(c) for c in out_children[1:]]
+        node.keys = self._separators(out_children)
         self._touch(node, write=True)
         if len(node.children) <= self.order + 1:
             return [node]
@@ -540,47 +559,35 @@ class BPlusTree(Index):
                 half = len(merged) // 2
                 chunks[-2:] = [merged[:half], merged[half:]]
         node.children = chunks[0]
-        node.keys = [self._leftmost_key_of(c) for c in node.children[1:]]
+        node.keys = self._separators(node.children)
         out: List[_Node] = [node]
         for chunk in chunks[1:]:
             sibling = _Internal(next(self._ids))
             sibling.children = chunk
-            sibling.keys = [self._leftmost_key_of(c) for c in chunk[1:]]
+            sibling.keys = self._separators(chunk)
             self._touch(sibling, write=True)
             out.append(sibling)
         return out
 
     def _bulk_merge_leaf(self, leaf: _Leaf, items: List[Tuple[Any, List[Any]]]) -> List[_Node]:
-        merged_keys: List[Any] = []
-        merged_values: List[List[Any]] = []
-        i = j = 0
-        keys, values = leaf.keys, leaf.values
-        while i < len(keys) and j < len(items):
-            if keys[i] < items[j][0]:
-                merged_keys.append(keys[i])
-                merged_values.append(values[i])
-                i += 1
-            elif items[j][0] < keys[i]:
-                merged_keys.append(items[j][0])
-                merged_values.append(list(items[j][1]))
-                self._size += len(items[j][1])
-                j += 1
-            else:
-                bucket = values[i]
-                for v in items[j][1]:
+        """Merge sorted ``(key, bucket)`` items into copies of the leaf's
+        lists: a key the leaf holds takes the bucket's new values, any
+        other key is inserted where a bisection puts it."""
+        merged_keys, merged_values = list(leaf.keys), list(leaf.values)
+        at = 0
+        for key, new_values in items:
+            at = bisect.bisect_left(merged_keys, key, at)
+            if at < len(merged_keys) and not key < merged_keys[at]:
+                bucket = merged_values[at]
+                for v in new_values:
                     if v not in bucket:
                         bucket.append(v)
                         self._size += 1
-                merged_keys.append(keys[i])
-                merged_values.append(bucket)
-                i += 1
-                j += 1
-        merged_keys.extend(keys[i:])
-        merged_values.extend(values[i:])
-        for k, bucket in items[j:]:
-            merged_keys.append(k)
-            merged_values.append(list(bucket))
-            self._size += len(bucket)
+            else:
+                merged_keys.insert(at, key)
+                merged_values.insert(at, list(new_values))
+                self._size += len(new_values)
+            at += 1
         if len(merged_keys) <= self.order:
             leaf.keys, leaf.values = merged_keys, merged_values
             self._touch(leaf, write=True)

@@ -43,6 +43,9 @@ class AttributeStore:
     def __init__(self) -> None:
         self._attrs: Dict[int, Dict[str, Any]] = {}
         self._keywords: Dict[int, FrozenSet[str]] = {}
+        # The path each file's keywords were tokenized from (an attribute
+        # named "path" can set the entry's path without them).
+        self._keyword_paths: Dict[int, str] = {}
         self._bytes = 0  # running estimated_bytes: 64/entry + 16/attr
 
     def __len__(self) -> int:
@@ -52,7 +55,9 @@ class AttributeStore:
         return file_id in self._attrs
 
     def put(self, file_id: int, attrs: Mapping[str, Any], path: Optional[str] = None) -> None:
-        """Insert/refresh one file's attributes (and path keywords)."""
+        """Insert/refresh one file's attributes (and path keywords — the
+        file's own set, not re-tokenized, when they already come from
+        this path)."""
         entry = self._attrs.get(file_id)
         if entry is None:
             entry = self._attrs[file_id] = {}
@@ -61,7 +66,9 @@ class AttributeStore:
         entry.update(attrs)
         if path is not None:
             entry["path"] = path
-            self._keywords[file_id] = tokenize_path(path)
+            if self._keyword_paths.get(file_id) != path:
+                self._keywords[file_id] = tokenize_path(path)
+                self._keyword_paths[file_id] = path
         self._bytes += 16 * (len(entry) - before)
 
     def drop(self, file_id: int) -> None:
@@ -70,6 +77,7 @@ class AttributeStore:
         if entry is not None:
             self._bytes -= 64 + 16 * len(entry)
         self._keywords.pop(file_id, None)
+        self._keyword_paths.pop(file_id, None)
 
     def attrs(self, file_id: int) -> Dict[str, Any]:
         """The file's attribute dict ({} if unknown)."""

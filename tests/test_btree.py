@@ -1,12 +1,15 @@
 """B+tree: unit tests plus property tests against a dict-of-lists oracle."""
 
 import random
+from typing import Any, List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.indexstructures.btree import BPlusTree
+from repro.indexstructures.btree import BPlusTree, _Internal, _Leaf, _Node
+
+from tests.conftest import machine_examples
 
 
 def test_empty_tree():
@@ -289,3 +292,228 @@ def test_bulk_insert_into_empty_and_again():
     got = [k for k, _ in tree.range(90, 110)]
     assert got == sorted(k for k in range(90, 111) for _ in
                          ([0, 1] if 50 <= k < 100 else [0]))
+
+
+# -- differential: the bisecting bulk merge against the walking one ----------------
+#
+# The group-commit merge this module's class replaced — a walk over every
+# child of each node it enters and over every key of each leaf — kept
+# verbatim as the reference.
+
+
+class WalkingBulkTree(BPlusTree):
+    def bulk_insert(self, pairs) -> int:
+        """Merge a sorted run of (key, value) pairs into the live tree.
+
+        The group-commit counterpart of :meth:`bulk_load`: instead of one
+        tree descent per pair, the input is sorted once, partitioned down
+        the tree, and merged leaf-at-a-time; overflowing nodes split
+        multi-way into ~2/3-full chunks (same fill/runt policy as
+        ``bulk_load``).  Returns the number of pairs actually added
+        (duplicates are idempotent, as with :meth:`insert`).
+        """
+        grouped: dict = {}
+        for key, value in pairs:
+            bucket = grouped.setdefault(key, [])
+            if value not in bucket:
+                bucket.append(value)
+        if not grouped:
+            return 0
+        items = sorted(grouped.items())
+        added_before = self._size
+        nodes = self._bulk_merge(self._root, items)
+        fill = max(2, (self.order * 2) // 3)
+        min_children = self._min_keys() + 1
+        while len(nodes) > 1:
+            parents: List[_Internal] = []
+            for i in range(0, len(nodes), fill + 1):
+                parent = _Internal(next(self._ids))
+                parent.children = nodes[i:i + fill + 1]
+                parent.keys = [self._leftmost_key_of(c) for c in parent.children[1:]]
+                self._touch(parent, write=True)
+                parents.append(parent)
+            if len(parents) > 1 and len(parents[-1].children) < min_children:
+                prev, last = parents[-2], parents[-1]
+                merged = prev.children + last.children
+                if len(merged) <= self.order + 1:
+                    prev.children = merged
+                    prev.keys = [self._leftmost_key_of(c) for c in merged[1:]]
+                    parents.pop()
+                else:
+                    half = len(merged) // 2
+                    prev.children, last.children = merged[:half], merged[half:]
+                    prev.keys = [self._leftmost_key_of(c) for c in prev.children[1:]]
+                    last.keys = [self._leftmost_key_of(c) for c in last.children[1:]]
+            nodes = list(parents)
+            self._height += 1
+        self._root = nodes[0]
+        return self._size - added_before
+
+    def _bulk_merge(self, node: _Node, items: List[Tuple[Any, List[Any]]]) -> List[_Node]:
+        """Merge sorted ``(key, bucket)`` items into ``node``'s subtree.
+
+        Returns the node(s) replacing ``node`` at its level — the first
+        entry is always ``node`` itself (so an untouched parent pointer
+        stays valid); extras are freshly split right siblings, each at
+        least min-full thanks to the runt fixup.
+        """
+        if isinstance(node, _Leaf):
+            return self._bulk_merge_leaf(node, items)
+        self._touch(node)
+        out_children: List[_Node] = []
+        i = 0
+        for ci, child in enumerate(node.children):
+            hi = node.keys[ci] if ci < len(node.keys) else None
+            j = i
+            while hi is not None and j < len(items) and items[j][0] < hi:
+                j += 1
+            if hi is None:
+                j = len(items)
+            if j > i:
+                out_children.extend(self._bulk_merge(child, items[i:j]))
+            else:
+                out_children.append(child)
+            i = j
+        node.children = out_children
+        node.keys = [self._leftmost_key_of(c) for c in out_children[1:]]
+        self._touch(node, write=True)
+        if len(node.children) <= self.order + 1:
+            return [node]
+        # Multi-way internal split, ~2/3-full chunks with runt fixup.
+        fill = max(2, (self.order * 2) // 3)
+        min_children = self._min_keys() + 1
+        chunks = [node.children[i:i + fill + 1]
+                  for i in range(0, len(node.children), fill + 1)]
+        if len(chunks) > 1 and len(chunks[-1]) < min_children:
+            merged = chunks[-2] + chunks[-1]
+            if len(merged) <= self.order + 1:
+                chunks[-2:] = [merged]
+            else:
+                half = len(merged) // 2
+                chunks[-2:] = [merged[:half], merged[half:]]
+        node.children = chunks[0]
+        node.keys = [self._leftmost_key_of(c) for c in node.children[1:]]
+        out: List[_Node] = [node]
+        for chunk in chunks[1:]:
+            sibling = _Internal(next(self._ids))
+            sibling.children = chunk
+            sibling.keys = [self._leftmost_key_of(c) for c in chunk[1:]]
+            self._touch(sibling, write=True)
+            out.append(sibling)
+        return out
+
+    def _bulk_merge_leaf(self, leaf: _Leaf, items: List[Tuple[Any, List[Any]]]) -> List[_Node]:
+        merged_keys: List[Any] = []
+        merged_values: List[List[Any]] = []
+        i = j = 0
+        keys, values = leaf.keys, leaf.values
+        while i < len(keys) and j < len(items):
+            if keys[i] < items[j][0]:
+                merged_keys.append(keys[i])
+                merged_values.append(values[i])
+                i += 1
+            elif items[j][0] < keys[i]:
+                merged_keys.append(items[j][0])
+                merged_values.append(list(items[j][1]))
+                self._size += len(items[j][1])
+                j += 1
+            else:
+                bucket = values[i]
+                for v in items[j][1]:
+                    if v not in bucket:
+                        bucket.append(v)
+                        self._size += 1
+                merged_keys.append(keys[i])
+                merged_values.append(bucket)
+                i += 1
+                j += 1
+        merged_keys.extend(keys[i:])
+        merged_values.extend(values[i:])
+        for k, bucket in items[j:]:
+            merged_keys.append(k)
+            merged_values.append(list(bucket))
+            self._size += len(bucket)
+        if len(merged_keys) <= self.order:
+            leaf.keys, leaf.values = merged_keys, merged_values
+            self._touch(leaf, write=True)
+            return [leaf]
+        # Multi-way leaf split, same fill/runt policy as bulk_load.
+        fill = max(2, (self.order * 2) // 3)
+        min_keys = self._min_keys()
+        chunks = [(merged_keys[i:i + fill], merged_values[i:i + fill])
+                  for i in range(0, len(merged_keys), fill)]
+        if len(chunks) > 1 and len(chunks[-1][0]) < min_keys:
+            ck = chunks[-2][0] + chunks[-1][0]
+            cv = chunks[-2][1] + chunks[-1][1]
+            if len(ck) <= self.order:
+                chunks[-2:] = [(ck, cv)]
+            else:
+                half = len(ck) // 2
+                chunks[-2:] = [(ck[:half], cv[:half]), (ck[half:], cv[half:])]
+        old_next = leaf.next
+        leaf.keys, leaf.values = chunks[0]
+        self._touch(leaf, write=True)
+        out: List[_Node] = [leaf]
+        prev = leaf
+        for ck, cv in chunks[1:]:
+            sibling = _Leaf(next(self._ids))
+            sibling.keys, sibling.values = ck, cv
+            prev.next = sibling
+            prev = sibling
+            self._touch(sibling, write=True)
+            out.append(sibling)
+        prev.next = old_next
+        return out
+
+
+def shape(tree: BPlusTree):
+    """Everything a tree is made of, as comparable data: each node's id,
+    kind, typed keys and (for leaves) value buckets, nested as the tree
+    nests them — then the leaf chain's ids, height and size."""
+    def walk(node):
+        keys = [(type(k).__name__, k) for k in node.keys]
+        if isinstance(node, _Leaf):
+            return ("leaf", node.node_id, keys, [list(v) for v in node.values])
+        return ("internal", node.node_id, keys,
+                [walk(child) for child in node.children])
+    chain, leaf = [], tree._leftmost_leaf()
+    while leaf is not None:
+        chain.append(leaf.node_id)
+        leaf = leaf.next
+    return walk(tree._root), chain, tree.height, len(tree)
+
+
+# Ints and floats on one line, with floats equal to ints among them (a key
+# 3 may meet a 3.0 already in the tree); values collide so buckets grow.
+TREE_KEYS = st.one_of(st.integers(-60, 60),
+                      st.integers(-60, 60).map(float),
+                      st.sampled_from([-2.5, 0.5, 7.25, 33.5]))
+TREE_VALUES = st.integers(0, 3)
+TREE_OPS = st.one_of(
+    st.tuples(st.just("bulk_insert"),
+              st.lists(st.tuples(TREE_KEYS, TREE_VALUES),
+                       min_size=1, max_size=50)),
+    st.tuples(st.just("insert"), TREE_KEYS, TREE_VALUES),
+    st.tuples(st.just("remove"), TREE_KEYS, TREE_VALUES),
+    st.tuples(st.just("remove"), TREE_KEYS),
+)
+
+
+@settings(max_examples=machine_examples(60), derandomize=True, deadline=None)
+# A batch whose keys equal separators at every level of a three-level
+# tree: such a key belongs to the child right of its separator.
+@example(4, [("bulk_insert", [(k, 0) for k in range(40)]),
+             ("bulk_insert", [(k, 1) for k in range(0, 40, 3)])])
+@given(st.integers(4, 64), st.lists(TREE_OPS, min_size=1, max_size=60))
+def test_bisecting_bulk_merge_matches_the_walking_reference(order, ops):
+    touched, ref_touched = [], []
+    tree = BPlusTree(order=order,
+                     page_hook=lambda n, w: touched.append((n, w)))
+    ref = WalkingBulkTree(order=order,
+                          page_hook=lambda n, w: ref_touched.append((n, w)))
+    for op, *args in ops:
+        assert getattr(tree, op)(*args) == getattr(ref, op)(*args), op
+        assert shape(tree) == shape(ref), op
+        assert touched == ref_touched, op
+        tree.check_invariants()
+        ref.check_invariants()

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.index_node import IndexNode
 from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.core.partitioner import PartitioningPolicy
-from repro.errors import StaleRoute, UnknownAcg
+from repro.errors import StaleRoute, UnknownAcg, WalCorruption
 from repro.indexstructures import IndexKind
 from repro.query.ast import matches
 from repro.query.parser import parse_query
@@ -80,6 +80,44 @@ def test_tick_commits_after_timeout(node):
     assert node.replica(1).file_count == 1
     # WAL is truncated once nothing is pending.
     assert len(node.wal) == 0
+
+
+def test_a_search_commit_that_empties_the_cache_reclaims_the_wal(node):
+    """Whatever commit leaves nothing pending truncates the log — here a
+    search-forced one; a commit that leaves another partition parked
+    keeps it.  A crash then loses nothing: committed updates live in the
+    replicas, the one parked since in the log, and replay skips nothing
+    because the commit watermarks restarted with the empty log."""
+    park(node, 1, [up(10, 100)])
+    park(node, 2, [up(20, 200)])
+    assert search_ids(node, [1], "size>0") == {10}
+    assert len(node.wal) > 0                  # partition 2 is still parked
+    assert search_ids(node, [2], "size>0") == {20}
+    assert len(node.wal) == 0
+    park(node, 1, [up(11, 300)])
+    node.crash()
+    assert node.restart() == 1
+    assert node.wal_replay_skipped_total == 0
+    assert search_ids(node, [1, 2], "size>0") == {10, 11, 20}
+
+
+def test_replay_stopped_by_a_damaged_frame_keeps_the_log(node):
+    """Crash replay truncates only once the whole log replayed: a commit
+    mid-replay leaves the (empty) cache empty, but must not reclaim the
+    log, or the damage and every record after it would vanish and a
+    retry would report nothing lost."""
+    park(node, 1, [up(10, 100)])
+    second = len(node.wal)
+    park(node, 2, [up(20, 200)])
+    park(node, 3, [up(30, 300)])
+    node.crash()
+    node.wal.corrupt_byte(second + 10)      # inside the second frame's body
+    damaged = bytes(node.wal._buffer)
+    with pytest.raises(WalCorruption):
+        node.recover_from_wal()
+    assert bytes(node.wal._buffer) == damaged
+    with pytest.raises(WalCorruption):
+        node.recover_from_wal()
 
 
 def test_tick_before_timeout_is_noop(node):

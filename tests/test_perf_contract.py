@@ -263,16 +263,28 @@ def test_only_the_cold_tier_calls_the_segment_names_perf_patches():
         tracer.uninstall()
 
 
+def record_calls(monkeypatch, log, cls, name):
+    """Like :func:`count_calls` for one name, logging each call's
+    positional arguments (a list argument as a copy, since the caller
+    may reuse it)."""
+    def recorded(self, *args, _original=cls.__dict__[name]):
+        args = tuple(list(a) if isinstance(a, list) else a for a in args)
+        log.append(args)
+        return _original(self, *args)
+    monkeypatch.setattr(cls, name, recorded)
+
+
 def test_commit_path_runs_through_the_names_perf_patches(monkeypatch):
-    """A group commit costs in proportion to what changed — postings are
-    dicts, a token's hash is memoised, an unseen file skips the
-    de-index, freshness instruments are bound once — but a commit that
-    a search forces still *calls* every name ``perf/layertrace.py``
-    patches on that path, so the ``indexstructures.hashindex``,
-    ``indexstructures.btree``, ``query.summary`` and ``obs`` rows keep
-    attributing commit time: the rewrite de-indexes through
-    ``ExtendibleHashIndex.remove``, inserts through both ``bulk_insert``
-    names, widens through ``observe_batch``, and resolves one
+    """A group commit costs what the batch changed: a rewrite under the
+    same path moves only the index keys that differ, and a rename only
+    the tokens it drops and gains.  A commit that a search forces still
+    *calls* every name ``perf/layertrace.py`` patches on that path
+    whenever there is such work, so the ``indexstructures.btree``,
+    ``indexstructures.hashindex``, ``query.summary`` and ``obs`` rows
+    keep attributing commit time: moved keys go through
+    ``BPlusTree.bulk_insert``, renamed tokens through
+    ``ExtendibleHashIndex.remove`` / ``.bulk_insert``, every commit
+    widens through ``observe_batch`` and resolves one
     ``FreshnessTracker.visible`` per stamped file."""
     from repro.indexstructures import IndexKind
     from repro.indexstructures.btree import BPlusTree
@@ -280,10 +292,10 @@ def test_commit_path_runs_through_the_names_perf_patches(monkeypatch):
     from repro.obs.freshness import FreshnessTracker
     from repro.query.summary import PartitionSummary
 
-    hash_calls, tree_calls, calls = {}, {}, {}
-    count_calls(monkeypatch, hash_calls,
-                ((ExtendibleHashIndex, ("remove", "bulk_insert")),))
-    count_calls(monkeypatch, tree_calls, ((BPlusTree, ("bulk_insert",)),))
+    hash_removes, hash_inserts, tree_inserts, calls = [], [], [], {}
+    record_calls(monkeypatch, hash_removes, ExtendibleHashIndex, "remove")
+    record_calls(monkeypatch, hash_inserts, ExtendibleHashIndex, "bulk_insert")
+    record_calls(monkeypatch, tree_inserts, BPlusTree, "bulk_insert")
     count_calls(monkeypatch, calls, ((PartitionSummary, ("observe_batch",)),
                                      (FreshnessTracker, ("visible",))))
     service = PropellerService(num_index_nodes=2)
@@ -300,19 +312,36 @@ def test_commit_path_runs_through_the_names_perf_patches(monkeypatch):
     client.flush_updates()
     service.commit_all()
     assert tracker.pending == 0
+    ino = {path: service.vfs.stat(path).ino for path in paths}
+
+    # Same-path rewrites: only the size keys move; the path tokens stay.
     for i, path in enumerate(paths[:4]):
         service.vfs.write_file(path, 1000 + i, pid=5)
         client.index_path(path, pid=5)
     assert tracker.pending == 4
     visible_before = service.registry.value("cluster.freshness.visible_events")
-    for counts in (hash_calls, tree_calls, calls):
-        counts.clear()
+    for log in (hash_removes, hash_inserts, tree_inserts):
+        log.clear()
+    calls.clear()
     assert client.search("size>=1000") == paths[:4]   # forces the commit
-    assert hash_calls["remove"] >= 4 * 4      # src, lib, f<i>, c per file
-    assert hash_calls["bulk_insert"] >= 1
-    assert tree_calls == {"bulk_insert": hash_calls["bulk_insert"]}
+    assert hash_removes == [] and hash_inserts == []
+    assert sorted(pair for (pairs,) in tree_inserts for pair in pairs) \
+        == [(service.vfs.stat(path).size, ino[path]) for path in paths[:4]]
     assert calls["observe_batch"] >= 1
     assert calls["visible"] == 4
     assert tracker.pending == 0
     assert service.registry.value("cluster.freshness.visible_events") \
         == visible_before + 4
+
+    # A rename: its dropped token leaves, its new one arrives, the rest
+    # (and its unchanged size) stay where they are.
+    service.vfs.rename(paths[4], "/src/lib/g4.c", pid=5)
+    client.flush_updates()
+    for log in (hash_removes, hash_inserts, tree_inserts):
+        log.clear()
+    calls.clear()
+    assert client.search("keyword:g4") == ["/src/lib/g4.c"]
+    assert hash_removes == [("f4", ino[paths[4]])]
+    assert hash_inserts == [([("g4", ino[paths[4]])],)]
+    assert tree_inserts == []
+    assert calls["observe_batch"] >= 1

@@ -150,6 +150,28 @@ def test_execute_filters_ids_missing_from_store():
     assert 42 not in execute(plan, pred, indexes, store, now=0)
 
 
+@pytest.mark.parametrize("first", [
+    {"attrs": {"path": "/d/x.bin"}},                        # no keywords yet
+    {"attrs": {"size": 1}, "path": "/a/old.txt"},
+])
+def test_store_keywords_follow_the_last_path_given(first):
+    """A path keeps its keyword set only if that set was tokenized from
+    it: an attribute named "path" moves the entry's path, not its
+    keywords, so a later put under that path still tokenizes."""
+    store = AttributeStore()
+    store.put(7, **first)
+    if "path" in first:
+        store.put(7, {"path": "/d/x.bin"})
+    store.put(7, {"size": 2}, path="/d/x.bin")
+    assert store.keywords(7) == tokenize_path("/d/x.bin")
+    kept = store.keywords(7)
+    store.put(7, {"size": 3}, path="/d/x.bin")
+    assert store.keywords(7) is kept
+    store.drop(7)
+    store.put(7, {}, path="/d/x.bin")
+    assert store.keywords(7) == kept
+
+
 def test_plan_query_set_splits_indexable_or():
     from repro.query.planner import plan_query_set
 

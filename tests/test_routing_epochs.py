@@ -426,6 +426,22 @@ def test_migration_racing_source_crash():
                      .replicas[p.partition_id].file_count > 0)
     source, acg_id = partition.node, partition.partition_id
     target = next(n for n in master.index_nodes if n != source)
+    src_node = service.index_nodes[source]
+
+    # The commit above emptied every cache, which reclaims the WAL.  Put
+    # the partition's records back in the log with a round of rewrites,
+    # and park an update for another partition on the source: the
+    # migration commits the rewrites but leaves the cache non-empty, so
+    # the log still holds them when the source crashes.
+    for i, path in enumerate(paths):
+        service.vfs.write_file(path, 50 + i, pid=2)
+        client.index_path(path, pid=2)
+    others = []
+    for pid in range(3, 20):
+        others += index_files(service, client, 1, pid=pid, prefix="g")
+        if set(src_node.cache.pending_acgs()) - {acg_id}:
+            break
+    assert set(src_node.cache.pending_acgs()) - {acg_id}
 
     injector = FaultInjector(seed=0)
     injector.arm_method_fault(source, "finish_migration")
@@ -433,11 +449,12 @@ def test_migration_racing_source_crash():
     moved = master.migrate_partition(acg_id, target)
     assert moved == 10
     assert master.migration_log[-1].outcome == "finish_deferred"
+    assert len(src_node.cache) > 0
 
     # Crash the old owner and restart it: its WAL still holds this
     # partition's records, but the durable handoff intent makes replay
     # skip them — nothing handed off is re-acquired through the log.
-    src_node = service.index_nodes[source]
+    # The other partition's parked update is replayed.
     src_node.crash()
     service.recover_node(source)
     assert src_node.wal_replay_skipped_total >= 10
@@ -445,7 +462,7 @@ def test_migration_racing_source_crash():
     # handoff intent: the source forwards/NACKs but never serves it, so
     # a search sees each file exactly once.
     assert acg_id in src_node.handoff_intents
-    assert sorted(client.search("size>0")) == sorted(paths)
+    assert sorted(client.search("size>0")) == sorted(paths + others)
 
     # The heartbeat round drives the deferred finish; only then does the
     # debris copy disappear and ownership become single again.
@@ -455,7 +472,7 @@ def test_migration_racing_source_crash():
     assert acg_id not in src_node.replicas
     for path in paths:
         assert hosts_of(service, service.vfs.stat(path).ino) == [target]
-    assert sorted(client.search("size>0")) == sorted(paths)
+    assert sorted(client.search("size>0")) == sorted(paths + others)
 
 
 def test_master_restart_racing_migration_finish():
