@@ -192,7 +192,7 @@ class ChaosRunner:
 
     def _observe_failovers(self) -> None:
         """Turn new failover events into missing-file excuse windows."""
-        log = self.service.master.failover_log
+        log = self.service.master.journal.payloads("failover")
         for event in log[self._failovers_seen:]:
             victim = self.service.index_nodes[event.node]
             self.ledger.add_window(event.moved, victim.last_checkpoint_t,

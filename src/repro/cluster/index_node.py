@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
@@ -80,20 +80,60 @@ _RESULT_CACHE_CAP = 256
 # matcher, plans per spec set) between requests.
 _PREPARED_CAP = 512
 
-# RPCs only a Master originates.  Each is registered behind a term
-# fence: the caller stamps its master term and a stamp older than the
-# newest this node has seen is rejected with StaleMasterTerm — a
-# deposed-but-alive Master must not mutate cluster state (the control
-# plane's analogue of the replication epoch fence).  Unstamped calls
-# (term 0, e.g. from tests driving a node directly) bypass the fence.
-_MASTER_RPCS = frozenset({
-    "create_index", "compute_split", "extract_partition",
-    "install_partition", "drop_partition", "heartbeat", "adopt_acg",
-    "own_partition", "transfer_out", "finish_migration",
-    "cancel_transfer", "checkpoint_acg", "set_followers",
-    "replica_watermark", "promote_replica", "drop_follower",
-    "reset_follower_ack",
-})
+
+class Fence(NamedTuple):
+    """One row of :data:`FENCES`."""
+
+    stamps: Dict[str, Union[type, str]]  # stamp kind -> what a stale one earns
+    staleness: str                       # how stale an answer the row allows
+
+
+# The fence table: every RPC an Index Node serves (registration reads
+# it, so an RPC with no row cannot be served), the stamps it carries,
+# what a stale stamp earns, and how stale an answer it allows against
+# the acknowledged writes — *consistent* (reflects every one),
+# *bounded* (trails by a stated watermark), *eventual* (no bound).
+#
+# * ``term`` — the master term, for the whole call, checked before
+#   dispatch (:meth:`IndexNode._fence_term`); term 0 is unstamped.
+# * ``route`` — the client's route, per partition
+#   (:meth:`IndexNode._route_ok`): the partition is owned here and, when
+#   the request carries its routing epoch, no split since moved files
+#   out of it.
+# * ``repl`` — the replication generation, per partition
+#   (:meth:`IndexNode._fence_repl`).
+# * ``watermark`` — the commit watermark a requested skip was decided
+#   on, per partition (:meth:`IndexNode._skip_ok`).
+#
+# What a stale stamp earns is an error (raised, or that partition's
+# outcome) or an in-band answer: the partition is named ``not_owned``,
+# ``searched`` instead of skipped, ``dropped`` or ``omitted`` from the
+# answer, or the call is ``ignored``.
+_TERM = {"term": StaleMasterTerm}
+_CONTROL = "consistent: a deposed Master's command never applies"
+FENCES: Dict[str, Fence] = {
+    "index_update": Fence({"route": StaleRoute},
+                          "consistent: parked where the file lives now"),
+    "search": Fence({"route": "not_owned", "watermark": "searched"},
+                    "consistent: pending updates commit first"),
+    "explain": Fence({"route": "omitted"}, "consistent"),
+    "locate_file": Fence({"route": "omitted"},
+                         "consistent: pending updates count"),
+    "flush_acg": Fence({"route": "dropped"}, "eventual: the ACG is advisory"),
+    "search_replica": Fence({}, "bounded: below the caller's "
+                                "read-your-writes sequence it is `lagging`"),
+    "replicate_apply": Fence({"repl": StaleReplEpoch},
+                             "bounded: a follower trails its primary's log"),
+    "install_follower": Fence({"repl": StaleReplEpoch},
+                              "bounded: a snapshot at the primary's ack"),
+    "set_followers": Fence(dict(_TERM, repl="ignored"), _CONTROL),
+    **{rpc: Fence(_TERM, _CONTROL) for rpc in (
+        "create_index", "compute_split", "extract_partition",
+        "install_partition", "drop_partition", "heartbeat", "adopt_acg",
+        "own_partition", "transfer_out", "finish_migration",
+        "cancel_transfer", "checkpoint_acg", "replica_watermark",
+        "promote_replica", "drop_follower", "reset_follower_ack")},
+}
 
 _KeyOf = Callable[[Dict[str, Any]], Optional[Any]]
 # A non-keyword index as one commit walks it: the index, its key function
@@ -440,6 +480,11 @@ class IndexNode:
         # racing a source crash safe.
         self.route_epoch_seen = 0
         self.handoff_intents: Dict[int, str] = {}
+        # Per ACG, the routing epoch of the last split that cut files
+        # out of it: a request routed by an older table may name a file
+        # that now lives in the other half, so the route fence refuses
+        # it.  Durable like the intents.
+        self.reshape_epochs: Dict[int, int] = {}
         # ACGs this node migrated away and dropped: WAL replay must skip
         # their records (resurrecting them would double-host data the new
         # owner serves).  Durable like the intents; cleared the moment
@@ -509,47 +554,31 @@ class IndexNode:
         self.master_term_seen = 0
         self.master_fences = 0
         self.endpoint = RpcEndpoint(name)
-        for method, handler in [
-            ("index_update", self.handle_index_update),
-            ("search", self.handle_search),
-            ("flush_acg", self.handle_flush_acg),
-            ("create_index", self.handle_create_index),
-            ("compute_split", self.handle_compute_split),
-            ("extract_partition", self.handle_extract_partition),
-            ("install_partition", self.handle_install_partition),
-            ("drop_partition", self.handle_drop_partition),
-            ("heartbeat", self.make_heartbeat),
-            ("adopt_acg", self.handle_adopt_acg),
-            ("explain", self.handle_explain),
-            ("own_partition", self.handle_own_partition),
-            ("transfer_out", self.handle_transfer_out),
-            ("finish_migration", self.handle_finish_migration),
-            ("cancel_transfer", self.handle_cancel_transfer),
-            ("checkpoint_acg", self.handle_checkpoint_acg),
-            ("locate_file", self.handle_locate_file),
-            ("set_followers", self.handle_set_followers),
-            ("replicate_apply", self.handle_replicate_apply),
-            ("install_follower", self.handle_install_follower),
-            ("replica_watermark", self.handle_replica_watermark),
-            ("promote_replica", self.handle_promote_replica),
-            ("drop_follower", self.handle_drop_follower),
-            ("reset_follower_ack", self.handle_reset_follower_ack),
-            ("search_replica", self.handle_search_replica),
-        ]:
-            if method in _MASTER_RPCS:
-                handler = self._with_term_fence(method, handler)
-            self.endpoint.register(method, handler)
+        for rpc in FENCES:
+            self.endpoint.register(rpc, self._admit(rpc))
 
-    def _with_term_fence(self, rpc_name: str, handler) -> Any:
-        """Wrap a Master-originated handler with the master-term fence."""
+    # -- admission: the fences of FENCES, one function per stamp kind ----------
+
+    def _admit(self, rpc: str) -> Callable[..., Any]:
+        """``rpc``'s handler behind its whole-call stamp: the master term
+        is checked before dispatch.  Per-partition stamps are checked in
+        the handler's per-partition step, so it still answers per batch,
+        stream or partition."""
+        handler = (self.make_heartbeat if rpc == "heartbeat"
+                   else getattr(self, f"handle_{rpc}"))
+        if "term" not in FENCES[rpc].stamps:
+            return handler
+
         def fenced(*args: Any, term: int = 0, **kwargs: Any) -> Any:
-            self._fence_term(term, rpc_name)
+            self._fence_term(term, rpc)
             return handler(*args, **kwargs)
         return fenced
 
     def _fence_term(self, term: int, rpc_name: str) -> None:
-        """Reject an RPC stamped with a master term this node has seen
-        superseded; adopt newer terms.  ``term`` 0 means unstamped."""
+        """The ``term`` fence: reject an RPC stamped with a master term
+        this node has seen superseded — a deposed-but-alive Master must
+        not mutate cluster state — and adopt newer terms.  ``term`` 0
+        means unstamped."""
         if term == 0:
             return
         if term < self.master_term_seen:
@@ -561,6 +590,52 @@ class IndexNode:
                 f"seen term {self.master_term_seen}",
                 term=self.master_term_seen)
         self.master_term_seen = term
+
+    def _route_ok(self, acg_id: int, epoch: int = 0,
+                  relay: bool = False) -> bool:
+        """The ``route`` fence: whether a request for ``acg_id`` routed by
+        a table at ``epoch`` may be served here.  The node owns the
+        partition — or, for a batch it can ``relay``, handed it off and
+        forwards it — and no split since ``epoch`` moved files out of it.
+        Epoch 0 is unstamped: ownership alone."""
+        if 0 < epoch < self.reshape_epochs.get(acg_id, 0):
+            return False
+        return self.owns(acg_id) or (relay and self.rpc is not None
+                                     and acg_id in self.handoff_intents)
+
+    def _fence_repl(self, rpc: str, acg_id: int, repl_epoch: int,
+                    **detail: Any) -> None:
+        """The ``repl`` fence: reject a stream or install stamped with a
+        replication generation this node has seen superseded — below its
+        follower copy's, or at or below one at which it primaries the
+        partition itself.  A deposed primary must neither rewind a
+        follower nor overwrite the current primary."""
+        follower, mine = self.followers.get(acg_id), self.repl.get(acg_id)
+        if follower is not None and repl_epoch < follower.repl_epoch:
+            seen = follower.repl_epoch
+        elif mine is not None and repl_epoch <= mine.repl_epoch:
+            seen, detail["reason"] = mine.repl_epoch, "own_primary_claim"
+        else:
+            return
+        self.journal.emit("repl.fence", node=self.name, acg_id=acg_id,
+                          repl_epoch=seen, stale_epoch=repl_epoch, rpc=rpc,
+                          **detail)
+        raise StaleReplEpoch(f"{self.name}: {rpc} for ACG {acg_id} at repl "
+                             f"epoch {repl_epoch}, seen {seen}")
+
+    def _skip_ok(self, acg_id: int, watermark: Tuple[str, int, int]) -> bool:
+        """The ``watermark`` fence: a client's skip holds only while
+        nothing is pending for the partition and its commit watermark is
+        exactly the one the skip was decided on.  Anything else — a stale
+        summary, pending updates, a recreated replica — fails open to a
+        searched leg, so pruning cannot lose a result."""
+        ok = (not self.cache.pending_ops(acg_id)
+              and tuple(watermark) == self.watermark(acg_id))
+        if ok:
+            self.prunes_validated += 1
+        else:
+            self.prune_fallbacks += 1
+        return ok
 
     def set_tracer(self, tracer) -> None:
         """Thread one tracer through this node's cache and devices."""
@@ -700,12 +775,7 @@ class IndexNode:
         A target that does not host the ACG either (an aborted
         migration's debris) NACKs like any other node instead of
         silently absorbing updates the Master still routes here."""
-        acg_id = batch.acg_id
-        target = self.handoff_intents[acg_id]
-        if self.rpc is None:
-            self.stale_route_nacks += len(batch)
-            raise StaleRoute(f"{self.name} handed off ACG {acg_id}",
-                             epoch=self.route_epoch_seen)
+        target = self.handoff_intents[batch.acg_id]
         self.forwarded_updates += len(batch)
         (outcome,) = self.rpc.call(target, "index_update", (batch,),
                                    request_bytes=batch.wire_bytes())
@@ -737,9 +807,8 @@ class IndexNode:
         parked: List[UpdateBatch] = []
         for batch in batches:
             forward = batch.acg_id in self.handoff_intents
-            step = self._forward_updates if forward else self._park
             outcome = CallOutcome.capture(
-                lambda: step(batch), (StaleRoute,) + DEGRADABLE_ERRORS)
+                lambda: self._park(batch), (StaleRoute,) + DEGRADABLE_ERRORS)
             outcomes.append(outcome)
             if outcome.ok and not forward:
                 parked.append(batch)
@@ -754,19 +823,23 @@ class IndexNode:
         return tuple(outcomes)
 
     def _park(self, batch: UpdateBatch) -> int:
-        """The per-partition step of an envelope: ownership check, thaw,
-        WAL frame (fsync left to the envelope), cache park,
+        """The per-partition step of an envelope: the route fence, then
+        thaw, WAL frame (fsync left to the envelope), cache park,
         replication-log append.  Returns the partition's ack.
 
-        A batch is only accepted for an ACG this node hosts — anything
-        else raises :class:`StaleRoute` so the client refreshes its
-        route cache.  (A handed-off ACG never gets here: the envelope
-        forwards it — the old owner must never apply.)"""
+        A batch the route fence refuses — a partition this node does not
+        own, or one split since the batch's epoch — raises
+        :class:`StaleRoute` so the client refreshes its route cache.  A
+        handed-off partition's batch is forwarded to the migration
+        target: the old owner must never apply."""
         acg_id, updates = batch.acg_id, batch.updates
-        if acg_id not in self.replicas:
+        if not self._route_ok(acg_id, batch.epoch, relay=True):
             self.stale_route_nacks += len(updates)
-            raise StaleRoute(f"{self.name} does not own ACG {acg_id}",
+            raise StaleRoute(f"{self.name} does not own ACG {acg_id} at "
+                             f"epoch {batch.epoch}",
                              epoch=self.route_epoch_seen)
+        if acg_id in self.handoff_intents:
+            return self._forward_updates(batch)
         if acg_id in self.frozen:
             # Writes thaw: the partition returns to the live B+tree/hash
             # path before the update takes the ordinary WAL→cache route.
@@ -973,7 +1046,7 @@ class IndexNode:
         nowhere correct to go.  Handed-off replicas are excluded: the
         migration target answers for those."""
         for acg_id in sorted(self.replicas):
-            if not self.owns(acg_id):
+            if not self._route_ok(acg_id):
                 continue
             if file_id in self.replicas[acg_id].store:
                 return acg_id
@@ -1154,19 +1227,17 @@ class IndexNode:
         it touched fails open — and its per-batch outcomes come back as
         ``update_outcomes``.
 
-        The :class:`SearchReply` *names* the requested ACGs this node
-        does not own (``not_owned``) — the search-path stale-route NACK
-        — and carries the node's own routing epoch; ``epoch`` is the
-        caller's, the stamp every routed request bears.
+        The :class:`SearchReply` *names* the requested ACGs the route
+        fence refuses (``not_owned``): not owned here, or split since
+        ``epoch``, the caller's routing epoch.  It carries the node's own
+        routing epoch, so a stale caller notices.
 
         ``pruned`` maps ACG ids the client wants to *skip* to the summary
-        watermark its skip decision was based on.  The skip is honoured
-        only when this node can prove it safe: it owns the ACG, nothing
-        is pending in the index cache, and the watermark matches the
-        replica's current one exactly.  Anything else — stale summary,
-        pending updates, recreated replica — fails open and is searched
-        like a normal leg.  This is what makes pruning false negatives
-        impossible: the node, which has ground truth, gets the last word.
+        watermark its skip decision was based on; the watermark fence
+        (:meth:`_skip_ok`) honours a skip only when it is provably safe,
+        else the partition is searched like a normal leg.  The node,
+        which has ground truth, gets the last word, so pruning cannot
+        produce a false negative.
 
         The predicate is prepared once for the whole request: every
         partition below shares its cache-key parts, plans and matcher.
@@ -1181,23 +1252,15 @@ class IndexNode:
                             update_outcomes=update_outcomes)
         not_owned: List[int] = []
         pruned_ok: List[int] = []
-        for acg_id, watermark in sorted((pruned or {}).items()):
-            if not self.owns(acg_id):
+        legs = sorted((pruned or {}).items()) + [(a, None) for a in acg_ids]
+        for acg_id, watermark in legs:
+            if not self._route_ok(acg_id, epoch):
                 not_owned.append(acg_id)
-                continue
-            if (not self.cache.pending_ops(acg_id)
-                    and tuple(watermark) == self.watermark(acg_id)):
+            elif watermark is not None and self._skip_ok(acg_id, watermark):
                 pruned_ok.append(acg_id)
-                self.prunes_validated += 1
             else:
-                self.prune_fallbacks += 1
                 reply.results.append(
                     self._search_one(acg_id, query, index_names))
-        for acg_id in acg_ids:
-            if not self.owns(acg_id):
-                not_owned.append(acg_id)
-                continue
-            reply.results.append(self._search_one(acg_id, query, index_names))
         if not_owned:
             self.stale_route_nacks += len(not_owned)
             reply.not_owned = tuple(sorted(not_owned))
@@ -1210,7 +1273,7 @@ class IndexNode:
         """EXPLAIN: the access path(s) each ACG would use for a query,
         without executing it (and without forcing cache commits).
 
-        Uses the same ownership test as the search path: a handed-off
+        Behind the same route fence as the search path: a handed-off
         (migrated-away) replica must not report plans for an ACG this
         node no longer answers for.  An index name this node was never
         told about (``create_index`` reaches every node) names nothing:
@@ -1222,7 +1285,7 @@ class IndexNode:
         now = self.machine.clock.now()
         return [(acg_id, [plan.describe() for plan in self._plans(
                     self.replicas[acg_id], query, index_names, now)])
-                for acg_id in acg_ids if self.owns(acg_id)]
+                for acg_id in acg_ids if self._route_ok(acg_id)]
 
     # -- ACG maintenance -------------------------------------------------------------------
 
@@ -1230,12 +1293,11 @@ class IndexNode:
             Tuple[int, Sequence[Tuple[int, int, int]]]]) -> None:
         """Merge one client flush's ACG fragments for this node —
         ``(acg_id, records)`` per partition (weak consistency — no WAL:
-        a fragment for a partition this node does not host is dropped)."""
+        a fragment the route fence refuses is dropped)."""
         for acg_id, records in fragments:
-            replica = self.replicas.get(acg_id)
-            if replica is None:
+            if not self._route_ok(acg_id):
                 continue
-            replica.graph.merge(
+            self.replicas[acg_id].graph.merge(
                 AccessCausalityGraph.from_records(list(records)))
             self.machine.compute(_CACHE_ADD_OPS * max(1, len(records)))
 
@@ -1253,14 +1315,18 @@ class IndexNode:
         return tuple(sorted(halves[0])), tuple(sorted(halves[1]))
 
     def handle_extract_partition(self, acg_id: int,
-                                 file_ids: Optional[Sequence[int]] = None
-                                 ) -> bytes:
+                                 file_ids: Optional[Sequence[int]] = None,
+                                 epoch: int = 0) -> bytes:
         """Cut ``file_ids`` out of the partition, as a segment for another
         node to install.
 
         ``file_ids=None`` means *everything this node hosts* for the ACG
         — the Master uses that for merges, where its own file map may
-        under-count client-placed files."""
+        under-count client-placed files.  ``epoch`` is the routing epoch
+        a split bumped the partition to before cutting: from now on the
+        route fence refuses a request routed by an older table."""
+        self.reshape_epochs[acg_id] = epoch
+        self.route_epoch_seen = max(self.route_epoch_seen, epoch)
         # Extraction deletes moved files from the replica — a mutation,
         # so a frozen partition thaws first.
         self._thaw(acg_id, reason="extract")
@@ -1316,6 +1382,7 @@ class IndexNode:
                 self.object_store.delete(frozen.key)
         self._acg_last_access.pop(acg_id, None)
         self.replicas.pop(acg_id, None)
+        self.reshape_epochs.pop(acg_id, None)
         self.repl.pop(acg_id, None)
         self._purge_result_cache(acg_id)
         if acg_id in self._resident:
@@ -1613,37 +1680,16 @@ class IndexNode:
         Idempotent: re-installation simply rebuilds the follower from the
         fresh snapshot.  Returns the applied sequence (= ``seq``).
 
-        Epoch-fenced like :meth:`handle_replicate_apply`: a deposed
+        Behind the ``repl`` fence (:meth:`_fence_repl`): a deposed
         primary (failed over while silent) must not overwrite a
         current-epoch replica with a stale snapshot — that would rewind
         the fence itself and let the new primary's next stream apply a
-        suffix over a divergent base.  Rejected when the snapshot's
-        epoch is below this node's follower state, or at-or-below an
-        epoch at which this node itself primaries the partition.
+        suffix over a divergent base.  A snapshot that passes it from a
+        newer primary ends this node's own primary claim.
         """
-        existing = self.followers.get(acg_id)
-        if existing is not None and repl_epoch < existing.repl_epoch:
-            self.journal.emit("repl.fence", node=self.name, acg_id=acg_id,
-                              repl_epoch=existing.repl_epoch,
-                              stale_epoch=repl_epoch, rpc="install_follower",
-                              primary=primary)
-            raise StaleReplEpoch(
-                f"{self.name}: stale install epoch {repl_epoch} < "
-                f"{existing.repl_epoch} for ACG {acg_id}")
-        mine = self.repl.get(acg_id)
-        if mine is not None:
-            if repl_epoch <= mine.repl_epoch:
-                self.journal.emit("repl.fence", node=self.name, acg_id=acg_id,
-                                  repl_epoch=mine.repl_epoch,
-                                  stale_epoch=repl_epoch,
-                                  rpc="install_follower",
-                                  primary=primary, reason="own_primary_claim")
-                raise StaleReplEpoch(
-                    f"{self.name}: primaries ACG {acg_id} at epoch "
-                    f"{mine.repl_epoch}, rejecting follower install at "
-                    f"{repl_epoch}")
-            # A newer primary exists: this node's primary claim is stale.
-            self.repl.pop(acg_id, None)
+        self._fence_repl("install_follower", acg_id, repl_epoch,
+                         primary=primary)
+        self.repl.pop(acg_id, None)
         view = decode_segment(segment)
         self._next_incarnation += 1
         replica = AcgReplica(acg_id, self.machine,
@@ -1679,19 +1725,13 @@ class IndexNode:
         Idempotent by sequence contiguity: records at or below the
         applied watermark are skipped (duplicate delivery, primary
         re-sends after a lost ack), a gap stops the apply so the primary
-        re-streams from the returned watermark.  A lower ``repl_epoch``
-        than the follower knows is a deposed primary and is rejected.
+        re-streams from the returned watermark.  A deposed primary's
+        stream is refused by the ``repl`` fence.
         """
         st = self.followers.get(acg_id)
         if st is None:
             raise UnknownAcg(f"{self.name} has no follower replica of ACG {acg_id}")
-        if repl_epoch < st.repl_epoch:
-            self.journal.emit("repl.fence", node=self.name, acg_id=acg_id,
-                              repl_epoch=st.repl_epoch,
-                              stale_epoch=repl_epoch, rpc="replicate_apply")
-            raise StaleReplEpoch(
-                f"{self.name}: stale repl epoch {repl_epoch} < {st.repl_epoch} "
-                f"for ACG {acg_id}")
+        self._fence_repl("replicate_apply", acg_id, repl_epoch)
         st.repl_epoch = repl_epoch
         for seq, updates in records:
             if seq <= st.applied_seq:
@@ -2057,6 +2097,7 @@ class IndexNode:
         self._result_cache.clear()
         self._truncate_wal()
         self.handoff_intents.clear()
+        self.reshape_epochs.clear()
         self.migrated_away.clear()
         self.repl.clear()
         self.followers.clear()

@@ -159,9 +159,9 @@ class MasterNode:
         # Master.
         self._on_promote: Optional[Any] = None
         # A Master always has a *real* journal (never the null object):
-        # the failover_log / migration_log properties are views over
-        # journal payloads, so emission must retain events even on a
-        # standalone Master.  Deployments pass the shared journal in.
+        # its failover and migration records are read back as journal
+        # payloads, so emission must retain events even on a standalone
+        # Master.  Deployments pass the shared journal in.
         self.journal = journal if journal is not None \
             else EventJournal(machine.clock)
         # RF > 1 gives every partition follower replicas: heartbeats
@@ -244,26 +244,6 @@ class MasterNode:
             # log generation: replay learns who owns the term before any
             # mutation at that term applies.
             self._meta("term", self.term, endpoint_name)
-
-    # -- event-journal views ------------------------------------------------------
-    #
-    # The ad-hoc event lists from PRs 3–6 survive as *views* over the
-    # unified journal: appends became journal emissions carrying the
-    # record object as payload, so consumers (chaos invariant checker,
-    # tests) read the same list-of-records shape as before, while the
-    # journal is the single source of truth.
-
-    @property
-    def failover_log(self) -> List[FailoverEvent]:
-        """Every failover round's record, oldest first (journal view)."""
-        return self.journal.payloads("failover")
-
-    @property
-    def migration_log(self) -> List[MigrationEvent]:
-        """Every migration's record, oldest first (journal view; records
-        mutate in place as the protocol progresses, exactly as the old
-        list's entries did)."""
-        return self.journal.payloads("migration.start")
 
     # -- master term, meta-WAL, lease, and standby ---------------------------------
     #
@@ -355,6 +335,18 @@ class MasterNode:
         except StaleMasterTerm as exc:
             self._deposed(exc.term, method)
             raise
+
+    def _node_call_ok(self, node: str, method: str, *args: Any) -> bool:
+        """A best-effort :meth:`_node_call`: whether it landed.  A term
+        fence still unwinds the operation; any other cluster error is
+        the caller's to retry (or the node's next heartbeat repairs it)."""
+        try:
+            self._node_call(node, method, *args)
+        except StaleMasterTerm:
+            raise
+        except ClusterError:
+            return False
+        return True
 
     def _deposed(self, newer_term: int, rpc_name: str) -> None:
         """Self-fence after an Index Node rejected our term."""
@@ -640,14 +632,8 @@ class MasterNode:
         searches for a partition it does not host, the client requeues,
         and the node's next heartbeat — which omits the partition —
         gets the grant re-sent (:meth:`report_heartbeat`)."""
-        if node is None:
-            return
-        try:
-            self._node_call(node, "own_partition", acg_id, epoch)
-        except StaleMasterTerm:
-            raise
-        except ClusterError:
-            pass
+        if node is not None:
+            self._node_call_ok(node, "own_partition", acg_id, epoch)
 
     # -- replica sets (RF > 1) --------------------------------------------------------
 
@@ -693,22 +679,14 @@ class MasterNode:
         self._meta("repl", acg_id, epoch, followers)
         for removed in sorted(before - set(followers)):
             if removed in self.index_nodes:
-                try:
-                    self._node_call(removed, "drop_follower", acg_id)
-                except StaleMasterTerm:
-                    raise
-                except ClusterError:
-                    pass
-        try:
-            self._node_call(primary, "set_followers", acg_id, followers, epoch)
-        except StaleMasterTerm:
-            raise
-        except ClusterError:
+                self._node_call_ok(removed, "drop_follower", acg_id)
+        if self._node_call_ok(primary, "set_followers", acg_id, followers,
+                              epoch):
+            self._sync_clear(acg_id)
+        else:
             # The epoch bump (and any generation fence) is already
             # recorded master-side, so the retry only re-delivers it.
             self._sync_mark(acg_id, False)
-        else:
-            self._sync_clear(acg_id)
 
     def _retry_follower_syncs(self) -> None:
         for acg_id in sorted(self._pending_follower_syncs):
@@ -1025,11 +1003,7 @@ class MasterNode:
                 # back to it (re-migration/failover) — the debris is moot.
                 self._finish_clear(node, acg_id)
                 continue
-            try:
-                self._node_call(node, "finish_migration", acg_id)
-            except StaleMasterTerm:
-                raise
-            except ClusterError:
+            if not self._node_call_ok(node, "finish_migration", acg_id):
                 continue
             self._finish_clear(node, acg_id)
             event.outcome = "done"
@@ -1037,16 +1011,9 @@ class MasterNode:
                               acg_id=acg_id, retried=True,
                               moved_files=event.moved_files)
         for (node, acg_id) in list(self._pending_cancels):
-            if node not in self.index_nodes:
+            if (node not in self.index_nodes
+                    or self._node_call_ok(node, "cancel_transfer", acg_id)):
                 self._cancel_clear(node, acg_id)
-                continue
-            try:
-                self._node_call(node, "cancel_transfer", acg_id)
-            except StaleMasterTerm:
-                raise
-            except ClusterError:
-                continue
-            self._cancel_clear(node, acg_id)
 
     def detect_failed_nodes(self, timeout_s: float = 15.0) -> List[str]:
         """Index Nodes whose last heartbeat is older than ``timeout_s``
@@ -1342,15 +1309,17 @@ class MasterNode:
         self._meta("newpart", new_partition.partition_id, target)
         for file_id in sorted(move):
             self._meta("file", file_id, new_partition.partition_id)
+        # Both halves change shape: clients must re-learn where the source
+        # ACG's files live.  The source's epoch is bumped *before* the cut
+        # and handed to it, so its route fence refuses a request a
+        # pre-split table routed — it may name a file that moved.
+        epoch = self._bump_routing(acg_id)
         segment = self._node_call(source, "extract_partition", acg_id,
-                                  tuple(sorted(move)))
+                                  tuple(sorted(move)), epoch)
         moved = len(self._node_call(target, "install_partition",
                                     new_partition.partition_id, segment))
-        # Both halves changed shape: clients must drop their per-file
-        # routes for the source ACG and learn the new one.
         self._reported_sizes.pop(acg_id, None)
         self._drop_summary(acg_id)
-        self._bump_routing(acg_id)
         self._notify_owner(target, new_partition.partition_id,
                            self._bump_routing(new_partition.partition_id))
         # Both halves changed content outside the replication stream; the
@@ -1437,17 +1406,8 @@ class MasterNode:
                 # The target never (durably) took ownership: undo the
                 # target's partial install if we can, and lift the
                 # source's handoff intent (deferring if it is down).
-                try:
-                    self._node_call(target, "drop_partition", acg_id)
-                except StaleMasterTerm:
-                    raise
-                except ClusterError:
-                    pass
-                try:
-                    self._node_call(source, "cancel_transfer", acg_id)
-                except StaleMasterTerm:
-                    raise
-                except ClusterError:
+                self._node_call_ok(target, "drop_partition", acg_id)
+                if not self._node_call_ok(source, "cancel_transfer", acg_id):
                     self._cancel_pending(source, acg_id)
                 event.outcome = "aborted"
                 self.journal.emit("migration.aborted", node=source,
@@ -1466,11 +1426,7 @@ class MasterNode:
             # epoch bump so old-generation follower watermarks are fenced.
             self._assign_followers(acg_id, force=True)
             self.registry.counter("cluster.master.migrations").inc()
-            try:
-                self._node_call(source, "finish_migration", acg_id)
-            except StaleMasterTerm:
-                raise
-            except ClusterError:
+            if not self._node_call_ok(source, "finish_migration", acg_id):
                 event.outcome = "finish_deferred"
                 self._finish_pending(source, acg_id, event)
                 self.journal.emit("migration.finish_deferred", node=source,
@@ -1554,12 +1510,7 @@ class MasterNode:
             state = self.replica_sets.get(absorb_id)
             for follower in (state.followers if state else ()):
                 if follower in self.index_nodes:
-                    try:
-                        self._node_call(follower, "drop_follower", absorb_id)
-                    except StaleMasterTerm:
-                        raise
-                    except ClusterError:
-                        pass
+                    self._node_call_ok(follower, "drop_follower", absorb_id)
             self.replica_sets.drop(absorb_id)
             self._meta("repldrop", absorb_id)
             self._sync_clear(absorb_id)

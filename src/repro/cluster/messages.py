@@ -61,9 +61,9 @@ class UpdateBatch:
     any ``Sequence[IndexUpdate]``.
 
     ``epoch`` is the routing epoch of the cached route table the sender
-    routed by.  Every batch carries one: a node that does not host
-    ``acg_id`` NACKs with :class:`~repro.errors.StaleRoute`, it never
-    creates the partition.
+    routed by.  Every batch carries one: a node that does not own
+    ``acg_id``, or split it since ``epoch``, NACKs with
+    :class:`~repro.errors.StaleRoute`; it never creates the partition.
 
     ``wire_bytes`` amortizes the per-request framing across the batch:
     one 24-byte header plus the per-update payloads minus their

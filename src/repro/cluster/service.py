@@ -188,8 +188,8 @@ class PropellerService:
         reg.gauge_fn("cluster.master.epoch",
                      lambda: self.master.partitions.epoch)
         reg.gauge_fn("cluster.master.migrations_completed",
-                     lambda: sum(1 for e in self.master.migration_log
-                                 if e.outcome == "done"))
+                     lambda: sum(1 for e in self.master.journal.payloads(
+                         "migration.start") if e.outcome == "done"))
         reg.gauge_fn("cluster.master.route_rpcs_per_update",
                      self._route_rpcs_per_update)
         reg.gauge_fn("cluster.client.route_cache_hit_rate",

@@ -18,7 +18,7 @@ Event taxonomy (the ``type`` field, dotted and prefix-queryable):
 * ``migration.start`` / ``migration.done`` / ``migration.aborted`` /
   ``migration.finish_deferred`` — online-migration lifecycle, payload
   on ``start`` = the ``MigrationEvent`` record (mutated in place as the
-  protocol progresses, exactly as the old ``migration_log`` was);
+  protocol progresses);
 * ``route.epoch_bump`` — a partition's routing changed;
 * ``repl.epoch_bump`` — a replica set entered a new replication epoch
   (membership change, log-generation restart, or promotion fence);
@@ -67,8 +67,9 @@ if TYPE_CHECKING:  # annotation-only: avoid a runtime cycle via sim.disk
     from repro.sim.clock import SimClock
 
 # Generous default: chaos runs produce a few hundred events, so slicing
-# views (the invariant checker reads failover_log[seen:]) never see an
-# eviction in practice, while a pathological event storm stays bounded.
+# payload lists (the chaos runner reads the failover records past the
+# ones it has seen) never meets an eviction in practice, while a
+# pathological event storm stays bounded.
 DEFAULT_MAX_EVENTS = 8192
 
 
@@ -216,8 +217,8 @@ class EventJournal:
 
     def payloads(self, type: str) -> List[Any]:
         """The live payload objects behind retained events of one type
-        (or dotted type prefix) — how the legacy ``failover_log`` /
-        ``migration_log`` lists are served as journal views."""
+        (or dotted type prefix): ``"failover"`` gives the Master's
+        failover records, ``"migration.start"`` its migration records."""
         return [e.payload for e in self._events
                 if e.payload is not None and e.matches(type=type)]
 

@@ -68,7 +68,8 @@ def test_degraded_query_then_full_after_auto_failover():
     # One heartbeat round later the master has failed the victim over.
     service.advance(6.0)
     assert victim not in service.master.index_nodes
-    events = [e for e in service.master.failover_log if e.node == victim]
+    events = [e for e in service.journal.payloads("failover")
+              if e.node == victim]
     assert events and events[0].auto
     assert sorted(events[0].moved) == victim_partitions
 

@@ -304,8 +304,9 @@ class TestClusterEmissions:
         service.master.failover(victim)
         assert service.journal.count("failover") == 1
         event = service.journal.events(type="failover")[0]
-        # The legacy failover_log is served from the same payloads.
-        assert service.master.failover_log[-1] is event.payload
+        # The Master's failover record is the event's payload.
+        assert service.master.journal is service.journal
+        assert service.journal.payloads("failover")[-1] is event.payload
         assert event.type in ("failover.promoted", "failover.adopted")
 
     def test_stale_install_fences_and_journals(self):

@@ -161,7 +161,7 @@ def test_failover_with_one_corrupt_checkpoint_loses_only_that_partition():
     service.fail_node(victim)
     assert service.failover(victim) == len(healthy)
     assert victim not in master.index_nodes
-    event = master.failover_log[-1]
+    event = master.journal.payloads("failover")[-1]
     assert event.lost == (corrupt,) and sorted(event.moved) == healthy
     assert service.registry.counter(
         "cluster.master.partitions_lost").value == 1

@@ -165,7 +165,7 @@ def test_failover_promotes_caught_up_follower():
     service.fail_node(victim)
     moved = service.failover(victim)
     assert moved == len(owned)
-    event = service.master.failover_log[-1]
+    event = service.master.journal.payloads("failover")[-1]
     assert event.outcome == "promoted"
     assert sorted(event.promoted) == sorted(owned)
     assert not event.moved  # nothing went through checkpoint adoption
@@ -207,7 +207,7 @@ def test_duplicated_promote_replica_still_routes_to_the_promoted_node():
     assert service.failover(victim) == len(owned)
     service.rpc.faults = None
     assert faults.duplicated == len(owned)
-    event = service.master.failover_log[-1]
+    event = service.master.journal.payloads("failover")[-1]
     assert event.outcome == "promoted" and not event.lost
     assert sorted(event.promoted) == sorted(owned)
     assert service.journal.count("repl.promote_repeat") == len(owned)
@@ -278,7 +278,7 @@ def test_failover_deferred_when_followers_lag():
             service.index_nodes[name].endpoint.fail()
     with pytest.raises(ClusterError):
         service.failover(victim)
-    event = service.master.failover_log[-1]
+    event = service.master.journal.payloads("failover")[-1]
     assert event.outcome == "deferred"
     assert sorted(event.deferred) == sorted(owned)
     # The deferred event reports how far behind the best candidate was.
@@ -355,7 +355,7 @@ def test_failover_never_promotes_stale_generation_follower():
         service.failover(victim)
     except ClusterError:
         pass  # an all-deferred round raises; the point is no promotion
-    event = service.master.failover_log[-1]
+    event = service.master.journal.payloads("failover")[-1]
     assert not event.promoted
     assert service.registry.counter("cluster.master.promotions").value == 0
 
@@ -423,7 +423,7 @@ def test_membership_bump_refreshes_retained_follower_epochs():
                       if p.node})[0]
     service.fail_node(victim2)
     service.failover(victim2)
-    assert service.master.failover_log[-1].outcome == "promoted"
+    assert service.master.journal.payloads("failover")[-1].outcome == "promoted"
     assert sorted(client.search("size>=0")) == oracle
 
 
@@ -439,7 +439,7 @@ def test_deposed_primary_self_fences_instead_of_clobbering():
     # a follower, and rebuild the new primaries' replica rings.
     service.fail_node(victim)
     service.failover(victim)
-    assert service.master.failover_log[-1].outcome == "promoted"
+    assert service.master.journal.payloads("failover")[-1].outcome == "promoted"
     service.sync_replication()
     # The deposed primary comes back still believing it owns the
     # partitions and runs its catch-up duty; forcing every ack slot to

@@ -4,8 +4,6 @@ transition races another cluster event (migration vs. rename, split vs.
 failover, a badly stale client, a NACK storm after defragmentation, and
 a source crash mid-migration)."""
 
-import pytest
-
 from repro.chaos.faults import FaultInjector
 from repro.cluster import PropellerService
 from repro.core.partitioner import PartitioningPolicy
@@ -215,13 +213,11 @@ def test_rewrite_after_an_unseen_migration_stays_in_its_partition(monkeypatch):
     assert after_refresh[1][1] == (sorted(routes),)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "open: a node accepts a batch for a partition it hosts whatever the "
-    "batch's epoch, so a rewrite routed by a pre-split table lands in the "
-    "half the file left (ROADMAP, 'Delete the remaining twins')"))
 def test_rewrite_after_an_unseen_split_stays_in_one_partition():
     """The other door to a twice-indexed file: not a second placement,
-    a stale first one.  The stamp is there; the node does not read it."""
+    a stale first one.  The split bumps the source's epoch before it
+    cuts, so the source's route fence NACKs a batch a pre-split table
+    stamped, and the client's refresh settles where each file went."""
     service, client = build(split=12)
     paths = index_files(service, client, 20, pid=7)
     service.commit_all()
@@ -357,7 +353,7 @@ def test_rename_during_migration_window():
     injector.arm_method_fault(source, "finish_migration")
     service.rpc.faults = injector
     master.migrate_partition(partition.partition_id, target)
-    assert master.migration_log[-1].outcome == "finish_deferred"
+    assert master.journal.payloads("migration.start")[-1].outcome == "finish_deferred"
     src_node = service.index_nodes[source]
     assert partition.partition_id in src_node.handoff_intents
 
@@ -376,7 +372,7 @@ def test_rename_during_migration_window():
     # The deferred finish retries on the heartbeat round; afterwards
     # exactly one node hosts the file.
     master.poll_heartbeats()
-    assert master.migration_log[-1].outcome == "done"
+    assert master.journal.payloads("migration.start")[-1].outcome == "done"
     assert partition.partition_id not in src_node.replicas
     assert hosts_of(service, file_id) == [target]
 
@@ -448,7 +444,7 @@ def test_migration_racing_source_crash():
     service.rpc.faults = injector
     moved = master.migrate_partition(acg_id, target)
     assert moved == 10
-    assert master.migration_log[-1].outcome == "finish_deferred"
+    assert master.journal.payloads("migration.start")[-1].outcome == "finish_deferred"
     assert len(src_node.cache) > 0
 
     # Crash the old owner and restart it: its WAL still holds this
@@ -467,7 +463,7 @@ def test_migration_racing_source_crash():
     # The heartbeat round drives the deferred finish; only then does the
     # debris copy disappear and ownership become single again.
     master.poll_heartbeats()
-    assert master.migration_log[-1].outcome == "done"
+    assert master.journal.payloads("migration.start")[-1].outcome == "done"
     assert acg_id not in src_node.handoff_intents
     assert acg_id not in src_node.replicas
     for path in paths:
@@ -496,7 +492,7 @@ def test_master_restart_racing_migration_finish():
     injector.arm_method_fault(source, "finish_migration")
     service.rpc.faults = injector
     master.migrate_partition(acg_id, target)
-    assert master.migration_log[-1].outcome == "finish_deferred"
+    assert master.journal.payloads("migration.start")[-1].outcome == "finish_deferred"
     assert (source, acg_id) in master._pending_finishes
     epoch_flip = master.partitions.epoch
     before = master._build_meta_state().snapshot()

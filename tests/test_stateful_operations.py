@@ -35,9 +35,12 @@ class OperationsMachine(RuleBasedStateMachine):
 
     # -- data plane ---------------------------------------------------------
 
-    @rule(count=st.integers(1, 12), size=st.integers(1, 10_000))
-    def add_files(self, count, size):
-        pid = 1 + self.counter // 10
+    @rule(count=st.integers(1, 12), size=st.integers(1, 10_000),
+          chained=st.booleans())
+    def add_files(self, count, size, chained):
+        # One producer chains its files into one partition, which grows
+        # past the split threshold; spread producers rarely split it.
+        pid = 1 if chained else 1 + self.counter // 10
         for _ in range(count):
             path = f"/d/f{self.counter:05d}"
             self.counter += 1
@@ -67,6 +70,21 @@ class OperationsMachine(RuleBasedStateMachine):
     @rule()
     def heartbeats_and_splits(self):
         self.service.master.poll_heartbeats()
+
+    @rule()
+    def split_then_rewrite(self):
+        """Every file rewritten right after a heartbeat round that may
+        split, by a client that has not seen the split: with no search
+        in between, each rewrite goes by a pre-split route."""
+        self.service.commit_all()
+        self.service.master.poll_heartbeats()   # sizes reported
+        self.service.master.poll_heartbeats()   # then split
+        for path in sorted(self.model):
+            self.service.vfs.write_file(path, 1, pid=1)    # appends
+            self.client.index_path(path, pid=1)
+            self.model[path] = self.service.vfs.stat(path).size
+        self.client.flush_updates()
+        self.service.commit_all()
 
     @rule()
     def rebalance(self):
