@@ -874,8 +874,10 @@ class PropellerClient:
         one route refresh, which also settles where their files live
         now.  Each update is then re-sent under the fresh epoch when its
         route genuinely moved — the partition to another node (migration,
-        failover) or the file to another partition (split, merge) — and
-        re-queued otherwise: the node is down and routing has not moved
+        failover) or the file to another partition (split, merge) — or
+        when its batch NACKed a stamp the refresh has since moved past (a
+        split of its partition that left this file where it was).  It
+        re-queues otherwise: the node is down and routing has not moved
         yet, or it missed its ownership grant, which the Master repairs
         from the node's next heartbeat.  The re-sends go out as a second
         scatter; whatever that one cannot land re-queues (hints intact)."""
@@ -889,8 +891,9 @@ class PropellerClient:
                 pass
         moved: Dict[Tuple[str, int], List[IndexUpdate]] = {}
         alloc_state: Dict[str, bool] = {}
-        for send in failed:
+        for i, send in enumerate(failed):
             old = (send.node, send.batch.acg_id)
+            restamped = i < len(nacked) and send.batch.epoch < self._route_epoch
             for update in send.batch.updates:
                 acg_id = self._resolve_local(
                     update.file_id, hint_of.get(update.file_id, -1),
@@ -898,7 +901,7 @@ class PropellerClient:
                 if acg_id is None:
                     acg_id = send.batch.acg_id
                 new = (self._route_nodes.get(acg_id), acg_id)
-                if refreshed and new[0] and new != old:
+                if refreshed and new[0] and (new != old or restamped):
                     moved.setdefault(new, []).append(update)
                 else:
                     self._requeue([update], hint_of)

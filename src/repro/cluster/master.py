@@ -12,7 +12,7 @@ paper argues one Master scales to hundreds of Index Nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.messages import (Heartbeat, RouteEntry, RouteTable,
@@ -26,7 +26,8 @@ from repro.errors import (ClusterError, FileSystemError, NotActingMaster,
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
-from repro.query.planner import IndexKind, IndexSpec
+from repro.query.planner import IndexSpec
+from repro.replication.replica_set import ReplicaSetManager
 from repro.sim.machine import Machine
 from repro.sim.rpc import RpcEndpoint, RpcNetwork
 
@@ -137,15 +138,17 @@ class MasterNode:
         # everything (including the term) by tailing its peer's meta-log.
         self.acting = acting
         self.term = 1 if acting else 0
-        self.term_owner = endpoint_name if acting else ""
         self.peer = peer
+        # The durable state and the log it is folded from.  ``_apply``
+        # is the only writer: partitions, membership, index specs,
+        # replica-set epochs and the migration/sync intents all change
+        # by appending a record and applying it — on the acting Master,
+        # on the standby tailing it, and on crash replay alike.
         self.meta_wal = MetaWal()
-        # Standby tail state: the applied watermark into the peer's
-        # meta-log (None → bootstrap from a snapshot image) and the
-        # MetaState accumulated from streamed records, installed wholesale
-        # on promotion.
+        self.state = MetaState()
+        # Standby tail watermark into the peer's meta-log (None →
+        # bootstrap from a snapshot image).
         self._tail_seq: Optional[int] = None
-        self._tail_state = MetaState()
         self._missed_leases = 0
         # Push-stream arming: the acting Master pushes each meta record
         # to its standby synchronously (meta_apply), but only once the
@@ -169,27 +172,10 @@ class MasterNode:
         # route tables advertise the followers for hedged reads.  RF=1
         # (the default) leaves every replication path dormant.
         self.replication_factor = replication_factor
-        if replication_factor > 1:
-            from repro.replication import ReplicaSetManager
-
-            self.replica_sets: Optional[Any] = ReplicaSetManager(replication_factor)
-            self.replica_sets.journal = self.journal
-        else:
-            self.replica_sets = None
-        # Partitions whose follower assignment needs (re)driving: primary
-        # unreachable at assignment time, primary restarted and lost its
-        # replication state, or membership changed.  Retried every
-        # heartbeat round, mirroring the migration-debris pattern.  The
-        # value is a *force* flag: True when the retry must bump the
-        # replication epoch because the primary's log generation
-        # restarted (crash-restart detected), False when re-delivering
-        # an already-fenced assignment.
-        self._pending_follower_syncs: Dict[int, bool] = {}
         # When on, the heartbeat poll itself fails silent nodes over —
         # off by default so explicit-failover deployments keep control.
         self.auto_failover = auto_failover
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.partitions = PartitionManager()
         # Coordination events (failovers, splits, checkpoints) count into
         # the deployment-wide registry; a standalone Master gets its own.
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -197,32 +183,8 @@ class MasterNode:
         from repro.sim.disk import DiskDevice
 
         self._shared_device = DiskDevice(machine.clock, machine.disk.model)
-        self.index_nodes: List[str] = []
-        self.index_specs: Dict[str, IndexSpec] = {}
-        self.heartbeats: Dict[str, Heartbeat] = {}
         self.splits: List[SplitDecision] = []
-        # Routing-epoch change log: (epoch, acg_id) per bump, so clients
-        # at epoch E can be answered with just the partitions that moved
-        # since E instead of a full snapshot.
-        self._route_log: List[Tuple[int, int]] = []
-        # Latest per-ACG file counts as reported by Index Node heartbeats.
-        # Clients place files without telling the Master (that is the
-        # whole point of the route cache), so the Master's own file map
-        # under-counts; every load/size decision uses the max of both.
-        self._reported_sizes: Dict[int, int] = {}
-        # Migration debris: protocol steps that failed mid-flight and are
-        # retried on later heartbeat rounds (see migrate_partition).
-        self._pending_finishes: Dict[Tuple[str, int], MigrationEvent] = {}
-        self._pending_cancels: Set[Tuple[str, int]] = set()
-        # Partition-summary cache, fed by heartbeat piggybacks: acg_id →
-        # latest SummarySnapshot from the partition's current owner.
-        # ``_summary_version`` bumps whenever any stored snapshot changes
-        # so clients can poll cheaply (fresh marker, no payload).
-        self._summaries: Dict[int, Any] = {}
-        self._summary_version = 0
-        # Tier residency, fed by heartbeat piggybacks: node → the ACG ids
-        # it currently keeps frozen on the cold tier.
-        self._tier_residency: Dict[str, Tuple[int, ...]] = {}
+        self._reset_soft_state()
         self.checkpoints_written = 0
         self.endpoint = RpcEndpoint(endpoint_name)
         for method, handler in [
@@ -248,26 +210,82 @@ class MasterNode:
     # -- master term, meta-WAL, lease, and standby ---------------------------------
     #
     # The control plane's crash-tolerance machinery.  Every durable
-    # mutation appends a term-prefixed record to the meta-WAL before (or
-    # atomically with) taking effect; every master-originated mutating
-    # RPC is stamped with the term so Index Nodes can fence a deposed
-    # Master; and a warm standby tails the log via the master_lease RPC,
-    # promoting with a term bump when the lease expires.
+    # mutation *is* a term-prefixed meta-WAL record: appended, then
+    # applied by the one interpreter (``MetaState.apply``); every
+    # master-originated mutating RPC is stamped with the term so Index
+    # Nodes can fence a deposed Master; and a warm standby tails the log
+    # via the master_lease RPC, applying the same records, and promotes
+    # with a term bump when the lease expires.
+
+    @property
+    def partitions(self) -> PartitionManager:
+        """Partition map, file map and routing epoch (read-only here:
+        records change them)."""
+        return self.state.partitions
+
+    @property
+    def index_nodes(self) -> List[str]:
+        """Registered Index Nodes, in registration order."""
+        return self.state.members
+
+    @property
+    def index_specs(self) -> Dict[str, IndexSpec]:
+        """Globally-named indices, by name."""
+        return self.state.specs
+
+    @property
+    def replica_sets(self) -> Optional[ReplicaSetManager]:
+        """Replica-set epochs, followers and watermarks (None at RF=1)."""
+        return self.state.replica_sets if self.replication_factor > 1 else None
+
+    def _apply(self, term: int, record: Tuple[Any, ...]) -> None:
+        """Append one ``(kind, *payload)`` record at ``term``, then apply
+        it: the only way the durable state changes."""
+        self.meta_wal.append(term, record)
+        self.state.apply((term,) + tuple(record))
 
     def _meta(self, *record: Any) -> None:
-        """Append one durable mutation record at the current term, then
+        """Apply one durable mutation record at the current term, then
         stream it to the warm standby (best effort — the periodic
         master_lease pull reconciles anything the push misses)."""
-        self.meta_wal.append(self.term, record)
+        self._apply(self.term, record)
         if self.acting and self.peer is not None and self._push_ok:
             self._push_meta(record)
+
+    def _reset_soft_state(self) -> None:
+        """Forget what the meta-log does not hold: it died with the
+        process (or a standby never learned it) and the next heartbeat
+        round re-teaches it.  Clients behind the emptied route-delta log
+        get one full route table."""
+        self.heartbeats: Dict[str, Heartbeat] = {}
+        # Routing-epoch change log: (epoch, acg_id) per bump, so clients
+        # at epoch E can be answered with just the partitions that moved
+        # since E instead of a full snapshot.
+        self._route_log: List[Tuple[int, int]] = []
+        # Latest per-ACG file counts as reported by Index Node heartbeats.
+        # Clients place files without telling the Master (that is the
+        # whole point of the route cache), so the Master's own file map
+        # under-counts; every load/size decision uses the max of both.
+        self._reported_sizes: Dict[int, int] = {}
+        # Partition-summary cache, fed by heartbeat piggybacks: acg_id →
+        # latest SummarySnapshot from the partition's current owner.
+        # ``_summary_version`` bumps whenever any stored snapshot changes
+        # so clients can poll cheaply (fresh marker, no payload).
+        self._summaries: Dict[int, Any] = {}
+        self._summary_version = 0
+        # Tier residency, fed by heartbeat piggybacks: node → the ACG ids
+        # it currently keeps frozen on the cold tier.
+        self._tier_residency: Dict[str, Tuple[int, ...]] = {}
+        # The live timeline event behind each durable finish intent
+        # (``state.finishes``), so a retried finish can mark it done.
+        self._finish_events: Dict[Tuple[str, int], MigrationEvent] = {}
 
     def _push_meta(self, record: Tuple[Any, ...]) -> None:
         """Synchronously push one apply record to the standby.
 
         This is what keeps the standby *exactly* current between its 2s
         pull ticks: in-between a crash can only lose mutations the
-        acting Master never acked, so a promotion installs the full
+        acting Master never acked, so a promotion starts from the full
         tailed state and routing epochs continue monotonically.  The
         push is also a fencing channel — a standby that promoted while
         we were partitioned away answers :class:`StaleMasterTerm`, and
@@ -307,8 +325,7 @@ class MasterNode:
                 term=known)
         if self._tail_seq is None or seq != self._tail_seq + 1:
             return
-        self.meta_wal.append(term, tuple(entry[1:]))
-        self._tail_state.apply(tuple(entry))
+        self._apply(term, tuple(entry[1:]))
         self._tail_seq = seq
 
     def _require_acting(self) -> None:
@@ -355,78 +372,10 @@ class MasterNode:
         self.acting = False
         self._missed_leases = 0
         self._tail_seq = None
-        self._tail_state = MetaState()
         self.registry.counter("cluster.master.deposed").inc()
         self.journal.emit("master.depose", node=self.endpoint.name,
                           term=self.term, newer_term=newer_term,
                           rpc=rpc_name)
-
-    def _build_meta_state(self) -> MetaState:
-        """The acting Master's live durable state as a MetaState (the
-        checkpoint image and the standby-bootstrap payload)."""
-        state = MetaState()
-        state.term = self.term
-        state.term_owner = self.term_owner
-        state.epoch = self.partitions.epoch
-        state.members = list(self.index_nodes)
-        state.specs = {name: (name, spec.kind.value, tuple(spec.attrs))
-                       for name, spec in self.index_specs.items()}
-        for p in self.partitions.partitions():
-            state.partitions[p.partition_id] = [p.node, set(p.files)]
-            for file_id in p.files:
-                state.file_map[file_id] = p.partition_id
-        state.next_partition_id = self.partitions.next_id
-        if self.replica_sets is not None:
-            for acg_id in self.replica_sets.partitions():
-                st = self.replica_sets.get(acg_id)
-                state.repl[acg_id] = (st.repl_epoch, tuple(st.followers))
-        state.syncs = dict(self._pending_follower_syncs)
-        state.finishes = {(src, acg): (ev.target, ev.moved_files)
-                          for (src, acg), ev in self._pending_finishes.items()}
-        state.cancels = set(self._pending_cancels)
-        return state
-
-    def _install_state(self, state: MetaState) -> None:
-        """Replace every durable structure with a replayed MetaState.
-
-        Epochs, terms, and the partition-id counter continue exactly
-        where the log left them — never reset — so cached client routes
-        stay valid and fences stay sound.  Soft state (heartbeats,
-        reported sizes, summaries, the route-delta log) died with the
-        process and is re-learned from the next heartbeat round; clients
-        behind the empty route-delta log get one full route table."""
-        self.term = state.term
-        self.term_owner = state.term_owner
-        records = [(pid, entry[0], tuple(sorted(entry[1])))
-                   for pid, entry in state.partitions.items()]
-        self.partitions = PartitionManager.from_records(
-            records, epoch=state.epoch, next_id=state.next_partition_id)
-        self.index_nodes = list(state.members)
-        self.index_specs = {
-            name: IndexSpec(name=name, kind=IndexKind(kind),
-                            attrs=tuple(attrs))
-            for name, kind, attrs in state.specs.values()}
-        if self.replica_sets is not None:
-            from repro.replication import ReplicaSetManager
-
-            manager = ReplicaSetManager(self.replication_factor)
-            manager.journal = self.journal
-            for acg_id, (repl_epoch, followers) in state.repl.items():
-                manager.restore(acg_id, repl_epoch, followers)
-            self.replica_sets = manager
-        self._pending_follower_syncs = dict(state.syncs)
-        self._pending_finishes = {
-            (src, acg): MigrationEvent(acg_id=acg, source=src, target=tgt,
-                                       t_start=0.0, moved_files=moved,
-                                       outcome="finish_deferred")
-            for (src, acg), (tgt, moved) in state.finishes.items()}
-        self._pending_cancels = set(state.cancels)
-        self.heartbeats = {}
-        self._reported_sizes = {}
-        self._summaries = {}
-        self._summary_version = 0
-        self._tier_residency = {}
-        self._route_log = []
 
     def crash_restart(self) -> None:
         """Restart this Master in place after a process crash.
@@ -434,17 +383,19 @@ class MasterNode:
         All in-memory state dies; :meth:`MetaWal.recover` replays the
         snapshot image plus every surviving log record (a torn tail —
         the record mid-write at the crash — is dropped and counted, the
-        same discipline as Index Node WAL recovery).  The replayed term
-        record decides the role: if this Master still owns the latest
-        recorded term, no promotion happened while it was down and it
-        resumes acting; otherwise it must rejoin as a standby (the
-        deployment re-points its peer)."""
-        state = self.meta_wal.recover()
-        self._install_state(state)
-        self.acting = (state.term_owner == self.endpoint.name)
+        same discipline as Index Node WAL recovery).  Epochs, terms, and
+        the partition-id counter continue exactly where the log left
+        them, so cached client routes stay valid and fences stay sound.
+        The replayed term record decides the role: if this Master still
+        owns the latest recorded term, no promotion happened while it
+        was down and it resumes acting; otherwise it must rejoin as a
+        standby (the deployment re-points its peer)."""
+        self.state = self.meta_wal.recover()
+        self.term = self.state.term
+        self._reset_soft_state()
+        self.acting = (self.state.term_owner == self.endpoint.name)
         self._missed_leases = 0
         self._tail_seq = None
-        self._tail_state = MetaState()
         self._push_ok = False
         self.registry.counter("cluster.master.restarts").inc()
         self.journal.emit("master.restart", node=self.endpoint.name,
@@ -471,7 +422,7 @@ class MasterNode:
                 return (self.term, self.meta_wal.seq,
                         ("records", tuple(entries)))
         return (self.term, self.meta_wal.seq,
-                ("snapshot", self._build_meta_state().snapshot()))
+                ("snapshot", self.state.snapshot()))
 
     def standby_tick(self) -> None:
         """One standby heartbeat: extend the lease and tail the log.
@@ -491,11 +442,10 @@ class MasterNode:
             kind, body = payload
             if kind == "snapshot":
                 self.meta_wal.install(body, seq, term)
-                self._tail_state = MetaState.from_snapshot(body)
+                self.state = MetaState.from_snapshot(body)
             else:
                 for record in body:
-                    self.meta_wal.append(record[0], record[1:])
-                    self._tail_state.apply(record)
+                    self._apply(record[0], record[1:])
         except (NodeDown, RpcTimeout, NotActingMaster, StaleMasterTerm):
             self._missed_leases += 1
             if self._missed_leases >= LEASE_MISSES_TO_PROMOTE:
@@ -507,17 +457,18 @@ class MasterNode:
     def promote(self) -> None:
         """Take over as acting Master with a term bump.
 
-        Installs the tailed MetaState (epochs continue monotonically —
-        the promotion is invisible to cached client routes), bumps the
-        term past everything ever seen, and appends the new term record
-        *first* so the bump is durable before any mutation at the new
-        term.  Index Nodes learn the term from the next term-stamped
-        poll; the deposed peer gets fenced on its next mutating RPC."""
-        state = self._tail_state
-        new_term = max(self.meta_wal.highest_term, state.term, self.term) + 1
-        self._install_state(state)
+        The tailed state is already this Master's own (every streamed
+        record went through :meth:`_apply`), so epochs continue
+        monotonically — the promotion is invisible to cached client
+        routes.  Promotion resets soft state, bumps the term past
+        everything ever seen, and appends the new term record *first* so
+        the bump is durable before any mutation at the new term.  Index
+        Nodes learn the term from the next term-stamped poll; the
+        deposed peer gets fenced on its next mutating RPC."""
+        new_term = max(self.meta_wal.highest_term, self.state.term,
+                       self.term) + 1
+        self._reset_soft_state()
         self.term = new_term
-        self.term_owner = self.endpoint.name
         self.acting = True
         self._missed_leases = 0
         # The crashed/partitioned ex-peer must re-bootstrap by pulling;
@@ -539,42 +490,6 @@ class MasterNode:
         self.acting = False
         self._missed_leases = 0
         self._tail_seq = None
-        self._tail_state = MetaState()
-
-    # -- durable-intent helpers (meta-WAL-backed dict/set mutations) ---------------
-
-    def _sync_mark(self, acg_id: int, force: bool) -> None:
-        if self._pending_follower_syncs.get(acg_id) == force:
-            return
-        self._pending_follower_syncs[acg_id] = force
-        self._meta("sync", acg_id, int(force))
-
-    def _sync_default(self, acg_id: int) -> None:
-        if acg_id not in self._pending_follower_syncs:
-            self._sync_mark(acg_id, False)
-
-    def _sync_clear(self, acg_id: int) -> None:
-        if self._pending_follower_syncs.pop(acg_id, None) is not None:
-            self._meta("syncclear", acg_id)
-
-    def _finish_pending(self, source: str, acg_id: int,
-                        event: MigrationEvent) -> None:
-        self._pending_finishes[(source, acg_id)] = event
-        self._meta("finish", source, acg_id, event.target, event.moved_files)
-
-    def _finish_clear(self, source: str, acg_id: int) -> None:
-        if self._pending_finishes.pop((source, acg_id), None) is not None:
-            self._meta("finishclear", source, acg_id)
-
-    def _cancel_pending(self, source: str, acg_id: int) -> None:
-        if (source, acg_id) not in self._pending_cancels:
-            self._pending_cancels.add((source, acg_id))
-            self._meta("cancel", source, acg_id)
-
-    def _cancel_clear(self, source: str, acg_id: int) -> None:
-        if (source, acg_id) in self._pending_cancels:
-            self._pending_cancels.discard((source, acg_id))
-            self._meta("cancelclear", source, acg_id)
 
     # -- cluster membership -----------------------------------------------------
 
@@ -582,7 +497,6 @@ class MasterNode:
         """Add an Index Node to the cluster membership."""
         if name in self.index_nodes:
             raise ClusterError(f"index node already registered: {name}")
-        self.index_nodes.append(name)
         self._meta("member", name)
 
     def _require_nodes(self) -> None:
@@ -596,7 +510,6 @@ class MasterNode:
         self._require_acting()
         if spec.name in self.index_specs:
             raise ClusterError(f"index name already exists: {spec.name}")
-        self.index_specs[spec.name] = spec
         self._meta("index", spec.name, spec.kind.value, tuple(spec.attrs))
         for node in self.index_nodes:
             self._node_call(node, "create_index", spec)
@@ -616,7 +529,7 @@ class MasterNode:
 
     def _bump_routing(self, acg_id: int) -> int:
         """Advance the routing epoch for one partition's change."""
-        epoch = self.partitions.bump_epoch()
+        epoch = self.partitions.epoch + 1
         self._meta("epoch", epoch, acg_id)
         self._route_log.append((epoch, acg_id))
         if len(self._route_log) > _ROUTE_LOG_CAP:
@@ -645,7 +558,7 @@ class MasterNode:
         start = self.index_nodes.index(primary)
         ring = [self.index_nodes[(start + i) % len(self.index_nodes)]
                 for i in range(1, len(self.index_nodes))]
-        return tuple(ring[:self.replica_sets.rf - 1])
+        return tuple(ring[:self.replication_factor - 1])
 
     def _assign_followers(self, acg_id: int, force: bool = False) -> None:
         """(Re)install a partition's follower set on its primary.
@@ -663,35 +576,43 @@ class MasterNode:
         """
         if self.replica_sets is None:
             return
+        syncs = self.state.syncs
         try:
             partition = self.partitions.get(acg_id)
         except ClusterError:
-            self._sync_clear(acg_id)
+            if acg_id in syncs:
+                self._meta("syncclear", acg_id)
             return
         primary = partition.node
         if primary is None:
             return
-        state = self.replica_sets.get(acg_id)
-        before = set(state.followers) if state else set()
+        state = self.replica_sets.state(acg_id)
+        before = set(state.followers)
         followers = self._follower_nodes(primary)
         epoch = self.replica_sets.set_followers(acg_id, followers,
                                                 force=force)
+        if epoch != state.repl_epoch:
+            self.journal.emit("repl.epoch_bump", acg_id=acg_id,
+                              repl_epoch=epoch,
+                              reason="forced" if force else "membership",
+                              followers=list(followers))
         self._meta("repl", acg_id, epoch, followers)
         for removed in sorted(before - set(followers)):
             if removed in self.index_nodes:
                 self._node_call_ok(removed, "drop_follower", acg_id)
         if self._node_call_ok(primary, "set_followers", acg_id, followers,
                               epoch):
-            self._sync_clear(acg_id)
-        else:
+            if acg_id in syncs:
+                self._meta("syncclear", acg_id)
+        elif syncs.get(acg_id) is not False:
             # The epoch bump (and any generation fence) is already
             # recorded master-side, so the retry only re-delivers it.
-            self._sync_mark(acg_id, False)
+            self._meta("sync", acg_id, 0)
 
     def _retry_follower_syncs(self) -> None:
-        for acg_id in sorted(self._pending_follower_syncs):
+        for acg_id in sorted(self.state.syncs):
             self._assign_followers(
-                acg_id, force=self._pending_follower_syncs.get(acg_id, False))
+                acg_id, force=self.state.syncs.get(acg_id, False))
 
     def _route_replicas_of(self, acg_id: int) -> Tuple[str, ...]:
         if self.replica_sets is None:
@@ -780,11 +701,11 @@ class MasterNode:
         for _ in range(max(1, count)):
             node = min(self.index_nodes,
                        key=lambda n: (loads[n], self.index_nodes.index(n)))
-            partition = self.partitions.new_partition(node=node)
-            self._meta("newpart", partition.partition_id, node)
-            epoch = self._bump_routing(partition.partition_id)
-            self._notify_owner(node, partition.partition_id, epoch)
-            self._assign_followers(partition.partition_id)
+            acg_id = self.partitions.next_id
+            self._meta("newpart", acg_id, node)
+            epoch = self._bump_routing(acg_id)
+            self._notify_owner(node, acg_id, epoch)
+            self._assign_followers(acg_id)
             loads[node] += self.policy.cluster_target
         return self._build_route_table(since_epoch)
 
@@ -809,7 +730,6 @@ class MasterNode:
         if acg_id is None:
             return None
         node = self.partitions.get(acg_id).node
-        self.partitions.remove_file(file_id)
         self._meta("unfile", file_id)
         return RouteEntry(file_id=file_id, acg_id=acg_id, node=node or "")
 
@@ -879,7 +799,8 @@ class MasterNode:
                     # will start a fresh generation, so the reassignment
                     # must bump the epoch (force) to invalidate every
                     # old-generation watermark.
-                    self._sync_mark(acg_id, True)
+                    if self.state.syncs.get(acg_id) is not True:
+                        self._meta("sync", acg_id, 1)
             # The symmetric heal: a node this Master lists as *follower*
             # of a partition but which reports no follower replica for it
             # lost that replica (crash-restart — follower state is
@@ -898,7 +819,8 @@ class MasterNode:
                     continue
                 # Same-generation heal (the primary's log is intact):
                 # re-deliver the assignment, no epoch bump needed.
-                self._sync_default(acg_id)
+                if acg_id not in self.state.syncs:
+                    self._meta("sync", acg_id, 0)
                 try:
                     self._node_call(partition.node, "reset_follower_ack",
                                     acg_id, heartbeat.node)
@@ -995,25 +917,28 @@ class MasterNode:
         leaves it NACKing its own partition.  Both are safe states —
         retried here until the node answers or leaves the cluster."""
         by_id = {p.partition_id: p for p in self.partitions.partitions()}
-        for (node, acg_id), event in list(self._pending_finishes.items()):
+        for (node, acg_id), (target, moved) in list(self.state.finishes.items()):
             partition = by_id.get(acg_id)
             if node not in self.index_nodes or (
                     partition is not None and partition.node == node):
                 # The node left the cluster, or ownership has since come
                 # back to it (re-migration/failover) — the debris is moot.
-                self._finish_clear(node, acg_id)
+                self._meta("finishclear", node, acg_id)
+                self._finish_events.pop((node, acg_id), None)
                 continue
             if not self._node_call_ok(node, "finish_migration", acg_id):
                 continue
-            self._finish_clear(node, acg_id)
-            event.outcome = "done"
-            self.journal.emit("migration.done", node=event.target,
+            self._meta("finishclear", node, acg_id)
+            event = self._finish_events.pop((node, acg_id), None)
+            if event is not None:
+                event.outcome = "done"
+            self.journal.emit("migration.done", node=target,
                               acg_id=acg_id, retried=True,
-                              moved_files=event.moved_files)
-        for (node, acg_id) in list(self._pending_cancels):
+                              moved_files=moved)
+        for (node, acg_id) in list(self.state.cancels):
             if (node not in self.index_nodes
                     or self._node_call_ok(node, "cancel_transfer", acg_id)):
-                self._cancel_clear(node, acg_id)
+                self._meta("cancelclear", node, acg_id)
 
     def detect_failed_nodes(self, timeout_s: float = 15.0) -> List[str]:
         """Index Nodes whose last heartbeat is older than ``timeout_s``
@@ -1100,7 +1025,6 @@ class MasterNode:
                         # clients forget the files they kept in it and
                         # place them anew — instead of crashing the whole
                         # failover and stranding its neighbours.
-                        partition.node = None
                         self._meta("place", partition.partition_id, None)
                         lost[partition.partition_id] = (
                             "corrupt" if isinstance(exc, SegmentCorruption)
@@ -1114,7 +1038,6 @@ class MasterNode:
                     except (NodeDown, RpcTimeout):
                         unreachable.add(target)
                     else:
-                        partition.node = target
                         self._meta("place", partition.partition_id, target)
                         # The adopter's heartbeat hasn't fired yet; seed
                         # the reported size so load-aware placement sees
@@ -1156,7 +1079,6 @@ class MasterNode:
             raise ClusterError(
                 f"no reachable survivor could adopt {failed_node}'s partitions")
         if not stranded_ids:
-            self.index_nodes.remove(failed_node)
             self._meta("unmember", failed_node)
             self.heartbeats.pop(failed_node, None)
             if self.replica_sets is not None:
@@ -1164,8 +1086,9 @@ class MasterNode:
                 # their replica sets rebuilt on the next round.
                 for acg_id in self.replica_sets.partitions():
                     state = self.replica_sets.get(acg_id)
-                    if state is not None and failed_node in state.followers:
-                        self._sync_default(acg_id)
+                    if (state is not None and failed_node in state.followers
+                            and acg_id not in self.state.syncs):
+                        self._meta("sync", acg_id, 0)
         self.registry.counter("cluster.master.failovers").inc()
         if auto:
             self.registry.counter("cluster.master.auto_failovers").inc()
@@ -1232,7 +1155,12 @@ class MasterNode:
                 if best is None or applied > best[1]:
                     lag_watermarks[acg_id] = (follower, applied)
                 continue
-            new_epoch = self.replica_sets.bump_epoch(acg_id)
+            # The bump fences the old primary; the promoted one continues
+            # its log, so the watermarks carry over.
+            new_epoch = state.repl_epoch + 1
+            self.journal.emit("repl.epoch_bump", acg_id=acg_id,
+                              repl_epoch=new_epoch, reason="promotion",
+                              followers=list(state.followers))
             self._meta("repl", acg_id, new_epoch, state.followers)
             try:
                 applied_seq, file_count = self._node_call(
@@ -1247,7 +1175,6 @@ class MasterNode:
             with self.tracer.span("promote", acg=acg_id,
                                   target=follower) as span:
                 span.set_attribute("applied_seq", applied_seq)
-            partition.node = follower
             self._meta("place", acg_id, follower)
             self._reported_sizes[acg_id] = file_count
             self._drop_summary(acg_id)
@@ -1255,7 +1182,8 @@ class MasterNode:
             # Promotion continues the log generation (the new primary's
             # log is based at its applied watermark), so the rebuild of
             # its follower ring needs no forced generation bump.
-            self._sync_default(acg_id)
+            if acg_id not in self.state.syncs:
+                self._meta("sync", acg_id, 0)
             self.registry.counter("cluster.master.promotions").inc()
             return applied_seq
         return None
@@ -1294,7 +1222,6 @@ class MasterNode:
         # the authoritative map before reconciling.
         for file_id in sorted(stay | move):
             if self.partitions.partition_of(file_id) is None:
-                self.partitions.add_file(acg_id, file_id)
                 self._meta("file", file_id, acg_id)
         # The IN's ACG may lag the MN's file map (weak ACG consistency);
         # reconcile against the authoritative mapping.
@@ -1305,10 +1232,10 @@ class MasterNode:
             (stay if len(stay) <= len(move) else move).add(orphan)
         target = self._least_loaded_effective(
             [n for n in self.index_nodes if n != source] or self.index_nodes)
-        new_partition = self.partitions.split(acg_id, [stay, move], new_node=target)[1]
-        self._meta("newpart", new_partition.partition_id, target)
+        new_id = self.partitions.next_id
+        self._meta("newpart", new_id, target)
         for file_id in sorted(move):
-            self._meta("file", file_id, new_partition.partition_id)
+            self._meta("file", file_id, new_id)
         # Both halves change shape: clients must re-learn where the source
         # ACG's files live.  The source's epoch is bumped *before* the cut
         # and handed to it, so its route fence refuses a request a
@@ -1316,18 +1243,17 @@ class MasterNode:
         epoch = self._bump_routing(acg_id)
         segment = self._node_call(source, "extract_partition", acg_id,
                                   tuple(sorted(move)), epoch)
-        moved = len(self._node_call(target, "install_partition",
-                                    new_partition.partition_id, segment))
+        moved = len(self._node_call(target, "install_partition", new_id,
+                                    segment))
         self._reported_sizes.pop(acg_id, None)
         self._drop_summary(acg_id)
-        self._notify_owner(target, new_partition.partition_id,
-                           self._bump_routing(new_partition.partition_id))
+        self._notify_owner(target, new_id, self._bump_routing(new_id))
         # Both halves changed content outside the replication stream; the
         # primaries re-bootstrap their followers from fresh snapshots,
         # and the forced epoch bump fences every pre-split watermark.
         self._assign_followers(acg_id, force=True)
-        self._assign_followers(new_partition.partition_id, force=True)
-        decision = SplitDecision(acg_id=acg_id, new_acg_id=new_partition.partition_id,
+        self._assign_followers(new_id, force=True)
+        decision = SplitDecision(acg_id=acg_id, new_acg_id=new_id,
                                  source_node=source, target_node=target,
                                  moved_files=moved)
         self.splits.append(decision)
@@ -1375,11 +1301,13 @@ class MasterNode:
             raise UnknownIndexNode(target)
         if source == target:
             return 0
-        if any(k[1] == acg_id for k in self._pending_finishes) or \
-                any(k[1] == acg_id for k in self._pending_cancels):
+        def has_debris() -> bool:
+            return any(key[1] == acg_id for key in
+                       (*self.state.finishes, *self.state.cancels))
+
+        if has_debris():
             self._retry_migration_debris()
-            if any(k[1] == acg_id for k in self._pending_finishes) or \
-                    any(k[1] == acg_id for k in self._pending_cancels):
+            if has_debris():
                 raise ClusterError(
                     f"partition {acg_id} has unresolved migration debris")
         event = MigrationEvent(acg_id=acg_id, source=source, target=target,
@@ -1407,15 +1335,15 @@ class MasterNode:
                 # target's partial install if we can, and lift the
                 # source's handoff intent (deferring if it is down).
                 self._node_call_ok(target, "drop_partition", acg_id)
-                if not self._node_call_ok(source, "cancel_transfer", acg_id):
-                    self._cancel_pending(source, acg_id)
+                if (not self._node_call_ok(source, "cancel_transfer", acg_id)
+                        and (source, acg_id) not in self.state.cancels):
+                    self._meta("cancel", source, acg_id)
                 event.outcome = "aborted"
                 self.journal.emit("migration.aborted", node=source,
                                   acg_id=acg_id, stage="install")
                 self.registry.counter("cluster.master.migrations_aborted").inc()
                 raise
             # Point of no return: flip routing to the target.
-            partition.node = target
             self._meta("place", acg_id, target)
             epoch = self._bump_routing(acg_id)
             event.t_flip = self.machine.clock.now()
@@ -1428,7 +1356,8 @@ class MasterNode:
             self.registry.counter("cluster.master.migrations").inc()
             if not self._node_call_ok(source, "finish_migration", acg_id):
                 event.outcome = "finish_deferred"
-                self._finish_pending(source, acg_id, event)
+                self._finish_events[(source, acg_id)] = event
+                self._meta("finish", source, acg_id, target, moved)
                 self.journal.emit("migration.finish_deferred", node=source,
                                   acg_id=acg_id, route_epoch=epoch)
                 self.registry.counter(
@@ -1490,13 +1419,10 @@ class MasterNode:
                                     segment)
         self._node_call(absorb.node, "drop_partition", absorb_id)
         for file_id in list(absorb.files):
-            self.partitions.add_file(keep_id, file_id)
             self._meta("file", file_id, keep_id)
         for file_id in installed:
             if self.partitions.partition_of(file_id) is None:
-                self.partitions.add_file(keep_id, file_id)
                 self._meta("file", file_id, keep_id)
-        self.partitions.drop_partition(absorb_id)
         self._meta("droppart", absorb_id)
         self._reported_sizes.pop(absorb_id, None)
         self._reported_sizes.pop(keep_id, None)
@@ -1511,9 +1437,9 @@ class MasterNode:
             for follower in (state.followers if state else ()):
                 if follower in self.index_nodes:
                     self._node_call_ok(follower, "drop_follower", absorb_id)
-            self.replica_sets.drop(absorb_id)
             self._meta("repldrop", absorb_id)
-            self._sync_clear(absorb_id)
+            if absorb_id in self.state.syncs:
+                self._meta("syncclear", absorb_id)
             # The survivor absorbed content outside the replication
             # stream: new log generation, forced fence.
             self._assign_followers(keep_id, force=True)
@@ -1537,7 +1463,7 @@ class MasterNode:
 
     # -- checkpointing ------------------------------------------------------------------------
 
-    def checkpoint(self) -> List[Tuple[int, Optional[str], Tuple[int, ...]]]:
+    def checkpoint(self) -> None:
         """Flush index metadata to shared storage (crash protection).
 
         Also folds the meta-WAL into a fresh snapshot image, so the log
@@ -1546,25 +1472,12 @@ class MasterNode:
         already covers the metadata image; the meta-WAL itself carries
         no separate simulated cost.
         """
-        records = self.partitions.to_records()
-        nbytes = sum(_CHECKPOINT_BYTES_PER_FILE * (len(r[2]) + 1) for r in records)
+        nbytes = sum(_CHECKPOINT_BYTES_PER_FILE * (p.size + 1)
+                     for p in self.partitions.partitions())
         # Metadata checkpoints land on shared storage, not the local disk.
         with self.tracer.span("master_checkpoint", bytes=max(512, nbytes)):
             self._shared_device.append(max(512, nbytes))
         if self.acting:
-            self.meta_wal.checkpoint(self._build_meta_state().snapshot())
+            self.meta_wal.checkpoint(self.state.snapshot())
         self.checkpoints_written += 1
         self.registry.counter("cluster.master.checkpoints").inc()
-        return records
-
-    @classmethod
-    def restore(cls, machine: Machine, rpc: RpcNetwork,
-                records: List[Tuple[int, Optional[str], Tuple[int, ...]]],
-                index_nodes: Sequence[str],
-                policy: PartitioningPolicy = PartitioningPolicy()) -> "MasterNode":
-        """Rebuild a Master Node from its last checkpoint."""
-        master = cls(machine, rpc, policy=policy)
-        master.partitions = PartitionManager.from_records(records)
-        for node in index_nodes:
-            master.register_index_node(node)
-        return master

@@ -12,6 +12,11 @@ crash recovery replays snapshot + surviving records into a
 and terms therefore continue monotonically across a restart — client
 route caches stay valid, and no refresh storm follows recovery.
 
+:meth:`MetaState.apply` is not only the replay path: it is the *only*
+code that changes the Master's durable state.  The acting Master, its
+standby and crash recovery all fold the same records through it, so
+"replay rebuilds the same state" holds by construction.
+
 Records are term-prefixed tuples ``(term, kind, *payload)``.  The log
 fences stale terms on append (:class:`~repro.errors.StaleMasterTerm`):
 once a record at term *T* is durable, nothing below *T* may append —
@@ -29,36 +34,40 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.wal import WriteAheadLog
-from repro.errors import StaleMasterTerm
+from repro.core.partition_manager import PartitionManager
+from repro.errors import SimulationError, StaleMasterTerm
+from repro.indexstructures.base import IndexKind
+from repro.query.planner import IndexSpec
+from repro.replication.replica_set import ReplicaSetManager
 
 # Snapshot image format version (first payload field of the image tuple).
 _SNAP_VERSION = 1
 
 
 class MetaState:
-    """Replayable image of the Master's durable metadata.
+    """The Master's durable metadata, changed only by :meth:`apply`.
 
-    Shared by both consumers of the meta-log: crash recovery (replay the
-    on-log bytes into a state, install it) and the warm standby (apply
-    streamed records as they arrive, install on promotion).  Everything
-    here is *durable* state; soft state — heartbeats, reported sizes,
-    partition summaries, the route-delta log — is deliberately absent
-    and re-learned from the next heartbeat round.
+    One object serves every holder of the meta-log: the acting Master
+    (append a record, apply it), the warm standby (apply streamed
+    records as they arrive) and crash recovery (replay the on-log bytes).
+    Everything here is *durable* state; soft state — heartbeats, reported
+    sizes, partition summaries, the route-delta log, replica watermarks —
+    lives on the Master (or as soft fields beside the durable ones, like
+    a replica set's watermarks) and is re-learned from the next heartbeat
+    round.  The full record vocabulary is tabulated in
+    ``docs/fault-tolerance.md`` ("Meta-log records").
     """
 
     def __init__(self) -> None:
         self.term = 1
         self.term_owner = ""
-        self.epoch = 1
+        # Partition map, file map, routing epoch and the id counter.
+        self.partitions = PartitionManager()
         self.members: List[str] = []
-        # index name -> (name, kind value, attrs tuple)
-        self.specs: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {}
-        # acg id -> [node or None, file-id set]
-        self.partitions: Dict[int, List[Any]] = {}
-        self.file_map: Dict[int, int] = {}
-        self.next_partition_id = 1
-        # acg id -> (repl epoch, follower tuple)
-        self.repl: Dict[int, Tuple[int, Tuple[str, ...]]] = {}
+        self.specs: Dict[str, IndexSpec] = {}
+        # Repl epoch and followers per partition (RF > 1 only; its
+        # watermarks are soft and never touched here).
+        self.replica_sets = ReplicaSetManager()
         # acg id -> force flag (pending follower-sync intents)
         self.syncs: Dict[int, bool] = {}
         # (source node, acg id) -> (target node, moved files)
@@ -68,7 +77,11 @@ class MetaState:
     # -- record application ---------------------------------------------------
 
     def apply(self, record: Tuple[Any, ...]) -> None:
-        """Fold one ``(term, kind, *payload)`` record into the state."""
+        """Fold one ``(term, kind, *payload)`` record into the state.
+
+        An unknown kind raises :class:`SimulationError`: this is the
+        Master's write path, so a kind nobody interprets would be a
+        mutation that silently never happens."""
         kind = record[1]
         p = record[2:]
         if kind == "term":
@@ -82,38 +95,28 @@ class MetaState:
             if p[0] in self.members:
                 self.members.remove(p[0])
         elif kind == "index":
-            self.specs[p[0]] = (p[0], p[1], tuple(p[2]))
+            self.specs[p[0]] = IndexSpec(name=p[0], kind=IndexKind(p[1]),
+                                         attrs=tuple(p[2]))
         elif kind == "epoch":
-            self.epoch = max(self.epoch, p[0])
+            self.partitions.bump_epoch(p[0])
         elif kind == "newpart":
-            pid, node = p[0], p[1]
-            self.partitions[pid] = [node, set()]
-            self.next_partition_id = max(self.next_partition_id, pid + 1)
+            if p[0] != self.partitions.next_id:
+                raise SimulationError(
+                    f"meta record newpart {p[0]} out of order "
+                    f"(next id {self.partitions.next_id})")
+            self.partitions.new_partition(node=p[1])
         elif kind == "file":
-            fid, pid = p[0], p[1]
-            old = self.file_map.get(fid)
-            if old != pid:
-                if old is not None and old in self.partitions:
-                    self.partitions[old][1].discard(fid)
-                if pid in self.partitions:
-                    self.partitions[pid][1].add(fid)
-                    self.file_map[fid] = pid
+            self.partitions.add_file(p[1], p[0])
         elif kind == "unfile":
-            pid = self.file_map.pop(p[0], None)
-            if pid is not None and pid in self.partitions:
-                self.partitions[pid][1].discard(p[0])
+            self.partitions.remove_file(p[0])
         elif kind == "place":
-            if p[0] in self.partitions:
-                self.partitions[p[0]][0] = p[1]
+            self.partitions.assign_node(p[0], p[1])
         elif kind == "droppart":
-            dropped = self.partitions.pop(p[0], None)
-            if dropped is not None:
-                for fid in dropped[1]:
-                    self.file_map.pop(fid, None)
+            self.partitions.drop_partition(p[0])
         elif kind == "repl":
-            self.repl[p[0]] = (p[1], tuple(p[2]))
+            self.replica_sets.install(p[0], p[1], tuple(p[2]))
         elif kind == "repldrop":
-            self.repl.pop(p[0], None)
+            self.replica_sets.drop(p[0])
         elif kind == "sync":
             self.syncs[p[0]] = bool(p[1])
         elif kind == "syncclear":
@@ -126,24 +129,26 @@ class MetaState:
             self.cancels.add((p[0], p[1]))
         elif kind == "cancelclear":
             self.cancels.discard((p[0], p[1]))
-        # Unknown kinds are skipped, not fatal: a newer Master's log must
-        # stay replayable by the standby one release behind it.
+        else:
+            raise SimulationError(f"unknown meta record kind {kind!r}")
 
     # -- snapshot image (nested tuples: WAL-serializable primitives) ----------
 
     def snapshot(self) -> Tuple[Any, ...]:
         """Encode the state as one WAL-serializable nested tuple."""
+        sets = self.replica_sets
         return (
             _SNAP_VERSION,
             self.term,
             self.term_owner,
-            self.epoch,
+            self.partitions.epoch,
             tuple(self.members),
-            tuple(self.specs[name] for name in self.specs),
-            tuple((pid, entry[0], tuple(sorted(entry[1])))
-                  for pid, entry in self.partitions.items()),
-            self.next_partition_id,
-            tuple((acg, pair[0], pair[1]) for acg, pair in self.repl.items()),
+            tuple((name, spec.kind.value, tuple(spec.attrs))
+                  for name, spec in self.specs.items()),
+            tuple(self.partitions.to_records()),
+            self.partitions.next_id,
+            tuple((acg, sets.get(acg).repl_epoch, sets.get(acg).followers)
+                  for acg in sets.partitions()),
             tuple((acg, int(force)) for acg, force in self.syncs.items()),
             tuple((src, acg, tgt, moved)
                   for (src, acg), (tgt, moved) in self.finishes.items()),
@@ -154,18 +159,16 @@ class MetaState:
     def from_snapshot(cls, image: Tuple[Any, ...]) -> "MetaState":
         """Decode a :meth:`snapshot` image."""
         state = cls()
-        (_, state.term, state.term_owner, state.epoch, members, specs,
+        (_, state.term, state.term_owner, epoch, members, specs,
          partitions, next_id, repl, syncs, finishes, cancels) = image
+        state.partitions = PartitionManager.from_records(
+            partitions, epoch=epoch, next_id=next_id)
         state.members = list(members)
-        state.specs = {name: (name, kind, tuple(attrs))
-                       for name, kind, attrs in specs}
-        for pid, node, files in partitions:
-            state.partitions[pid] = [node, set(files)]
-            for fid in files:
-                state.file_map[fid] = pid
-        state.next_partition_id = next_id
-        state.repl = {acg: (epoch, tuple(followers))
-                      for acg, epoch, followers in repl}
+        for name, kind, attrs in specs:
+            state.specs[name] = IndexSpec(name=name, kind=IndexKind(kind),
+                                          attrs=tuple(attrs))
+        for acg, repl_epoch, followers in repl:
+            state.replica_sets.install(acg, repl_epoch, tuple(followers))
         state.syncs = {acg: bool(force) for acg, force in syncs}
         state.finishes = {(src, acg): (tgt, moved)
                           for src, acg, tgt, moved in finishes}

@@ -137,7 +137,7 @@ class PropellerService:
             # the initial pull installs a snapshot of the membership
             # records above and arms the acting Master's synchronous
             # push stream, so the standby is exactly current from the
-            # first mutation on — a promotion can never install a
+            # first mutation on — a promotion can never start from a
             # stale (or empty) MetaState, however early the crash.
             self.masters[1].standby_tick()
         self.vfs = VirtualFileSystem(self.clock)

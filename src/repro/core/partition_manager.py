@@ -54,10 +54,9 @@ class PartitionManager:
         restored manager must carry it forward — see ``from_records``)."""
         return self._next_id
 
-    def bump_epoch(self) -> int:
-        """Advance the routing epoch; returns the new value."""
-        self._epoch += 1
-        return self._epoch
+    def bump_epoch(self, epoch: int) -> None:
+        """Advance the routing epoch to ``epoch`` (never backwards)."""
+        self._epoch = max(self._epoch, epoch)
 
     # -- queries --------------------------------------------------------------
 
@@ -105,9 +104,10 @@ class PartitionManager:
         old = self._file_to_partition.get(file_id)
         if old == partition_id:
             return
+        target = self.get(partition_id)
         if old is not None:
             self._partitions[old].files.discard(file_id)
-        self.get(partition_id).files.add(file_id)
+        target.files.add(file_id)
         self._file_to_partition[file_id] = partition_id
 
     def remove_file(self, file_id: int) -> Optional[int]:
@@ -117,7 +117,7 @@ class PartitionManager:
             self._partitions[partition_id].files.discard(file_id)
         return partition_id
 
-    def assign_node(self, partition_id: int, node: str) -> None:
+    def assign_node(self, partition_id: int, node: Optional[str]) -> None:
         """Place a partition on an Index Node."""
         self.get(partition_id).node = node
 
@@ -153,25 +153,18 @@ class PartitionManager:
 
     @classmethod
     def from_records(cls, records: Iterable[Tuple[int, Optional[str], Tuple[int, ...]]],
-                     epoch: Optional[int] = None,
-                     next_id: Optional[int] = None) -> "PartitionManager":
-        """Rebuild a manager from :meth:`to_records` output.
-
-        ``epoch`` and ``next_id`` restore the routing epoch and the id
-        counter when the caller (meta-WAL replay) knows them; otherwise
-        the epoch restarts at 1 and the counter resumes past the highest
-        surviving id, which is only safe when no partition was ever
-        dropped and no routes were ever cached."""
+                     *, epoch: int, next_id: int) -> "PartitionManager":
+        """Rebuild a manager from :meth:`to_records` output plus the
+        routing epoch and the id counter, which the records alone cannot
+        give back (ids are never reused, and cached routes must stay
+        valid)."""
         manager = cls()
-        max_id = 0
         for partition_id, node, files in records:
             partition = Partition(partition_id=partition_id, node=node)
             manager._partitions[partition_id] = partition
             for file_id in files:
                 partition.files.add(file_id)
                 manager._file_to_partition[file_id] = partition_id
-            max_id = max(max_id, partition_id)
-        manager._next_id = next_id if next_id is not None else max_id + 1
-        if epoch is not None:
-            manager._epoch = epoch
+        manager._next_id = next_id
+        manager._epoch = epoch
         return manager

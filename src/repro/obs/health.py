@@ -145,7 +145,7 @@ class HealthMonitor:
         sets = self.master.replica_sets
         if sets is None:
             return []
-        needed = sets.rf - 1
+        needed = self.master.replication_factor - 1
         out: List[int] = []
         for partition in self.master.partitions.partitions():
             if partition.node is None:

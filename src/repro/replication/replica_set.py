@@ -14,16 +14,17 @@ merge, adoption, or install restarts the primary's replication log at
 zero, so every epoch bump zeroes ``primary_seq`` and the per-follower
 watermark maps instead of carrying stale-generation maxima forward.
 (Promotion is the one exception — the promoted primary continues the
-old sequence from its applied watermark — so ``bump_epoch`` fences
-without zeroing.)
+old sequence from its applied watermark — so its bump fences without
+zeroing.)  The epoch and followers are the Master's durable state: its
+meta-log sets them (:meth:`ReplicaSetManager.install`), and the one
+other writer is a heartbeat reporting a newer epoch than recorded
+(:meth:`ReplicaSetManager._enter_epoch`).  The watermarks are soft.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-from repro.obs.journal import NULL_JOURNAL
 
 
 @dataclass
@@ -45,14 +46,8 @@ class ReplicaSetState:
 class ReplicaSetManager:
     """Tracks replica sets for every partition when RF > 1."""
 
-    def __init__(self, rf: int) -> None:
-        if rf < 2:
-            raise ValueError(f"replica sets need rf >= 2, got {rf}")
-        self.rf = rf
+    def __init__(self) -> None:
         self._sets: Dict[int, ReplicaSetState] = {}
-        # Epoch bumps are fencing events worth a journal entry; the
-        # owning Master points this at the deployment's journal.
-        self.journal = NULL_JOURNAL
 
     def state(self, acg_id: int) -> ReplicaSetState:
         """Get or create the partition's replica-set state."""
@@ -70,7 +65,7 @@ class ReplicaSetManager:
 
     def set_followers(self, acg_id: int, followers: Tuple[str, ...],
                       force: bool = False) -> int:
-        """Install a new follower tuple; bumps and returns the repl epoch.
+        """The repl epoch an assignment of ``followers`` must record.
 
         A no-op (same followers) keeps the current epoch so steady-state
         reassignment retries do not churn epochs — unless ``force`` is
@@ -80,20 +75,16 @@ class ReplicaSetManager:
         longer comparable and a bump is mandatory even with unchanged
         membership.  Every bump zeroes the watermark state: sequences
         from the previous epoch must never gate (or satisfy) promotion
-        in the new one.
+        in the new one.  Membership and epoch themselves change only
+        when the Master's ``repl`` meta record lands (:meth:`install`).
         """
         st = self.state(acg_id)
-        if force or st.followers != followers:
-            st.followers = followers
-            st.repl_epoch += 1
-            st.primary_seq = 0
-            st.applied = {f: 0 for f in followers}
-            st.acked = {f: 0 for f in followers}
-            self.journal.emit("repl.epoch_bump", acg_id=acg_id,
-                              repl_epoch=st.repl_epoch,
-                              reason="forced" if force else "membership",
-                              followers=list(followers))
-        return st.repl_epoch
+        if not force and st.followers == followers:
+            return st.repl_epoch
+        st.primary_seq = 0
+        st.applied = {f: 0 for f in followers}
+        st.acked = {f: 0 for f in followers}
+        return st.repl_epoch + 1
 
     def _enter_epoch(self, st: ReplicaSetState, repl_epoch: int) -> None:
         """Adopt a newer epoch reported by a node.
@@ -115,9 +106,9 @@ class ReplicaSetManager:
     def record_primary(self, acg_id: int, repl_epoch: int, last_seq: int,
                        acked: Tuple[Tuple[str, int], ...]) -> None:
         """Fold a primary's heartbeat report into the state."""
-        st = self.state(acg_id)
-        if repl_epoch < st.repl_epoch:
-            return  # stale primary (pre-promotion) — ignore
+        st = self._sets.get(acg_id)
+        if st is None or repl_epoch < st.repl_epoch:
+            return  # unrecorded, or a stale primary (pre-promotion)
         self._enter_epoch(st, repl_epoch)
         st.primary_seq = max(st.primary_seq, last_seq)
         for follower, seq in acked:
@@ -127,8 +118,8 @@ class ReplicaSetManager:
     def record_follower(self, acg_id: int, node: str, repl_epoch: int,
                         applied_seq: int) -> None:
         """Fold a follower's heartbeat report into the state."""
-        st = self.state(acg_id)
-        if repl_epoch < st.repl_epoch:
+        st = self._sets.get(acg_id)
+        if st is None or repl_epoch < st.repl_epoch:
             return
         self._enter_epoch(st, repl_epoch)
         if applied_seq > st.applied.get(node, 0):
@@ -142,35 +133,15 @@ class ReplicaSetManager:
         return sorted(((f, st.applied.get(f, 0)) for f in st.followers),
                       key=lambda pair: (-pair[1], pair[0]))
 
-    def restore(self, acg_id: int, repl_epoch: int,
+    def install(self, acg_id: int, repl_epoch: int,
                 followers: Tuple[str, ...]) -> None:
-        """Reinstall one partition's epoch and membership after a Master
-        restart or standby promotion (meta-WAL replay).
-
-        Unlike :meth:`set_followers` this never bumps: the epoch being
-        installed *is* the durable record of the last bump.  Watermarks
-        are soft state and start at zero — the next heartbeat round
-        re-teaches them, and :meth:`_enter_epoch` keeps cross-generation
-        sequences from qualifying stale candidates in the meantime."""
+        """Record one partition's durable epoch and membership (the
+        Master meta-log's ``repl`` record).  Watermarks are soft and left
+        to the caller: a generation restart zeroes them first
+        (:meth:`set_followers`), a promotion carries them over."""
         st = self.state(acg_id)
-        st.followers = tuple(followers)
+        st.followers = followers
         st.repl_epoch = repl_epoch
-        st.primary_seq = 0
-        st.applied = {f: 0 for f in st.followers}
-        st.acked = {f: 0 for f in st.followers}
-
-    def bump_epoch(self, acg_id: int) -> int:
-        """Force a repl-epoch bump (promotion fences the old primary).
-
-        Unlike :meth:`set_followers`, this keeps the watermark state: a
-        promoted primary *continues* the sequence from its applied
-        watermark, so promotion does not start a new log generation."""
-        st = self.state(acg_id)
-        st.repl_epoch += 1
-        self.journal.emit("repl.epoch_bump", acg_id=acg_id,
-                          repl_epoch=st.repl_epoch, reason="promotion",
-                          followers=list(st.followers))
-        return st.repl_epoch
 
     def partitions(self) -> List[int]:
         """Every tracked partition id, sorted."""

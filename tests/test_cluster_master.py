@@ -206,16 +206,33 @@ def test_oversized_partition_triggers_split_and_migration():
 
 
 def test_checkpoint_and_restore():
-    master, _, _ = make_cluster()
-    for entry in master.allocate_partitions(2).entries:
-        for fid in range(6 * entry.acg_id, 6 * entry.acg_id + 6):
-            master.partitions.add_file(entry.acg_id, fid)   # as a split would
-    records = master.checkpoint()
+    """A checkpoint folds the meta-log into a snapshot image; a crash
+    then replays image + tail back into the same partition map, file
+    map, routing epoch and id counter."""
+    master, nodes, rpc = make_cluster(
+        policy=PartitioningPolicy(split_threshold=30, cluster_target=10))
+    master.create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
+    table = master.allocate_partitions(2)
+    acg, node = table.entries[0].acg_id, table.entries[0].node
+    rpc.call(node, "index_update", [UpdateBatch(acg, tuple(
+        IndexUpdate.upsert(i, {"size": i}) for i in range(40)), table.epoch)])
+    nodes[node].cache.commit_all()
+    master.report_heartbeat(nodes[node].make_heartbeat())
+    assert len(master.maybe_split()) == 1   # the split records the files
+    master.checkpoint()
     assert master.checkpoints_written == 1
-    cluster2 = Cluster(["mn2"])
-    restored = MasterNode.restore(cluster2["mn2"], RpcNetwork(cluster2.network),
-                                  records, ["in1", "in2"])
-    for fid in range(6, 18):
-        assert master.partitions.partition_of(fid) is not None
-        assert restored.partitions.partition_of(fid) == \
-            master.partitions.partition_of(fid)
+    master.allocate_partitions(1)           # a tail past the image
+    file_map = {fid: master.partitions.partition_of(fid) for fid in range(40)}
+    assert all(acg_id is not None for acg_id in file_map.values())
+    epoch, next_id = master.partitions.epoch, master.partitions.next_id
+    records = master.partitions.to_records()
+
+    master.endpoint.fail()                  # the process dies ...
+    master.endpoint.recover()
+    master.crash_restart()                  # ... and replays its log
+    assert master.acting
+    assert {fid: master.partitions.partition_of(fid)
+            for fid in range(40)} == file_map
+    assert master.partitions.epoch == epoch
+    assert master.partitions.next_id == next_id
+    assert master.partitions.to_records() == records

@@ -95,7 +95,7 @@ def test_master_restart_replays_inflight_failover():
     moved = service.failover(victim)
     assert moved >= 1
     assert all(p.node != victim for p in master.partitions.partitions())
-    before = master._build_meta_state().snapshot()
+    before = master.state.snapshot()
     term_before = master.term
     epoch_before = master.partitions.epoch
 
@@ -109,7 +109,7 @@ def test_master_restart_replays_inflight_failover():
     service.crash_master()
     service.restart_master()
     assert master.acting and master.term == term_before
-    assert master._build_meta_state().snapshot() == before
+    assert master.state.snapshot() == before
     assert master.partitions.epoch == epoch_before
     assert victim not in master.index_nodes
     assert all(p.node != victim for p in master.partitions.partitions())

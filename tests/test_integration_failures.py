@@ -4,14 +4,12 @@ import pytest
 
 from repro.cluster import PropellerService
 from repro.cluster.index_node import IndexNode
-from repro.cluster.master import MasterNode
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import NodeDown, WalCorruption
 from repro.indexstructures import IndexKind
 from repro.query.planner import IndexSpec
 from repro.sim.clock import SimClock
-from repro.sim.machine import Cluster, Machine
-from repro.sim.rpc import RpcNetwork
+from repro.sim.machine import Machine
 
 
 def build(nodes=2):
@@ -130,17 +128,32 @@ def test_recovered_node_serves_again():
 
 
 def test_master_checkpoint_restore_preserves_routing():
-    """MN metadata is periodically flushed to shared storage; a restored
-    MN routes identically."""
+    """MN metadata is periodically flushed to shared storage; a Master
+    restarted from that checkpoint (plus its log tail) routes
+    identically."""
     service, client = build(nodes=2)
+    service.master.policy = PartitioningPolicy(split_threshold=30,
+                                               cluster_target=50)
     populate(service, client, n=80)
-    records = service.master.checkpoint()
-    cluster2 = Cluster(["mn2"])
-    restored = MasterNode.restore(cluster2["mn2"], RpcNetwork(cluster2.network),
-                                  records, list(service.master.index_nodes))
-    for _, inode in service.vfs.namespace.files():
-        assert restored.partitions.partition_of(inode.ino) == \
-            service.master.partitions.partition_of(inode.ino)
+    service.commit_all()
+    service.master.poll_heartbeats()        # splits record moved files
+    assert service.master.splits
+    service.master.checkpoint()
+    master = service.master
+    files = [inode.ino for _, inode in service.vfs.namespace.files()]
+    routes = {ino: master.partitions.partition_of(ino) for ino in files}
+    assert any(acg_id is not None for acg_id in routes.values())
+    epoch, next_id = master.partitions.epoch, master.partitions.next_id
+
+    service.crash_master()
+    service.restart_master()
+    assert service.master is master and master.acting
+    assert {ino: master.partitions.partition_of(ino)
+            for ino in files} == routes
+    assert master.partitions.epoch == epoch
+    assert master.partitions.next_id == next_id
+    assert client.search("size>0") == sorted(
+        p for p, _ in service.vfs.namespace.files())
 
 
 def test_acg_loss_does_not_affect_search_correctness():

@@ -131,6 +131,68 @@ def test_node_fences_stale_term_rpc_directly():
     node._fence_term(0, "search")
 
 
+# -- the standby keeps its state with the same apply -----------------------------
+
+
+def test_standby_state_tracks_acting_through_every_reshape():
+    """Split, merge, migration and an Index Node failover all change the
+    Master's durable state only by meta-log records; the standby folds
+    the same records through the same ``apply``, so after each step its
+    state is the acting Master's, record for record."""
+    service = PropellerService(
+        num_index_nodes=4, replication_factor=2, standby_master=True,
+        policy=PartitioningPolicy(split_threshold=30, cluster_target=8))
+    client = service.make_client()
+    client.create_index("by_size", IndexKind.BTREE, ["size"])
+    master = service.master
+    standby = next(m for m in service.masters if m is not master)
+    service.advance(2.0)                # first pull arms the push stream
+
+    def in_step():
+        assert standby._tail_seq == master.meta_wal.seq
+        assert standby.state.snapshot() == master.state.snapshot()
+
+    service.vfs.mkdir("/d")
+    for i in range(40):                 # one producer: one growing ACG
+        service.vfs.write_file(f"/d/c{i:03d}", 100 + i, pid=3)
+        client.index_path(f"/d/c{i:03d}", pid=3)
+    index_files(service, client, 6)
+    service.commit_all()
+    master.poll_heartbeats()            # sizes reported
+    master.poll_heartbeats()            # then split
+    assert master.splits
+    in_step()
+
+    small = sorted((p for p in master.partitions.partitions() if p.node),
+                   key=lambda p: p.partition_id)
+    assert master.merge_partitions(small[-1].partition_id,
+                                   small[-2].partition_id) >= 0
+    in_step()
+
+    partition = master.partitions.get(master.splits[0].new_acg_id)
+    target = next(n for n in master.index_nodes if n != partition.node)
+    master.migrate_partition(partition.partition_id, target)
+    in_step()
+
+    service.commit_all()
+    service._checkpoint_all()
+    victim = master.partitions.get(master.splits[0].acg_id).node
+    service.fail_node(victim)
+    assert service.failover(victim) >= 1
+    in_step()
+    assert victim not in standby.index_nodes
+
+    # Promotion installs nothing: the standby's own state is the map.
+    before = master.partitions.to_records()
+    service.crash_master()
+    service.advance(12.0)
+    assert service.master is standby and standby.acting
+    assert standby.partitions.to_records() == before
+    got, want = client.search("size>0"), sorted(
+        p for p, _ in service.vfs.namespace.files("/d"))
+    assert got == want, sorted(set(got) ^ set(want))
+
+
 # -- meta-WAL restart (no promotion) ---------------------------------------------
 
 
@@ -141,13 +203,13 @@ def test_master_restart_replays_identical_state():
     paths = index_files(service, client, 18)
     service.commit_all()
     master = service.master
-    before = master._build_meta_state().snapshot()
+    before = master.state.snapshot()
     term_before = master.term
 
     service.crash_master()
     service.restart_master()          # immediate: lease never expires
     assert master.acting and master.term == term_before
-    assert master._build_meta_state().snapshot() == before
+    assert master.state.snapshot() == before
     assert service.journal.count("master.restart") == 1
     assert sorted(client.search("size>0")) == sorted(paths)
 

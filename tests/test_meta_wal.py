@@ -4,7 +4,7 @@ checkpoint truncation, and the standby tail protocol's building blocks."""
 import pytest
 
 from repro.cluster.meta_wal import MetaState, MetaWal
-from repro.errors import StaleMasterTerm
+from repro.errors import SimulationError, StaleMasterTerm
 
 
 def populated_records():
@@ -32,11 +32,14 @@ class TestMetaState:
             state.apply((1,) + tuple(record))
         restored = MetaState.from_snapshot(state.snapshot())
         assert restored.snapshot() == state.snapshot()
-        assert restored.partitions[1][0] == "in2"
-        assert restored.partitions[1][1] == {101, 102}
-        assert restored.file_map == {101: 1, 102: 1}
-        assert restored.epoch == 2
-        assert restored.repl[1] == (3, ("in1",))
+        assert restored.partitions.get(1).node == "in2"
+        assert restored.partitions.get(1).files == {101, 102}
+        assert restored.partitions.partition_of(101) == 1
+        assert restored.partitions.epoch == 2
+        assert restored.partitions.next_id == 2
+        assert restored.specs["by_size"].attrs == ("size",)
+        repl = restored.replica_sets.get(1)
+        assert (repl.repl_epoch, repl.followers) == (3, ("in1",))
         assert restored.syncs == {1: True}
         assert restored.finishes == {("in1", 1): ("in2", 2)}
 
@@ -46,23 +49,39 @@ class TestMetaState:
         state.apply((1, "newpart", 2, "in2"))
         state.apply((1, "file", 7, 1))
         state.apply((1, "file", 7, 2))  # move
-        assert state.file_map[7] == 2
-        assert 7 not in state.partitions[1][1]
+        assert state.partitions.partition_of(7) == 2
+        assert 7 not in state.partitions.get(1).files
         state.apply((1, "unfile", 7))
-        assert 7 not in state.file_map
+        assert state.partitions.partition_of(7) is None
 
     def test_droppart_forgets_files(self):
         state = MetaState()
         state.apply((1, "newpart", 1, "in1"))
+        state.apply((1, "newpart", 2, "in1"))
         state.apply((1, "file", 7, 1))
+        # The same rule as the live map: only an emptied partition drops
+        # (a merge moves every file out first).
+        with pytest.raises(ValueError):
+            state.apply((1, "droppart", 1))
+        state.apply((1, "file", 7, 2))
         state.apply((1, "droppart", 1))
-        assert state.partitions == {}
-        assert state.file_map == {}
+        assert [p.partition_id for p in state.partitions.partitions()] == [2]
+        assert state.partitions.partition_of(7) == 2
+        # Ids are never reused, even after a drop.
+        assert state.partitions.next_id == 3
 
-    def test_unknown_kind_is_skipped(self):
+    def test_unknown_kind_raises(self):
+        # apply is the Master's write path: a kind nobody interprets
+        # would be a mutation that silently never happens.
         state = MetaState()
-        state.apply((1, "from_the_future", "whatever"))
+        with pytest.raises(SimulationError, match="from_the_future"):
+            state.apply((1, "from_the_future", "whatever"))
         assert state.snapshot() == MetaState().snapshot()
+
+    def test_newpart_out_of_order_raises(self):
+        state = MetaState()
+        with pytest.raises(SimulationError):
+            state.apply((1, "newpart", 2, "in1"))
 
 
 class TestMetaWal:
@@ -77,7 +96,7 @@ class TestMetaWal:
         state_a = wal.recover()
         state_b = wal.recover()
         assert state_a.snapshot() == state_b.snapshot()
-        assert state_a.partitions[1][1] == {101, 102}
+        assert state_a.partitions.get(1).files == {101, 102}
         assert wal.seq == len(populated_records())
 
     def test_torn_tail_drops_only_the_torn_record(self):
@@ -88,7 +107,7 @@ class TestMetaWal:
         # The surviving prefix replays intact: the torn record was the
         # final "finish" intent, so everything before it is present.
         assert state.finishes == {}
-        assert state.partitions[1][0] == "in2"
+        assert state.partitions.get(1).node == "in2"
         assert wal.seq == len(populated_records()) - 1
 
     def test_append_fences_stale_terms(self):

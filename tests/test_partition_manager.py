@@ -97,9 +97,14 @@ def test_records_roundtrip_preserves_ids():
     manager = PartitionManager()
     a = manager.new_partition(files=[1, 2], node="x")
     manager.new_partition(files=[3])
-    clone = PartitionManager.from_records(manager.to_records())
+    dropped = manager.new_partition()
+    manager.drop_partition(dropped.partition_id)
+    manager.bump_epoch(5)
+    clone = PartitionManager.from_records(
+        manager.to_records(), epoch=manager.epoch, next_id=manager.next_id)
     assert clone.partition_of(1) == a.partition_id
     assert clone.get(a.partition_id).node == "x"
-    # New ids continue after the restored maximum.
+    assert clone.epoch == 5
+    # Ids continue past every id ever issued, the dropped one included.
     fresh = clone.new_partition()
-    assert fresh.partition_id > a.partition_id
+    assert fresh.partition_id == dropped.partition_id + 1

@@ -293,8 +293,9 @@ def test_failover_deferred_when_followers_lag():
 def test_set_followers_force_bump_zeroes_watermarks():
     from repro.replication import ReplicaSetManager
 
-    mgr = ReplicaSetManager(rf=2)
+    mgr = ReplicaSetManager()
     epoch = mgr.set_followers(1, ("in2",))
+    mgr.install(1, epoch, ("in2",))  # the Master's ``repl`` record
     mgr.record_primary(1, epoch, 40, (("in2", 40),))
     mgr.record_follower(1, "in2", epoch, 40)
     st = mgr.state(1)
@@ -305,6 +306,7 @@ def test_set_followers_force_bump_zeroes_watermarks():
     # Forced bump = new log generation: the old watermarks are not
     # comparable to the new log's sequences and must go, not max-fold.
     assert mgr.set_followers(1, ("in2",), force=True) == epoch + 1
+    mgr.install(1, epoch + 1, ("in2",))
     assert st.primary_seq == 0
     assert st.applied == {"in2": 0} and st.acked == {"in2": 0}
     # Late old-generation reports are rejected outright.
@@ -316,8 +318,9 @@ def test_set_followers_force_bump_zeroes_watermarks():
 def test_node_side_epoch_bump_resets_master_watermarks():
     from repro.replication import ReplicaSetManager
 
-    mgr = ReplicaSetManager(rf=2)
+    mgr = ReplicaSetManager()
     epoch = mgr.set_followers(1, ("in2",))
+    mgr.install(1, epoch, ("in2",))  # the Master's ``repl`` record
     mgr.record_primary(1, epoch, 40, (("in2", 40),))
     mgr.record_follower(1, "in2", epoch, 40)
     # The primary restarted its log generation (self-bump in

@@ -234,6 +234,26 @@ def test_rewrite_after_an_unseen_split_stays_in_one_partition():
     assert client.search("size<=200") == []
 
 
+def test_search_sees_a_write_queued_before_an_unseen_split():
+    """A search carries the client's queued writes.  One stamped by a
+    pre-split table NACKs at the source's route fence even when the split
+    left its file where it was: the refresh re-stamps it and the search
+    re-sends it, rather than re-queueing a write its own answer omits."""
+    service, client = build(split=12)
+    paths = index_files(service, client, 20, pid=7)
+    service.commit_all()
+    service.master.poll_heartbeats()
+    service.master.poll_heartbeats()                # size reported, then split
+    assert service.master.splits
+    late = "/d/late"
+    service.vfs.write_file(late, 100, pid=7)
+    client.index_path(late, pid=7)
+    nacks = client.stale_route_nacks
+    assert client.search("size>=0") == sorted(paths + [late])
+    assert client.stale_route_nacks > nacks
+    assert client._pending == []
+
+
 def test_lost_grant_is_repaired_from_the_heartbeat_not_by_the_data_path():
     """``own_partition`` is best-effort.  A node that never got it NACKs
     the partition's updates — nothing on the data path makes it host one
@@ -493,9 +513,9 @@ def test_master_restart_racing_migration_finish():
     service.rpc.faults = injector
     master.migrate_partition(acg_id, target)
     assert master.journal.payloads("migration.start")[-1].outcome == "finish_deferred"
-    assert (source, acg_id) in master._pending_finishes
+    assert (source, acg_id) in master.state.finishes
     epoch_flip = master.partitions.epoch
-    before = master._build_meta_state().snapshot()
+    before = master.state.snapshot()
 
     # The Master process dies with the finish still pending.  Replay
     # rebuilds byte-identical durable state at the same epoch — the
@@ -503,13 +523,13 @@ def test_master_restart_racing_migration_finish():
     service.crash_master()
     service.restart_master()
     assert master.acting
-    assert master._build_meta_state().snapshot() == before
+    assert master.state.snapshot() == before
     assert master.partitions.epoch == epoch_flip
-    assert (source, acg_id) in master._pending_finishes
+    assert (source, acg_id) in master.state.finishes
 
     # The restarted Master's debris retry drives the finish home.
     master.poll_heartbeats()
-    assert (source, acg_id) not in master._pending_finishes
+    assert (source, acg_id) not in master.state.finishes
     src_node = service.index_nodes[source]
     assert acg_id not in src_node.handoff_intents
     assert acg_id not in src_node.replicas

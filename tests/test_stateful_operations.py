@@ -2,11 +2,13 @@
 
 Where ``test_stateful_service`` interleaves data-path operations, this
 machine interleaves the control plane — splits, migrations, merges,
-rebalancing, checkpoints and node failovers — with live updates and
-searches, asserting that no maintenance operation can ever change what a
-search returns.
+rebalancing, checkpoints, node failovers and Master restarts — with live
+updates and searches, asserting that no maintenance operation can ever
+change what a search returns, and that the Master's state is always what
+its meta-log replays to.
 """
 
+import copy
 import random
 
 from hypothesis import settings
@@ -126,6 +128,11 @@ class OperationsMachine(RuleBasedStateMachine):
         self.service.failover(victim)
 
     @rule()
+    def master_restart(self):
+        self.service.crash_master()
+        self.service.restart_master()
+
+    @rule()
     def pass_time(self):
         self.service.advance(6.0)
 
@@ -158,6 +165,16 @@ class OperationsMachine(RuleBasedStateMachine):
                      if node.owns(acg_id) and ino in replica.store]
             assert len(homes) <= 1, (path, homes)
             assert homes or ino in in_flight, path
+
+    @invariant()
+    def replay_equals_live(self):
+        """The Master's durable state is exactly what its meta-log
+        replays to: ``apply`` is the only writer."""
+        if not hasattr(self, "service"):
+            return
+        master = self.service.master
+        replayed = copy.deepcopy(master.meta_wal).recover()
+        assert replayed.snapshot() == master.state.snapshot()
 
     @invariant()
     def loads_account_for_every_file(self):
