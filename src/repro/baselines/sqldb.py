@@ -53,8 +53,9 @@ class _PagedStore(AttributeStore):
         self._pool.touch("rows", file_id // self.ROWS_PER_PAGE)
         return super().attrs(file_id)
 
-    def select(self, candidates, match):
-        """Row at a time: every candidate examined is a row read."""
+    def select(self, candidates, match, exact=False):
+        """Row at a time, exact access path or not: every candidate
+        examined is a row read (MiniSQL's own indexes hold NaN keys)."""
         result = set()
         for file_id in candidates:
             if file_id in result or file_id not in self:

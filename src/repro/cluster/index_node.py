@@ -12,9 +12,10 @@ instruction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
+from itertools import islice
+from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
@@ -76,6 +77,11 @@ _HYDRATE_OPS_PER_FILE = 150
 # Per-node result cache entries (each is one ACG's answer to one
 # canonical predicate at one commit watermark).
 _RESULT_CACHE_CAP = 256
+# Committed updates an ACG replica remembers the file of, so a cached
+# answer this many updates behind is brought forward instead of re-run
+# (on mixed-rw the gap an entry is reused across is p50 6, p90 31 and
+# p99 121 updates).
+_CHANGE_LOG = 128
 # Distinct predicates a node keeps prepared (canonical form, compiled
 # matcher, plans per spec set) between requests.
 _PREPARED_CAP = 512
@@ -151,8 +157,9 @@ _Indexed = Optional[Tuple[List[Any], FrozenSet[str]]]
 def _same_key(old: Any, new: Any) -> bool:
     """Whether a file's key in an index stays put across a commit: equal
     *and* of one type, so ``1`` → ``1.0`` still moves (the index keeps
-    the key the store holds), and not NaN — NaN equals nothing, so it
-    keeps its remove-then-insert, K-D coordinates included."""
+    the key the store holds), and not NaN — NaN equals nothing, so a K-D
+    point holding one keeps its remove-then-insert (a NaN attribute
+    value has no single-attribute key at all: :func:`_key_of`)."""
     if type(old) is not type(new) or old != new:
         return False
     return type(new) is not tuple or all(x == x for x in new)
@@ -160,10 +167,18 @@ def _same_key(old: Any, new: Any) -> bool:
 
 def _key_of(spec: IndexSpec) -> _KeyOf:
     """How a file's attributes map to its key in ``spec``'s (non-keyword)
-    index; None means the file is not in that index."""
+    index; None means the file is not in that index.  A NaN value gets
+    no single-attribute key: it satisfies no ``==`` or ordered
+    comparison, so no probe needs it — and a B+tree, whose bisects it
+    would break, then holds only keys that order, which is what lets a
+    range scan be the exact answer (``PreparedQuery.exact_access``)."""
     if spec.kind is not IndexKind.KDTREE:
         attr = spec.attrs[0]
-        return lambda attrs: attrs.get(attr)
+
+        def scalar(attrs: Dict[str, Any]) -> Optional[Any]:
+            value = attrs.get(attr)
+            return None if value != value else value
+        return scalar
     names = spec.attrs
 
     def point(attrs: Dict[str, Any]) -> Optional[Tuple[float, ...]]:
@@ -204,6 +219,10 @@ class AcgReplica:
         # the watermark that versions summaries and the result cache.
         self.incarnation = incarnation
         self.applied = 0
+        # The file of each of the last ``_CHANGE_LOG`` committed updates,
+        # oldest first, appended where ``applied`` bumps: what changed
+        # between two applied counts while the gap fits.
+        self.changes: Deque[int] = deque(maxlen=_CHANGE_LOG)
         # Pruning summary, widened in lock-step with every apply_batch() —
         # the bookkeeping rides on the commit's existing CPU charge.
         self.summary = PartitionSummary()
@@ -291,6 +310,7 @@ class AcgReplica:
         for update in updates:
             self.applied += 1
             file_id = update.file_id
+            self.changes.append(file_id)
             if file_id not in before:
                 before[file_id] = None if file_id not in store else (
                     [key_of(store.attrs(file_id)) for _, key_of, _ in keyed],
@@ -361,6 +381,14 @@ class AcgReplica:
                 for key, file_id in pairs:
                     index.insert(key, file_id)
 
+    def changed_since(self, applied: int) -> Optional[Set[int]]:
+        """The files the updates committed after ``applied`` touched, or
+        None when the change log no longer reaches back that far."""
+        gap = self.applied - applied
+        if gap > len(self.changes):
+            return None
+        return set(islice(reversed(self.changes), gap))
+
     @property
     def file_count(self) -> int:
         """Files this replica currently indexes."""
@@ -373,7 +401,9 @@ class PrimaryReplState:
 
     ``acked`` maps a follower to the highest sequence it confirmed
     applying; ``-1`` marks a follower assigned but not yet installed
-    (the catch-up path bootstraps it with a snapshot first).
+    (the catch-up path bootstraps it with a snapshot first).  The log
+    keeps only the records above the lowest installed ack
+    (:meth:`IndexNode._ack`).
     """
 
     repl_epoch: int = 1
@@ -446,13 +476,16 @@ class IndexNode:
         # watermarks identity-scoped (see AcgReplica.__init__).
         self._next_incarnation = 0
         # Per-ACG query result cache: (acg_id, canonical predicate,
-        # index-name tuple) -> (watermark-tail, SearchResult).  Entries
-        # are valid only while the replica's (incarnation, applied) pair
-        # still matches — a commit invalidates by watermark advance, for
-        # free.  Time-dependent predicates are never cached.
+        # index-name tuple) -> (watermark-tail, SearchResult).  An entry
+        # is the answer while the replica's (incarnation, applied) pair
+        # still matches; a few commits later in the same incarnation it
+        # is brought forward over the files they touched (a *bridged*
+        # hit, :meth:`_from_cache`).  Time-dependent predicates are never
+        # cached.
         self._result_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self._prepared = PreparedCache(_PREPARED_CAP)
-        self.result_cache_hits = 0
+        self.result_cache_hits = 0       # bridged ones included
+        self.result_cache_bridged = 0
         self.result_cache_misses = 0
         # Ops/benchmarking knob: False bypasses the result cache so every
         # search pays the real plan/scan cost (e.g. to measure residency).
@@ -1082,36 +1115,94 @@ class IndexNode:
         self.cache.commit_for_search(acg_id)
         # Result cache: checked *after* the forced commit, so any pending
         # updates have already advanced the watermark and a stale entry
-        # cannot hit.  Time-dependent predicates (symbolic RelativeAge
-        # bounds) are excluded — their answer can change with no commit.
-        # Sound for frozen partitions too: freezing requires an empty
-        # cache and writes thaw first, so the (incarnation, applied) tail
-        # cannot move while frozen.
+        # cannot be served.  Time-dependent predicates (symbolic
+        # RelativeAge bounds) are excluded — their answer can change
+        # with no commit.
         cache_key = None
         if self.result_caching and not query.time_dependent:
-            replica = self.replicas[acg_id]
             cache_key = (acg_id, query.canonical,
                          tuple(index_names) if index_names else None)
-            entry = self._result_cache.get(cache_key)
-            if entry is not None:
-                tail, cached = entry
-                if tail == (replica.incarnation, replica.applied):
-                    self._result_cache.move_to_end(cache_key)
-                    self.result_cache_hits += 1
-                    self.machine.compute(_EXAMINE_OPS)  # lookup, no scan
-                    return cached
+            result = self._from_cache(acg_id, cache_key, query, now)
+            if result is not None:
+                return result
             self.result_cache_misses += 1
         if acg_id in self.frozen:
             result = self._search_frozen(acg_id, query, index_names, now)
         else:
             result = self._search_live_body(acg_id, query, index_names, now)
         if cache_key is not None:
-            replica = self.replicas[acg_id]
-            self._result_cache[cache_key] = (
-                (replica.incarnation, replica.applied), result)
+            self._remember(cache_key, acg_id, result)
+        return result
+
+    def _from_cache(self, acg_id: int, cache_key: Tuple, query: PreparedQuery,
+                    now: float) -> Optional[SearchResult]:
+        """The result cache's answer for one leg; None is a miss.
+
+        An entry stamped at the replica's current (incarnation, applied)
+        is the answer.  One stamped fewer than ``_CHANGE_LOG`` updates
+        earlier in the same incarnation is *bridged*: only the files the
+        replica's change log names since are re-checked — the answer
+        loses those it held and gains those that match now (and is the
+        cached object itself when that changes nothing) — and the entry
+        is re-stamped.  A frozen partition is never bridged: freezing
+        needs an empty cache and writes thaw first, so its watermark
+        cannot move while it is frozen, and an older entry misses."""
+        entry = self._result_cache.get(cache_key)
+        if entry is None:
+            return None
+        replica = self.replicas[acg_id]
+        (incarnation, applied), cached = entry
+        if incarnation != replica.incarnation:
+            return None
+        if applied == replica.applied:
             self._result_cache.move_to_end(cache_key)
-            while len(self._result_cache) > _RESULT_CACHE_CAP:
-                self._result_cache.popitem(last=False)
+            self.result_cache_hits += 1
+            self.machine.compute(_EXAMINE_OPS)  # lookup, no scan
+            return cached
+        changed = (None if acg_id in self.frozen
+                   else replica.changed_since(applied))
+        if changed is None:
+            return None
+        result = self._bridge(acg_id, query, cached, changed, now)
+        self.result_cache_hits += 1
+        self.result_cache_bridged += 1
+        self._remember(cache_key, acg_id, result)
+        return result
+
+    def _remember(self, cache_key: Tuple, acg_id: int,
+                  result: SearchResult) -> None:
+        """Stamp ``result`` into the result cache at the replica's
+        current watermark, most recently used."""
+        replica = self.replicas[acg_id]
+        self._result_cache[cache_key] = (
+            (replica.incarnation, replica.applied), result)
+        self._result_cache.move_to_end(cache_key)
+        while len(self._result_cache) > _RESULT_CACHE_CAP:
+            self._result_cache.popitem(last=False)
+
+    def _bridge(self, acg_id: int, query: PreparedQuery,
+                cached: SearchResult, changed: Set[int],
+                now: float) -> SearchResult:
+        """Bring a cached answer forward over the ``changed`` files.
+
+        Charged as the live run it replaces — the page-in, then
+        :meth:`_run_leg`'s scan setup for the whole store and its
+        materializing charge for the whole answer — so no simulated
+        number depends on whether the answer was bridged
+        (``docs/cost-model.md``)."""
+        self._page_in(acg_id)
+        store = self.replicas[acg_id].store
+
+        def bridged() -> Union[Set[int], SearchResult]:
+            matches = store.select(changed, query.matcher(now))
+            if not matches and cached.file_ids.isdisjoint(changed):
+                return cached
+            return (cached.file_ids - changed) | matches
+
+        with self.tracer.span("bridge", node=self.name, acg=acg_id) as span:
+            span.set_attribute("changed", len(changed))
+            result = self._run_leg(acg_id, store, bridged)
+            span.set_attribute("matches", len(result.file_ids))
         return result
 
     @staticmethod
@@ -1127,9 +1218,7 @@ class IndexNode:
                           index_names: Optional[Sequence[str]],
                           now: float) -> SearchResult:
         """The live (B+tree/hash) execution body of one search leg."""
-        with self.tracer.span("page_faults", node=self.name, acg=acg_id) as span:
-            span.set_attribute("resident", self.is_resident(acg_id))
-            self._ensure_resident(acg_id)
+        self._page_in(acg_id)
         replica = self.replicas[acg_id]
         with self.tracer.span("plan", node=self.name, acg=acg_id) as span:
             plans = self._plans(replica, query, index_names, now)
@@ -1144,21 +1233,33 @@ class IndexNode:
             span.set_attribute("matches", len(result.file_ids))
         return result
 
+    def _page_in(self, acg_id: int) -> None:
+        """A live leg's first step: the ACG's indices into RAM."""
+        with self.tracer.span("page_faults", node=self.name, acg=acg_id) as span:
+            span.set_attribute("resident", self.is_resident(acg_id))
+            self._ensure_resident(acg_id)
+
     def _run_leg(self, acg_id: int,
                  store: Union[AttributeStore, SegmentView],
-                 match: Callable[[], Set[int]]) -> SearchResult:
-        """The costed core every search leg shares (live, frozen,
-        follower): charge the scan setup, run ``match`` for the exact
-        file ids, charge materializing them — bitmap postings extract
-        matches word-at-a-time, so one examine charge covers
+                 match: Callable[[], Union[Set[int], SearchResult]]
+                 ) -> SearchResult:
+        """The costed core every search leg shares (live, bridged,
+        frozen, follower): charge the scan setup, run ``match`` for the
+        exact file ids (or for an answer already built: a bridged entry
+        nothing changed), charge materializing them — bitmap postings
+        extract matches word-at-a-time, so one examine charge covers
         ``_VECTOR_WIDTH`` of them (ceil: a partial word still costs a
         word) — and answer with the sorted paths from ``store`` (its
         ``len`` and ``paths`` are all a leg reads: a live attribute
         store, or a frozen partition's segment view)."""
         self.machine.compute(_EXAMINE_OPS * max(1, len(store) // 64))
-        file_ids = match()
+        answer = match()
+        built = isinstance(answer, SearchResult)
+        file_ids = answer.file_ids if built else answer
         self.machine.compute(
             _EXAMINE_OPS * ((len(file_ids) + _VECTOR_WIDTH - 1) // _VECTOR_WIDTH))
+        if built:
+            return answer
         return SearchResult(node=self.name, acg_id=acg_id,
                             file_ids=frozenset(file_ids),
                             paths=tuple(store.paths(file_ids)))
@@ -1580,7 +1681,7 @@ class IndexNode:
                 if state is None:
                     continue  # deposed by another follower's answer
                 if outcome.ok:
-                    state.acked[follower] = outcome.value
+                    self._ack(state, follower, outcome.value)
                     self.repl_streamed += len(records)
                 elif isinstance(outcome.error, DEGRADABLE_ERRORS):
                     continue  # fell behind: the tick's catch-up retries
@@ -1653,7 +1754,7 @@ class IndexNode:
             follower, "install_follower", acg_id, self.name,
             state.repl_epoch, state.log.last_seq,
             encode_segment(self.replica(acg_id), self.name))
-        state.acked[follower] = seq
+        self._ack(state, follower, seq)
 
     def _stream_one(self, acg_id: int, state: PrimaryReplState,
                     follower: str) -> None:
@@ -1665,9 +1766,19 @@ class IndexNode:
             state.acked[follower] = -1
             self._install_follower(acg_id, state, follower)
             return
-        state.acked[follower] = self._replicate_one(
-            follower, acg_id, state.repl_epoch, records)
+        self._ack(state, follower, self._replicate_one(
+            follower, acg_id, state.repl_epoch, records))
         self.repl_streamed += len(records)
+
+    @staticmethod
+    def _ack(state: PrimaryReplState, follower: str, seq: int) -> None:
+        """Record a follower's ack and trim the log to the lowest ack of
+        the installed followers: no record at or below it is streamed
+        again (a follower at ``-1`` re-installs from a snapshot, and one
+        whose ack falls below the window takes the same path, through
+        ``since`` answering None)."""
+        state.acked[follower] = seq
+        state.log.trim_to(min(a for a in state.acked.values() if a >= 0))
 
     # -- replication (RF > 1): follower half -------------------------------------------------
 

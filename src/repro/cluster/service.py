@@ -271,6 +271,8 @@ class PropellerService:
                      lambda n=node: n.result_cache_hits)
         reg.gauge_fn(f"{prefix}.result_cache.misses",
                      lambda n=node: n.result_cache_misses)
+        reg.gauge_fn(f"{prefix}.result_cache.bridged",
+                     lambda n=node: n.result_cache_bridged)
         reg.gauge_fn(f"{prefix}.partitions_pruned",
                      lambda n=node: n.prunes_validated)
         reg.gauge_fn(f"{prefix}.prune_fallbacks",

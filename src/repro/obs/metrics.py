@@ -103,7 +103,9 @@ class Histogram:
     come from a uniform reservoir sample of at most ``reservoir_size``
     observations, so memory stays bounded no matter how long a benchmark
     runs.  The reservoir RNG is seeded per-instrument, keeping simulated
-    runs deterministic.
+    runs deterministic.  The sample is also kept in sorted order, updated
+    on every observation, so a percentile read (the hedge timer reads
+    one per search leg) is an index, not a sort.
 
     ``unit`` names what one observation measures — ``"s"`` (seconds, the
     default) renders as µs/ms/s; anything else (``"count"``, ``"bytes"``)
@@ -125,6 +127,7 @@ class Histogram:
         # counts[i] covers (buckets[i-1], buckets[i]]; one extra overflow slot.
         self.bucket_counts: List[int] = [0] * (len(self.buckets) + 1)
         self._reservoir: List[float] = []
+        self._ordered: List[float] = []   # the reservoir's values, sorted
         self._reservoir_size = reservoir_size
         self._rng = random.Random(_RESERVOIR_SEED)
         self.count = 0
@@ -143,8 +146,20 @@ class Histogram:
             self._reservoir.append(value)
         else:
             slot = self._rng.randrange(self.count)
-            if slot < self._reservoir_size:
-                self._reservoir[slot] = value
+            if slot >= self._reservoir_size:
+                return
+            self._evict(self._reservoir[slot])
+            self._reservoir[slot] = value
+        bisect.insort(self._ordered, value)
+
+    def _evict(self, value: float) -> None:
+        """Drop one copy of ``value`` from the sorted sample."""
+        ordered = self._ordered
+        i = bisect.bisect_left(ordered, value)
+        if i < len(ordered) and ordered[i] == value:
+            del ordered[i]
+        else:
+            ordered.remove(value)   # NaN equals nothing: found by identity
 
     @property
     def mean(self) -> float:
@@ -162,9 +177,9 @@ class Histogram:
         """Nearest-rank percentile over the reservoir, ``p`` in [0, 100]."""
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100]: {p}")
-        if not self._reservoir:
+        ordered = self._ordered
+        if not ordered:
             return 0.0
-        ordered = sorted(self._reservoir)
         rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil without math
         return ordered[min(rank, len(ordered)) - 1]
 
@@ -185,7 +200,7 @@ class Histogram:
 
     def reservoir_values(self) -> List[float]:
         """The retained sample, sorted — enough to draw an empirical CDF."""
-        return sorted(self._reservoir)
+        return list(self._ordered)
 
     def summary(self) -> Dict[str, float]:
         """count/mean/min/p50/p95/p99/max in one dict (what exporters show)."""

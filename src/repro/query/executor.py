@@ -5,6 +5,9 @@ The per-ACG executor runs on an Index Node: it walks the chosen access
 path to get candidate file ids, then applies the full predicate as a
 residual filter against the ACG's attribute store.  Results are therefore
 always exact — an over-approximate index never yields false positives.
+Where the access path is itself exact (a B+tree range that is the whole
+predicate, an intersection of every keyword's postings) the filter only
+drops ids the store does not hold.
 
 The scatter-gather runs on the client: search legs fan out to every Index
 Node in parallel and, when a leg fails transiently (node down, RPC
@@ -91,12 +94,17 @@ class AttributeStore:
         """Iterate every known file id."""
         return iter(self._attrs)
 
-    def select(self, candidates: Iterable[int], match: Matcher) -> Set[int]:
+    def select(self, candidates: Iterable[int], match: Matcher,
+               exact: bool = False) -> Set[int]:
         """The candidates this store holds whose row passes ``match``
         (a compiled :meth:`~repro.query.prepared.PreparedQuery.matcher`)
-        — evaluated in bulk, one pass over the store's own dicts.  A
-        store whose row reads cost something overrides this."""
+        — evaluated in bulk, one pass over the store's own dicts.
+        ``exact`` says every candidate the store holds passes (an exact
+        access path): ``match`` is then not called.  A store whose row
+        reads cost something overrides this."""
         rows, keywords = self._attrs, self._keywords
+        if exact:
+            return {file_id for file_id in candidates if file_id in rows}
         return {file_id for file_id in candidates
                 if (attrs := rows.get(file_id)) is not None
                 and match(attrs, keywords.get(file_id, _NO_KEYWORDS))}
@@ -147,8 +155,9 @@ def _keyword_posting_candidates(plan: Plan, query: PreparedQuery,
     but the planned term to a per-doc membership test in the residual
     filter.  Returns None when the predicate has no top-level keyword
     conjuncts (e.g. a disjunctive branch plan) — the caller probes the
-    plan's own term.  Exactness is untouched either way: candidates
-    still run through the full residual filter.
+    plan's own term.  When every conjunct is a keyword the intersection
+    is the answer; otherwise the candidates still run through the full
+    residual filter.
     """
     terms = query.keyword_terms
     if not terms:
@@ -164,7 +173,11 @@ def execute(plan: Plan, predicate: Union[Predicate, PreparedQuery],
     """Run one plan; return the exact set of matching file ids.
 
     Every candidate of every access path passes the query's compiled
-    matcher — the whole predicate, not what the access path left over."""
+    matcher — the whole predicate, not what the access path left over —
+    except where the plan is the query's exact access path
+    (:attr:`~repro.query.prepared.PreparedQuery.exact_access`): its
+    candidates already are the matches, so only the ones the store
+    holds are kept."""
     query = prepare(predicate)
     candidates: Optional[Iterable[int]] = None
     if (plan.access == "keyword"
@@ -172,7 +185,8 @@ def execute(plan: Plan, predicate: Union[Predicate, PreparedQuery],
         candidates = _keyword_posting_candidates(plan, query, indexes)
     if candidates is None:
         candidates = _candidates(plan, indexes, store)
-    return store.select(candidates, query.matcher(now))
+    return store.select(candidates, query.matcher(now),
+                        exact=plan.access == query.exact_access)
 
 
 def execute_plans(plans: Iterable[Plan],

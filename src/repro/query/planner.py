@@ -131,7 +131,13 @@ def plan_query(predicate: Predicate, specs: Sequence[IndexSpec], now: float) -> 
                 equality.setdefault(resolved.attr, resolved.value)
             if resolved.op in ("<", "<=", ">", ">=", "=="):
                 current = bounds.get(resolved.attr, (None, True, None, True))
-                bounds[resolved.attr] = _merge_bounds(current, resolved)
+                try:
+                    bounds[resolved.attr] = _merge_bounds(current, resolved)
+                except TypeError:
+                    # Bounds that do not order with each other
+                    # (``owner == ann & owner == 1``): the range keeps
+                    # the earlier ones and the residual filter decides.
+                    pass
         elif isinstance(term, Keyword):
             keywords.append(term.term)
 

@@ -9,6 +9,8 @@ work that are the same every time, once:
 * the canonical form and the ``time_dependent`` flag (together the
   result-cache key);
 * the top-level keyword conjuncts (what posting lists to intersect);
+* the access path, if any, whose candidates already are the answer
+  (``exact_access``: the executor then skips the matcher);
 * a **matcher** — the predicate compiled to a closure over one row,
   bounds resolved against one ``now``; the same answers as the reference
   interpreter :func:`repro.query.ast.matches`, missing attributes and
@@ -156,11 +158,40 @@ def _compile_check(predicate: Predicate, now: float,
     raise QueryError(f"unknown predicate node: {predicate!r}")
 
 
+_RANGE_OPS = frozenset(("<", "<=", ">", ">=", "=="))
+
+
+def _exact_access(terms: Sequence[Predicate]) -> Optional[str]:
+    """The access path whose candidates are exactly the matches of a
+    conjunction of ``terms``, if there is one.
+
+    * ``keyword``: every conjunct is a keyword — the executor intersects
+      the posting lists of all of them.
+    * ``btree_range``: every conjunct compares one attribute with
+      ``<``, ``<=``, ``>``, ``>=`` or ``==`` and a numeric, non-NaN bound
+      (an age resolves to one) — the one range the planner then builds is
+      their intersection, on that attribute's B+tree, and the tree holds
+      no NaN key (NaN satisfies none of these comparisons).
+    """
+    if all(isinstance(term, Keyword) for term in terms):
+        return "keyword"
+    attrs = set()
+    for term in terms:
+        if not (isinstance(term, Compare) and term.op in _RANGE_OPS):
+            return None
+        value = term.value
+        if not (isinstance(value, RelativeAge)
+                or (is_numeric(value) and value == value)):
+            return None
+        attrs.add(term.attr)
+    return "btree_range" if len(attrs) == 1 else None
+
+
 class PreparedQuery:
     """One predicate, prepared once for one process (module docstring)."""
 
     __slots__ = ("predicate", "canonical", "time_dependent", "keyword_terms",
-                 "_masks", "_matcher", "_check", "_plans")
+                 "exact_access", "_masks", "_matcher", "_check", "_plans")
 
     def __init__(self, predicate: Predicate) -> None:
         self.predicate = predicate
@@ -168,8 +199,10 @@ class PreparedQuery:
         self.time_dependent = is_time_dependent(predicate)
         # Mandatory keyword conjuncts (``conjuncts`` flattens top-level
         # Ands only, so each is required of every match).
+        terms = tuple(conjuncts(predicate))
         self.keyword_terms: Tuple[str, ...] = tuple(
-            c.term for c in conjuncts(predicate) if isinstance(c, Keyword))
+            c.term for c in terms if isinstance(c, Keyword))
+        self.exact_access = _exact_access(terms)
         self._masks: Dict[Tuple[str, int, int], int] = {}
         # (now compiled for, closure); a static predicate's never expires.
         self._matcher: Optional[Tuple[float, Matcher]] = None

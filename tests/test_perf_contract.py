@@ -120,7 +120,11 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
     ``BPlusTree.range_values``, the values-only leaf-slice scan the range
     access path now uses — its time is booked to its caller's layer,
     ``query.executor``; ``BPlusTree.range`` (the pair generator) serves
-    snapshot encoding."""
+    snapshot encoding.  Nor are the names that bring a cached answer
+    forward after a commit (``IndexNode._from_cache`` / ``_bridge``,
+    ``AcgReplica.changed_since``, the ``AttributeStore.select`` they
+    call): their time books to ``cluster.index_node``, the layer of
+    ``handle_search``."""
     from perf.layertrace import LayerTracer
     from repro.core.partitioner import PartitioningPolicy
     from repro.indexstructures import IndexKind
@@ -182,6 +186,21 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
             assert tracer.fn_calls[name] == before[name], name
         assert tracer.fn_calls["summary_may_match"] \
             > before["summary_may_match"]
+        # A commit to the live partition: the repeat brings its cached
+        # answer forward over the one rewritten file instead of running
+        # the query there again.
+        vfs.write_file(big[0], 7000, pid=5)
+        client.index_path(big[0], pid=5)
+        client.flush_updates()
+        service.commit_all()
+        nodes = service.index_nodes.values()
+        bridged = sum(n.result_cache_bridged for n in nodes)
+        before = dict(tracer.fn_calls)
+        tracer.start(service.clock)
+        assert client.search("size>=5000") == sorted(big)
+        tracer.stop()
+        assert tracer.fn_calls["execute_plans"] == before["execute_plans"]
+        assert sum(n.result_cache_bridged for n in nodes) == bridged + 1
     finally:
         tracer.uninstall()
 

@@ -142,6 +142,16 @@ def test_execute_unknown_index_name():
         execute(Plan("hash_eq", index_name="ghost", key=1), pred, indexes, store, 0)
 
 
+def test_bounds_that_do_not_order_leave_the_range_to_the_filter():
+    store, indexes = build_store_and_indexes(FILES)
+    spec = IndexSpec("by_owner", IndexKind.BTREE, ("owner",))
+    pred = parse_query("owner==ann & owner==1")
+    plan = plan_query(pred, [spec], 0)
+    assert (plan.low, plan.high) == ("ann", "ann")
+    indexes["by_owner"] = BPlusTree()
+    assert execute(plan, pred, indexes, store, now=0) == set()
+
+
 def test_execute_filters_ids_missing_from_store():
     store, indexes = build_store_and_indexes(FILES)
     indexes["by_size"].insert(99999, 42)  # dangling index entry

@@ -124,6 +124,41 @@ def test_replication_log_base_continues_sequence():
     assert log.since(6) is None  # before the base: not servable
 
 
+def test_primary_log_keeps_only_what_installed_followers_need():
+    """Each ack trims the primary's log to the lowest installed ack, so a
+    long RF=2 run keeps no acknowledged envelope — and a follower whose
+    ack falls below the trimmed window still catches up: ``since``
+    answers None and it re-installs from a snapshot."""
+    service, client, paths = make_replicated(nodes=2, files=8)
+    vfs = service.vfs
+    for round_ in range(30):
+        for path in paths:
+            vfs.write_file(path, 4096 + round_, pid=9)
+        client.index_paths(paths, pid=9)
+        client.flush_updates()
+        service.sync_replication()
+    states = [(node, acg_id, state)
+              for node in service.index_nodes.values()
+              for acg_id, state in node.repl.items()
+              if state.log.last_seq >= 30]
+    assert states
+    for _, _, state in states:
+        assert len(state.log) == 0, state.log
+    node, acg_id, state = states[0]
+    (follower,) = state.followers
+    before = service.index_nodes[follower].followers[acg_id].replica
+    state.acked[follower] = state.log.first_seq - 2   # below the window
+    for path in paths:
+        vfs.write_file(path, 1 << 20, pid=9)
+    client.index_paths(paths, pid=9)
+    client.flush_updates()
+    service.sync_replication()
+    after = service.index_nodes[follower].followers[acg_id].replica
+    assert after is not before                        # re-installed
+    assert state.acked[follower] == state.log.last_seq
+    assert_converged(service)
+
+
 # -- streaming convergence ----------------------------------------------------
 
 def test_followers_converge_after_indexing():
