@@ -12,17 +12,21 @@ per Index Node, every node in flight at once.
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import groupby, islice
+from numbers import Real
 from operator import eq
-from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Hashable,
+                    List, Mapping, Optional, Sequence, Set, Tuple)
 
 from repro.cluster.messages import (IndexUpdate, RouteEntry, RouteTable,
                                     SearchResult, UpdateBatch, UpdateOp,
-                                    envelope_wire_bytes)
-from repro.errors import (ClusterError, NodeDown, NotActingMaster,
-                          RpcTimeout, StaleMasterTerm, StaleRoute)
+                                    Watermark, envelope_wire_bytes)
+from repro.errors import (ClusterError, FileNotFound, NodeDown,
+                          NotActingMaster, NotADirectory, RpcTimeout,
+                          StaleMasterTerm, StaleRoute)
 from repro.fs.interceptor import FileAccessManager
 from repro.obs.freshness import NULL_FRESHNESS
 from repro.obs.journal import NULL_JOURNAL
@@ -61,7 +65,8 @@ _ALLOC_BATCH = 4
 # nothing; the fresh-marker protocol makes the poll itself nearly free.
 _SUMMARY_REFRESH_MIN_S = 5.0
 
-# Distinct query strings a client keeps parsed and prepared.
+# Distinct query strings a client keeps parsed and prepared — and
+# distinct queries it holds the last stamped answers of.
 _QUERY_MEMO_CAP = 1024
 
 
@@ -114,6 +119,64 @@ def merged_paths(results: Sequence[SearchResult]) -> List[str]:
     if any(map(eq, merged, islice(merged, 1, None))):
         merged = [path for path, _ in groupby(merged)]
     return merged
+
+
+@dataclass
+class _Held:
+    """What a client knows of one query's answer (per canonical predicate
+    and index names): each partition's last stamped answer, and the
+    merged path list last built, with the stamps of the parts it was
+    built from."""
+
+    parts: Dict[int, Tuple[Watermark, SearchResult]] = field(
+        default_factory=dict)
+    merged_from: Optional[FrozenSet[Tuple[int, Watermark]]] = None
+    merged: List[str] = field(default_factory=list)
+
+
+@dataclass
+class _Answer:
+    """One search's parts — the legs' answers and the validated held
+    ones — and what merging them needs: ``stamps`` names the watermark
+    every part is exact at (None when one is not stamped), ``held``
+    where the merged list is remembered."""
+
+    parts: List[SearchResult]
+    stamps: Optional[FrozenSet[Tuple[int, Watermark]]] = None
+    held: Optional[_Held] = None
+
+    def paths(self) -> List[str]:
+        """Every path the parts answered, sorted, each once — a copy of
+        the list merged last time when every part is still at the
+        watermark it was merged at."""
+        held, stamps = self.held, self.stamps
+        if held is None or stamps is None:
+            return merged_paths(self.parts)
+        if held.merged_from != stamps:
+            held.merged_from, held.merged = stamps, merged_paths(self.parts)
+        return list(held.merged)
+
+
+def _attribute(inode: Inode, attr: str) -> Any:
+    """One attribute of a file as its inode holds it (None if unset)."""
+    if attr in _INODE_ATTRS:
+        return getattr(inode, attr)
+    return inode.attributes.get(attr)
+
+
+def _missing(value: Any) -> bool:
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+def _order_key(value: Any) -> Tuple[int, str, Any]:
+    """A total order over attribute values of mixed kinds: numbers, then
+    strings, then anything else grouped by type name (ordered by its
+    ``repr``, which every value has)."""
+    if isinstance(value, Real):
+        return (0, "", value)
+    if isinstance(value, str):
+        return (1, "", value)
+    return (2, type(value).__name__, repr(value))
 
 
 def _envelopes(sends: Sequence[_Send]) -> Dict[str, List[_Send]]:
@@ -229,6 +292,12 @@ class PropellerClient:
         # compiled summary check, Bloom probe masks): a repeated query
         # pays the parser and the preparation once.
         self._queries = PreparedCache(_QUERY_MEMO_CAP)
+        # Known answers: (canonical predicate, index names) → the last
+        # stamped answer of each partition (LRU).  A search asks to skip
+        # a partition at the stamp of the answer held for it; the node's
+        # watermark fence validates it, so a held answer is only ever
+        # used while it is exactly current.  Governed by prune_searches.
+        self._held: "OrderedDict[Hashable, _Held]" = OrderedDict()
         self.searches_issued = 0
         self.updates_sent = 0
         self.updates_requeued = 0
@@ -1000,21 +1069,19 @@ class PropellerClient:
         may be accepted, not how long the search may run.  Use
         :meth:`search_detailed` to see which partitions were stale.
         """
-        results = self._search_raw(self._prepare(query), index_name,
-                                   query=query, deadline_s=deadline_s)
-        paths = merged_paths(results)
-        if sort_by is None:
-            return paths[:limit] if limit is not None else paths
-        # Attribute ordering needs values: a stat per result path.
-        values = self._attribute_values(results, sort_by)
-        ordered = sorted(
-            paths,
-            key=lambda p: ((values.get(p) is None),
-                           values.get(p) if values.get(p) is not None else 0,
-                           p),
-            reverse=descending,
-        )
-        return ordered[:limit] if limit is not None else ordered
+        answer = self._search_raw(self._prepare(query), index_name,
+                                  query=query, deadline_s=deadline_s)
+        paths = answer.paths()
+        if sort_by is not None:
+            # Attribute ordering needs values: a stat per result path.
+            # Files missing the attribute (or holding NaN) sort last,
+            # by path, in either direction.
+            values = self._attribute_values(paths, sort_by)
+            present = sorted(
+                (p for p in paths if not _missing(values.get(p))),
+                key=lambda p: (_order_key(values[p]), p), reverse=descending)
+            paths = present + [p for p in paths if _missing(values.get(p))]
+        return paths[:limit] if limit is not None else paths
 
     def search_detailed(self, query: str,
                         index_name: Optional[str] = None,
@@ -1036,21 +1103,18 @@ class PropellerClient:
             lagging_partitions=list(self._last_lagging),
         )
 
-    def _attribute_values(self, results: Sequence[SearchResult],
+    def _attribute_values(self, paths: Sequence[str],
                           attr: str) -> Dict[str, Any]:
         """Fetch the sort attribute for each result path via stat on the
-        shared VFS (paths are live files; their inodes carry the value)."""
+        shared VFS (paths are live files; their inodes carry the value).
+        A path that no longer resolves (raced with an unlink) has none."""
         values: Dict[str, Any] = {}
-        for result in results:
-            for path in result.paths:
-                try:
-                    inode = self.vfs.stat(path)
-                except Exception:
-                    continue
-                if attr in ("size", "mtime", "ctime", "uid"):
-                    values[path] = getattr(inode, attr)
-                else:
-                    values[path] = inode.attributes.get(attr)
+        for path in paths:
+            try:
+                inode = self.vfs.stat(path)
+            except (FileNotFound, NotADirectory):
+                continue
+            values[path] = _attribute(inode, attr)
         return values
 
     def search_directory(self, query_path: str) -> List[str]:
@@ -1059,8 +1123,7 @@ class PropellerClient:
         The scope prefix restricts results to paths under it.
         """
         scope, predicate = parse_query_directory(query_path)
-        paths = merged_paths(
-            self._search_raw(PreparedQuery(predicate), None))
+        paths = self._search_raw(self._queries.get(predicate), None).paths()
         if scope == "/":
             return paths
         prefix = scope.rstrip("/") + "/"
@@ -1074,19 +1137,16 @@ class PropellerClient:
 
         Missing attributes come back as None.  Rows are ordered by path.
         """
-        results = self._search_raw(self._prepare(query), index_name)
+        answer = self._search_raw(self._prepare(query), index_name)
         rows: List[Dict[str, Any]] = []
-        for path in merged_paths(results):
+        for path in answer.paths():
             try:
                 inode = self.vfs.stat(path)
-            except Exception:
+            except (FileNotFound, NotADirectory):
                 continue  # raced with an unlink
             row: Dict[str, Any] = {"path": path}
             for attr in attributes:
-                if attr in ("size", "mtime", "ctime", "uid"):
-                    row[attr] = getattr(inode, attr)
-                else:
-                    row[attr] = inode.attributes.get(attr)
+                row[attr] = _attribute(inode, attr)
             rows.append(row)
         return rows
 
@@ -1114,10 +1174,9 @@ class PropellerClient:
 
     def search_ids(self, query: str, index_name: Optional[str] = None) -> Set[int]:
         """Like :meth:`search` but returns file ids."""
-        results = self._search_raw(self._prepare(query), index_name)
         ids: Set[int] = set()
-        for result in results:
-            ids |= result.file_ids
+        for part in self._search_raw(self._prepare(query), index_name).parts:
+            ids |= part.file_ids
         return ids
 
     def _placed(self, served: AbstractSet[int] = frozenset()
@@ -1135,10 +1194,30 @@ class PropellerClient:
         (a malformed one raises ``QueryError`` every time)."""
         return self._queries.get(query, parse_query)
 
+    def _held_answers(self, prepared: PreparedQuery,
+                      names: Optional[List[str]]) -> Optional[_Held]:
+        """The answers this client holds for a query (created empty,
+        most recently used); None while pruning is off."""
+        if not self.prune_searches:
+            return None
+        key = (prepared.canonical, tuple(names) if names else None)
+        held = self._held.get(key)
+        if held is None:
+            held = self._held[key] = _Held()
+            if len(self._held) > _QUERY_MEMO_CAP:
+                self._held.popitem(last=False)
+        else:
+            self._held.move_to_end(key)
+        return held
+
+    def drop_answers(self) -> None:
+        """Forget every held answer (a cold start is cold here too)."""
+        self._held.clear()
+
     def _search_raw(self, prepared: PreparedQuery,
                     index_name: Optional[str],
                     query: Optional[str] = None,
-                    deadline_s: Optional[float] = None) -> List[SearchResult]:
+                    deadline_s: Optional[float] = None) -> _Answer:
         clock = self.vfs.clock
         start = clock.now()
         predicate = prepared.predicate   # what the wire carries
@@ -1162,19 +1241,31 @@ class PropellerClient:
             self._refresh_summaries()
             # Fan out along the cached route table — every placed
             # partition, since even a zero-size one may have absorbed
-            # updates since the table was fetched.  Partitions whose
-            # cached summary *proves* they cannot match are asked to be
-            # skipped instead of searched: the skip request carries the
-            # summary's watermark and the owning node only honours it
-            # after re-validating (exact watermark, nothing pending), so
-            # pruning can never lose a result — a Bloom false positive
-            # or stale summary just costs a searched leg.
+            # updates since the table was fetched.  A partition whose
+            # answer this client already knows is asked to be skipped
+            # instead of searched: one it holds an answer for, stamped by
+            # the node that owns it now, or one whose cached summary
+            # *proves* it cannot match.  The skip request carries that
+            # stamp or the summary's watermark, and the owning node only
+            # honours it after re-validating (exact watermark, nothing
+            # pending), so pruning can never lose or resurrect a result
+            # — a stale answer, a Bloom false positive or a stale
+            # summary just costs a searched leg.
             now = clock.now()
+            names = [index_name] if index_name else None
+            held = self._held_answers(prepared, names)
+            known: Dict[int, SearchResult] = {}
             routing: Dict[str, List[int]] = {}
-            pruned: Dict[str, Dict[int, Tuple[str, int, int]]] = {}
+            pruned: Dict[str, Dict[int, Watermark]] = {}
             for acg_id, node in self._route_nodes.items():
                 if not node:
                     continue
+                if held is not None and acg_id in held.parts:
+                    stamp, answer = held.parts[acg_id]
+                    if stamp[0] == node:
+                        pruned.setdefault(node, {})[acg_id] = stamp
+                        known[acg_id] = answer
+                        continue
                 snap = (self._summaries.get(acg_id)
                         if self.prune_searches else None)
                 if (snap is not None and not snap.dirty
@@ -1191,7 +1282,6 @@ class PropellerClient:
                 legs.setdefault(node, []).extend(sorted(skips))
             for node in envelopes:
                 legs.setdefault(node, [])   # an envelope but no leg
-            names = [index_name] if index_name else None
             if not legs:
                 outcome = FanoutOutcome()
             else:
@@ -1223,7 +1313,9 @@ class PropellerClient:
                 outcome = self._retry_search(clock, outcome, predicate, names,
                                              hedge_ctx, deadline_t,
                                              resent, refreshed)
-            results = list(outcome.results)
+            answer = self._assemble(outcome, held, known, {
+                acg_id: stamp for skips in pruned.values()
+                for acg_id, stamp in skips.items()})
         self.last_outcome = outcome
         self._last_lagging = sorted(hedge_ctx["lagging"])
         if self._last_lagging:
@@ -1253,14 +1345,45 @@ class PropellerClient:
                     prune_attempts)
             self.registry.counter("search.partitions_pruned").inc(
                 len(outcome.pruned_ok))
+            self.registry.counter("search.partitions_reused").inc(
+                len(outcome.pruned_ok & known.keys()))
             self.registry.counter("search.partitions_searched").inc(
-                len(results))
+                len(outcome.results))
             self.registry.histogram("cluster.client.search_latency_s").observe(
                 clock.now() - start)
-        return results
+        return answer
+
+    @staticmethod
+    def _assemble(outcome: FanoutOutcome, held: Optional[_Held],
+                  known: Mapping[int, SearchResult],
+                  asked: Mapping[int, Watermark]) -> _Answer:
+        """One search's answer from its fan-out: the legs' answers plus,
+        for each validated skip, the held answer it named (``known``) or
+        nothing (a summary's).  Each stamped leg answer replaces the one
+        ``held`` for its partition.  The parts' stamps — a leg's own, a
+        validated skip's the one ``asked`` — key the merged list; an
+        unstamped part (a follower's, a time-dependent query's) leaves
+        the answer unkeyed."""
+        parts = list(outcome.results)
+        stamps = dict(outcome.stamps)
+        for acg_id in outcome.pruned_ok:
+            stamps[acg_id] = asked[acg_id]
+            if acg_id in known:
+                parts.append(known[acg_id])
+        if held is None:
+            return _Answer(parts)
+        keyed = True
+        for result in outcome.results:
+            stamp = outcome.stamps.get(result.acg_id)
+            if stamp is None:
+                keyed = False
+            else:
+                held.parts[result.acg_id] = (stamp, result)
+        return _Answer(parts, frozenset(stamps.items()) if keyed else None,
+                       held)
 
     def _call_search_leg(self, node: str, acg_ids: List[int],
-                         pruned: Optional[Dict[int, Tuple[str, int, int]]],
+                         pruned: Optional[Dict[int, Watermark]],
                          predicate: Predicate, names: Optional[List[str]],
                          hedge_ctx: Dict[str, Set[int]],
                          deadline_t: Optional[float],
@@ -1272,7 +1395,7 @@ class PropellerClient:
         hedge launches only if the primary is still outstanding after
         the policy's p95-derived delay, and the first *sound* answer
         wins.  The follower searches the pruned partitions too (it
-        cannot validate summary skips), so a follower answer is always
+        cannot validate skips), so a follower answer is always
         oracle-equal to an unpruned primary answer.
 
         A leg that carries an ``envelope`` of pending updates is charged
@@ -1424,13 +1547,15 @@ class PropellerClient:
                 return outcome
         results = [r for r in outcome.results if r.acg_id not in resent]
         pruned_ok = outcome.pruned_ok - resent
+        stamps = {acg_id: stamp for acg_id, stamp in outcome.stamps.items()
+                  if acg_id not in resent}
         routing = self._placed({r.acg_id for r in results} | pruned_ok)
         if not routing:
             # Everything still placed was already answered; the failed
             # legs covered partitions the fresh table no longer lists.
             return FanoutOutcome(results=results,
                                  node_epochs=dict(outcome.node_epochs),
-                                 pruned_ok=pruned_ok)
+                                 pruned_ok=pruned_ok, stamps=stamps)
         with self.tracer.span("fanout_retry", parallel=True,
                               nodes=len(routing)):
             retry = scatter_gather(
@@ -1444,7 +1569,8 @@ class PropellerClient:
             errors=retry.errors,
             stale=retry.stale,
             node_epochs={**outcome.node_epochs, **retry.node_epochs},
-            pruned_ok=pruned_ok | retry.pruned_ok)
+            pruned_ok=pruned_ok | retry.pruned_ok,
+            stamps={**stamps, **retry.stamps})
 
     def profile_search(self, query: str,
                        index_name: Optional[str] = None):

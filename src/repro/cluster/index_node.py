@@ -21,7 +21,7 @@ from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, List,
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
                                     SearchReply, SearchResult, UpdateAck,
-                                    UpdateBatch, UpdateOp,
+                                    UpdateBatch, UpdateOp, Watermark,
                                     envelope_wire_bytes)
 from repro.cluster.persistence import (read_checkpoint, remove_checkpoint,
                                        write_checkpoint)
@@ -109,7 +109,8 @@ class Fence(NamedTuple):
 # * ``repl`` — the replication generation, per partition
 #   (:meth:`IndexNode._fence_repl`).
 # * ``watermark`` — the commit watermark a requested skip was decided
-#   on, per partition (:meth:`IndexNode._skip_ok`).
+#   on (a summary's, or the stamp of an answer the client holds), per
+#   partition (:meth:`IndexNode._skip_ok`).
 #
 # What a stale stamp earns is an error (raised, or that partition's
 # outcome) or an in-band answer: the partition is named ``not_owned``,
@@ -656,12 +657,14 @@ class IndexNode:
         raise StaleReplEpoch(f"{self.name}: {rpc} for ACG {acg_id} at repl "
                              f"epoch {repl_epoch}, seen {seen}")
 
-    def _skip_ok(self, acg_id: int, watermark: Tuple[str, int, int]) -> bool:
-        """The ``watermark`` fence: a client's skip holds only while
-        nothing is pending for the partition and its commit watermark is
-        exactly the one the skip was decided on.  Anything else — a stale
-        summary, pending updates, a recreated replica — fails open to a
-        searched leg, so pruning cannot lose a result."""
+    def _skip_ok(self, acg_id: int, watermark: Watermark) -> bool:
+        """The ``watermark`` fence: a client's skip — a summary's proof
+        that the answer is empty, or an answer it holds — holds only
+        while nothing is pending for the partition and its commit
+        watermark is exactly the one the skip was decided on.  Anything
+        else — a stale summary, a held answer a commit has moved past,
+        pending updates, a recreated replica — fails open to a searched
+        leg, so pruning cannot lose or resurrect a result."""
         ok = (not self.cache.pending_ops(acg_id)
               and tuple(watermark) == self.watermark(acg_id))
         if ok:
@@ -774,7 +777,7 @@ class IndexNode:
         traffic: it hosts a replica and has not handed it off."""
         return acg_id in self.replicas and acg_id not in self.handoff_intents
 
-    def watermark(self, acg_id: int) -> Tuple[str, int, int]:
+    def watermark(self, acg_id: int) -> Watermark:
         """The commit watermark of one hosted replica: (node, replica
         incarnation, applied-update count).  Identity-scoped, so a
         watermark taken from a previous life of the ACG — on this node
@@ -1318,7 +1321,7 @@ class IndexNode:
     def handle_search(self, acg_ids: Sequence[int], predicate: Predicate,
                       index_names: Optional[Sequence[str]] = None,
                       epoch: int = 0,
-                      pruned: Optional[Dict[int, Tuple[str, int, int]]] = None,
+                      pruned: Optional[Dict[int, Watermark]] = None,
                       updates: Sequence[UpdateBatch] = ()) -> SearchReply:
         """Search the given ACGs; commits their pending updates first.
 
@@ -1333,12 +1336,15 @@ class IndexNode:
         ``epoch``, the caller's routing epoch.  It carries the node's own
         routing epoch, so a stale caller notices.
 
-        ``pruned`` maps ACG ids the client wants to *skip* to the summary
-        watermark its skip decision was based on; the watermark fence
+        ``pruned`` maps ACG ids the client wants to *skip* to the
+        watermark its skip decision was based on — a summary's (the
+        answer is empty) or a stamp of this node's earlier answer the
+        client holds (the answer is that one); the watermark fence
         (:meth:`_skip_ok`) honours a skip only when it is provably safe,
         else the partition is searched like a normal leg.  The node,
         which has ground truth, gets the last word, so pruning cannot
-        produce a false negative.
+        produce a false negative.  Every answer searched here is stamped
+        (``stamps``) unless the predicate is time-dependent.
 
         The predicate is prepared once for the whole request: every
         partition below shares its cache-key parts, plans and matcher.
@@ -1353,6 +1359,7 @@ class IndexNode:
                             update_outcomes=update_outcomes)
         not_owned: List[int] = []
         pruned_ok: List[int] = []
+        stamps: List[Tuple[int, Watermark]] = []
         legs = sorted((pruned or {}).items()) + [(a, None) for a in acg_ids]
         for acg_id, watermark in legs:
             if not self._route_ok(acg_id, epoch):
@@ -1362,10 +1369,15 @@ class IndexNode:
             else:
                 reply.results.append(
                     self._search_one(acg_id, query, index_names))
+                if not query.time_dependent:
+                    # After the leg's commit-on-search: every update
+                    # acknowledged before it is in the answer.
+                    stamps.append((acg_id, self.watermark(acg_id)))
         if not_owned:
             self.stale_route_nacks += len(not_owned)
             reply.not_owned = tuple(sorted(not_owned))
         reply.pruned_ok = tuple(sorted(pruned_ok))
+        reply.stamps = tuple(stamps)
         return reply
 
     def handle_explain(self, acg_ids: Sequence[int], predicate: Predicate,

@@ -179,6 +179,11 @@ class RouteTable:
     fresh: bool = False
 
 
+# A partition's commit watermark: (node, replica incarnation, applied
+# updates) — see :meth:`repro.cluster.index_node.IndexNode.watermark`.
+Watermark = Tuple[str, int, int]
+
+
 @dataclass
 class SearchResult:
     """One Index Node's (partial) answer to a search."""
@@ -210,6 +215,11 @@ class SearchReply:
     # answer, proven by the node.  Unvalidated skips are searched anyway
     # and come back in ``results`` instead.
     pruned_ok: Tuple[int, ...] = ()
+    # (acg_id, watermark) for each answer in ``results`` that is exact
+    # at that watermark: taken after the leg's commit-on-search, none
+    # for a time-dependent predicate.  A client may hold the answer and
+    # later ask to skip the partition at that watermark.
+    stamps: Tuple[Tuple[int, Watermark], ...] = ()
     # The envelope this leg carried (``updates=``): one outcome per
     # batch, in order — exactly what ``index_update`` would have
     # answered.  Empty when the search carried nothing.

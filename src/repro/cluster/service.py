@@ -744,10 +744,13 @@ class PropellerService:
         return len(self.master.partitions)
 
     def drop_caches(self) -> None:
-        """Cold-start every machine (before 'cold query' measurements)."""
+        """Cold-start every machine (before 'cold query' measurements),
+        and every client's held answers with them."""
         self.cluster.drop_caches()
         for node in self.index_nodes.values():
             node.drop_resident()
+        for client in self._clients:
+            client.drop_answers()
 
     def commit_all(self) -> None:
         """Flush every client batch and every Index Node cache."""

@@ -232,6 +232,10 @@ class FanoutOutcome:
     # watermark matched, nothing pending) — these count as served even
     # though no SearchResult came back for them.
     pruned_ok: Set[int] = field(default_factory=set)
+    # acg_id → the commit watermark its answer in ``results`` is exact
+    # at, for every answer a primary stamped (a follower's, or one to a
+    # time-dependent predicate, has none).
+    stamps: Dict[int, Tuple[str, int, int]] = field(default_factory=dict)
     # node → the per-batch outcomes of the update envelope its leg
     # carried (a leg that carried none, or was answered by a follower,
     # has no entry).
@@ -285,6 +289,7 @@ def scatter_gather(clock, routing: Mapping[str, Sequence[int]],
             if batch.not_owned:
                 outcome.stale[node] = sorted(batch.not_owned)
             outcome.pruned_ok.update(getattr(batch, "pruned_ok", ()))
+            outcome.stamps.update(getattr(batch, "stamps", ()))
             if getattr(batch, "update_outcomes", ()):
                 outcome.update_outcomes[node] = batch.update_outcomes
         else:

@@ -124,14 +124,18 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
     forward after a commit (``IndexNode._from_cache`` / ``_bridge``,
     ``AcgReplica.changed_since``, the ``AttributeStore.select`` they
     call): their time books to ``cluster.index_node``, the layer of
-    ``handle_search``."""
+    ``handle_search``.  A plain repeat is answered from the answers the
+    client holds: the nodes are still asked (``handle_search``) but
+    search no partition (``_search_one``)."""
     from perf.layertrace import LayerTracer
+    from repro.cluster.index_node import IndexNode
     from repro.core.partitioner import PartitioningPolicy
     from repro.indexstructures import IndexKind
     from repro.indexstructures.btree import BPlusTree
 
     calls = {}
-    count_calls(monkeypatch, calls, ((BPlusTree, ("range_values",)),))
+    count_calls(monkeypatch, calls, ((BPlusTree, ("range_values",)),
+                                     (IndexNode, ("_search_one",))))
     tracer = LayerTracer()
     tracer.install()
     try:
@@ -174,10 +178,12 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
                      "execute_plans", "execute", "SegmentView.search",
                      "IndexNode.handle_search"):
             assert tracer.fn_calls.get(name, 0) >= 1, name
-        assert calls == {"range_values": 1}
-        # The repeat hits the client's query memo and the nodes' result
-        # caches: nothing is parsed, planned or executed again.
+        assert calls == {"range_values": 1, "_search_one": 2}
+        # The repeat hits the client's query memo and sends the answers
+        # it holds: the nodes validate them and search nothing — nothing
+        # is parsed, planned or executed again.
         before = dict(tracer.fn_calls)
+        reused = service.registry.value("search.partitions_reused")
         tracer.start(service.clock)
         assert client.search("size>=5000") == sorted(big)
         tracer.stop()
@@ -186,6 +192,10 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
             assert tracer.fn_calls[name] == before[name], name
         assert tracer.fn_calls["summary_may_match"] \
             > before["summary_may_match"]
+        assert tracer.fn_calls["IndexNode.handle_search"] \
+            > before["IndexNode.handle_search"]
+        assert calls["_search_one"] == 2
+        assert service.registry.value("search.partitions_reused") == reused + 2
         # A commit to the live partition: the repeat brings its cached
         # answer forward over the one rewritten file instead of running
         # the query there again.
@@ -201,6 +211,7 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
         tracer.stop()
         assert tracer.fn_calls["execute_plans"] == before["execute_plans"]
         assert sum(n.result_cache_bridged for n in nodes) == bridged + 1
+        assert calls["_search_one"] == 3
     finally:
         tracer.uninstall()
 

@@ -198,6 +198,62 @@ def test_search_sort_by_user_attribute_missing_sorts_last():
     assert ordered[0] == "/d/f002"        # only file with the attribute
 
 
+def test_search_sort_by_mixed_kinds_is_a_total_order():
+    """Numbers before strings before other kinds, missing and NaN last
+    in either direction — where comparing an int to a str used to raise
+    ``TypeError``."""
+    service, client = build()
+    populate(service, client, n=6)
+    for path, owner in (("/d/f000", "ann"), ("/d/f001", 1),
+                        ("/d/f002", float("nan")), ("/d/f003", 2.5),
+                        ("/d/f004", ("t",))):
+        service.vfs.setattr(path, "owner", owner)
+        client.index_path(path, pid=1)
+    assert len(client.select("size>0", ["owner"])) == 6
+    assert client.search("size>0", sort_by="owner") == [
+        "/d/f001", "/d/f003", "/d/f000", "/d/f004", "/d/f002", "/d/f005"]
+    assert client.search("size>0", sort_by="owner", descending=True) == [
+        "/d/f004", "/d/f000", "/d/f003", "/d/f001", "/d/f002", "/d/f005"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda client: client.select("size>0", ["size"]),
+    lambda client: client.search("size>0", sort_by="size"),
+], ids=["select", "sort_by"])
+def test_a_stat_failure_other_than_an_unlink_race_surfaces(call):
+    """Only the errors an unlinked path resolves to are swallowed as the
+    race they are; any other failure of ``stat`` is not a missing file."""
+    service, client = build()
+    populate(service, client, n=4)
+    real_stat = service.vfs.stat
+
+    def stat(path):
+        if path == "/d/f001":
+            raise RuntimeError("stat failed")
+        return real_stat(path)
+
+    service.vfs.stat = stat
+    with pytest.raises(RuntimeError, match="stat failed"):
+        call(client)
+
+
+def test_an_unlinked_result_is_left_out_of_select():
+    """The race the narrowed catch keeps: a path the index still answers
+    but that no longer resolves drops out of the rows."""
+    service, client = build()
+    populate(service, client, n=4)
+    real_stat = service.vfs.stat
+
+    def stat(path):
+        if path == "/d/f001":
+            return real_stat("/d/missing")
+        return real_stat(path)
+
+    service.vfs.stat = stat
+    rows = client.select("size>0", ["size"])
+    assert [row["path"] for row in rows] == ["/d/f000", "/d/f002", "/d/f003"]
+
+
 # -- static partitioning ----------------------------------------------------------------
 
 PATHS = [f"/usr/lib/l{i}" for i in range(10)] + \

@@ -280,6 +280,11 @@ class TestThaw:
 
 
 class TestColdTierFaults:
+    """Each oracle comes from a second client, and a re-read drops the
+    client's held answers with the nodes' caches: a held answer the
+    nodes validate would otherwise serve the faulted re-run without
+    touching the cold tier."""
+
     def _frozen_node(self, service):
         return next(n for n in service.index_nodes.values() if n.frozen)
 
@@ -287,7 +292,7 @@ class TestColdTierFaults:
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
         populate(service, client)
         assert freeze_all(service) > 0
-        oracle = client.search("size>16m")
+        oracle = service.make_client().search("size>16m")
         faults = FaultInjector(3, journal=service.journal)
         faults.set_object_error_rate(1.0)
         service.object_store.faults = faults
@@ -301,13 +306,14 @@ class TestColdTierFaults:
         faults.clear_object_faults()
         for node in service.index_nodes.values():
             node.drop_caches()
+        client.drop_answers()
         assert client.search("size>16m") == oracle
 
     def test_corrupt_segment_repairs_from_live_replica(self):
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
         populate(service, client)
         assert freeze_all(service) > 0
-        oracle = client.search("size>16m")
+        oracle = service.make_client().search("size>16m")
         store = service.object_store
         for key in store.keys():
             good = store._objects[key]
@@ -320,6 +326,7 @@ class TestColdTierFaults:
         # The re-dumped segments are valid again: a cold re-read hydrates.
         for node in service.index_nodes.values():
             node.drop_caches()
+        client.drop_answers()
         hydrations = sum(n.tier_hydrations
                          for n in service.index_nodes.values())
         assert client.search("size>16m") == oracle
@@ -330,7 +337,7 @@ class TestColdTierFaults:
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
         populate(service, client)
         assert freeze_all(service) > 0
-        oracle = client.search("size>16m")
+        oracle = service.make_client().search("size>16m")
         faults = FaultInjector(3, journal=service.journal)
         faults.set_hydration_delay(0.5, probability=1.0)
         service.object_store.faults = faults
@@ -568,7 +575,7 @@ class TestSegmentTransferFormat:
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
         populate(service, client)
         assert freeze_all(service) > 0
-        oracle = client.search("size>16m")
+        oracle = service.make_client().search("size>16m")
         node = next(n for n in service.index_nodes.values() if n.frozen)
         node.checkpoint_to_shared()
         node.crash()
