@@ -106,12 +106,13 @@ class IndexCache:
         return committed
 
     def commit_all(self) -> int:
-        """Flush everything (shutdown / checkpoint).
+        """Flush everything (``PropellerService.commit_all``, the chaos
+        audit, tests).
 
-        A flush is its own commit reason: counting these as "timeout"
-        commits (the old behaviour) skewed the timeout-vs-search batching
-        ratio every checkpoint, which is exactly the figure-10 signal the
-        stats exist to explain.
+        A flush is its own commit reason, so flushes never skew the
+        timeout-vs-search batching ratio — exactly the figure-10 signal
+        the stats exist to explain.  A checkpoint does not flush: it
+        carries the pending updates as its tail.
         """
         return sum(self._commit(acg, "flush") for acg in list(self._pending))
 

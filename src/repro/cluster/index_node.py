@@ -1503,21 +1503,24 @@ class IndexNode:
 
     # -- online migration (source/target protocol half) ---------------------------
 
-    def _checkpoint_one(self, replica: AcgReplica) -> bytes:
-        """Dump one replica's segment and write it to shared storage (when
-        attached); returns the bytes.
+    def _checkpoint_one(self, replica: AcgReplica,
+                        pending: Sequence[IndexUpdate] = ()) -> bytes:
+        """Dump one replica's segment, with ``pending`` as its tail, and
+        write it to shared storage (when attached); returns the bytes.
 
         Always dumped from the live replica, frozen or not (deterministic,
         no cold-tier round trip, immune to injected object faults)."""
-        data = encode_segment(replica, self.name)
+        data = encode_segment(replica, self.name, pending=pending)
         if self.shared_vfs is not None:
             write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
             self._shared_device.reset_head()
             # A live partition's checkpoint models writing its index
-            # files, a frozen one's only the segment (docs/cost-model.md).
+            # files and the tail, a frozen one's only the segment
+            # (docs/cost-model.md).
             self._shared_device.append(
                 len(data) if replica.acg_id in self.frozen
-                else replica.resident_bytes())
+                else replica.resident_bytes()
+                + sum(u.wire_bytes() for u in pending))
         return data
 
     def handle_transfer_out(self, acg_id: int, target: str) -> bytes:
@@ -2038,12 +2041,17 @@ class IndexNode:
     def checkpoint_to_shared(self) -> int:
         """Write every hosted ACG's checkpoint to the shared file system.
 
+        A checkpoint is durability, not visibility: each ACG's committed
+        state is written with its cached, uncommitted updates as the
+        segment's pending tail, and the cache keeps them until its own
+        timeout or a search commits them.  So when a periodic checkpoint
+        lands never changes what a search sees or how fresh it is.
+
         Returns how many ACGs were persisted; a no-op when no shared
         storage is attached (unit-test configurations).
         """
         if self.shared_vfs is None:
             return 0
-        self.cache.commit_all()
         count = 0
         for replica in self.replicas.values():
             if replica.acg_id in self.handoff_intents:
@@ -2052,7 +2060,8 @@ class IndexNode:
                 continue
             # The serialized write costs one sequential transfer on the
             # shared-storage device (not the local index disk).
-            self._checkpoint_one(replica)
+            self._checkpoint_one(replica,
+                                 self.cache.pending_ops(replica.acg_id))
             count += 1
         # Failover restores this snapshot: anything acknowledged after
         # this instant lives only in the local WAL and dies with the node.
@@ -2062,28 +2071,41 @@ class IndexNode:
     def handle_adopt_acg(self, checkpoint_path: str) -> int:
         """Failover: install an ACG from another node's shared checkpoint.
 
-        Returns the number of files adopted; raises ``FileNotFound`` for
-        a checkpoint never written and :class:`SegmentCorruption` for one
-        that fails validation (nothing is installed in either case).
+        The checkpoint's pending tail — updates the victim acknowledged
+        but had not committed — is committed here right after the
+        snapshot, as a WAL replay commits what it recovers.  Returns the
+        number of files the adopted partition holds; raises
+        ``FileNotFound`` for a checkpoint never written and
+        :class:`SegmentCorruption` for one that fails validation (nothing
+        is installed in either case).
         """
         if self.shared_vfs is None:
             raise ClusterError(f"{self.name} has no shared storage attached")
         view = decode_segment(
             read_checkpoint(self.shared_vfs, checkpoint_path))
         acg_id = view.acg_id
+        pending = view.pending
         self._clear_stale_handoff(acg_id)
         for spec in view.specs:
             if spec.name not in self._global_specs:
                 self._global_specs[spec.name] = spec
         replica = self.replica(acg_id, create=True)
-        installed = self._install_snapshot(replica, view)
+        self._install_snapshot(replica, view)
+        if pending:
+            # Straight into the replica, not through the cache's commit:
+            # this node's WAL holds none of these records, so its commit
+            # watermark must not count them.
+            replica.apply_batch(pending)
+            now = self.machine.clock.now()
+            for update in pending:
+                self.freshness.visible(self.name, update.file_id, now)
         # Loading the checkpoint is one sequential read from shared storage.
         self._shared_device.reset_head()
         self._shared_device.read((acg_id % 4096) << 24, replica.resident_bytes())
         # Adopted content bypassed the replication log: force followers
         # back through a snapshot bootstrap.
         self._reset_repl(acg_id)
-        return len(installed)
+        return replica.file_count
 
     # -- crash recovery ----------------------------------------------------------------------
 

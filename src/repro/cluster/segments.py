@@ -21,8 +21,9 @@ are all :func:`encode_segment` output read back by :func:`decode_segment`.
 
 Layout (version 2): a 24-byte header — ``PSEG`` magic, version, acg id,
 compressed-body length, one CRC over those four fields and the body —
-then one zlib body holding six length-prefixed sections.  Meta, specs,
-ACG records and summary are single
+then one zlib body holding six length-prefixed sections, and a seventh
+when the writer had uncommitted updates to carry.  Meta, specs, ACG
+records, summary and that pending tail are single
 :func:`~repro.indexstructures.serialization.dump_value` records.  The
 rows and postings sections are *tables*, so one row or one term can be
 decoded without its neighbours::
@@ -32,6 +33,7 @@ decoded without its neighbours::
               blob i = dump_value((names index, path, value, ...))
     postings  <I n>  n x <I length>  entries  (terms ascending)
               entry i = dump_value(term) + dump_value(chunks)
+    pending   dump_value(((file id, op, path, attrs), ...))  (optional)
 
 Entry ``i`` starts where the lengths before it sum to, in the bytes after
 the length column.  There is no section directory in the header, no
@@ -50,6 +52,7 @@ from itertools import accumulate
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple, Union)
 
+from repro.cluster.messages import IndexUpdate, UpdateOp
 from repro.errors import SegmentCorruption
 from repro.indexstructures.base import IndexKind
 from repro.indexstructures.postings import PostingList, intersect_all
@@ -66,7 +69,7 @@ _VERSION = 2
 # up to ``_CRC_AT`` and the body.
 _HEADER = struct.Struct("<4sIIQI")
 _CRC_AT = _HEADER.size - 4
-_META, _SPECS, _ROWS, _ACG, _POSTINGS, _SUMMARY = range(6)
+_META, _SPECS, _ROWS, _ACG, _POSTINGS, _SUMMARY, _PENDING = range(7)
 
 
 def segment_key(node_name: str, acg_id: int) -> str:
@@ -88,7 +91,8 @@ def _table(entries: Sequence[bytes], keys: bytes = b"") -> bytes:
 
 
 def encode_segment(replica, node_name: str,
-                   file_ids: Optional[Set[int]] = None) -> bytes:
+                   file_ids: Optional[Set[int]] = None,
+                   pending: Sequence[IndexUpdate] = ()) -> bytes:
     """Serialize one live replica into an immutable segment (the writer).
 
     ``file_ids`` restricts the dump to those of the replica's files (a
@@ -96,6 +100,11 @@ def encode_segment(replica, node_name: str,
     ACG subgraph; ids the replica does not host are left out.  The
     summary section stays the whole replica's — wider than the subset
     needs, which is the safe direction for pruning.
+
+    ``pending`` is a checkpoint's tail: acknowledged updates the node
+    has not committed yet, in arrival order.  They ride in a seventh
+    section, outside the committed rows and watermark, so a checkpoint
+    is durable without making anything search-visible.
 
     The dump is canonical — files, keywords and chunks are emitted in
     sorted order — so dumping the same replica state twice yields the
@@ -154,6 +163,11 @@ def encode_segment(replica, node_name: str,
     sections.append(dump_value((tuple(sorted(snapshot.attrs_seen)),
                                 snapshot.zones, bloom_bytes,
                                 snapshot.bloom_m, snapshot.bloom_k)))
+    # 7. the pending tail, only when there is one, so every other segment
+    #    (freeze, split, bootstrap) keeps its six sections.
+    if pending:
+        sections.append(dump_value(tuple(
+            (u.file_id, u.op.value, u.path, u.attrs) for u in pending)))
     body = zlib.compress(
         b"".join(struct.pack("<I", len(s)) + s for s in sections), 6)
     covered = _HEADER.pack(SEGMENT_MAGIC, _VERSION, replica.acg_id,
@@ -228,7 +242,9 @@ class _Body:
             raw = self.raw = zlib.decompress(data[_HEADER.size:])
             bounds = []
             offset = 0
-            for _ in range(6):
+            for _ in range(_PENDING + 1):
+                if len(bounds) == _PENDING and offset == len(raw):
+                    break  # no pending tail
                 (n,) = struct.unpack_from("<I", raw, offset)
                 bounds.append((offset + 4, offset + 4 + n))
                 offset += 4 + n
@@ -252,7 +268,7 @@ class _Body:
         self._bounds = bounds
 
     def section(self, index: int) -> Any:
-        """One of the four single-record sections, decoded."""
+        """One of the single-record sections, decoded."""
         return _load_exact(self.raw, *self._bounds[index])
 
     @staticmethod
@@ -409,6 +425,20 @@ class SegmentView:
         body = self._open()
         for i, file_id in enumerate(body.ids):
             yield (file_id, *body.row(i))
+
+    @property
+    def pending(self) -> List[IndexUpdate]:
+        """The checkpoint's uncommitted tail, in arrival order (empty
+        for every other segment)."""
+        body = self._open()
+        if len(body._bounds) <= _PENDING:
+            return []
+        try:
+            return [IndexUpdate(file_id, UpdateOp(op), attrs, path)
+                    for file_id, op, path, attrs in body.section(_PENDING)]
+        except (TypeError, ValueError) as exc:
+            raise SegmentCorruption(
+                f"undecodable pending tail: {exc}") from None
 
     # -- what searches read ------------------------------------------------------
 

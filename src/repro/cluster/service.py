@@ -585,7 +585,9 @@ class PropellerService:
     def _checkpoint_all(self) -> None:
         """Periodic durability: Master metadata (partition records plus
         the meta-WAL snapshot — see ``MasterNode.checkpoint``) and every
-        node's ACGs go to the shared file system."""
+        node's ACGs, with their uncommitted updates as a pending tail, go
+        to the shared file system.  Nothing is committed, so visibility
+        does not depend on when a checkpoint lands."""
         if self.master.endpoint.up and self.master.acting:
             self.master.checkpoint()
         for node in self.index_nodes.values():

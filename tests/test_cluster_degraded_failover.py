@@ -35,6 +35,7 @@ def populate(service, client, n=40):
         service.vfs.write_file(f"/d/f{i:03d}", 100 + i, pid=100 + i)
         client.index_path(f"/d/f{i:03d}", pid=100 + i)
     client.flush_updates()
+    service.commit_all()       # indexed, not just parked
     service._checkpoint_all()  # durable state for failover to restore
 
 

@@ -121,6 +121,7 @@ class TestFailoverMetrics:
         service, client = build(nodes=4)
         index_files(service, client, 30, pid=7)
         index_files(service, client, 30, pid=8)
+        service.commit_all()
         service._checkpoint_all()
         # One heartbeat round teaches the Master the node loads, so each
         # failover adopts onto a genuinely idle survivor.

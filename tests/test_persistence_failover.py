@@ -228,3 +228,57 @@ def test_updates_after_checkpoint_are_lost_on_failover():
     service.fail_node(victim)
     service.failover(victim)
     assert "/d/late" not in client.search("size>0")
+
+
+def _park_late_update(service, client, size=10_000):
+    """Index one new file and leave its update parked (acknowledged,
+    uncommitted) on its owner; returns (path, owner node, partition)."""
+    vfs = service.vfs
+    vfs.write_file("/d/late", size, pid=1)
+    client.index_path("/d/late", pid=1)
+    client.flush_updates()
+    route = client._file_routes[vfs.stat("/d/late").ino]
+    owner = service.index_nodes[service.master.partitions.get(route).node]
+    assert owner.cache.pending_ops(route)
+    return "/d/late", owner, route
+
+
+def test_checkpoint_carries_pending_updates_without_committing_them():
+    """A checkpoint is durability, not visibility: the parked update stays
+    in the cache (still uncommitted, its freshness stamp unresolved) and
+    rides in the checkpoint as the segment's pending tail."""
+    service, client = build()
+    populate(service, client)
+    path, owner, route = _park_late_update(service, client)
+    applied = owner.replicas[route].applied
+    owner.checkpoint_to_shared()
+    assert owner.cache.pending_ops(route)
+    assert owner.replicas[route].applied == applied
+    view = decode_segment(read_checkpoint(service.vfs,
+                                          replica_path(owner.name, route)))
+    ino = service.vfs.stat(path).ino
+    assert [u.file_id for u in view.pending] == [ino]
+    assert view.pending == list(owner.cache.pending_ops(route))
+    assert ino not in {file_id for file_id, _, _ in view.rows()}
+
+
+def test_a_segment_without_a_tail_is_unchanged():
+    service, client = build()
+    populate(service, client)
+    node, replica = a_replica(service)
+    data = encode_segment(replica, node.name)
+    assert encode_segment(replica, node.name, pending=()) == data
+    assert decode_segment(data).pending == []
+
+
+def test_pending_updates_at_checkpoint_survive_failover():
+    """Acknowledged before the checkpoint means adopted by failover, even
+    when the victim had not committed it yet."""
+    service, client = build()
+    populate(service, client)
+    path, owner, _ = _park_late_update(service, client)
+    service._checkpoint_all()
+    service.fail_node(owner.name)
+    service.failover(owner.name)
+    assert path in client.search("size>0")
+    assert client.search("size>=10000") == [path]
