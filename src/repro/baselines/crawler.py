@@ -228,11 +228,6 @@ class CrawlerSearchEngine:
         return sorted(entry.path for entry in matching)
 
     @property
-    def snapshot_size(self) -> int:
-        """Files currently in the queryable snapshot."""
-        return len(self._snapshot)
-
-    @property
     def dirty_backlog(self) -> int:
         """Changes known but not yet folded into the snapshot."""
         return len(self._dirty) + len(self.notifications)

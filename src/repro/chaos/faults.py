@@ -132,11 +132,6 @@ class FaultInjector:
                           fault="straggler", extra_s=extra_s,
                           probability=probability)
 
-    def clear_slow(self, node: str) -> None:
-        """Stop straggling one node."""
-        self.slow_nodes.pop(node, None)
-        self.slow_probability.pop(node, None)
-
     def set_disk_error_rate(self, rate: float) -> None:
         """Probability an attached disk's read hits a medium error."""
         self.disk_error_rate = rate

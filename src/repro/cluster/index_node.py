@@ -690,15 +690,22 @@ class IndexNode:
         if replica is None:
             if not create:
                 raise UnknownAcg(f"{self.name} does not host ACG {acg_id}")
-            self._next_incarnation += 1
-            replica = AcgReplica(acg_id, self.machine,
-                                 incarnation=self._next_incarnation)
-            for spec in self._global_specs.values():
-                replica.ensure_index(spec)
+            replica = self._incarnate(AcgReplica(acg_id, self.machine))
             self.replicas[acg_id] = replica
             # Hosting again: the ACG's migrated-away tombstone (if any)
             # no longer applies.
             self.migrated_away.discard(acg_id)
+        return replica
+
+    def _incarnate(self, replica: AcgReplica) -> AcgReplica:
+        """Give a replica this node is about to serve a fresh watermark
+        identity (the next incarnation) and every global index, the
+        missing ones backfilled from its rows."""
+        self._next_incarnation += 1
+        replica.incarnation = self._next_incarnation
+        for spec in self._global_specs.values():
+            if spec.name not in replica.specs:
+                self._backfill_index(replica, spec)
         return replica
 
     # -- residency ---------------------------------------------------------
@@ -831,7 +838,7 @@ class IndexNode:
         fsync** for all its WAL frames and streams the replicated
         partitions' log suffixes with one ``replicate_apply`` per
         follower node, distinct followers in flight at once
-        (:meth:`_stream_to_followers`) — nothing is acked before both.
+        (:meth:`_replicate`) — nothing is acked before both.
 
         A batch is the unit all the way down: one WAL batch frame, one
         cache-insert charge (full price once plus a marginal cost per
@@ -854,8 +861,7 @@ class IndexNode:
             if self.registry is not None:
                 self.registry.histogram("update.batch_size", unit="updates")\
                     .observe(parked_updates)
-        self._stream_to_followers(
-            dict.fromkeys(batch.acg_id for batch in parked))
+        self._replicate(dict.fromkeys(batch.acg_id for batch in parked))
         return tuple(outcomes)
 
     def _park(self, batch: UpdateBatch) -> int:
@@ -938,7 +944,8 @@ class IndexNode:
             self._truncate_wal()
 
     def tick(self) -> int:
-        """Commit timed-out cache buckets (called by the event loop).
+        """Commit timed-out cache buckets (called by the event loop),
+        then run the replication catch-up (:meth:`catch_up`).
 
         With tiering on, also runs the freeze policy: partitions cold
         past the policy's age threshold are serialized to the object
@@ -947,11 +954,7 @@ class IndexNode:
         committed = self.cache.commit_due(self.machine.clock.now())
         if self.tiering and self.object_store is not None:
             self._freeze_cold(self.machine.clock.now())
-        for acg_id in sorted(self.repl):
-            state = self.repl[acg_id]
-            if any(state.acked.get(f, -1) < state.log.last_seq
-                   for f in state.followers):
-                self._sync_followers(acg_id)
+        self.catch_up()
         return committed
 
     def _truncate_wal(self) -> None:
@@ -1578,7 +1581,17 @@ class IndexNode:
         Idempotent and epoch-fenced: a stale (lower-epoch) assignment is
         ignored so a delayed duplicate cannot resurrect old membership.
         Newly assigned followers start un-installed (``acked == -1``) and
-        are bootstrapped by the synchronous catch-up that follows.
+        are bootstrapped by the synchronous catch-up that follows, so a
+        quiesced cluster converges in one round.
+
+        A membership-only epoch bump does not restart the log, so a
+        retained follower may have nothing to stream — but it must still
+        learn the new epoch, or its heartbeats and live
+        ``replica_watermark`` answers keep carrying the old one and the
+        Master's promotion-viability check (same epoch, caught-up) would
+        refuse a genuinely viable replica.  The catch-up therefore sends
+        every retained follower an apply (``refresh``), empty when it
+        has nothing to stream.
         """
         if acg_id not in self.replicas:
             raise UnknownAcg(f"{self.name} does not host ACG {acg_id}")
@@ -1591,37 +1604,7 @@ class IndexNode:
         state.repl_epoch = repl_epoch
         state.followers = tuple(followers)
         state.acked = {f: state.acked.get(f, -1) for f in state.followers}
-        if refresh:
-            self._refresh_follower_epochs(acg_id, state)
-        self._sync_followers(acg_id)
-
-    def _refresh_follower_epochs(self, acg_id: int,
-                                 state: PrimaryReplState) -> None:
-        """Push a freshly assigned epoch to already-installed followers.
-
-        A membership-only epoch bump does not restart the log, so a
-        retained follower has nothing to stream — but it must still
-        learn the new epoch, or its heartbeats and live
-        ``replica_watermark`` answers keep carrying the old one and the
-        Master's promotion-viability check (same epoch, caught-up)
-        would refuse a genuinely viable replica.  An empty apply
-        carries the epoch; transient failures are absorbed (the next
-        stream or install retries).
-        """
-        if self.rpc is None:
-            return
-        for follower in state.followers:
-            if state.acked.get(follower, -1) < 0:
-                continue  # bootstrap install carries the epoch itself
-            try:
-                self._replicate_one(follower, acg_id, state.repl_epoch, ())
-            except DEGRADABLE_ERRORS:
-                continue
-            except StaleReplEpoch:
-                self._depose(acg_id)
-                return
-            except ClusterError:
-                state.acked[follower] = -1  # lost its state: re-install
+        self._replicate((acg_id,), catch_up=True, refresh=refresh)
 
     def _reset_repl(self, acg_id: int) -> None:
         """Partition content changed outside the replication stream
@@ -1643,21 +1626,30 @@ class IndexNode:
         state.log = ReplicationLog()
         state.acked = {f: -1 for f in state.followers}
 
-    def _stream_to_followers(self, acg_ids: Iterable[int]) -> None:
-        """Send every installed follower of these partitions the log
-        suffix past its ack: one ``replicate_apply`` per follower *node*
-        carrying all of its partitions' suffixes, distinct followers in
-        flight at once (what lands on one follower is applied serially).
+    def catch_up(self) -> None:
+        """The catch-up pass, run by :meth:`tick` and
+        ``PropellerService.sync_replication``: each replicated partition
+        in sorted order, one :meth:`_replicate` pass apiece."""
+        for acg_id in sorted(self.repl):
+            self._replicate((acg_id,), catch_up=True)
 
-        Best-effort: a follower that cannot be reached just falls behind
-        — its ack watermarks stay put and the next tick's catch-up
-        retries; the client's ack never hinges on follower liveness.
-        Un-installed followers (``acked == -1``) are skipped; bootstrap
-        happens on the catch-up path, not the hot ack path.  Outcomes
-        are per partition: a stale-epoch rejection means a newer primary
-        owns *that* partition — this node deposes itself for it alone —
-        and a follower that lost one partition's state is marked for
-        re-install of that one.
+    def _replicate(self, acg_ids: Iterable[int], catch_up: bool = False,
+                   refresh: bool = False) -> None:
+        """The one sender of this primary's replication stream.
+
+        Plans, per partition and follower, the log suffix past the
+        follower's ack, or a snapshot install when it has no usable ack
+        (never installed, or behind the trimmed window) — on a catch-up
+        only: a bootstrap must not delay a client's ack.  Each install
+        follows a forced commit, so the snapshot is exactly consistent
+        with ``log.last_seq``.  The suffixes then go out as one
+        ``replicate_apply`` per follower node, distinct followers in
+        flight at once (what lands on one is applied serially); a
+        current follower is sent nothing unless ``refresh`` has every
+        installed one learn the epoch (an install carries it itself).
+        :meth:`_settle` reads every answer and nothing escapes:
+        replication is a background duty that must never take the node
+        down, nor hold up a client's ack.
         """
         if self.rpc is None:
             return
@@ -1666,16 +1658,25 @@ class IndexNode:
             state = self.repl.get(acg_id)
             if state is None:
                 continue
-            for follower in state.followers:
-                acked = state.acked.get(follower, -1)
-                if acked < 0 or acked >= state.log.last_seq:
-                    continue
-                records = state.log.since(acked)
-                if records is None:
-                    state.acked[follower] = -1  # trimmed past it: re-install
-                    continue
-                streams.setdefault(follower, []).append(
-                    (acg_id, state.repl_epoch, records))
+            suffixes = {f: state.log.since(state.acked.get(f, -1))
+                        for f in state.followers}
+            for follower in [f for f, r in suffixes.items() if r is None]:
+                state.acked[follower] = -1  # never installed, or trimmed past
+                if catch_up and acg_id in self.repl:
+                    self.cache.commit_for_search(acg_id)
+                    self.repl_catchups += self._settle(
+                        acg_id, follower, CallOutcome.capture(
+                            lambda: self.rpc.call(
+                                follower, "install_follower", acg_id,
+                                self.name, state.repl_epoch,
+                                state.log.last_seq, encode_segment(
+                                    self.replica(acg_id), self.name))))
+            if acg_id not in self.repl:
+                continue  # an install's answer deposed this primary
+            for follower, records in suffixes.items():
+                if records is not None and (records or refresh):
+                    streams.setdefault(follower, []).append(
+                        (acg_id, state.repl_epoch, records))
         if not streams:
             return
         with self.tracer.span("replicate", parallel=True, node=self.name,
@@ -1692,27 +1693,38 @@ class IndexNode:
                         else [reply] * len(streams[follower]))
             for (acg_id, _, records), outcome in zip(streams[follower],
                                                      outcomes):
-                state = self.repl.get(acg_id)
-                if state is None:
-                    continue  # deposed by another follower's answer
-                if outcome.ok:
-                    self._ack(state, follower, outcome.value)
+                if self._settle(acg_id, follower, outcome):
                     self.repl_streamed += len(records)
-                elif isinstance(outcome.error, DEGRADABLE_ERRORS):
-                    continue  # fell behind: the tick's catch-up retries
-                elif isinstance(outcome.error, StaleReplEpoch):
-                    self._depose(acg_id)
-                else:
-                    state.acked[follower] = -1  # lost its state: re-install
+                    self.repl_catchups += catch_up
 
-    def _replicate_one(self, follower: str, acg_id: int, repl_epoch: int,
-                       records: Sequence[Any]) -> int:
-        """One partition's stream to one follower — a ``replicate_apply``
-        of one, for the catch-up and epoch-refresh paths.  Returns the
-        follower's applied sequence; raises what the follower met."""
-        (outcome,) = self.rpc.call(follower, "replicate_apply",
-                                   ((acg_id, repl_epoch, records),))
-        return outcome.unwrap()
+    def _settle(self, acg_id: int, follower: str,
+                outcome: CallOutcome) -> bool:
+        """Read one follower's answer to a send — DESIGN.md §6's
+        follower-slot machine, in one place.  Returns whether it landed.
+
+        * An applied sequence is the ack.  The log is trimmed to the
+          lowest ack of the installed followers: no record at or below
+          it is streamed again (a follower at ``-1`` re-installs from a
+          snapshot, and one whose ack falls below the window takes the
+          same path, through ``since`` answering None).
+        * An unreachable follower stays behind; the next catch-up retries.
+        * :class:`StaleReplEpoch`: a newer primary owns *that* partition
+          (failed over while this node was silent), so this node deposes
+          itself for it alone — retrying would just hammer the fence.
+        * Anything else means the follower lost its replica: the slot
+          goes back to *assigned* (``-1``) and the catch-up re-installs.
+        """
+        state = self.repl.get(acg_id)
+        if state is None:
+            return False  # deposed by another follower's answer
+        if outcome.ok:
+            state.acked[follower] = outcome.value
+            state.log.trim_to(min(a for a in state.acked.values() if a >= 0))
+        elif isinstance(outcome.error, StaleReplEpoch):
+            self._depose(acg_id)
+        elif not isinstance(outcome.error, DEGRADABLE_ERRORS):
+            state.acked[follower] = -1
+        return outcome.ok
 
     def _depose(self, acg_id: int) -> None:
         """Stop acting as a partition's replication primary.
@@ -1727,73 +1739,6 @@ class IndexNode:
         self.repl.pop(acg_id, None)
         self.repl_deposed += 1
         self.journal.emit("repl.depose", node=self.name, acg_id=acg_id)
-
-    def _sync_followers(self, acg_id: int) -> None:
-        """Catch-up: query each follower's watermark, bootstrap or stream.
-
-        Called from ``set_followers`` (synchronously, so a quiesced
-        cluster converges in one round) and from :meth:`tick` while any
-        follower lags.  All failures are absorbed — catch-up is a
-        background duty that must never take the node down with it.
-        """
-        state = self.repl.get(acg_id)
-        if state is None or self.rpc is None:
-            return
-        for follower in state.followers:
-            try:
-                if state.acked.get(follower, -1) < 0:
-                    self._install_follower(acg_id, state, follower)
-                self._stream_one(acg_id, state, follower)
-            except StaleReplEpoch:
-                # A follower fenced us with a newer epoch: this node was
-                # deposed as the partition's primary while silent.  Stop
-                # replicating it entirely — retrying would just hammer
-                # the fence.
-                self._depose(acg_id)
-                return
-            except ClusterError:
-                # Covers transients (NodeDown, RpcTimeout) and a follower
-                # that lost its state mid-stream alike: retried next tick.
-                continue
-        self.repl_catchups += 1
-
-    def _install_follower(self, acg_id: int, state: PrimaryReplState,
-                          follower: str) -> None:
-        """Bootstrap one follower with a snapshot of the partition.
-
-        The forced commit makes the store reflect every acked update, so
-        the snapshot is exactly consistent with ``log.last_seq``.
-        """
-        self.cache.commit_for_search(acg_id)
-        seq = self.rpc.call(
-            follower, "install_follower", acg_id, self.name,
-            state.repl_epoch, state.log.last_seq,
-            encode_segment(self.replica(acg_id), self.name))
-        self._ack(state, follower, seq)
-
-    def _stream_one(self, acg_id: int, state: PrimaryReplState,
-                    follower: str) -> None:
-        acked = state.acked.get(follower, -1)
-        if acked < 0 or acked >= state.log.last_seq:
-            return
-        records = state.log.since(acked)
-        if records is None:
-            state.acked[follower] = -1
-            self._install_follower(acg_id, state, follower)
-            return
-        self._ack(state, follower, self._replicate_one(
-            follower, acg_id, state.repl_epoch, records))
-        self.repl_streamed += len(records)
-
-    @staticmethod
-    def _ack(state: PrimaryReplState, follower: str, seq: int) -> None:
-        """Record a follower's ack and trim the log to the lowest ack of
-        the installed followers: no record at or below it is streamed
-        again (a follower at ``-1`` re-installs from a snapshot, and one
-        whose ack falls below the window takes the same path, through
-        ``since`` answering None)."""
-        state.acked[follower] = seq
-        state.log.trim_to(min(a for a in state.acked.values() if a >= 0))
 
     # -- replication (RF > 1): follower half -------------------------------------------------
 
@@ -1817,11 +1762,7 @@ class IndexNode:
                          primary=primary)
         self.repl.pop(acg_id, None)
         view = decode_segment(segment)
-        self._next_incarnation += 1
-        replica = AcgReplica(acg_id, self.machine,
-                             incarnation=self._next_incarnation)
-        for spec in self._global_specs.values():
-            replica.ensure_index(spec)
+        replica = self._incarnate(AcgReplica(acg_id, self.machine))
         self._install_snapshot(replica, view)
         self.followers[acg_id] = FollowerState(
             primary=primary, repl_epoch=repl_epoch, replica=replica,
@@ -1907,12 +1848,7 @@ class IndexNode:
                                   acg_id=acg_id, repl_epoch=repl_epoch)
                 return mine.promoted
             raise UnknownAcg(f"{self.name} has no follower replica of ACG {acg_id}")
-        self._next_incarnation += 1
-        st.replica.incarnation = self._next_incarnation
-        for spec in self._global_specs.values():
-            if spec.name not in st.replica.specs:
-                self._backfill_index(st.replica, spec)
-        self.replicas[acg_id] = st.replica
+        self.replicas[acg_id] = self._incarnate(st.replica)
         self.migrated_away.discard(acg_id)
         self._purge_result_cache(acg_id)
         answer = (st.applied_seq, st.replica.file_count)

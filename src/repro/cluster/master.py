@@ -482,15 +482,6 @@ class MasterNode:
         if self._on_promote is not None:
             self._on_promote(self)
 
-    def demote(self, peer: Optional[str] = None) -> None:
-        """Rejoin as warm standby (an ex-acting Master restarted after
-        its term was superseded while it was down)."""
-        if peer is not None:
-            self.peer = peer
-        self.acting = False
-        self._missed_leases = 0
-        self._tail_seq = None
-
     # -- cluster membership -----------------------------------------------------
 
     def register_index_node(self, name: str) -> None:

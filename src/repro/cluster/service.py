@@ -280,7 +280,7 @@ class PropellerService:
         reg.gauge_fn(f"{prefix}.up", lambda n=node: n.endpoint.up)
         # Replication health (all zero at RF = 1): follower replicas
         # hosted here, records streamed out as a primary, and catch-up
-        # rounds (snapshot installs or log re-sends) this node ran.
+        # sends (snapshot installs or log re-sends) that landed.
         reg.gauge_fn(f"{prefix}.repl.followers",
                      lambda n=node: len(n.followers))
         reg.gauge_fn(f"{prefix}.repl.streamed",
@@ -775,10 +775,8 @@ class PropellerService:
         self.master._retry_follower_syncs()
         for name in sorted(self.index_nodes):
             node = self.index_nodes[name]
-            if not node.endpoint.up:
-                continue
-            for acg_id in sorted(node.repl):
-                node._sync_followers(acg_id)
+            if node.endpoint.up:
+                node.catch_up()
 
     # Registry-name → stats()-key mapping for one Index Node: stats() is
     # now a *view* over the metrics registry, so operators, exporters and

@@ -34,19 +34,6 @@ class BadFileDescriptor(FileSystemError):
     """An I/O call used a closed or unknown file handle."""
 
 
-class IndexError_(ReproError):
-    """Base class for index-structure failures (named with a trailing
-    underscore to avoid shadowing the builtin)."""
-
-
-class KeyNotFound(IndexError_):
-    """Lookup or delete of a key that is not in the index."""
-
-
-class DuplicateKey(IndexError_):
-    """Insert of a key that already exists in a unique index."""
-
-
 class QueryError(ReproError):
     """A file-search query failed to parse or plan."""
 

@@ -94,9 +94,5 @@ class BloomFilter:
             raise ValueError("cannot merge Bloom filters of different geometry")
         self.bits |= other.bits
 
-    def fill_ratio(self) -> float:
-        """Fraction of bits set (a saturation / false-positive proxy)."""
-        return bin(self.bits).count("1") / self.m_bits
-
     def copy(self) -> "BloomFilter":
         return BloomFilter(self.m_bits, self.k, bits=self.bits)

@@ -88,10 +88,6 @@ class QueryProfile:
                              if self.total_s else 0.0)
         return stages
 
-    def stage_time(self, name: str) -> float:
-        """Critical-path self time attributed to one stage (0.0 if absent)."""
-        return self.by_stage().get(name, {}).get("self_s", 0.0)
-
     # -- rendering -----------------------------------------------------------
 
     def render(self, max_depth: Optional[int] = None) -> str:

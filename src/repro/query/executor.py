@@ -250,11 +250,6 @@ class FanoutOutcome:
         """Every partition id the answer is missing, sorted."""
         return sorted(acg for acgs in self.unreachable.values() for acg in acgs)
 
-    @property
-    def stale_partitions(self) -> List[int]:
-        """Every partition a node declined as not-owned, sorted."""
-        return sorted(acg for acgs in self.stale.values() for acg in acgs)
-
     def max_node_epoch(self) -> int:
         """The highest routing epoch any answering node reported."""
         return max(self.node_epochs.values(), default=0)

@@ -225,8 +225,26 @@ def test_follower_that_lost_one_partition_is_reinstalled_for_it_only():
     assert client.flush_updates() == 2
     assert in1.repl[5].acked["in2"] == -1        # marked for re-install
     assert in1.repl[1].acked["in2"] == in1.repl[1].log.last_seq
+    rewrite(service, client, parts[5][1], 5006)
+    assert client.flush_updates() == 1
+    assert in1.repl[5].acked["in2"] == -1        # the ack path never installs
     service.advance(6.0)                          # the tick's catch-up heals
     assert in2.followers[5].applied_seq == in1.repl[5].log.last_seq
+    # The catch-up finds the loss itself: in2 misses an acked rewrite
+    # (its ack stays behind), then loses its replica of 1.  The re-sent
+    # suffix meets "no replica", the slot goes back to assigned, and the
+    # next pass re-installs — two ticks, no clock advance, so the
+    # Master's heartbeat heal (reset_follower_ack) plays no part.
+    in2.endpoint.fail()
+    rewrite(service, client, parts[1][1], 5011)
+    assert client.flush_updates() == 1
+    assert in1.repl[1].acked["in2"] < in1.repl[1].log.last_seq
+    in2.handle_drop_follower(1)
+    in2.endpoint.recover()
+    in1.tick()
+    in1.tick()
+    assert in2.followers[1].applied_seq == in1.repl[1].log.last_seq
+    assert in1.repl[1].acked["in2"] == in1.repl[1].log.last_seq
 
 
 # -- (f) crash between two WAL frames of one envelope ------------------------

@@ -440,10 +440,10 @@ def test_membership_bump_refreshes_retained_follower_epochs():
     oracle = sorted(client.search("size>=0"))
     # Knock one node out and rebuild every ring it belonged to.  Rings
     # that merely *changed membership* bump the epoch without restarting
-    # the log, so the retained follower has nothing to stream — it must
-    # still be told the new epoch (empty apply), or its heartbeats and
-    # live watermark answers would keep the old epoch and promotion
-    # would refuse a genuinely caught-up replica.
+    # the log, so the retained follower may have nothing to stream — it
+    # must still be told the new epoch (an apply, empty if need be), or
+    # its heartbeats and live watermark answers would keep the old epoch
+    # and promotion would refuse a genuinely caught-up replica.
     victim = "in1"
     service.fail_node(victim)
     service.failover(victim)
@@ -465,6 +465,42 @@ def test_membership_bump_refreshes_retained_follower_epochs():
     assert sorted(client.search("size>=0")) == oracle
 
 
+def test_membership_bump_sends_a_lagging_retained_follower_one_apply(
+        monkeypatch):
+    service, client, paths = make_replicated()
+    primary = service.index_nodes["in1"]
+    acg_id = sorted(primary.repl)[0]
+    state = primary.repl[acg_id]
+    follower = service.index_nodes[state.followers[0]]
+    path = next(p for p in paths
+                if client._file_routes[service.vfs.stat(p).ino] == acg_id)
+    # The follower misses an acked rewrite: its ack stays behind.
+    follower.endpoint.fail()
+    service.vfs.write_file(path, 4096, pid=9)
+    client.index_path(path, pid=9)
+    assert client.flush_updates() == 1
+    follower.endpoint.recover()
+    assert state.acked[follower.name] < state.log.last_seq
+    applies = []
+    real = type(service.rpc).call
+
+    def call(self, target, method, *args, **kwargs):
+        if target == follower.name and method == "replicate_apply":
+            applies.append(args)
+        return real(self, target, method, *args, **kwargs)
+
+    monkeypatch.setattr(type(service.rpc), "call", call)
+    # A membership-only bump: the log is kept, the epoch moves.  One
+    # apply carries both the new epoch and the missed records.
+    primary.handle_set_followers(acg_id, state.followers,
+                                 state.repl_epoch + 1)
+    assert len(applies) == 1
+    fstate = follower.followers[acg_id]
+    assert fstate.repl_epoch == state.repl_epoch
+    assert fstate.applied_seq == state.log.last_seq
+    assert state.acked[follower.name] == state.log.last_seq
+
+
 def test_deposed_primary_self_fences_instead_of_clobbering():
     service, client, paths = make_replicated(nodes=4, rf=3)
     victim = "in1"
@@ -480,9 +516,9 @@ def test_deposed_primary_self_fences_instead_of_clobbering():
     assert service.master.journal.payloads("failover")[-1].outcome == "promoted"
     service.sync_replication()
     # The deposed primary comes back still believing it owns the
-    # partitions and runs its catch-up duty; forcing every ack slot to
-    # -1 drives the snapshot-install path — the exact shape that used
-    # to blindly overwrite the new generation's replicas.
+    # partitions and runs its catch-up duty (one tick); forcing every
+    # ack slot to -1 drives the snapshot-install path — the exact shape
+    # that used to blindly overwrite the new generation's replicas.
     victim_node.endpoint.recover()
     deposed_before = victim_node.repl_deposed
     stale_acgs = [a for a in sorted(victim_node.repl) if a in owned]
@@ -491,7 +527,7 @@ def test_deposed_primary_self_fences_instead_of_clobbering():
         st = victim_node.repl[acg_id]
         for follower in st.followers:
             st.acked[follower] = -1
-        victim_node._sync_followers(acg_id)
+    victim_node.tick()
     # Every stale claim was fenced and dropped, not retried.
     assert victim_node.repl_deposed >= deposed_before + len(stale_acgs)
     for acg_id in stale_acgs:
