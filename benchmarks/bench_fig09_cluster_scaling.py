@@ -44,14 +44,12 @@ def measure(total_files: int, nodes: int,
         num_index_nodes=nodes, total_files=total_files,
         group_size=1000, ram_bytes=RAM_BYTES)
     # This benchmark isolates the paper's RAM-residency knee: the warm
-    # samples repeat one query, which summary pruning and the
-    # watermark-keyed result cache would otherwise answer without ever
-    # touching the indices (flat ~0.2 ms at every node count).  Both
-    # optimizations are measured elsewhere (table3 / fig10); here they
-    # are switched off so warm latency reflects index scans vs RAM.
+    # samples repeat one query, which summary pruning and the answers
+    # the client holds would otherwise answer without ever touching the
+    # indices (flat ~0.2 ms at every node count).  Pruning is measured
+    # elsewhere (table3); switching it off here also turns held answers
+    # off, so warm latency reflects index scans vs RAM.
     client.prune_searches = False
-    for node in service.index_nodes.values():
-        node.result_caching = False
     if instrument:
         timeline = service.enable_timeline(interval_s=TIMELINE_INTERVAL_S)
         service.enable_freshness()
@@ -108,8 +106,6 @@ def measure_tiered(total_files: int, nodes: int) -> Tuple[float, float]:
         num_index_nodes=nodes, total_files=total_files,
         group_size=1000, ram_bytes=RAM_BYTES)
     client.prune_searches = False
-    for node in service.index_nodes.values():
-        node.result_caching = False
     service.set_tiering(True, freeze_age_s=5.0, min_bytes=1)
     service.advance(30.0)  # everything goes cold and freezes
     service.drop_caches()

@@ -41,11 +41,9 @@ def build_frozen(total_files: int, nodes: int,
     service, client, _ = build_propeller(
         num_index_nodes=nodes, total_files=total_files,
         group_size=1000, ram_bytes=RAM_BYTES)
-    # Same isolation as fig09: measure index/segment access, not the
-    # result cache or summary pruning (guarded elsewhere).
+    # Same isolation as fig09: measure index/segment access, not held
+    # answers or summary pruning (guarded elsewhere).
     client.prune_searches = False
-    for node in service.index_nodes.values():
-        node.result_caching = False
     service.set_tiering(True, freeze_age_s=FREEZE_AGE_S, min_bytes=1,
                         cache_budget_bytes=cache_budget_bytes)
     service.advance(30.0)

@@ -50,7 +50,7 @@ _MASTER_FAULT_OPS = [
 _TIERING_OPS = [
     ("object_store_errors", 4),
     ("slow_hydration", 3),
-    # Memory pressure evicts the node-local result and segment caches,
+    # Memory pressure evicts the node-local segment cache,
     # so the next frozen-partition search must revisit the cold tier —
     # without it, settle-point hydrations would leave every segment
     # cached and the two fault ops above would never fire mid-schedule.

@@ -12,10 +12,9 @@ instruction.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, List,
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
@@ -74,14 +73,6 @@ _VECTOR_WIDTH = 8
 _FREEZE_OPS_PER_FILE = 200
 _HYDRATE_OPS_PER_FILE = 150
 
-# Per-node result cache entries (each is one ACG's answer to one
-# canonical predicate at one commit watermark).
-_RESULT_CACHE_CAP = 256
-# Committed updates an ACG replica remembers the file of, so a cached
-# answer this many updates behind is brought forward instead of re-run
-# (on mixed-rw the gap an entry is reused across is p50 6, p90 31 and
-# p99 121 updates).
-_CHANGE_LOG = 128
 # Distinct predicates a node keeps prepared (canonical form, compiled
 # matcher, plans per spec set) between requests.
 _PREPARED_CAP = 512
@@ -217,13 +208,9 @@ class AcgReplica:
         # can reach the same applied count with different content, so
         # the count alone is not a safe version), ``applied`` bumps once
         # per committed update.  Together with the node name they form
-        # the watermark that versions summaries and the result cache.
+        # the watermark that versions summaries and stamped answers.
         self.incarnation = incarnation
         self.applied = 0
-        # The file of each of the last ``_CHANGE_LOG`` committed updates,
-        # oldest first, appended where ``applied`` bumps: what changed
-        # between two applied counts while the gap fits.
-        self.changes: Deque[int] = deque(maxlen=_CHANGE_LOG)
         # Pruning summary, widened in lock-step with every apply_batch() —
         # the bookkeeping rides on the commit's existing CPU charge.
         self.summary = PartitionSummary()
@@ -311,7 +298,6 @@ class AcgReplica:
         for update in updates:
             self.applied += 1
             file_id = update.file_id
-            self.changes.append(file_id)
             if file_id not in before:
                 before[file_id] = None if file_id not in store else (
                     [key_of(store.attrs(file_id)) for _, key_of, _ in keyed],
@@ -381,14 +367,6 @@ class AcgReplica:
             else:
                 for key, file_id in pairs:
                     index.insert(key, file_id)
-
-    def changed_since(self, applied: int) -> Optional[Set[int]]:
-        """The files the updates committed after ``applied`` touched, or
-        None when the change log no longer reaches back that far."""
-        gap = self.applied - applied
-        if gap > len(self.changes):
-            return None
-        return set(islice(reversed(self.changes), gap))
 
     @property
     def file_count(self) -> int:
@@ -476,21 +454,11 @@ class IndexNode:
         # ever creates gets a distinct incarnation, making commit
         # watermarks identity-scoped (see AcgReplica.__init__).
         self._next_incarnation = 0
-        # Per-ACG query result cache: (acg_id, canonical predicate,
-        # index-name tuple) -> (watermark-tail, SearchResult).  An entry
-        # is the answer while the replica's (incarnation, applied) pair
-        # still matches; a few commits later in the same incarnation it
-        # is brought forward over the files they touched (a *bridged*
-        # hit, :meth:`_from_cache`).  Time-dependent predicates are never
-        # cached.
-        self._result_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self._prepared = PreparedCache(_PREPARED_CAP)
-        self.result_cache_hits = 0       # bridged ones included
-        self.result_cache_bridged = 0
+        # No answers are kept here (the client holds them, validated by
+        # the watermark fence); perf/layers.py still reads these two.
+        self.result_cache_hits = 0
         self.result_cache_misses = 0
-        # Ops/benchmarking knob: False bypasses the result cache so every
-        # search pays the real plan/scan cost (e.g. to measure residency).
-        self.result_caching = True
         # Prune-validation outcomes (client-requested skips this node
         # confirmed vs. had to search anyway).
         self.prunes_validated = 0
@@ -747,13 +715,12 @@ class IndexNode:
         self.segment_cache.clear()
 
     def drop_caches(self) -> None:
-        """Memory-pressure eviction of the node-local volatile caches:
-        the search result cache and the cached segment views.  The
-        next search against a frozen partition must go back to the cold
-        tier — the path the chaos harness's cache-pressure op exists to
-        exercise.  Resident index bodies stay loaded (that cold-start
-        surface belongs to :meth:`drop_resident`)."""
-        self._result_cache.clear()
+        """Memory-pressure eviction of the node-local volatile cache of
+        segment views.  The next search against a frozen partition must
+        go back to the cold tier — the path the chaos harness's
+        cache-pressure op exists to exercise.  Resident index bodies
+        stay loaded (that cold-start surface belongs to
+        :meth:`drop_resident`)."""
         self.segment_cache.clear()
 
     def handle_create_index(self, spec: IndexSpec) -> None:
@@ -1099,10 +1066,6 @@ class IndexNode:
                 return acg_id
         return None
 
-    def _purge_result_cache(self, acg_id: int) -> None:
-        for key in [k for k in self._result_cache if k[0] == acg_id]:
-            del self._result_cache[key]
-
     def _prepare(self, predicate: Union[Predicate, PreparedQuery]
                  ) -> PreparedQuery:
         """This node's prepared form of a predicate off the wire: once
@@ -1119,97 +1082,9 @@ class IndexNode:
         now = self.machine.clock.now()
         self._acg_last_access[acg_id] = now
         self.cache.commit_for_search(acg_id)
-        # Result cache: checked *after* the forced commit, so any pending
-        # updates have already advanced the watermark and a stale entry
-        # cannot be served.  Time-dependent predicates (symbolic
-        # RelativeAge bounds) are excluded — their answer can change
-        # with no commit.
-        cache_key = None
-        if self.result_caching and not query.time_dependent:
-            cache_key = (acg_id, query.canonical,
-                         tuple(index_names) if index_names else None)
-            result = self._from_cache(acg_id, cache_key, query, now)
-            if result is not None:
-                return result
-            self.result_cache_misses += 1
         if acg_id in self.frozen:
-            result = self._search_frozen(acg_id, query, index_names, now)
-        else:
-            result = self._search_live_body(acg_id, query, index_names, now)
-        if cache_key is not None:
-            self._remember(cache_key, acg_id, result)
-        return result
-
-    def _from_cache(self, acg_id: int, cache_key: Tuple, query: PreparedQuery,
-                    now: float) -> Optional[SearchResult]:
-        """The result cache's answer for one leg; None is a miss.
-
-        An entry stamped at the replica's current (incarnation, applied)
-        is the answer.  One stamped fewer than ``_CHANGE_LOG`` updates
-        earlier in the same incarnation is *bridged*: only the files the
-        replica's change log names since are re-checked — the answer
-        loses those it held and gains those that match now (and is the
-        cached object itself when that changes nothing) — and the entry
-        is re-stamped.  A frozen partition is never bridged: freezing
-        needs an empty cache and writes thaw first, so its watermark
-        cannot move while it is frozen, and an older entry misses."""
-        entry = self._result_cache.get(cache_key)
-        if entry is None:
-            return None
-        replica = self.replicas[acg_id]
-        (incarnation, applied), cached = entry
-        if incarnation != replica.incarnation:
-            return None
-        if applied == replica.applied:
-            self._result_cache.move_to_end(cache_key)
-            self.result_cache_hits += 1
-            self.machine.compute(_EXAMINE_OPS)  # lookup, no scan
-            return cached
-        changed = (None if acg_id in self.frozen
-                   else replica.changed_since(applied))
-        if changed is None:
-            return None
-        result = self._bridge(acg_id, query, cached, changed, now)
-        self.result_cache_hits += 1
-        self.result_cache_bridged += 1
-        self._remember(cache_key, acg_id, result)
-        return result
-
-    def _remember(self, cache_key: Tuple, acg_id: int,
-                  result: SearchResult) -> None:
-        """Stamp ``result`` into the result cache at the replica's
-        current watermark, most recently used."""
-        replica = self.replicas[acg_id]
-        self._result_cache[cache_key] = (
-            (replica.incarnation, replica.applied), result)
-        self._result_cache.move_to_end(cache_key)
-        while len(self._result_cache) > _RESULT_CACHE_CAP:
-            self._result_cache.popitem(last=False)
-
-    def _bridge(self, acg_id: int, query: PreparedQuery,
-                cached: SearchResult, changed: Set[int],
-                now: float) -> SearchResult:
-        """Bring a cached answer forward over the ``changed`` files.
-
-        Charged as the live run it replaces — the page-in, then
-        :meth:`_run_leg`'s scan setup for the whole store and its
-        materializing charge for the whole answer — so no simulated
-        number depends on whether the answer was bridged
-        (``docs/cost-model.md``)."""
-        self._page_in(acg_id)
-        store = self.replicas[acg_id].store
-
-        def bridged() -> Union[Set[int], SearchResult]:
-            matches = store.select(changed, query.matcher(now))
-            if not matches and cached.file_ids.isdisjoint(changed):
-                return cached
-            return (cached.file_ids - changed) | matches
-
-        with self.tracer.span("bridge", node=self.name, acg=acg_id) as span:
-            span.set_attribute("changed", len(changed))
-            result = self._run_leg(acg_id, store, bridged)
-            span.set_attribute("matches", len(result.file_ids))
-        return result
+            return self._search_frozen(acg_id, query, index_names, now)
+        return self._search_live_body(acg_id, query, index_names, now)
 
     @staticmethod
     def _plans(replica: "AcgReplica", query: PreparedQuery,
@@ -1247,25 +1122,19 @@ class IndexNode:
 
     def _run_leg(self, acg_id: int,
                  store: Union[AttributeStore, SegmentView],
-                 match: Callable[[], Union[Set[int], SearchResult]]
-                 ) -> SearchResult:
-        """The costed core every search leg shares (live, bridged,
-        frozen, follower): charge the scan setup, run ``match`` for the
-        exact file ids (or for an answer already built: a bridged entry
-        nothing changed), charge materializing them — bitmap postings
+                 match: Callable[[], Set[int]]) -> SearchResult:
+        """The costed core every search leg shares (live, frozen,
+        follower): charge the scan setup, run ``match`` for the exact
+        file ids, charge materializing them — bitmap postings
         extract matches word-at-a-time, so one examine charge covers
         ``_VECTOR_WIDTH`` of them (ceil: a partial word still costs a
         word) — and answer with the sorted paths from ``store`` (its
         ``len`` and ``paths`` are all a leg reads: a live attribute
         store, or a frozen partition's segment view)."""
         self.machine.compute(_EXAMINE_OPS * max(1, len(store) // 64))
-        answer = match()
-        built = isinstance(answer, SearchResult)
-        file_ids = answer.file_ids if built else answer
+        file_ids = match()
         self.machine.compute(
             _EXAMINE_OPS * ((len(file_ids) + _VECTOR_WIDTH - 1) // _VECTOR_WIDTH))
-        if built:
-            return answer
         return SearchResult(node=self.name, acg_id=acg_id,
                             file_ids=frozenset(file_ids),
                             paths=tuple(store.paths(file_ids)))
@@ -1350,7 +1219,7 @@ class IndexNode:
         (``stamps``) unless the predicate is time-dependent.
 
         The predicate is prepared once for the whole request: every
-        partition below shares its cache-key parts, plans and matcher.
+        partition below shares its canonical form, plans and matcher.
         """
         query = self._prepare(predicate)
         update_outcomes: Tuple[CallOutcome, ...] = ()
@@ -1500,7 +1369,6 @@ class IndexNode:
         self.replicas.pop(acg_id, None)
         self.reshape_epochs.pop(acg_id, None)
         self.repl.pop(acg_id, None)
-        self._purge_result_cache(acg_id)
         if acg_id in self._resident:
             self._resident_bytes -= self._resident.pop(acg_id)
 
@@ -1825,7 +1693,7 @@ class IndexNode:
         An epoch bump and a dictionary move — no WAL replay, no
         checkpoint read, which is why promotion time stays flat as the
         data volume grows.  The promoted replica gets a fresh incarnation
-        (a new watermark identity, preserving the summary/result-cache
+        (a new watermark identity, preserving the summary/held-answer
         soundness argument) and this node becomes the partition's primary
         at ``repl_epoch``, continuing the sequence from its applied
         watermark.  Returns (applied_seq, file_count).
@@ -1850,7 +1718,6 @@ class IndexNode:
             raise UnknownAcg(f"{self.name} has no follower replica of ACG {acg_id}")
         self.replicas[acg_id] = self._incarnate(st.replica)
         self.migrated_away.discard(acg_id)
-        self._purge_result_cache(acg_id)
         answer = (st.applied_seq, st.replica.file_count)
         self.repl[acg_id] = PrimaryReplState(
             repl_epoch=repl_epoch, log=ReplicationLog(base=st.applied_seq),
@@ -1908,7 +1775,7 @@ class IndexNode:
     def _search_follower(self, st: FollowerState, query: PreparedQuery,
                          index_names: Optional[Sequence[str]]) -> SearchResult:
         """One follower replica's answer — the :meth:`_search_one` core
-        without commit forcing, result caching, or residency I/O (the
+        without commit forcing or residency I/O (the
         follower store is memory-resident by construction)."""
         now = self.machine.clock.now()
         replica = st.replica
@@ -2130,7 +1997,6 @@ class IndexNode:
                           for u in self.cache.pending_ops(acg)})
         self.cache._pending.clear()
         self.cache._oldest.clear()
-        self._result_cache.clear()
         # Replication state is volatile on both halves: the primary's log
         # and ack map die with the process (followers are re-installed on
         # restart's catch-up), and hosted follower replicas are gone — a
@@ -2175,7 +2041,6 @@ class IndexNode:
         self.replicas.clear()
         self.cache._pending.clear()
         self.cache._oldest.clear()
-        self._result_cache.clear()
         self._truncate_wal()
         self.handoff_intents.clear()
         self.reshape_epochs.clear()

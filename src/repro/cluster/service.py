@@ -196,10 +196,6 @@ class PropellerService:
                      self._route_cache_hit_rate)
         reg.gauge_fn("cluster.client.route_epoch_age",
                      self._route_epoch_age)
-        # Search-pruning health: node-validated result-cache hit rate
-        # (repeated searches of quiescent ACGs skip planning + scans).
-        reg.gauge_fn("search.result_cache_hit_rate",
-                     self._result_cache_hit_rate)
         network = self.cluster.network
         reg.gauge_fn("cluster.network.messages",
                      lambda: network.stats.messages)
@@ -267,12 +263,6 @@ class PropellerService:
                      lambda n=node: n.machine.disk.stats.reads)
         reg.gauge_fn(f"{prefix}.disk.writes",
                      lambda n=node: n.machine.disk.stats.writes)
-        reg.gauge_fn(f"{prefix}.result_cache.hits",
-                     lambda n=node: n.result_cache_hits)
-        reg.gauge_fn(f"{prefix}.result_cache.misses",
-                     lambda n=node: n.result_cache_misses)
-        reg.gauge_fn(f"{prefix}.result_cache.bridged",
-                     lambda n=node: n.result_cache_bridged)
         reg.gauge_fn(f"{prefix}.partitions_pruned",
                      lambda n=node: n.prunes_validated)
         reg.gauge_fn(f"{prefix}.prune_fallbacks",
@@ -430,12 +420,6 @@ class PropellerService:
     def _route_cache_hit_rate(self) -> float:
         hits = sum(c.route_cache_hits for c in self._clients)
         misses = sum(c.route_cache_misses for c in self._clients)
-        return hits / (hits + misses) if hits + misses else 0.0
-
-    def _result_cache_hit_rate(self) -> float:
-        """Aggregate per-ACG query-result-cache hit rate across nodes."""
-        hits = sum(n.result_cache_hits for n in self.index_nodes.values())
-        misses = sum(n.result_cache_misses for n in self.index_nodes.values())
         return hits / (hits + misses) if hits + misses else 0.0
 
     def _segment_cache_hit_rate(self) -> float:

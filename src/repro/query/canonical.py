@@ -2,7 +2,7 @@
 
 Two predicates that mean the same thing — ``a & b`` vs ``b & a``, nested
 vs flat conjunctions, duplicated terms — should produce the same cache
-key, so the per-ACG result cache hits across syntactic variants.
+key, so a client's held answers serve syntactic variants too.
 :func:`canonicalize` rewrites a predicate into a normal form (flattened,
 sorted, deduplicated And/Or); since every AST node is a frozen dataclass
 the canonical predicate is itself hashable and serves directly as the
@@ -11,7 +11,7 @@ cache key.
 :func:`is_time_dependent` spots predicates whose meaning shifts with the
 evaluation clock (``mtime < 1 day`` keeps a symbolic
 :class:`~repro.query.ast.RelativeAge` bound): their results cannot be
-cached under a commit watermark alone, because the *same* quiescent
+held under a commit watermark alone, because the *same* quiescent
 partition can legitimately answer differently at a later time.
 """
 

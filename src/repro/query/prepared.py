@@ -2,12 +2,12 @@
 not depend on which partition or which candidate it meets.
 
 A search meets its predicate many times — once per partition summary on
-the client, once per result-cache lookup and once per candidate row on
-every Index Node.  :class:`PreparedQuery` computes the parts of that
-work that are the same every time, once:
+the client and once per candidate row on every Index Node.
+:class:`PreparedQuery` computes the parts of that work that are the same
+every time, once:
 
-* the canonical form and the ``time_dependent`` flag (together the
-  result-cache key);
+* the canonical form (the client's held-answer key) and the
+  ``time_dependent`` flag (such an answer is never stamped or held);
 * the top-level keyword conjuncts (what posting lists to intersect);
 * the access path, if any, whose candidates already are the answer
   (``exact_access``: the executor then skips the matcher);

@@ -29,10 +29,10 @@ def batch(acg_id, epoch, file_id=99):
 @pytest.fixture
 def node():
     """One node holding each partition state a stale stamp can meet: a
-    primary (OWNED, repl epoch 3, its answer in the result cache), a
-    partition split at EPOCH with an update still pending (SPLIT), one
-    handed off to a migration target (HANDED_OFF), and a follower copy
-    at repl epoch 3 (FOLLOWED).  Master RPCs have seen term 7."""
+    primary (OWNED, repl epoch 3), a partition split at EPOCH with an
+    update still pending (SPLIT), one handed off to a migration target
+    (HANDED_OFF), and a follower copy at repl epoch 3 (FOLLOWED).
+    Master RPCs have seen term 7."""
     node = IndexNode("in1", Machine(SimClock()))
     call = node.endpoint.dispatch
     call("heartbeat", term=TERM)
@@ -47,7 +47,6 @@ def node():
     call("transfer_out", HANDED_OFF, "in2")
     call("set_followers", OWNED, (), REPL_EPOCH)
     call("install_follower", FOLLOWED, "in2", REPL_EPOCH, 0, segment)
-    call("search", [OWNED], PRED, epoch=EPOCH)               # cached
     return node
 
 
@@ -64,7 +63,6 @@ def state(node):
          for a, s in node.repl.items()},
         len(node.wal),
         {a: node.cache.pending_ops(a) for a in node.cache.pending_acgs()},
-        [(key, tail) for key, (tail, _) in node._result_cache.items()],
         dict(node.handoff_intents), dict(node.reshape_epochs),
         node.master_term_seen, node.route_epoch_seen,
     )

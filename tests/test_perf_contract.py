@@ -111,8 +111,8 @@ def test_update_path_runs_through_the_names_perf_patches(monkeypatch):
 
 def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
     """The search-side twin: a query is prepared once and evaluated in
-    bulk, but one client search — a result-cache miss on a live
-    partition, a summary-pruned partition, a frozen partition — still
+    bulk, but one client search — a live partition, a summary-pruned
+    partition, a frozen partition — still
     *calls* every query-stack name ``perf/layertrace.py`` patches,
     installed (as it installs them) before the deployment is built, so
     the ``query.*`` / ``cluster.*`` rows keep meaning what
@@ -120,13 +120,10 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
     ``BPlusTree.range_values``, the values-only leaf-slice scan the range
     access path now uses — its time is booked to its caller's layer,
     ``query.executor``; ``BPlusTree.range`` (the pair generator) serves
-    snapshot encoding.  Nor are the names that bring a cached answer
-    forward after a commit (``IndexNode._from_cache`` / ``_bridge``,
-    ``AcgReplica.changed_since``, the ``AttributeStore.select`` they
-    call): their time books to ``cluster.index_node``, the layer of
-    ``handle_search``.  A plain repeat is answered from the answers the
+    snapshot encoding.  A plain repeat is answered from the answers the
     client holds: the nodes are still asked (``handle_search``) but
-    search no partition (``_search_one``)."""
+    search no partition (``_search_one``); after a commit, only the
+    rewritten partition is searched again."""
     from perf.layertrace import LayerTracer
     from repro.cluster.index_node import IndexNode
     from repro.core.partitioner import PartitioningPolicy
@@ -196,21 +193,18 @@ def test_search_path_runs_through_the_names_perf_patches(monkeypatch):
             > before["IndexNode.handle_search"]
         assert calls["_search_one"] == 2
         assert service.registry.value("search.partitions_reused") == reused + 2
-        # A commit to the live partition: the repeat brings its cached
-        # answer forward over the one rewritten file instead of running
-        # the query there again.
+        # A commit to the live partition: its held answer fails the
+        # watermark fence, so the repeat runs the query there once more;
+        # the frozen partition's held answer still serves.
         vfs.write_file(big[0], 7000, pid=5)
         client.index_path(big[0], pid=5)
         client.flush_updates()
         service.commit_all()
-        nodes = service.index_nodes.values()
-        bridged = sum(n.result_cache_bridged for n in nodes)
         before = dict(tracer.fn_calls)
         tracer.start(service.clock)
         assert client.search("size>=5000") == sorted(big)
         tracer.stop()
-        assert tracer.fn_calls["execute_plans"] == before["execute_plans"]
-        assert sum(n.result_cache_bridged for n in nodes) == bridged + 1
+        assert tracer.fn_calls["execute_plans"] == before["execute_plans"] + 1
         assert calls["_search_one"] == 3
     finally:
         tracer.uninstall()

@@ -1,5 +1,5 @@
 """Search fan-out pruning: partition summaries, watermark validation,
-and the node-side result cache.
+and the answers a client holds.
 
 The safety property under test throughout: pruning may only ever cost a
 wasted search leg — it must never drop a matching file.  Bloom false
@@ -52,7 +52,7 @@ def test_bloom_merge_is_union():
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization (the result-cache key)
+# Canonicalization (the held-answer key)
 
 
 def test_canonicalize_is_order_insensitive():
@@ -330,18 +330,16 @@ def test_stale_summary_after_migration_fails_open(indexed_service):
     assert service.index_nodes[target].prune_fallbacks > fallbacks0
 
 
-def test_result_cache_hits_and_invalidates_on_commit(indexed_service):
+def test_second_client_agrees_and_a_commit_shows(indexed_service):
     service, client = indexed_service
-    by_group = populate_groups(service, client)
+    populate_groups(service, client)
     first = client.search("size>10k")
     assert first  # some legs really were searched
-    hits0 = node_stat(service, "result_cache_hits")
-    # Another client's repeat: it holds no answers, so the nodes serve
-    # it from their result caches.
+    # Another client's repeat: it holds no answers, so the nodes search
+    # again, and find the same files.
     assert service.make_client().search("size>10k") == first
-    assert node_stat(service, "result_cache_hits") > hits0
-    # A committed update bumps the watermark: the cache must not serve
-    # the stale entry.
+    # A committed update bumps the watermark: the first client's held
+    # answer for that partition must not serve.
     path = "/g0/big_new_file.bin"
     service.vfs.write_file(path, 64 * 1024**2, pid=1)
     client.index_path(path, pid=1)
@@ -351,12 +349,18 @@ def test_result_cache_hits_and_invalidates_on_commit(indexed_service):
 
 
 def test_time_dependent_queries_are_not_cached(indexed_service):
+    """A time-dependent answer is never stamped, so the client holds no
+    part of it and its repeat searches every partition again."""
     service, client = indexed_service
     populate_groups(service, client)
-    hits0 = node_stat(service, "result_cache_hits")
-    client.search("mtime<1day")
-    client.search("mtime<1day")
-    assert node_stat(service, "result_cache_hits") == hits0
+    searched = service.registry.counter("search.partitions_searched")
+    searched0 = searched.value
+    first = client.search("mtime<1day")
+    searched1 = searched.value
+    assert searched1 > searched0
+    assert not any(held.parts for held in client._held.values())
+    assert client.search("mtime<1day") == first
+    assert searched.value - searched1 == searched1 - searched0
 
 
 def test_pending_ops_accessor(indexed_service):

@@ -54,8 +54,6 @@ def frozen():
     scans = build_query_pool(dep, random.Random(7), 20)
     lookups = sorted({"keyword:{} & keyword:{}".format(*p.split("/")[2:5:2])
                       for p in dep.paths})
-    for node in nodes:
-        node.result_caching = False
     return dep, lookups, scans
 
 
