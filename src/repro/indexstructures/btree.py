@@ -3,19 +3,35 @@
 Classic B+tree: values live only in leaves, leaves form a sorted linked
 list for range scans, internal nodes hold separator keys.  Deletion
 rebalances by borrowing from a sibling or merging, so the height invariant
-holds under any workload — hypothesis tests in
-``tests/indexstructures/test_btree.py`` check this against an oracle.
+holds under any workload — hypothesis tests in ``tests/test_btree.py``
+check this against an oracle.
+
+A key's values are an insertion-ordered dict (value -> None), the hash
+index's bucket: membership, insert and remove are O(1) however many files
+share a key, and iteration order is the order values arrived in.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.indexstructures.base import Index, IndexKind, PageHook
 
 DEFAULT_ORDER = 64
+
+
+def _group(pairs) -> Dict[Any, Dict[Any, None]]:
+    """Each key's values as a bucket, in arrival order, duplicates gone."""
+    grouped: Dict[Any, Dict[Any, None]] = {}
+    for key, value in pairs:
+        bucket = grouped.get(key)
+        if bucket is None:
+            grouped[key] = {value: None}
+        else:
+            bucket[value] = None
+    return grouped
 
 
 class _Node:
@@ -31,7 +47,7 @@ class _Leaf(_Node):
 
     def __init__(self, node_id: int) -> None:
         super().__init__(node_id)
-        self.values: List[List[Any]] = []
+        self.values: List[Dict[Any, None]] = []
         self.next: Optional[_Leaf] = None
 
 
@@ -134,6 +150,7 @@ class BPlusTree(Index):
         """``[value for _, value in self.range(...)]`` by leaf slice: the
         in-range run of each leaf is found with a bisect and extended in
         bulk, touching the pages :meth:`range` touches, in its order."""
+        chain = itertools.chain.from_iterable
         if low is None:
             leaf: Optional[_Leaf] = self._leftmost_leaf()
             idx = 0
@@ -147,8 +164,7 @@ class BPlusTree(Index):
             self._touch(leaf)
             keys = leaf.keys
             end = len(keys) if high is None else end_of(keys, high, idx)
-            for values in leaf.values[idx:end]:
-                out.extend(values)
+            out.extend(chain(leaf.values[idx:end]))
             if end < len(keys):
                 break   # the first key past ``high`` ends the scan
             leaf = leaf.next
@@ -208,13 +224,14 @@ class BPlusTree(Index):
                      rightmost: bool = False) -> Optional[Tuple[Any, _Node]]:
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            if value not in leaf.values[idx]:
-                leaf.values[idx].append(value)
+            bucket = leaf.values[idx]
+            if value not in bucket:
+                bucket[value] = None
                 self._size += 1
             self._touch(leaf, write=True)
             return None
         leaf.keys.insert(idx, key)
-        leaf.values.insert(idx, [value])
+        leaf.values.insert(idx, {value: None})
         self._size += 1
         self._touch(leaf, write=True)
         if len(leaf.keys) <= self.order:
@@ -286,7 +303,7 @@ class BPlusTree(Index):
         else:
             if value not in leaf.values[idx]:
                 return 0
-            leaf.values[idx].remove(value)
+            del leaf.values[idx][value]
             removed = 1
         if value is None or not leaf.values[idx]:
             del leaf.keys[idx]
@@ -380,11 +397,7 @@ class BPlusTree(Index):
         pairs collapse.
         """
         tree = cls(order=order, page_hook=page_hook)
-        grouped: dict = {}
-        for key, value in pairs:
-            bucket = grouped.setdefault(key, [])
-            if value not in bucket:
-                bucket.append(value)
+        grouped = _group(pairs)
         if not grouped:
             return tree
         sorted_keys = sorted(grouped)
@@ -475,11 +488,7 @@ class BPlusTree(Index):
         descent is re-derived from its child's leftmost key, which also
         refreshes separators a delete left stale.
         """
-        grouped: dict = {}
-        for key, value in pairs:
-            bucket = grouped.setdefault(key, [])
-            if value not in bucket:
-                bucket.append(value)
+        grouped = _group(pairs)
         if not grouped:
             return 0
         items = sorted(grouped.items())
@@ -512,7 +521,7 @@ class BPlusTree(Index):
         self._root = nodes[0]
         return self._size - added_before
 
-    def _bulk_merge(self, node: _Node, items: List[Tuple[Any, List[Any]]]) -> List[_Node]:
+    def _bulk_merge(self, node: _Node, items: List[Tuple[Any, Dict[Any, None]]]) -> List[_Node]:
         """Merge sorted ``(key, bucket)`` items into ``node``'s subtree.
 
         Returns the node(s) replacing ``node`` at its level — the first
@@ -569,23 +578,23 @@ class BPlusTree(Index):
             out.append(sibling)
         return out
 
-    def _bulk_merge_leaf(self, leaf: _Leaf, items: List[Tuple[Any, List[Any]]]) -> List[_Node]:
+    def _bulk_merge_leaf(self, leaf: _Leaf, items: List[Tuple[Any, Dict[Any, None]]]) -> List[_Node]:
         """Merge sorted ``(key, bucket)`` items into copies of the leaf's
         lists: a key the leaf holds takes the bucket's new values, any
-        other key is inserted where a bisection puts it."""
+        other key is inserted, with the batch's own bucket, where a
+        bisection puts it."""
         merged_keys, merged_values = list(leaf.keys), list(leaf.values)
         at = 0
         for key, new_values in items:
             at = bisect.bisect_left(merged_keys, key, at)
             if at < len(merged_keys) and not key < merged_keys[at]:
                 bucket = merged_values[at]
-                for v in new_values:
-                    if v not in bucket:
-                        bucket.append(v)
-                        self._size += 1
+                held = len(bucket)
+                bucket.update(new_values)  # appends only the values not held
+                self._size += len(bucket) - held
             else:
                 merged_keys.insert(at, key)
-                merged_values.insert(at, list(new_values))
+                merged_values.insert(at, new_values)
                 self._size += len(new_values)
             at += 1
         if len(merged_keys) <= self.order:
@@ -633,6 +642,7 @@ class BPlusTree(Index):
         # Leaf chain must be sorted and cover all keys.
         keys = [k for k, _ in self.items()]
         assert keys == sorted(keys), "leaf chain out of order"
+        assert len(keys) == self._size, "size is not the stored pair count"
 
     def _check_node(self, node: _Node, depth: int, is_root: bool,
                     rightmost: bool = False) -> int:
@@ -645,6 +655,9 @@ class BPlusTree(Index):
                 else:
                     assert len(node.keys) >= self._min_keys(), "leaf underflow"
             assert len(node.keys) == len(node.values)
+            for bucket in node.values:
+                assert bucket, "key with an empty bucket"
+                assert len(set(bucket)) == len(bucket), "value held twice"
             return depth
         assert isinstance(node, _Internal)
         assert len(node.children) == len(node.keys) + 1

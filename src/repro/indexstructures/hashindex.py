@@ -141,6 +141,10 @@ class ExtendibleHashIndex(Index):
 
     def insert(self, key: Any, value: Any) -> None:
         """Add one (key, value) pair, splitting buckets as needed."""
+        self._place(key, value)
+
+    def _place(self, key: Any, value: Any) -> _Bucket:
+        """:meth:`insert`, returning the bucket that holds ``key``."""
         for _ in range(_HASH_BITS):
             bucket = self._bucket_for(key)
             values = bucket.entries.get(key)
@@ -149,12 +153,12 @@ class ExtendibleHashIndex(Index):
                     values[value] = None
                     self._size += 1
                 self._touch(bucket, write=True)
-                return
+                return bucket
             if len(bucket.entries) < self.bucket_capacity:
                 bucket.entries[key] = {value: None}
                 self._size += 1
                 self._touch(bucket, write=True)
-                return
+                return bucket
             self._split(bucket)
         raise RuntimeError("extendible hash split did not converge")
 
@@ -163,7 +167,9 @@ class ExtendibleHashIndex(Index):
 
         The group-commit path for keyword postings: pairs sharing a key
         (one keyword, many files) resolve the bucket once instead of
-        re-walking the directory per pair.  Returns pairs added.
+        re-walking the directory per pair.  Returns pairs added.  The
+        page touches are a per-key insert's, then a read of the key's
+        bucket for the rest of its values.
         """
         grouped: Dict[Any, Dict[Any, None]] = {}
         for key, value in pairs:
@@ -175,8 +181,9 @@ class ExtendibleHashIndex(Index):
         added = 0
         for key, new_values in grouped.items():
             before = self._size
-            self.insert(key, next(iter(new_values)))  # may split
-            values = self._bucket_for(key).entries[key]
+            bucket = self._place(key, next(iter(new_values)))  # may split
+            self._touch(bucket)
+            values = bucket.entries[key]
             held = len(values)
             values.update(new_values)  # appends only the values not held
             self._size += len(values) - held
@@ -235,3 +242,9 @@ class ExtendibleHashIndex(Index):
             for key in bucket.entries:
                 h = _stable_hash(key)
                 assert h & ((1 << bucket.local_depth) - 1) == low, "key in wrong bucket"
+        pairs = 0
+        for bucket in {id(b): b for b in self._directory}.values():
+            for values in bucket.entries.values():
+                assert values, "key with an empty bucket"
+                pairs += len(values)
+        assert pairs == self._size, "size is not the stored pair count"

@@ -59,7 +59,8 @@ class PartitionSummary:
     def __init__(self) -> None:
         self.bloom = BloomFilter()
         # attr name -> [lo, hi] over *numeric* values only (bool counts
-        # as numeric; strings are tracked just by name in attrs_seen).
+        # as numeric, NaN does not; strings are tracked just by name in
+        # attrs_seen).
         self.zones: Dict[str, list] = {}
         self.attrs_seen: set = set()
         self.deletes_since_rebuild = 0
@@ -81,7 +82,10 @@ class PartitionSummary:
             batch_keywords.extend(keywords)
             attrs_seen.update(attrs)
             for name, value in attrs.items():
-                if isinstance(value, (int, float)):  # ast.is_numeric
+                # ast.is_numeric; a NaN satisfies no == or ordered
+                # comparison, so it widens no zone (and must not seed
+                # one: every later value compares False against it).
+                if isinstance(value, (int, float)) and value == value:
                     zone = zones.get(name)
                     if zone is None:
                         zones[name] = [value, value]

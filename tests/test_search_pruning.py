@@ -12,12 +12,17 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.indexstructures import BloomFilter
 from repro.query import (PartitionSummary, SummarySnapshot, canonicalize,
                          is_time_dependent, parse_query, summary_may_match)
-from repro.query.ast import And, Compare, Keyword, Not, Or, RelativeAge
+from repro.query.ast import (And, Compare, Keyword, Not, Or, RelativeAge,
+                             matches)
 from repro.query.executor import AttributeStore
+
+from tests.conftest import machine_examples
 
 WM = ("in1", 1, 7)
 
@@ -192,6 +197,72 @@ def test_batch_widening_equals_one_file_at_a_time():
     assert (batched.bloom.bits, batched.zones, batched.attrs_seen) \
         == (single.bloom.bits, single.zones, single.attrs_seen)
     assert batched.snapshot(1, WM, False, 9) == single.snapshot(1, WM, False, 9)
+
+
+NAN = float("nan")
+# Attribute values of every kind a zone sees or skips: ints, floats with
+# integral ones among them, infinities, NaN, bools and strings.
+SUMMARY_VALUES = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(float),
+                           st.just(NAN),
+                           st.sampled_from([0.5, -2.5, float("inf"),
+                                            float("-inf"), True, False,
+                                            "a", "5"]))
+SUMMARY_FILE = st.dictionaries(st.sampled_from(["score", "rank"]),
+                               SUMMARY_VALUES, max_size=2)
+# The file observed first: often a NaN, the value a zone must not start at.
+SUMMARY_LEAD = st.one_of(SUMMARY_FILE,
+                         st.sampled_from([{"score": NAN},
+                                          {"score": NAN, "rank": NAN}]))
+SUMMARY_BOUNDS = (-3, -2.5, 0, 0.5, 1, 1.0, True, 3, float("inf"), NAN)
+
+
+@settings(max_examples=machine_examples(100), derandomize=True,
+          deadline=None)
+@example({"score": NAN}, [], [{"score": 5}])
+@given(SUMMARY_LEAD, st.lists(SUMMARY_FILE, max_size=5),
+       st.lists(SUMMARY_FILE, max_size=6))
+def test_a_summary_never_rules_out_an_observed_match(lead, rest, second):
+    """Observe two batches of files (in any order of value kinds, often
+    a NaN first) and then rebuild from the store: for every comparison
+    atom, whenever some observed file matches, neither summary may prove
+    the partition empty."""
+    summary, store = PartitionSummary(), AttributeStore()
+    first = [lead] + rest
+    files = first + second
+    for batch, base in ((first, 0), (second, len(first))):
+        summary.observe_batch((attrs, ()) for attrs in batch)
+        for file_id, attrs in enumerate(batch, base):
+            store.put(file_id, attrs)
+    built = summary.snapshot(7, WM, dirty=False, file_count=len(files))
+    summary.rebuild(store)
+    rebuilt = summary.snapshot(7, WM, dirty=False, file_count=len(files))
+    for attr in ("score", "rank"):
+        for op in ("==", "<", "<=", ">", ">="):
+            for bound in SUMMARY_BOUNDS:
+                atom = Compare(attr, op, bound)
+                if any(matches(atom, attrs, frozenset(), 0.0)
+                       for attrs in files):
+                    assert summary_may_match(built, atom, 0.0), atom
+                    assert summary_may_match(rebuilt, atom, 0.0), atom
+
+
+def test_a_nan_attribute_does_not_hide_a_later_match(indexed_service):
+    """A NaN observed first used to seed a [nan, nan] zone that no later
+    value widened, so the client pruned the partition of a file whose
+    attribute had since become 5."""
+    service, client = indexed_service
+    vfs = service.vfs
+    vfs.mkdir("/d")
+    vfs.write_file("/d/a.txt", 100, pid=1)
+    for score in (NAN, 5):
+        vfs.setattr("/d/a.txt", "score", score)
+        client.index_path("/d/a.txt", pid=1)
+        client.flush_updates()
+        service.commit_all()
+        service.advance(12.0)   # heartbeats deliver the summaries
+    assert client.search("score==5") == ["/d/a.txt"]
+    assert client.search("score>1") == ["/d/a.txt"]
+    assert service.make_client().search("score<10") == ["/d/a.txt"]
 
 
 # ---------------------------------------------------------------------------
