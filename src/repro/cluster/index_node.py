@@ -214,6 +214,10 @@ class AcgReplica:
         # Pruning summary, widened in lock-step with every apply_batch() —
         # the bookkeeping rides on the commit's existing CPU charge.
         self.summary = PartitionSummary()
+        # ACG merges, which change the graph without an apply: with the
+        # watermark and the spec names they key :meth:`segment`.
+        self.graph_edits = 0
+        self._segment: Optional[Tuple[Tuple[Any, ...], bytes]] = None
 
     # On-disk footprint multiplier: the attribute store plus roughly one
     # serialized structure per index (B+tree, hash, serialized KD-tree).
@@ -239,6 +243,30 @@ class AcgReplica:
             self.indexes[spec.name] = index
             self.specs[spec.name] = spec
         return index
+
+    def merge_graph(self, records: Iterable[Tuple[int, int, int]]) -> None:
+        """Fold ACG records (a client's flushed fragment, or a
+        segment's) into this replica's graph."""
+        self.graph.merge(AccessCausalityGraph.from_records(records))
+        self.graph_edits += 1
+
+    def segment(self, node_name: str,
+                encode: Callable[["AcgReplica", str], bytes],
+                fresh: bool = False) -> Tuple[bytes, bool]:
+        """This replica's whole segment with no pending tail, and whether
+        it is the last one remembered: a segment is canonical, so while
+        nothing :func:`encode_segment` reads has changed — watermark,
+        graph, specs — its bytes are the last encoding's.  Otherwise, or
+        when ``fresh`` (a freeze, which the cold tier books as its own
+        encode), ``encode(self, node_name)`` runs and is remembered."""
+        key = (node_name, self.incarnation, self.applied, self.graph_edits,
+               tuple(self.specs))
+        if not fresh and self._segment is not None \
+                and self._segment[0] == key:
+            return self._segment[1], True
+        data = encode(self, node_name)
+        self._segment = (key, data)
+        return data, False
 
     # -- applying committed updates ------------------------------------------
 
@@ -468,6 +496,9 @@ class IndexNode:
         # and how many WAL records recovery has had to drop at torn or
         # corrupt tails over the node's lifetime.
         self.last_checkpoint_t: float = 0.0
+        # Checkpoints that wrote a replica's remembered segment instead
+        # of encoding it again (AcgReplica.segment).
+        self.checkpoint_reuses = 0
         self.wal_replay_dropped_total = 0
         self.wal_replay_skipped_total = 0
         # Routing-epoch state.  ``route_epoch_seen`` is the newest epoch
@@ -961,7 +992,7 @@ class IndexNode:
         small summary sidecar stays resident.
         """
         self.machine.compute(_FREEZE_OPS_PER_FILE * max(1, replica.file_count))
-        data = dump_segment(replica, self.name)
+        data, _ = replica.segment(self.name, dump_segment, fresh=True)
         key = segment_key(self.name, acg_id)
         self.object_store.put(key, data)
         watermark = self.watermark(acg_id)
@@ -1033,7 +1064,8 @@ class IndexNode:
         if replica is None or self.object_store is None:
             return
         self.machine.compute(_FREEZE_OPS_PER_FILE * max(1, replica.file_count))
-        self.object_store.put(frozen.key, dump_segment(replica, self.name))
+        self.object_store.put(frozen.key,
+                              replica.segment(self.name, dump_segment)[0])
         self.tier_repairs += 1
         self.journal.emit("tier.repair", node=self.name, acg_id=acg_id)
 
@@ -1282,8 +1314,7 @@ class IndexNode:
         for acg_id, records in fragments:
             if not self._route_ok(acg_id):
                 continue
-            self.replicas[acg_id].graph.merge(
-                AccessCausalityGraph.from_records(list(records)))
+            self.replicas[acg_id].merge_graph(records)
             self.machine.compute(_CACHE_ADD_OPS * max(1, len(records)))
 
     def handle_compute_split(self, acg_id: int,
@@ -1338,7 +1369,7 @@ class IndexNode:
         dump's order, ascending)."""
         for spec in view.specs:
             replica.ensure_index(spec)
-        replica.graph.merge(AccessCausalityGraph.from_records(view.acg_records))
+        replica.merge_graph(view.acg_records)
         updates = [IndexUpdate.upsert(file_id, attrs, path=path)
                    for file_id, attrs, path in view.rows()]
         replica.apply_batch(updates)
@@ -1351,6 +1382,9 @@ class IndexNode:
         installed file ids."""
         view = decode_segment(segment)
         self._clear_stale_handoff(acg_id)
+        # A merge installs into a survivor that may be frozen: a mutation
+        # thaws first, or its stale segment and summary keep answering.
+        self._thaw(acg_id, reason="install")
         installed = self._install_snapshot(
             self.replica(acg_id, create=True), view)
         # Installed content bypassed the replication log: force followers
@@ -1379,9 +1413,16 @@ class IndexNode:
         """Dump one replica's segment, with ``pending`` as its tail, and
         write it to shared storage (when attached); returns the bytes.
 
-        Always dumped from the live replica, frozen or not (deterministic,
-        no cold-tier round trip, immune to injected object faults)."""
-        data = encode_segment(replica, self.name, pending=pending)
+        Taken from the live replica, frozen or not (deterministic, no
+        cold-tier round trip, immune to injected object faults).  With
+        no tail it is :meth:`AcgReplica.segment`: an unchanged replica
+        writes its last encoding again, the bytes a fresh encode would
+        give, charged as one (``checkpoint_reuses`` counts these)."""
+        if pending:
+            data = encode_segment(replica, self.name, pending=pending)
+        else:
+            data, reused = replica.segment(self.name, encode_segment)
+            self.checkpoint_reuses += reused
         if self.shared_vfs is not None:
             write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
             self._shared_device.reset_head()
@@ -1893,6 +1934,7 @@ class IndexNode:
             if spec.name not in self._global_specs:
                 self._global_specs[spec.name] = spec
         replica = self.replica(acg_id, create=True)
+        self._thaw(acg_id, reason="adopt")
         self._install_snapshot(replica, view)
         if pending:
             # Straight into the replica, not through the cache's commit:

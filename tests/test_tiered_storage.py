@@ -275,6 +275,22 @@ class TestThaw:
         assert after > before
         assert client.search("keyword:file00002") == ["/data/file00002.bin"]
 
+    def test_merge_into_a_frozen_partition_thaws_it(self):
+        """Installing a merged partition mutates the survivor: it thaws
+        first, or its stale segment and summary keep answering without
+        the absorbed files."""
+        service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
+        populate(service, client, n=60)
+        sizes = sorted(len(r.store) for n in service.index_nodes.values()
+                       for r in n.replicas.values())
+        assert sizes == [0, 12, 24, 24]
+        assert freeze_all(service) == 3
+        keep = service.master.partitions.get(1).node
+        service.master.merge_partitions(1, 2)
+        assert len(client.search("size>=0")) == 60
+        assert len(service.make_client().search("size>=0")) == 60
+        assert 1 not in service.index_nodes[keep].frozen
+
 
 # -- fault paths ------------------------------------------------------------------
 
