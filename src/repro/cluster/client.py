@@ -1000,33 +1000,34 @@ class PropellerClient:
         acg = self.access_manager.drain()
         if acg.vertex_count == 0:
             return 0
-        vertices = sorted(acg.vertices())
-        # Producers place consumers: hint each edge target with its source.
-        hints: Dict[int, int] = {}
-        for u, v, _ in acg.edges():
-            hints.setdefault(v, u)
         placement: Dict[int, Tuple[str, int]] = {}
-        for file_id in vertices:
+        # Producers place consumers: a vertex with no route goes with its
+        # first producer's, looked up only once one turns up.
+        hints: Optional[Dict[int, int]] = None
+        for file_id in sorted(acg.vertices()):
             acg_id = self._file_routes.get(file_id)
             self._note_route(hit=acg_id is not None)
             if acg_id is None:
+                if hints is None:
+                    hints = acg.first_producers()
                 acg_id = self._file_routes.get(hints.get(file_id, -1))
             if acg_id is not None:
                 placement[file_id] = (self._route_nodes[acg_id], acg_id)
         # One envelope per Index Node — all of its partitions' fragments
-        # in a single RPC — and every node in flight at once.
+        # in a single RPC — and every node in flight at once.  Each placed
+        # source's edges, then each placed vertex (in sorted order); a
+        # source with no edges opens no fragment early, since the
+        # fragments go out in the order of their first records.
         fragments: Dict[str, Dict[int, List[Tuple[int, int, int]]]] = {}
-
-        def add(file_id: int, record: Tuple[int, int, int]) -> None:
-            node, acg_id = placement[file_id]
-            fragments.setdefault(node, {}).setdefault(acg_id, []).append(record)
-
-        for u, v, w in acg.edges():
-            if u in placement:
-                add(u, (u, v, w))
-        for file_id in vertices:
-            if file_id in placement:
-                add(file_id, (file_id, -1, 0))
+        for u, targets in acg.adjacency():
+            if targets and u in placement:
+                node, acg_id = placement[u]
+                records = fragments.setdefault(node, {}).setdefault(acg_id, [])
+                for v, w in targets.items():
+                    records.append((u, v, w))
+        for file_id, (node, acg_id) in placement.items():
+            fragments.setdefault(node, {}).setdefault(acg_id, []).append(
+                (file_id, -1, 0))
         replies = self._scatter(
             "acg_scatter", fragments,
             lambda node: self.rpc.call(

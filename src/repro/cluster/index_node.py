@@ -244,10 +244,10 @@ class AcgReplica:
             self.specs[spec.name] = spec
         return index
 
-    def merge_graph(self, records: Iterable[Tuple[int, int, int]]) -> None:
+    def merge_graph(self, records: Sequence[Tuple[int, int, int]]) -> None:
         """Fold ACG records (a client's flushed fragment, or a
         segment's) into this replica's graph."""
-        self.graph.merge(AccessCausalityGraph.from_records(records))
+        self.graph.merge(records)
         self.graph_edits += 1
 
     def segment(self, node_name: str,
@@ -1578,8 +1578,9 @@ class IndexNode:
                             lambda: self.rpc.call(
                                 follower, "install_follower", acg_id,
                                 self.name, state.repl_epoch,
-                                state.log.last_seq, encode_segment(
-                                    self.replica(acg_id), self.name))))
+                                state.log.last_seq,
+                                self.replica(acg_id).segment(
+                                    self.name, encode_segment)[0])))
             if acg_id not in self.repl:
                 continue  # an install's answer deposed this primary
             for follower, records in suffixes.items():

@@ -9,7 +9,8 @@ about edge direction), so the class exposes both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import (Dict, Iterable, Iterator, ItemsView, List, Sequence, Set,
+                    Tuple)
 
 
 class AccessCausalityGraph:
@@ -60,21 +61,61 @@ class AccessCausalityGraph:
         self._out.pop(file_id, None)
         self._in.pop(file_id, None)
 
-    def merge(self, other: "AccessCausalityGraph") -> None:
-        """Fold another ACG into this one, summing edge weights.
+    def merge(self, records: Sequence[Tuple[int, int, int]]) -> None:
+        """Fold ACG records — :meth:`to_records`' ``(u, v, w)`` edges and
+        ``(v, -1, 0)`` isolated vertices — into this graph in one pass,
+        summing edge weights.
 
         This is what an Index Node does when a client flushes its cached
-        in-RAM ACG after a process finishes.
+        in-RAM ACG after a process finishes.  A new vertex joins when a
+        record first names it (an edge's producer before its consumer).
+        A record set holding a self-loop or a weight <= 0 raises
+        ValueError and leaves the graph as it was.
         """
-        for u in other._out:
-            self.add_file(u)
-        # Every endpoint is now a vertex here, so each edge is two bumps.
-        for u, targets in other._out.items():
-            mine = self._out[u]
-            for v, w in targets.items():
-                mine[v] = mine.get(v, 0) + w
-                sources = self._in[v]
-                sources[u] = sources.get(u, 0) + w
+        out, inn = self._out, self._in
+        known = len(out)
+        for u, v, w in records:
+            if v == -1:
+                if u not in out:
+                    out[u] = {}
+                    inn[u] = {}
+                continue
+            if w <= 0 or u == v:
+                self._unfold(records, known)
+                raise ValueError(f"weight must be positive: {w}" if w <= 0
+                                 else "self-causality is not recorded")
+            targets = out.get(u)
+            if targets is None:
+                targets = out[u] = {}
+                inn[u] = {}
+            sources = inn.get(v)
+            if sources is None:
+                out[v] = {}
+                sources = inn[v] = {}
+            targets[v] = targets.get(v, 0) + w
+            sources[u] = sources.get(u, 0) + w
+
+    def _unfold(self, records: Sequence[Tuple[int, int, int]],
+                known: int) -> None:
+        """Undo a :meth:`merge` stopped at the first bad record of
+        ``records``: take back the weights folded before it (every weight
+        held is positive, so one that falls to 0 was an edge the merge
+        added) and drop the vertices past the first ``known``."""
+        out, inn = self._out, self._in
+        for u, v, w in records:
+            if v == -1:
+                continue
+            if w <= 0 or u == v:
+                break
+            left = out[u][v] - w
+            if left:
+                out[u][v] = inn[v][u] = left
+            else:
+                del out[u][v]
+                del inn[v][u]
+        for vertex in list(out)[known:]:
+            del out[vertex]
+            del inn[vertex]
 
     # -- inspection -------------------------------------------------------------
 
@@ -110,6 +151,19 @@ class AccessCausalityGraph:
     def weight(self, producer: int, consumer: int) -> int:
         """Weight of the directed edge producer -> consumer (0 if absent)."""
         return self._out.get(producer, {}).get(consumer, 0)
+
+    def adjacency(self) -> ItemsView[int, Dict[int, int]]:
+        """Each vertex with its outgoing edges ``{consumer: weight}``, in
+        vertex order: the graph's own dicts, to read, not to change."""
+        return self._out.items()
+
+    def first_producers(self) -> Dict[int, int]:
+        """Each consumer's first producer in :meth:`edges` order."""
+        first: Dict[int, int] = {}
+        for u, targets in self._out.items():
+            for v in targets:
+                first.setdefault(v, u)
+        return first
 
     def successors(self, file_id: int) -> Dict[int, int]:
         """Outgoing edges of a file: {consumer: weight}."""
@@ -218,14 +272,10 @@ class AccessCausalityGraph:
         return records
 
     @classmethod
-    def from_records(cls, records: Iterable[Tuple[int, int, int]]) -> "AccessCausalityGraph":
+    def from_records(cls, records: Sequence[Tuple[int, int, int]]) -> "AccessCausalityGraph":
         """Rebuild a graph from :meth:`to_records` output."""
         graph = cls()
-        for u, v, w in records:
-            if v == -1:
-                graph.add_file(u)
-            else:
-                graph.add_causality(u, v, w)
+        graph.merge(records)
         return graph
 
     def __repr__(self) -> str:

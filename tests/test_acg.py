@@ -82,7 +82,7 @@ def test_merge_sums_weights():
     b.add_causality(1, 2, 3)
     b.add_causality(4, 5, 1)
     b.add_file(9)
-    a.merge(b)
+    a.merge(b.to_records())
     assert a.weight(1, 2) == 5
     assert a.weight(4, 5) == 1
     assert a.has_vertex(9)

@@ -9,11 +9,14 @@ hypothesis run drives one Index Node's partition through every way its
 state changes (commits, parked updates, ACG fragments, index backfills,
 installs, re-incarnation, freeze and thaw) and compares, after each
 step, what the node writes with a fresh ``encode_segment`` of the same
-replica.  The guard below it pins the work: a checkpoint of unchanged
-partitions encodes nothing and charges what a fresh encode would.
+replica.  The guards below it pin the work: a checkpoint of unchanged
+partitions encodes nothing and charges what a fresh encode would, and a
+follower bootstrap sends the remembered segment, the bytes a fresh
+encode gives.
 """
 
 from typing import Dict, List
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,7 @@ from repro.sim.machine import Machine
 from repro.sim.objectstore import SimObjectStore
 
 from tests.conftest import machine_examples
+from tests.test_flush_scatter import build as build_replicated
 from tests.test_tiered_storage import build, freeze_all, populate
 
 ACG = 7
@@ -206,3 +210,43 @@ def test_a_checkpoint_of_unchanged_partitions_encodes_nothing(monkeypatch):
     assert after[node.name] == expected_charge(node)
     assert read_checkpoint(service.vfs, replica_path(node.name, acg_id)) \
         == encode_segment(node.replicas[acg_id], node.name)
+
+
+def bootstrap(node: IndexNode, acg_id: int) -> bytes:
+    """Have ``node``'s follower of ``acg_id`` re-installed by the
+    catch-up; returns the segment the install carried."""
+    sent = []
+    call = node.rpc.call
+
+    def spy(target, rpc, *args, **kwargs):
+        if rpc == "install_follower":
+            sent.append(args[-1])
+        return call(target, rpc, *args, **kwargs)
+    node._reset_repl(acg_id)
+    with mock.patch.object(node.rpc, "call", spy):
+        node.catch_up()
+    assert len(sent) == 1
+    return sent[0]
+
+
+def test_a_follower_bootstrap_sends_the_remembered_segment(monkeypatch):
+    service, client, parts = build_replicated(rf=2)
+    acg_id = min(parts)
+    node = next(n for n in service.index_nodes.values()
+                if acg_id in n.repl)
+    replica = node.replicas[acg_id]
+    calls = count_encodes(monkeypatch)
+    # Remembered by an earlier encode (here a tail-free checkpoint's):
+    # the bootstrap encodes nothing.
+    remembered, _ = replica.segment(node.name, encode_segment)
+    calls[0] = 0
+    assert bootstrap(node, acg_id) == remembered
+    assert calls[0] == 0
+    assert remembered == encode_segment(replica, node.name)
+    # The graph changed since: one encode, and what a fresh one gives.
+    a, b = sorted(replica.store.file_ids())[:2]
+    node.handle_flush_acg([(acg_id, [(a, b, 1)])])
+    calls[0] = 0
+    data = bootstrap(node, acg_id)
+    assert calls[0] == 1
+    assert data == encode_segment(replica, node.name) != remembered
