@@ -24,7 +24,7 @@ import pytest
 from benchmarks.common import build_minisql, build_propeller
 from benchmarks.harness import BenchConfig, default_cfg
 from repro.metrics.reporting import format_duration, render_table
-from repro.metrics.stats import LatencyCollector
+from repro.obs.metrics import Histogram
 from repro.workloads.mixed import MixedWorkloadConfig, mixed_stream
 
 QUERY = "size>1m"
@@ -43,8 +43,8 @@ def run_propeller(total_files: int, config: MixedWorkloadConfig,
     node = service.index_nodes["in1"]
     # Bounded reservoirs: the stream is long and only summary statistics
     # are reported, so retention need not grow with the run.
-    updates = LatencyCollector("propeller updates", max_samples=4096)
-    searches = LatencyCollector("propeller searches", max_samples=4096)
+    updates = Histogram("propeller updates", reservoir_size=4096)
+    searches = Histogram("propeller searches", reservoir_size=4096)
     # The paper uses a request batch size of 128 in both systems; the
     # per-update latency is therefore amortized over batches, with
     # periodic spikes (the bands in Figure 10's scatter).
@@ -53,13 +53,13 @@ def run_propeller(total_files: int, config: MixedWorkloadConfig,
         if op == "update":
             span = service.clock.span()
             client.index_path(arg, pid=1)
-            updates.add(span.elapsed())
+            updates.observe(span.elapsed())
         elif op == "commit":
             node.cache.commit_all()
         else:
             span = service.clock.span()
             client.search(arg)
-            searches.add(span.elapsed())
+            searches.observe(span.elapsed())
         # No-op unless a timeline is enabled; reads the clock, never
         # charges it.
         service.timeline.sample_if_due()
@@ -73,8 +73,8 @@ def run_minisql(total_files: int, config: MixedWorkloadConfig):
     group = paths[:1000]
     import zlib
     ino_of = {p: zlib.crc32(p.encode()) & 0x7FFFFFFF for p in group}
-    updates = LatencyCollector("minisql updates", max_samples=4096)
-    searches = LatencyCollector("minisql searches", max_samples=4096)
+    updates = Histogram("minisql updates", reservoir_size=4096)
+    searches = Histogram("minisql searches", reservoir_size=4096)
     db.batch_size = 128
     counter = 0
     for op, arg in mixed_stream(group, config):
@@ -83,13 +83,13 @@ def run_minisql(total_files: int, config: MixedWorkloadConfig):
             span = machine.clock.span()
             db.insert_file(ino_of[arg], {"size": counter, "mtime": float(counter)},
                            path=arg)
-            updates.add(span.elapsed())
+            updates.observe(span.elapsed())
         elif op == "commit":
             db.flush()
         else:
             span = machine.clock.span()
             db.query(arg)
-            searches.add(span.elapsed())
+            searches.observe(span.elapsed())
     return updates, searches
 
 
@@ -102,14 +102,14 @@ def _run(cfg: BenchConfig):
         total_files, config, instrument=cfg.instrument)
     sql_up, sql_search = run_minisql(total_files, config)
 
-    ratio = sql_up.mean() / prop_up.mean()
+    ratio = sql_up.mean / prop_up.mean
     rows = [
-        ["Propeller", format_duration(prop_up.mean()),
-         format_duration(prop_up.maximum()),
-         format_duration(prop_search.mean() if len(prop_search) else 0.0)],
-        ["MiniSQL", format_duration(sql_up.mean()),
-         format_duration(sql_up.maximum()),
-         format_duration(sql_search.mean() if len(sql_search) else 0.0)],
+        ["Propeller", format_duration(prop_up.mean),
+         format_duration(prop_up.maximum),
+         format_duration(prop_search.mean if prop_search.count else 0.0)],
+        ["MiniSQL", format_duration(sql_up.mean),
+         format_duration(sql_up.maximum),
+         format_duration(sql_search.mean if sql_search.count else 0.0)],
         ["ratio", f"{ratio:.0f}x", "", ""],
         ["(paper)", "15.6us vs 3980.9us = 250x", "", ""],
     ]
@@ -126,15 +126,15 @@ def run(cfg: BenchConfig):
     (table, prop_up, prop_search, sql_up, sql_search, ratio,
      service, total_files, n_updates) = _run(cfg)
     latency = {
-        "prop_update_mean_s": prop_up.mean(),
-        "prop_update_max_s": prop_up.maximum(),
-        "sql_update_mean_s": sql_up.mean(),
-        "sql_update_max_s": sql_up.maximum(),
+        "prop_update_mean_s": prop_up.mean,
+        "prop_update_max_s": prop_up.maximum,
+        "sql_update_mean_s": sql_up.mean,
+        "sql_update_max_s": sql_up.maximum,
     }
-    if len(prop_search):
-        latency["prop_search_mean_s"] = prop_search.mean()
-    if len(sql_search):
-        latency["sql_search_mean_s"] = sql_search.mean()
+    if prop_search.count:
+        latency["prop_search_mean_s"] = prop_search.mean
+    if sql_search.count:
+        latency["sql_search_mean_s"] = sql_search.mean
     return {
         "name": "fig10_mixed_workload",
         "params": {"total_files": total_files, "n_updates": n_updates,
@@ -153,8 +153,8 @@ def test_fig10_mixed_workload(benchmark, record_result):
     record_result("fig10_mixed_workload", table)
 
     # Propeller's update path is microseconds; MiniSQL's is milliseconds.
-    assert prop_up.mean() < 100e-6
-    assert sql_up.mean() > 500e-6
+    assert prop_up.mean < 100e-6
+    assert sql_up.mean > 500e-6
     # The paper's headline factor: two orders of magnitude or more.
     assert ratio > 50
 

@@ -29,8 +29,9 @@ from benchmarks.harness import BenchConfig, default_cfg
 from repro.baselines.crawler import CrawlerConfig, CrawlerSearchEngine
 from repro.metrics.recall import recall
 from repro.metrics.reporting import format_duration, render_table
-from repro.metrics.stats import LatencyCollector, TimeSeries
+from repro.metrics.stats import TimeSeries
 from repro.obs.freshness import FreshnessTracker
+from repro.obs.metrics import Histogram
 from repro.sim.events import EventLoop
 from repro.workloads.datasets import populate_namespace
 
@@ -69,8 +70,8 @@ def run_fps(fps: float, snapshot_files: int,
     pp_recall, sl_recall = TimeSeries("PP"), TimeSeries("SL")
     # Bounded reservoirs: queries arrive for the whole simulated run and
     # only summaries are reported.
-    pp_latency = LatencyCollector("PP", max_samples=4096)
-    sl_latency = LatencyCollector("SL", max_samples=4096)
+    pp_latency = Histogram("PP", reservoir_size=4096)
+    sl_latency = Histogram("SL", reservoir_size=4096)
     copied, start = 0, clock.now()
     vfs.mkdir("/incoming")
     while clock.now() - start < duration_s:
@@ -86,11 +87,11 @@ def run_fps(fps: float, snapshot_files: int,
         t = clock.now() - start
         span = clock.span()
         pp_result = client.search(QUERY)
-        pp_latency.add(span.elapsed())
+        pp_latency.observe(span.elapsed())
         pp_recall.add(t, 100.0 * recall(pp_result, truth))
         span = clock.span()
         sl_result = crawler.query(QUERY)
-        sl_latency.add(span.elapsed())
+        sl_latency.observe(span.elapsed())
         sl_recall.add(t, 100.0 * recall(sl_result, truth))
         service.timeline.sample_if_due()
     return {"pp_recall": pp_recall, "sl_recall": sl_recall,
@@ -105,9 +106,9 @@ def _render(runs, snapshot_files: int, duration_s: float):
             f"{fps:g} FPS",
             f"{r['pp_recall'].minimum():.1f}/{r['pp_recall'].mean():.1f}",
             f"{r['sl_recall'].minimum():.1f}/{r['sl_recall'].mean():.1f}",
-            format_duration(r["pp_latency"].mean()),
-            format_duration(r["sl_latency"].mean()),
-            f"{r['sl_latency'].mean() / r['pp_latency'].mean():.1f}x",
+            format_duration(r["pp_latency"].mean),
+            format_duration(r["sl_latency"].mean),
+            f"{r['sl_latency'].mean / r['pp_latency'].mean:.1f}x",
         ])
     table = render_table(
         ["load", "PP recall min/mean %", "SL recall min/mean %",
@@ -146,8 +147,8 @@ def run(cfg: BenchConfig):
 
     latency, series, staleness_parts = {}, {}, []
     for fps, r in runs.items():
-        latency[f"pp_latency_mean_s_{fps:g}fps"] = r["pp_latency"].mean()
-        latency[f"sl_latency_mean_s_{fps:g}fps"] = r["sl_latency"].mean()
+        latency[f"pp_latency_mean_s_{fps:g}fps"] = r["pp_latency"].mean
+        latency[f"sl_latency_mean_s_{fps:g}fps"] = r["sl_latency"].mean
         series[f"pp_recall_{fps:g}fps"] = [list(p) for p in r["pp_recall"].points]
         series[f"sl_recall_{fps:g}fps"] = [list(p) for p in r["sl_recall"].points]
         service = r["service"]
@@ -186,6 +187,6 @@ def test_fig11_dynamic_namespace(benchmark, record_result):
         # Crawler: mean recall below 100%, dips under load.
         assert r["sl_recall"].mean() < 100.0
         # Propeller answers much faster (paper: ~9x).
-        assert r["sl_latency"].mean() / r["pp_latency"].mean() > 3.0
+        assert r["sl_latency"].mean / r["pp_latency"].mean > 3.0
 
     benchmark(lambda: run_fps(5.0, 1_000))

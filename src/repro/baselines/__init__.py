@@ -8,11 +8,7 @@
 """
 
 from repro.baselines.bruteforce import BruteForceSearcher, brute_force_search
-from repro.baselines.crawler import (
-    CrawlerConfig,
-    CrawlerSearchEngine,
-    PeriodicCrawler,
-)
+from repro.baselines.crawler import CrawlerConfig, CrawlerSearchEngine
 from repro.baselines.sqldb import MiniSQL
 
 __all__ = [
@@ -20,6 +16,5 @@ __all__ = [
     "brute_force_search",
     "CrawlerConfig",
     "CrawlerSearchEngine",
-    "PeriodicCrawler",
     "MiniSQL",
 ]

@@ -18,8 +18,8 @@ exactly as stale as the crawler is behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, List, Set
 
 from repro.fs.namespace import Inode
 from repro.fs.notification import FsEvent, FsEventKind, NotificationQueue
@@ -232,81 +232,3 @@ class CrawlerSearchEngine:
         """Changes known but not yet folded into the snapshot."""
         return len(self._dirty) + len(self.notifications)
 
-
-class PeriodicCrawler:
-    """A crawling search *appliance*: no change notifications at all.
-
-    Section II contrasts desktop engines (Spotlight, Google Desktop),
-    which integrate file-system notification, with distributed crawling
-    appliances (Google Search Appliance-style), which simply re-crawl
-    the whole namespace on a schedule.  This is the latter: the snapshot
-    is as stale as the time since the last completed crawl, and a crawl
-    of N files takes N / crawl_rate seconds during which the snapshot
-    stays at its previous state (the appliance serves the old index
-    while building the new one).
-    """
-
-    def __init__(self, vfs: VirtualFileSystem, loop: EventLoop,
-                 crawl_period_s: float = 300.0,
-                 crawl_rate_fps: float = 200.0,
-                 query_cost_s: float = 0.03,
-                 type_filter: Callable[[str, Inode], bool] = default_type_filter,
-                 ) -> None:
-        self.vfs = vfs
-        self.loop = loop
-        self.crawl_period_s = crawl_period_s
-        self.crawl_rate_fps = crawl_rate_fps
-        self.query_cost_s = query_cost_s
-        self.type_filter = type_filter
-        self._snapshot: Dict[int, _SnapshotEntry] = {}
-        self._building: Optional[Dict[int, _SnapshotEntry]] = None
-        self.crawls_completed = 0
-        loop.schedule_after(self.crawl_period_s, self._start_crawl)
-
-    def _start_crawl(self, reschedule: bool = True) -> None:
-        """Walk the whole namespace; swap the snapshot when done."""
-        building: Dict[int, _SnapshotEntry] = {}
-        count = 0
-        for path, inode in self.vfs.namespace.files():
-            count += 1
-            if not self.type_filter(path, inode):
-                continue
-            attrs = {"size": inode.size, "mtime": inode.mtime,
-                     "ctime": inode.ctime, "uid": inode.uid}
-            attrs.update(inode.attributes)
-            building[inode.ino] = _SnapshotEntry(
-                path=path, attrs=attrs, keywords=tokenize_path(path))
-        # The crawl takes wall time; the *old* snapshot serves meanwhile,
-        # so the swap is scheduled at crawl completion.
-        duration = count / self.crawl_rate_fps
-
-        def finish() -> None:
-            self._snapshot = building
-            self.crawls_completed += 1
-
-        self.loop.schedule_after(duration, finish)
-        if reschedule:
-            self.loop.schedule_after(self.crawl_period_s, self._start_crawl)
-
-    def crawl_now(self) -> int:
-        """Synchronous initial crawl (charges its duration immediately).
-
-        Does not add another periodic chain — the constructor's schedule
-        keeps ticking independently.
-        """
-        self._start_crawl(reschedule=False)
-        deadline = self.loop.next_deadline()
-        self.loop.run_until(self.vfs.clock.now()
-                            + self.vfs.namespace.file_count / self.crawl_rate_fps
-                            + 1e-6)
-        return len(self._snapshot)
-
-    def query(self, text: str) -> List[str]:
-        return self.query_predicate(parse_query(text))
-
-    def query_predicate(self, predicate: Predicate) -> List[str]:
-        """Query the snapshot with a pre-parsed predicate."""
-        now = self.vfs.clock.now()
-        self.vfs.clock.charge(self.query_cost_s)
-        return sorted(entry.path for entry in self._snapshot.values()
-                      if matches(predicate, entry.attrs, entry.keywords, now))

@@ -141,7 +141,7 @@ class MiniSQL:
         for attr, index in self._indexes.items():
             if attr in old:
                 index.remove(old[attr], file_id)
-        for token in self.store.keywords(file_id):
+        for token in sorted(self.store.keywords(file_id)):
             self._keyword_index.remove(token, file_id)
 
     def _apply(self, update: IndexUpdate) -> None:
@@ -159,7 +159,9 @@ class MiniSQL:
         for attr, index in self._indexes.items():
             if attr in attrs:
                 index.insert(attrs[attr], update.file_id)
-        for token in self.store.keywords(update.file_id):
+        # Sorted: a set of strings iterates in hash-seed order, and the
+        # order of the page touches is the order of the clock's charges.
+        for token in sorted(self.store.keywords(update.file_id)):
             self._keyword_index.insert(token, update.file_id)
         self.rows_written += 1
 

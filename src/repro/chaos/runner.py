@@ -94,7 +94,6 @@ class ChaosRunner:
             retry_policy=retry_policy or RetryPolicy(),
             rpc_seed=seed,
             auto_failover=True,
-            heartbeat_timeout_s=15.0,
             replication_factor=rf,
             # Master-fault schedules need somewhere for the control plane
             # to fail over *to*; baseline schedules keep the historical

@@ -1006,7 +1006,6 @@ class PropellerClient:
         hints: Optional[Dict[int, int]] = None
         for file_id in sorted(acg.vertices()):
             acg_id = self._file_routes.get(file_id)
-            self._note_route(hit=acg_id is not None)
             if acg_id is None:
                 if hints is None:
                     hints = acg.first_producers()

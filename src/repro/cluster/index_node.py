@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
-from repro.cluster.cache import DEFAULT_TIMEOUT_S, IndexCache
+from repro.cluster.cache import IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
                                     SearchReply, SearchResult, UpdateAck,
                                     UpdateBatch, UpdateOp, Watermark,
@@ -442,8 +442,7 @@ class FollowerState:
 class IndexNode:
     """One Propeller Index Node."""
 
-    def __init__(self, name: str, machine: Machine,
-                 cache_timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, name: str, machine: Machine) -> None:
         self.name = name
         self.machine = machine
         # Log appends are absorbed by the drive's write-back cache (the
@@ -470,7 +469,7 @@ class IndexNode:
         # checkpointed here as regular files, and failover restores from
         # here (Section IV).
         self.shared_vfs = None
-        self.cache = IndexCache(self._commit_cached, timeout_s=cache_timeout_s)
+        self.cache = IndexCache(self._commit_cached)
         self.tracer = NULL_TRACER
         self.freshness = NULL_FRESHNESS
         # Cluster event journal (lifecycle, fences, deposals); wired by

@@ -37,6 +37,8 @@ _CHECKPOINT_BYTES_PER_FILE = 24
 # How many (epoch, partition) changes the Master retains for the route
 # delta protocol; clients further behind get a full snapshot instead.
 _ROUTE_LOG_CAP = 512
+# An Index Node silent for longer than three heartbeat periods is failed.
+HEARTBEAT_TIMEOUT_S = 15.0
 
 # Standby lease protocol: the standby pings (and tails) the acting
 # Master every tick; LEASE_MISSES_TO_PROMOTE consecutive failed pings
@@ -121,7 +123,6 @@ class MasterNode:
                  policy: PartitioningPolicy = PartitioningPolicy(),
                  registry: Optional[MetricsRegistry] = None,
                  auto_failover: bool = False,
-                 heartbeat_timeout_s: float = 15.0,
                  replication_factor: int = 1,
                  journal: Optional[EventJournal] = None,
                  endpoint_name: str = "master",
@@ -175,7 +176,6 @@ class MasterNode:
         # When on, the heartbeat poll itself fails silent nodes over —
         # off by default so explicit-failover deployments keep control.
         self.auto_failover = auto_failover
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         # Coordination events (failovers, splits, checkpoints) count into
         # the deployment-wide registry; a standalone Master gets its own.
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -844,7 +844,7 @@ class MasterNode:
         With :attr:`auto_failover` on, this is also the failure detector's
         trigger: a node whose endpoint is conclusively down (``NodeDown``
         survives the retry policy) or whose heartbeat has gone stale past
-        :attr:`heartbeat_timeout_s` is failed over right here.  Returns
+        :data:`HEARTBEAT_TIMEOUT_S` is failed over right here.  Returns
         the nodes that were failed over this round (always empty when
         auto-failover is off).
         """
@@ -880,7 +880,7 @@ class MasterNode:
         failed_over: List[str] = []
         if self.auto_failover:
             suspects = set(conclusively_down)
-            suspects.update(self.detect_failed_nodes(self.heartbeat_timeout_s))
+            suspects.update(self.detect_failed_nodes())
             for node in sorted(suspects):
                 if node not in self.index_nodes:
                     continue
@@ -931,14 +931,15 @@ class MasterNode:
                     or self._node_call_ok(node, "cancel_transfer", acg_id)):
                 self._meta("cancelclear", node, acg_id)
 
-    def detect_failed_nodes(self, timeout_s: float = 15.0) -> List[str]:
-        """Index Nodes whose last heartbeat is older than ``timeout_s``
-        (or that never reported one since registering)."""
+    def detect_failed_nodes(self) -> List[str]:
+        """Index Nodes whose last heartbeat is older than
+        :data:`HEARTBEAT_TIMEOUT_S` (or that never reported one since
+        registering)."""
         now = self.machine.clock.now()
         failed = []
         for node in self.index_nodes:
             heartbeat = self.heartbeats.get(node)
-            if heartbeat is None or now - heartbeat.timestamp > timeout_s:
+            if heartbeat is None or now - heartbeat.timestamp > HEARTBEAT_TIMEOUT_S:
                 failed.append(node)
         return failed
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.cluster.cache import DEFAULT_TIMEOUT_S
 from repro.cluster.client import PropellerClient
 from repro.cluster.index_node import IndexNode
 from repro.cluster.master import STANDBY_TICK_S, MasterNode
@@ -42,13 +43,10 @@ class PropellerService:
     def __init__(self, num_index_nodes: int = 1,
                  spec: Optional[MachineSpec] = None,
                  policy: Optional[PartitioningPolicy] = None,
-                 cache_timeout_s: float = 5.0,
                  single_node: bool = False,
-                 tracing: bool = False,
                  retry_policy: Optional[RetryPolicy] = None,
                  rpc_seed: int = 0,
                  auto_failover: bool = False,
-                 heartbeat_timeout_s: float = 15.0,
                  replication_factor: int = 1,
                  standby_master: bool = False) -> None:
         if num_index_nodes < 1:
@@ -93,7 +91,6 @@ class PropellerService:
         self.master = MasterNode(master_machine, self.rpc, policy=self.policy,
                                  registry=self.registry,
                                  auto_failover=auto_failover,
-                                 heartbeat_timeout_s=heartbeat_timeout_s,
                                  replication_factor=replication_factor,
                                  journal=self.journal,
                                  peer="master2" if standby_master else None)
@@ -106,7 +103,6 @@ class PropellerService:
                                  policy=self.policy,
                                  registry=self.registry,
                                  auto_failover=auto_failover,
-                                 heartbeat_timeout_s=heartbeat_timeout_s,
                                  replication_factor=replication_factor,
                                  journal=self.journal,
                                  endpoint_name="master2", peer="master",
@@ -122,7 +118,7 @@ class PropellerService:
         self.object_store = SimObjectStore(self.clock)
         self.index_nodes: Dict[str, IndexNode] = {}
         for name in index_node_names:
-            node = IndexNode(name, self.cluster[name], cache_timeout_s=cache_timeout_s)
+            node = IndexNode(name, self.cluster[name])
             # Migration forwarding: a node holding a handoff intent
             # forwards stamped updates to the new owner over RPC.
             node.rpc = self.rpc
@@ -145,7 +141,7 @@ class PropellerService:
             node.shared_vfs = self.vfs
         self._clients: List[PropellerClient] = []
         self._tasks = [
-            PeriodicTask(self.loop, cache_timeout_s / 2, self._tick_caches),
+            PeriodicTask(self.loop, DEFAULT_TIMEOUT_S / 2, self._tick_caches),
             PeriodicTask(self.loop, HEARTBEAT_PERIOD_S, self._poll_heartbeats),
             PeriodicTask(self.loop, CHECKPOINT_PERIOD_S, self._checkpoint_all),
         ]
@@ -160,8 +156,6 @@ class PropellerService:
         self.health.slos = self.slos = SloTracker(
             self.clock, self.registry, journal=self.journal)
         self._register_metrics()
-        if tracing:
-            self.enable_tracing()
 
     # -- observability --------------------------------------------------------
 

@@ -322,7 +322,9 @@ class BPlusTree(Index):
         child = parent.children[idx]
         left = parent.children[idx - 1] if idx > 0 else None
         right = parent.children[idx + 1] if idx + 1 < len(parent.children) else None
-        if left is not None and self._can_lend(left):
+        if left is not None and self._empty_chain(child):
+            self._drop(parent, idx)
+        elif left is not None and self._can_lend(left):
             self._borrow_from_left(parent, idx)
         elif right is not None and self._can_lend(right):
             self._borrow_from_right(parent, idx)
@@ -331,6 +333,31 @@ class BPlusTree(Index):
         elif right is not None:
             self._merge(parent, idx)
         self._touch(parent, write=True)
+
+    @staticmethod
+    def _empty_chain(node: _Node) -> bool:
+        """An internal node whose chain of only children ends in an empty
+        leaf.  Biased frontier splits leave such chains; an emptied leaf
+        there has no sibling to borrow from or merge with, so the chain
+        waits for a level with a left sibling and is dropped there
+        (lending to it or merging it would keep the empty leaf)."""
+        if isinstance(node, _Leaf):
+            return False
+        while isinstance(node, _Internal) and len(node.children) == 1:
+            node = node.children[0]
+        return isinstance(node, _Leaf) and not node.keys
+
+    def _drop(self, parent: _Internal, idx: int) -> None:
+        """Unlink the empty chain at ``children[idx]`` (``idx > 0``)
+        from its parent and from the leaf chain."""
+        empty, before = parent.children[idx], parent.children[idx - 1]
+        while isinstance(empty, _Internal):
+            empty = empty.children[0]
+        while isinstance(before, _Internal):
+            before = before.children[-1]
+        before.next = empty.next
+        del parent.keys[idx - 1]
+        del parent.children[idx]
 
     def _can_lend(self, node: _Node) -> bool:
         if isinstance(node, _Leaf):

@@ -1,4 +1,5 @@
-"""Binary framing shared by index serialization and the write-ahead log.
+"""Binary value framing for the on-disk formats: partition segments, the
+write-ahead log and the KD-tree's serialized form.
 
 Values are tagged, length-prefixed little-endian records.  Supported value
 types are the ones file indices actually store: ints, floats, strings,
@@ -8,9 +9,7 @@ bytes, None, and flat tuples of those.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterator, List, Tuple
-
-from repro.indexstructures.base import Index, IndexKind, make_index
+from typing import Any, List, Tuple
 
 _TAG_INT = 0
 _TAG_FLOAT = 1
@@ -96,57 +95,3 @@ def load_value(data: bytes, offset: int) -> Tuple[Any, int]:
         offset += 4
         return bytes(data[offset:offset + n]), offset + n
     raise ValueError(f"unknown value tag: {tag}")
-
-
-def dump_record(fields: Tuple[Any, ...]) -> bytes:
-    """Encode a record (tuple of values) with a length prefix."""
-    body = dump_value(fields)
-    return _U32.pack(len(body)) + body
-
-
-def iter_records(data: bytes) -> Iterator[Tuple[Any, ...]]:
-    """Decode back-to-back :func:`dump_record` frames."""
-    offset = 0
-    while offset < len(data):
-        (n,) = _U32.unpack_from(data, offset)
-        offset += 4
-        value, end = load_value(data, offset)
-        if end != offset + n:
-            raise ValueError("record length mismatch")
-        offset = end
-        yield value
-
-
-def dump_index(index: Index) -> bytes:
-    """Serialize any index to its generic on-disk form (kind + pairs)."""
-    header = dump_value(index.kind.value)
-    extra: Tuple[Any, ...] = ()
-    if index.kind is IndexKind.KDTREE:
-        extra = (index.dimensions,)  # type: ignore[attr-defined]
-    chunks = [struct.pack("<I", len(header)), header, dump_value(extra)]
-    pairs = list(index.items())
-    chunks.append(struct.pack("<Q", len(pairs)))
-    for key, value in pairs:
-        chunks.append(dump_value(key if not isinstance(key, tuple) else tuple(key)))
-        chunks.append(dump_value(value))
-    return b"".join(chunks)
-
-
-def load_index(data: bytes, page_hook=None) -> Index:
-    """Rebuild an index from :func:`dump_index` output."""
-    (hlen,) = struct.unpack_from("<I", data, 0)
-    offset = 4
-    kind_value, offset = load_value(data, offset)
-    extra, offset = load_value(data, offset)
-    kind = IndexKind(kind_value)
-    kwargs = {}
-    if kind is IndexKind.KDTREE and extra:
-        kwargs["dimensions"] = extra[0]
-    index = make_index(kind, page_hook=page_hook, **kwargs)
-    (count,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    for _ in range(count):
-        key, offset = load_value(data, offset)
-        value, offset = load_value(data, offset)
-        index.insert(key, value)
-    return index

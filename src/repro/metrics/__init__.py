@@ -1,9 +1,9 @@
-"""Measurement utilities: recall/precision, latency statistics, and the
+"""Measurement utilities: recall/precision, time series, and the
 fixed-width table/series renderers all benchmarks share."""
 
 from repro.metrics.recall import precision, recall
 from repro.metrics.reporting import format_duration, render_series, render_table
-from repro.metrics.stats import LatencyCollector, TimeSeries
+from repro.metrics.stats import TimeSeries
 
 __all__ = [
     "precision",
@@ -11,6 +11,5 @@ __all__ = [
     "format_duration",
     "render_series",
     "render_table",
-    "LatencyCollector",
     "TimeSeries",
 ]

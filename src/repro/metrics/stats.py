@@ -1,93 +1,8 @@
-"""Latency collection and time-series recording."""
+"""Time-series recording."""
 
 from __future__ import annotations
 
-import math
-import random
-from typing import List, Optional, Tuple
-
-_RESERVOIR_SEED = 0x5EED
-
-
-class LatencyCollector:
-    """Accumulates per-request latencies; answers summary statistics.
-
-    By default every sample is kept (exact percentiles).  Long-running
-    benchmarks can pass ``max_samples`` to switch to a bounded uniform
-    reservoir: count/mean/total/min/max stay exact (tracked by scalar
-    accumulators), while percentiles become estimates over at most
-    ``max_samples`` retained values — memory no longer grows with the
-    run.  The reservoir RNG is seeded, keeping runs deterministic.
-    """
-
-    def __init__(self, name: str = "", max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(f"max_samples must be positive: {max_samples}")
-        self.name = name
-        self.max_samples = max_samples
-        self._samples: List[float] = []
-        self._rng = random.Random(_RESERVOIR_SEED) if max_samples else None
-        self._count = 0
-        self._total = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    def add(self, seconds: float) -> None:
-        """Record one sample."""
-        self._count += 1
-        self._total += seconds
-        self._min = seconds if self._min is None else min(self._min, seconds)
-        self._max = seconds if self._max is None else max(self._max, seconds)
-        if self.max_samples is None or len(self._samples) < self.max_samples:
-            self._samples.append(seconds)
-        else:
-            slot = self._rng.randrange(self._count)
-            if slot < self.max_samples:
-                self._samples[slot] = seconds
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def samples(self) -> List[float]:
-        """A copy of the recorded samples (the reservoir, when bounded)."""
-        return list(self._samples)
-
-    def mean(self) -> float:
-        """Arithmetic mean (0.0 when empty); exact in both modes."""
-        return self._total / self._count if self._count else 0.0
-
-    def total(self) -> float:
-        """Sum of all samples; exact in both modes."""
-        return self._total
-
-    def minimum(self) -> float:
-        """Smallest sample (0.0 when empty); exact in both modes."""
-        return self._min if self._min is not None else 0.0
-
-    def maximum(self) -> float:
-        """Largest sample (0.0 when empty); exact in both modes."""
-        return self._max if self._max is not None else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, p in [0, 100].
-
-        Exact by default; an estimate over the reservoir when
-        ``max_samples`` bounds retention.
-        """
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100]: {p}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (f"{self.name or 'latency'}: n={len(self)} "
-                f"mean={self.mean():.6f}s p50={self.percentile(50):.6f}s "
-                f"p99={self.percentile(99):.6f}s max={self.maximum():.6f}s")
+from typing import List, Tuple
 
 
 class TimeSeries:

@@ -80,8 +80,7 @@ class HealthMonitor:
     def __init__(self, clock: "SimClock", registry: MetricsRegistry,
                  master, nodes: Dict[str, Any],
                  journal=NULL_JOURNAL, slos=NULL_SLOS,
-                 interval_s: float = DEFAULT_INTERVAL_S,
-                 lag_threshold: int = 0) -> None:
+                 interval_s: float = DEFAULT_INTERVAL_S) -> None:
         self.clock = clock
         self.registry = registry
         self.master = master
@@ -89,9 +88,6 @@ class HealthMonitor:
         self.journal = journal
         self.slos = slos
         self.interval_s = interval_s
-        # Follower lag beyond this many records marks a node's partition
-        # as catching up (0 = any lag counts).
-        self.lag_threshold = lag_threshold
         self._last_sample: Optional[float] = None
         self._last_verdict = HEALTHY
         # Route-table staleness: when we last saw the routing epoch move.

@@ -20,7 +20,6 @@ from repro.workloads.apps import (
     table1_overlap_matrix,
 )
 from repro.workloads.datasets import populate_app_tree, populate_namespace
-from repro.workloads.impressions import ImpressionsConfig, generate_impressions
 from repro.workloads.mixed import MixedWorkloadConfig, mixed_stream
 from repro.workloads.postmark import PostMarkConfig, PostMarkReport, run_postmark
 from repro.workloads.replay import ReplayStats, replay_trace
@@ -29,7 +28,7 @@ from repro.workloads.tracegen import (
     partition_files,
     random_update_requests,
 )
-from repro.workloads.zipf import ZipfSampler, zipf_update_requests
+from repro.workloads.zipf import ZipfSampler
 
 __all__ = [
     "GIT_SPEC",
@@ -50,10 +49,7 @@ __all__ = [
     "grouped_update_requests",
     "partition_files",
     "random_update_requests",
-    "ImpressionsConfig",
-    "generate_impressions",
     "ReplayStats",
     "replay_trace",
     "ZipfSampler",
-    "zipf_update_requests",
 ]

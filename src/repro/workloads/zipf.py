@@ -1,19 +1,15 @@
-"""Zipf-skewed access streams.
+"""Zipf-skewed access.
 
 Real file accesses are heavily skewed — a few hot files absorb most of
 the traffic.  Uniform streams (``random_update_requests``) understate
-cache effectiveness; these generators provide the skewed counterpart for
-ablations and stress tests.
+cache effectiveness; this sampler provides the skewed counterpart.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import random
-from typing import List, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import List
 
 
 class ZipfSampler:
@@ -41,20 +37,3 @@ class ZipfSampler:
     def sample(self) -> int:
         """Draw one rank (0 = hottest)."""
         return bisect.bisect_left(self._cdf, self._rng.random())
-
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` ranks."""
-        return [self.sample() for _ in range(count)]
-
-
-def zipf_update_requests(files: Sequence[T], n_updates: int, s: float = 1.0,
-                         seed: int = 0) -> List[T]:
-    """Zipf-skewed update targets over ``files`` (rank 0 = hottest).
-
-    A deterministic shuffle decouples hotness from list order, so "the
-    first file" isn't always the hot one.
-    """
-    order = list(range(len(files)))
-    random.Random(seed ^ 0x5EED).shuffle(order)
-    sampler = ZipfSampler(len(files), s=s, seed=seed)
-    return [files[order[rank]] for rank in sampler.sample_many(n_updates)]

@@ -183,6 +183,8 @@ def test_property_matches_oracle_after_inserts(pairs, order):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(-100, 100)), max_size=400),
        st.integers(3, 8))
+# Emptying the only leaf under a biased frontier split's one-child internal.
+@example([(True, k) for k in range(13)] + [(False, 12)], 3)
 def test_property_interleaved_insert_delete(ops, order):
     tree = BPlusTree(order=order)
     oracle = {}
@@ -284,6 +286,21 @@ def test_property_bulk_insert_matches_sequential(existing, batch, order):
         1 for _ in {(k, v) for k, v in existing})
     assert len(bulk) == len(sequential)
     assert list(bulk.items()) == list(sequential.items())
+
+
+def test_bulk_insert_after_the_frontier_leaf_empties():
+    """Deleting the last key appended leaves the rightmost leaf, the only
+    child of its frontier parent, with nothing to borrow from or merge
+    with; the tree drops it instead of keeping it empty, so a batch that
+    lands beside it finds a separator for every child."""
+    tree = BPlusTree()
+    for k in range(4161):
+        tree.insert(k, k)
+    assert tree.remove(4160, 4160) == 1
+    tree.check_invariants()
+    assert tree.bulk_insert([(4158.5, "x")]) == 1
+    tree.check_invariants()
+    assert [k for k, _ in tree.range(4158)] == [4158, 4158.5, 4159]
 
 
 def test_bulk_insert_into_empty_and_again():

@@ -20,8 +20,7 @@ def build(nodes=3):
         num_index_nodes=nodes,
         policy=PartitioningPolicy(split_threshold=10**9, cluster_target=8),
         retry_policy=RetryPolicy(),
-        auto_failover=True,
-        heartbeat_timeout_s=15.0)
+        auto_failover=True)
     client = service.make_client()
     client.create_index("by_size", IndexKind.BTREE, ["size"])
     return service, client

@@ -16,7 +16,7 @@ from repro.sim.machine import Machine
 
 @pytest.fixture
 def node():
-    node = IndexNode("in1", Machine(SimClock()), cache_timeout_s=5.0)
+    node = IndexNode("in1", Machine(SimClock()))
     node.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     node.handle_create_index(IndexSpec("by_kw", IndexKind.HASH, ("keyword",)))
     return node

@@ -1,4 +1,4 @@
-"""Query EXPLAIN, Zipf streams, and the trace-gen/explain CLI commands."""
+"""Query EXPLAIN, the Zipf sampler, and the trace-gen/explain CLI commands."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.cluster import PropellerService
 from repro.indexstructures import IndexKind
 from repro.query.parser import parse_query
 from repro.query.planner import IndexSpec, Plan, plan_query
-from repro.workloads.zipf import ZipfSampler, zipf_update_requests
+from repro.workloads.zipf import ZipfSampler
 
 
 # -- Plan.describe ------------------------------------------------------------
@@ -99,8 +99,8 @@ def test_zipf_validation():
 def test_zipf_rank0_is_hottest():
     sampler = ZipfSampler(100, s=1.2, seed=1)
     counts = [0] * 100
-    for rank in sampler.sample_many(5000):
-        counts[rank] += 1
+    for _ in range(5000):
+        counts[sampler.sample()] += 1
     assert counts[0] == max(counts)
     assert counts[0] > 5 * (sum(counts[50:]) / 50 + 1)
 
@@ -108,31 +108,24 @@ def test_zipf_rank0_is_hottest():
 def test_zipf_s_zero_is_uniformish():
     sampler = ZipfSampler(10, s=0.0, seed=2)
     counts = [0] * 10
-    for rank in sampler.sample_many(10_000):
-        counts[rank] += 1
+    for _ in range(10_000):
+        counts[sampler.sample()] += 1
     assert min(counts) > 700
 
 
 def test_zipf_update_requests_deterministic_and_skewed():
+    # An update-request stream: each request names the file at a sampled rank.
     files = [f"/f{i}" for i in range(50)]
-    a = zipf_update_requests(files, 2000, s=1.1, seed=3)
-    b = zipf_update_requests(files, 2000, s=1.1, seed=3)
-    assert a == b
+
+    def stream(seed):
+        sampler = ZipfSampler(len(files), s=1.1, seed=seed)
+        return [files[sampler.sample()] for _ in range(2000)]
+
+    a = stream(3)
+    assert a == stream(3)
     from collections import Counter
     top = Counter(a).most_common(1)[0][1]
     assert top > 2000 / 50 * 4   # far above the uniform share
-
-
-def test_zipf_hotness_decoupled_from_order():
-    files = [f"/f{i}" for i in range(50)]
-    stream = zipf_update_requests(files, 2000, s=1.5, seed=4)
-    from collections import Counter
-    hottest = Counter(stream).most_common(1)[0][0]
-    # The shuffle makes "first file is hottest" vanishingly unlikely to
-    # hold across seeds; check a different seed moves the hot file.
-    stream2 = zipf_update_requests(files, 2000, s=1.5, seed=5)
-    hottest2 = Counter(stream2).most_common(1)[0][0]
-    assert hottest != hottest2 or hottest != files[0]
 
 
 # -- CLI ---------------------------------------------------------------------------------

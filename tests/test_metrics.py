@@ -1,10 +1,11 @@
-"""Recall/precision, latency statistics, reporting."""
+"""Recall/precision, latency statistics, time series, reporting."""
 
 import pytest
 
 from repro.metrics.recall import precision, recall
 from repro.metrics.reporting import format_duration, render_series, render_table
-from repro.metrics.stats import LatencyCollector, TimeSeries
+from repro.metrics.stats import TimeSeries
+from repro.obs.metrics import Histogram
 
 
 def test_recall_basic():
@@ -24,38 +25,29 @@ def test_recall_ignores_duplicates():
     assert recall(["a", "a"], ["a", "b"]) == 0.5
 
 
+# Fig 10 / Fig 11 collect their latencies in a standalone Histogram.
+
 def test_latency_collector_stats():
-    collector = LatencyCollector("test")
+    collector = Histogram("test", reservoir_size=4096)
     for v in (1.0, 2.0, 3.0, 4.0):
-        collector.add(v)
-    assert len(collector) == 4
-    assert collector.mean() == 2.5
-    assert collector.total() == 10.0
-    assert collector.minimum() == 1.0
-    assert collector.maximum() == 4.0
+        collector.observe(v)
+    assert collector.count == 4
+    assert collector.mean == 2.5
+    assert collector.total == 10.0
+    assert collector.minimum == 1.0
+    assert collector.maximum == 4.0
     assert collector.percentile(50) == 2.0
     assert collector.percentile(100) == 4.0
     assert collector.percentile(0) == 1.0
 
 
-def test_latency_collector_empty():
-    collector = LatencyCollector()
-    assert collector.mean() == 0.0
-    assert collector.percentile(99) == 0.0
-
-
 def test_latency_percentile_validation():
-    collector = LatencyCollector()
-    collector.add(1.0)
+    collector = Histogram("test", reservoir_size=4096)
+    collector.observe(1.0)
     with pytest.raises(ValueError):
         collector.percentile(101)
-
-
-def test_latency_summary_string():
-    collector = LatencyCollector("search")
-    collector.add(0.001)
-    assert "search" in collector.summary()
-    assert "n=1" in collector.summary()
+    with pytest.raises(ValueError):
+        collector.percentile(-1)
 
 
 def test_time_series():

@@ -1,12 +1,10 @@
-"""Tests for the metrics registry (repro.obs.metrics) and the bounded
-LatencyCollector mode that rides on the same reservoir technique."""
+"""Tests for the metrics registry (repro.obs.metrics)."""
 
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.metrics.stats import LatencyCollector
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -50,6 +48,10 @@ class TestHistogram:
         assert s["min"] == pytest.approx(0.001)
         assert s["max"] == pytest.approx(0.010)
         assert s["mean"] == pytest.approx(0.004)
+
+    def test_empty_reads_zero(self):
+        h = Histogram("lat")
+        assert (h.mean, h.minimum, h.maximum, h.percentile(99)) == (0.0,) * 4
 
     def test_percentiles_exact_under_reservoir_size(self):
         h = Histogram("lat")
@@ -136,39 +138,31 @@ class TestMetricsRegistry:
 
 
 class TestLatencyCollectorBounded:
-    def test_default_mode_keeps_everything(self):
-        lc = LatencyCollector("x")
-        for i in range(100):
-            lc.add(i / 100.0)
-        assert len(lc.samples) == 100
-        assert lc.percentile(50) == pytest.approx(0.50, abs=0.02)
+    """A Histogram with a small reservoir, as the latency collector of a
+    bench: retention is capped, the scalars stay exact."""
 
     def test_bounded_mode_caps_retention_exact_scalars(self):
-        lc = LatencyCollector("x", max_samples=128)
+        lc = Histogram("x", reservoir_size=128)
         n = 10_000
         for i in range(n):
-            lc.add(i / n)
-        assert len(lc) == n                 # count is exact
-        assert len(lc.samples) == 128       # retention is bounded
-        assert lc.total() == pytest.approx(sum(i / n for i in range(n)))
-        assert lc.minimum() == 0.0
-        assert lc.maximum() == (n - 1) / n
-        assert lc.mean() == pytest.approx(lc.total() / n)
+            lc.observe(i / n)
+        assert lc.count == n                    # count is exact
+        assert len(lc._reservoir) == 128        # retention is bounded
+        assert lc.total == pytest.approx(sum(i / n for i in range(n)))
+        assert lc.minimum == 0.0
+        assert lc.maximum == (n - 1) / n
+        assert lc.mean == pytest.approx(lc.total / n)
         # Percentiles become estimates but should stay in the ballpark.
         assert lc.percentile(50) == pytest.approx(0.5, abs=0.15)
 
     def test_bounded_mode_deterministic(self):
         runs = []
         for _ in range(2):
-            lc = LatencyCollector("x", max_samples=32)
+            lc = Histogram("x", reservoir_size=32)
             for i in range(5000):
-                lc.add((i * 37 % 1000) / 1000.0)
-            runs.append((lc.percentile(50), lc.percentile(99), lc.samples))
+                lc.observe((i * 37 % 1000) / 1000.0)
+            runs.append((lc.percentile(50), lc.percentile(99), list(lc._reservoir)))
         assert runs[0] == runs[1]
-
-    def test_invalid_max_samples(self):
-        with pytest.raises(ValueError):
-            LatencyCollector("x", max_samples=0)
 
 
 class TestStatsRegistryView:

@@ -18,8 +18,9 @@ from repro.workloads.datasets import populate_namespace
 
 
 def build_small_service(num_index_nodes=2, files=300, tracing=False):
-    service = PropellerService(num_index_nodes=num_index_nodes,
-                               tracing=tracing)
+    service = PropellerService(num_index_nodes=num_index_nodes)
+    if tracing:
+        service.enable_tracing()
     client = service.make_client()
     client.create_index("by_size", IndexKind.BTREE, ["size"])
     client.create_index("by_kw", IndexKind.HASH, ["keyword"])

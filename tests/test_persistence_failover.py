@@ -192,13 +192,13 @@ def test_detect_failed_nodes_by_heartbeat_age():
     service, client = build()
     populate(service, client, n=20)
     service.master.poll_heartbeats()
-    assert service.master.detect_failed_nodes(timeout_s=15) == []
+    assert service.master.detect_failed_nodes() == []
     service.clock.charge(20.0)
-    assert set(service.master.detect_failed_nodes(timeout_s=15)) == \
+    assert set(service.master.detect_failed_nodes()) == \
         set(service.master.index_nodes)
     # A fresh round of heartbeats clears the suspicion.
     service.master.poll_heartbeats()
-    assert service.master.detect_failed_nodes(timeout_s=15) == []
+    assert service.master.detect_failed_nodes() == []
 
 
 def test_poll_heartbeats_tolerates_down_node():
@@ -207,7 +207,7 @@ def test_poll_heartbeats_tolerates_down_node():
     service.fail_node("in1")
     service.master.poll_heartbeats()  # must not raise
     service.clock.charge(20.0)
-    assert "in1" in service.master.detect_failed_nodes(timeout_s=15)
+    assert "in1" in service.master.detect_failed_nodes()
 
 
 def test_updates_after_checkpoint_are_lost_on_failover():

@@ -1,5 +1,4 @@
-"""Rebalancing/merging, sorted search, static partitioning, Impressions
-namespaces, and B+tree bulk loading."""
+"""Rebalancing/merging, sorted search, and B+tree bulk loading."""
 
 import random
 
@@ -9,18 +8,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import PropellerService
 from repro.core.partitioner import PartitioningPolicy
-from repro.core.static_partitioning import (
-    hash_partition,
-    namespace_partition,
-    partition_sizes,
-    partitions_touched,
-)
 from repro.errors import ClusterError, UnknownIndexNode
-from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures import IndexKind
 from repro.indexstructures.btree import BPlusTree
-from repro.sim.clock import SimClock
-from repro.workloads.impressions import ImpressionsConfig, generate_impressions
 
 
 def build(nodes=3, split=500, target=30):
@@ -252,89 +242,6 @@ def test_an_unlinked_result_is_left_out_of_select():
     service.vfs.stat = stat
     rows = client.select("size>0", ["size"])
     assert [row["path"] for row in rows] == ["/d/f000", "/d/f002", "/d/f003"]
-
-
-# -- static partitioning ----------------------------------------------------------------
-
-PATHS = [f"/usr/lib/l{i}" for i in range(10)] + \
-        [f"/var/log/g{i}" for i in range(10)] + \
-        [f"/home/john/h{i}" for i in range(10)]
-
-
-def test_namespace_partition_by_top_level():
-    mapping = namespace_partition(PATHS, depth=1)
-    assert len(set(mapping.values())) == 3
-    assert mapping["/usr/lib/l0"] == mapping["/usr/lib/l9"]
-
-
-def test_namespace_partition_depth_two():
-    mapping = namespace_partition(PATHS, depth=2)
-    assert mapping["/usr/lib/l0"] != mapping["/var/log/g0"]
-
-
-def test_namespace_partition_giga_split():
-    paths = [f"/big/dir/f{i:04d}" for i in range(100)]
-    mapping = namespace_partition(paths, depth=2, group_size=30)
-    assert len(set(mapping.values())) == 4      # ceil(100/30)
-
-
-def test_namespace_partition_validation():
-    with pytest.raises(ValueError):
-        namespace_partition(PATHS, depth=0)
-
-
-def test_hash_partition_spread_and_stability():
-    mapping = hash_partition(PATHS, 4)
-    assert set(mapping.values()) <= set(range(4))
-    assert mapping == hash_partition(PATHS, 4)
-    with pytest.raises(ValueError):
-        hash_partition(PATHS, 0)
-
-
-def test_partitions_touched_and_sizes():
-    mapping = namespace_partition(PATHS, depth=1)
-    stream = ["/usr/lib/l1", "/usr/lib/l2", "/home/john/h1"]
-    assert partitions_touched(mapping, stream) == 2
-    assert partition_sizes(mapping) == [10, 10, 10]
-
-
-# -- Impressions namespaces ----------------------------------------------------------------
-
-def test_impressions_exact_file_count_and_determinism():
-    vfs_a = VirtualFileSystem(SimClock())
-    paths_a = generate_impressions(vfs_a, config=ImpressionsConfig(
-        total_files=500, seed=3))
-    assert len(paths_a) == 500
-    assert vfs_a.namespace.file_count == 500
-    vfs_b = VirtualFileSystem(SimClock())
-    paths_b = generate_impressions(vfs_b, config=ImpressionsConfig(
-        total_files=500, seed=3))
-    sizes_a = sorted(i.size for _, i in vfs_a.namespace.files())
-    sizes_b = sorted(i.size for _, i in vfs_b.namespace.files())
-    assert sizes_a == sizes_b
-    assert paths_a == paths_b
-
-
-def test_impressions_size_distribution_shape():
-    vfs = VirtualFileSystem(SimClock())
-    generate_impressions(vfs, config=ImpressionsConfig(total_files=2_000, seed=1))
-    sizes = sorted(i.size for _, i in vfs.namespace.files())
-    median = sizes[len(sizes) // 2]
-    assert 256 <= median <= 256 * 1024          # small-file body
-    assert sizes[-1] > 4 * 1024**2              # heavy tail exists
-    assert sizes[-1] > 50 * median
-
-
-def test_impressions_has_depth_and_fanout():
-    vfs = VirtualFileSystem(SimClock())
-    generate_impressions(vfs, config=ImpressionsConfig(
-        total_files=3_000, fanout_dir_probability=0.05, seed=2))
-    depths = [p.count("/") for p, _ in vfs.namespace.files()]
-    assert max(depths) >= 4
-    # Some directory got the giant-fan-out treatment.
-    from collections import Counter
-    dirs = Counter(p.rsplit("/", 1)[0] for p, _ in vfs.namespace.files())
-    assert max(dirs.values()) >= 400
 
 
 # -- B+tree bulk load ------------------------------------------------------------------------

@@ -1,14 +1,12 @@
-"""VFS rename end-to-end and the periodic-crawl appliance baseline."""
+"""VFS rename end-to-end."""
 
 import pytest
 
-from repro.baselines.crawler import PeriodicCrawler
 from repro.cluster import PropellerService
 from repro.errors import FileExists, FileNotFound, FileSystemError
 from repro.fs.notification import FsEventKind, NotificationQueue
 from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures import IndexKind
-from repro.metrics.recall import recall
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
 
@@ -141,76 +139,3 @@ def test_crawler_sees_rename_after_pass():
     crawler._ingest_notifications()
     loop.run_until(clock.now() + 10)
     assert crawler.query("size>1m") == ["/d/new.txt"]
-
-
-# -- periodic-crawl appliance --------------------------------------------------------
-
-def appliance_world(period=60.0, rate=100.0):
-    clock = SimClock()
-    vfs = VirtualFileSystem(clock)
-    loop = EventLoop(clock)
-    appliance = PeriodicCrawler(vfs, loop, crawl_period_s=period,
-                                crawl_rate_fps=rate,
-                                type_filter=lambda p, i: True)
-    vfs.mkdir("/data")
-    return clock, vfs, loop, appliance
-
-
-def test_appliance_initial_crawl_and_query():
-    clock, vfs, loop, appliance = appliance_world()
-    for i in range(10):
-        vfs.write_file(f"/data/f{i}.txt", 2 * 1024**2)
-    assert appliance.crawl_now() == 10
-    assert len(appliance.query("size>1m")) == 10
-
-
-def test_appliance_staleness_until_next_periodic_crawl():
-    clock, vfs, loop, appliance = appliance_world(period=60.0)
-    vfs.write_file("/data/before.txt", 2 * 1024**2)
-    appliance.crawl_now()
-    vfs.write_file("/data/after.txt", 2 * 1024**2)
-    # No notifications: the new file is invisible for up to a full period.
-    assert appliance.query("size>1m") == ["/data/before.txt"]
-    loop.run_until(clock.now() + 70.0)   # next crawl starts and finishes
-    assert set(appliance.query("size>1m")) == {"/data/before.txt",
-                                               "/data/after.txt"}
-
-
-def test_appliance_serves_old_snapshot_during_crawl():
-    clock, vfs, loop, appliance = appliance_world(period=30.0, rate=1.0)
-    for i in range(20):
-        vfs.write_file(f"/data/f{i}.txt", 2 * 1024**2)
-    # First periodic crawl starts at t=30 and takes 20s at 1 FPS.
-    loop.run_until(35.0)
-    assert appliance.query("size>1m") == []    # old (empty) snapshot
-    loop.run_until(55.0)
-    assert len(appliance.query("size>1m")) == 20
-    assert appliance.crawls_completed == 1
-
-
-def test_appliance_worse_recall_than_notification_crawler():
-    """Section II's hierarchy: notifications help, inline indexing wins."""
-    from repro.baselines.crawler import CrawlerConfig, CrawlerSearchEngine
-
-    clock = SimClock()
-    vfs = VirtualFileSystem(clock)
-    loop = EventLoop(clock)
-    desktop = CrawlerSearchEngine(vfs, loop, CrawlerConfig(
-        pass_trigger_dirty=4, reindex_rate_fps=1000.0,
-        type_filter=lambda p, i: True))
-    appliance = PeriodicCrawler(vfs, loop, crawl_period_s=600.0,
-                                crawl_rate_fps=1000.0,
-                                type_filter=lambda p, i: True)
-    vfs.mkdir("/data")
-    desktop.full_rebuild()
-    appliance.crawl_now()
-    desktop_recalls, appliance_recalls = [], []
-    for i in range(30):
-        vfs.write_file(f"/data/f{i}.txt", 2 * 1024**2)
-        loop.run_until(clock.now() + 2.0)
-        truth = [p for p, inode in vfs.namespace.files()
-                 if inode.size > 1024**2]
-        desktop_recalls.append(recall(desktop.query("size>1m"), truth))
-        appliance_recalls.append(recall(appliance.query("size>1m"), truth))
-    assert sum(desktop_recalls) > sum(appliance_recalls)
-    assert max(appliance_recalls) < 0.5   # a whole period away from a crawl

@@ -1,4 +1,4 @@
-"""Binary framing and generic index serialization."""
+"""Binary value framing."""
 
 import collections
 import enum
@@ -8,20 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.indexstructures import (
-    BPlusTree,
-    ExtendibleHashIndex,
-    IndexKind,
-    KDTreeIndex,
-)
-from repro.indexstructures.serialization import (
-    dump_index,
-    dump_record,
-    dump_value,
-    iter_records,
-    load_index,
-    load_value,
-)
+from repro.indexstructures.serialization import dump_value, load_value
 
 
 def roundtrip(value):
@@ -38,6 +25,7 @@ def roundtrip(value):
     b"", b"\x00\xff",
     None,
     (), (1, "two", 3.0), (1, (2, (3,))),
+    (3, None), ((1.0, 2.0, 3.0), "k1"),
 ])
 def test_value_roundtrip(value):
     assert roundtrip(value) == value
@@ -123,47 +111,6 @@ def test_unsupported_types_rejected_at_any_depth(value):
 def test_damaged_records_raise_what_the_readers_catch(data, error):
     with pytest.raises(error):
         load_value(data, 0)
-
-
-def test_record_stream():
-    records = [(1, "a"), (2, "b"), (3, None)]
-    data = b"".join(dump_record(r) for r in records)
-    assert list(iter_records(data)) == records
-
-
-def test_record_length_mismatch_detected():
-    data = bytearray(dump_record((1, "abc")))
-    data[0] += 1  # lie about the length
-    with pytest.raises(ValueError):
-        list(iter_records(bytes(data)))
-
-
-def test_btree_index_roundtrip():
-    tree = BPlusTree(order=4)
-    for i in range(50):
-        tree.insert(i, f"v{i}")
-    clone = load_index(dump_index(tree))
-    assert clone.kind is IndexKind.BTREE
-    assert sorted(clone.items()) == sorted(tree.items())
-
-
-def test_hash_index_roundtrip():
-    index = ExtendibleHashIndex(bucket_capacity=4)
-    for i in range(50):
-        index.insert(f"k{i}", i)
-    clone = load_index(dump_index(index))
-    assert clone.kind is IndexKind.HASH
-    assert sorted(clone.items()) == sorted(index.items())
-
-
-def test_kdtree_index_roundtrip_preserves_dimensions():
-    tree = KDTreeIndex(dimensions=3)
-    for i in range(30):
-        tree.insert((i, i * 2, i * 3), i)
-    clone = load_index(dump_index(tree))
-    assert clone.kind is IndexKind.KDTREE
-    assert clone.dimensions == 3
-    assert sorted(clone.items()) == sorted(tree.items())
 
 
 @settings(max_examples=60, deadline=None)
