@@ -16,7 +16,7 @@ in Figure 10 is microseconds, not milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.cluster.messages import IndexUpdate
 from repro.obs.tracing import NULL_TRACER
@@ -125,9 +125,3 @@ class IndexCache:
         """
         return sum(48 + u.wire_bytes()
                    for bucket in self._pending.values() for u in bucket)
-
-    def next_deadline(self) -> Optional[float]:
-        """When the earliest bucket times out (None if empty)."""
-        if not self._oldest:
-            return None
-        return min(self._oldest.values()) + self.timeout_s

@@ -56,7 +56,8 @@ from repro.cluster.messages import IndexUpdate, UpdateOp
 from repro.errors import SegmentCorruption
 from repro.indexstructures.base import IndexKind
 from repro.indexstructures.postings import PostingList, intersect_all
-from repro.indexstructures.serialization import dump_value, load_value
+from repro.indexstructures.serialization import (dump_tuple_head, dump_value,
+                                                 load_value)
 from repro.query.ast import Predicate
 from repro.query.executor import AttributeStore
 from repro.query.planner import IndexSpec
@@ -70,6 +71,7 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sIIQI")
 _CRC_AT = _HEADER.size - 4
 _META, _SPECS, _ROWS, _ACG, _POSTINGS, _SUMMARY, _PENDING = range(7)
+_TUPLE_HEAD = len(dump_tuple_head(0))
 
 
 def segment_key(node_name: str, acg_id: int) -> str:
@@ -130,30 +132,41 @@ def encode_segment(replica, node_name: str,
     sections.append(dump_value(specs))
     # 3. attribute store: the distinct attribute-name tuples once, then
     #    one (names index, path, values...) blob per file under the
-    #    sorted id column — a row is one flat record to decode.
-    names = {file_id: tuple(sorted(k for k in replica.store.attrs(file_id)
-                                   if k != "path"))
-             for file_id in selected}
-    schemas = sorted(set(names.values()))
-    index = {keys: i for i, keys in enumerate(schemas)}
+    #    sorted id column — a row is one flat record to decode.  What
+    #    follows the names index is the store's memo, dumped on a miss.
+    store = replica.store
+    memo = store.encoded_rows
     rows = []
     for file_id in selected:
-        attrs = replica.store.attrs(file_id)
-        keys = names[file_id]
-        rows.append(dump_value((index[keys], attrs.get("path"))
-                               + tuple(attrs[k] for k in keys)))
+        row = memo.get(file_id)
+        if row is None:
+            attrs = store.attrs(file_id)
+            keys = tuple(sorted(k for k in attrs if k != "path"))
+            row = memo[file_id] = (keys, dump_value(
+                (attrs.get("path"), *(attrs[k] for k in keys)))[_TUPLE_HEAD:])
+        rows.append(row)
+    schemas = sorted({keys for keys, _ in rows})
+    heads = {keys: dump_tuple_head(len(keys) + 2) + dump_value(i)
+             for i, keys in enumerate(schemas)}
     sections.append(dump_value(tuple(schemas)) + _table(
-        rows, keys=struct.pack(f"<{len(selected)}q", *selected)))
+        [heads[keys] + tail for keys, tail in rows],
+        keys=struct.pack(f"<{len(selected)}q", *selected)))
     # 4. ACG edge/vertex records.
     sections.append(dump_value(tuple(acg_records)))
-    # 5. keyword postings: roaring chunk dumps per path keyword.
-    postings: Dict[str, PostingList] = {}
+    # 5. keyword postings: roaring chunk dumps per path keyword.  A whole
+    #    dump takes the store's memoised entries (put and drop keep them
+    #    to terms some file holds, with their current postings) and
+    #    builds the rest; a subset builds all of its own.
+    entries = store.encoded_terms if file_ids is None else {}
+    missing: Dict[str, List[int]] = {}
     for file_id in selected:
-        for term in sorted(replica.store.keywords(file_id)):
-            postings.setdefault(term, PostingList()).add(file_id)
-    sections.append(_table([
-        dump_value(term) + dump_value(postings[term].dump_chunks())
-        for term in sorted(postings)]))
+        for term in store.keywords(file_id):
+            if term not in entries:
+                missing.setdefault(term, []).append(file_id)
+    for term, ids in missing.items():
+        entries[term] = dump_value(term) + dump_value(
+            PostingList.from_iterable(ids).dump_chunks())
+    sections.append(_table([entries[term] for term in sorted(entries)]))
     # 6. zone maps + Bloom summary (the RAM-resident pruning sidecar).
     snapshot = replica.summary.snapshot(replica.acg_id, watermark,
                                         dirty=False,

@@ -43,7 +43,12 @@ def fiedler_vector(adjacency: Adjacency) -> np.ndarray:
         for v, w in targets.items():
             laplacian[pos[u], pos[v]] = -w
         laplacian[pos[u], pos[u]] = sum(targets.values())
-    _, eigenvectors = eigsh(laplacian.tocsr(), k=2, which="SM", maxiter=5000)
+    # A fixed start vector: ARPACK's own comes from process-wide random
+    # state, which would bisect one graph differently from call to call.
+    # Not the constant vector: that is the Laplacian's null eigenvector.
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    _, eigenvectors = eigsh(laplacian.tocsr(), k=2, which="SM", maxiter=5000,
+                            v0=start)
     return eigenvectors[:, 1]
 
 

@@ -66,9 +66,23 @@ class PostingList:
 
     @classmethod
     def from_iterable(cls, ids: Iterable[int]) -> "PostingList":
+        """Build in bulk: sort the distinct ids once, then cut the run
+        at each chunk boundary — the chunks :meth:`add` would have
+        built one id at a time."""
         pl = cls()
-        for doc in ids:
-            pl.add(doc)
+        ordered = sorted(set(ids))
+        if ordered and ordered[0] < 0:
+            raise ValueError("posting lists hold non-negative ids")
+        start, count = 0, len(ordered)
+        while start < count:
+            base = ordered[start] >> CHUNK_SHIFT
+            stop = bisect_left(ordered, (base + 1) << CHUNK_SHIFT, start)
+            lows = ([doc & CHUNK_MASK for doc in ordered[start:stop]]
+                    if base else ordered[start:stop])
+            pl._chunks[base] = (_to_bitmap(lows) if len(lows) > ARRAY_MAX
+                                else lows)
+            start = stop
+        pl._len = count
         return pl
 
     # -- point updates ------------------------------------------------------

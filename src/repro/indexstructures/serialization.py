@@ -36,6 +36,13 @@ def dump_value(value: Any) -> bytes:
     return bytes(out)
 
 
+def dump_tuple_head(length: int) -> bytes:
+    """What :func:`dump_value` writes for a ``length``-tuple before its
+    items, whose records follow back to back — so a tuple's record can
+    be assembled from items dumped apart."""
+    return _TAGGED_U32.pack(_TAG_TUPLE, length)
+
+
 def _dump_into(value: Any, out: bytearray) -> None:
     """Append ``value``'s record to ``out`` (one buffer for the whole
     record: a partition's ACG is a single tuple of 10^5 values).  The

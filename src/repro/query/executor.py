@@ -50,6 +50,12 @@ class AttributeStore:
         # named "path" can set the entry's path without them).
         self._keyword_paths: Dict[int, str] = {}
         self._bytes = 0  # running estimated_bytes: 64/entry + 16/attr
+        # What the segment encoder last wrote, kept for its next encode:
+        # per file, the attribute names without path and the records of
+        # (path, *values); per keyword, its postings entry.  put and drop
+        # are the store's only writers, so each drops what it changes.
+        self.encoded_rows: Dict[int, Tuple[Tuple[str, ...], bytes]] = {}
+        self.encoded_terms: Dict[str, bytes] = {}
 
     def __len__(self) -> int:
         return len(self._attrs)
@@ -67,10 +73,15 @@ class AttributeStore:
             self._bytes += 64
         before = len(entry)
         entry.update(attrs)
+        self.encoded_rows.pop(file_id, None)
         if path is not None:
             entry["path"] = path
             if self._keyword_paths.get(file_id) != path:
-                self._keywords[file_id] = tokenize_path(path)
+                keywords = tokenize_path(path)
+                for term in keywords ^ self._keywords.get(file_id,
+                                                          _NO_KEYWORDS):
+                    self.encoded_terms.pop(term, None)
+                self._keywords[file_id] = keywords
                 self._keyword_paths[file_id] = path
         self._bytes += 16 * (len(entry) - before)
 
@@ -79,7 +90,9 @@ class AttributeStore:
         entry = self._attrs.pop(file_id, None)
         if entry is not None:
             self._bytes -= 64 + 16 * len(entry)
-        self._keywords.pop(file_id, None)
+        self.encoded_rows.pop(file_id, None)
+        for term in self._keywords.pop(file_id, _NO_KEYWORDS):
+            self.encoded_terms.pop(term, None)
         self._keyword_paths.pop(file_id, None)
 
     def attrs(self, file_id: int) -> Dict[str, Any]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
@@ -40,10 +40,6 @@ class EventLoop:
     def schedule_after(self, delay: float, action: Action) -> None:
         """Run ``action`` after ``delay`` virtual seconds."""
         self.schedule_at(self.clock.now() + delay, action)
-
-    def next_deadline(self) -> Optional[float]:
-        """Timestamp of the earliest pending timer (None when idle)."""
-        return self._heap[0][0] if self._heap else None
 
     def run_due(self) -> int:
         """Fire every timer whose deadline has already passed; return count.

@@ -161,14 +161,6 @@ def test_commit_all():
     assert len(cache) == 0
 
 
-def test_next_deadline():
-    cache, _ = make_cache(timeout=5.0)
-    assert cache.next_deadline() is None
-    cache.add(1, up(1), now=2.0)
-    cache.add(2, up(2), now=3.0)
-    assert cache.next_deadline() == 7.0
-
-
 def test_stats_track_commit_reasons():
     cache, _ = make_cache()
     cache.add(1, up(1), now=0.0)

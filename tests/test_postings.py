@@ -66,6 +66,32 @@ def test_array_container_promotes_to_bitmap():
 def test_negative_doc_id_rejected():
     with pytest.raises(ValueError):
         PostingList().add(-1)
+    with pytest.raises(ValueError):
+        PostingList.from_iterable([3, -1, 70_000])
+
+
+def one_at_a_time(ids):
+    plist = PostingList()
+    for doc in ids:
+        plist.add(doc)
+    return plist
+
+
+@pytest.mark.parametrize("ids", [
+    [],
+    [5],
+    [9, 3, 7, 3, 9, 0],                                  # unsorted, duplicates
+    [200_000, 1, 70_000, 65_535, 65_536, 1, 131_072],    # several chunks
+    list(range(2 * 65_536 + 4_500, 2 * 65_536 - 200, -1)) + [1, 1],  # dense
+    [65_536 + 2 * i for i in range(4_096)],              # ARRAY_MAX exactly
+    [65_536 + 2 * i for i in range(4_097)] + [7],        # one past it
+])
+def test_from_iterable_builds_the_chunks_add_does(ids):
+    bulk, single = PostingList.from_iterable(ids), one_at_a_time(ids)
+    assert bulk._chunks == single._chunks
+    assert len(bulk) == len(single) == len(set(ids))
+    assert bulk.chunk_kinds() == single.chunk_kinds()
+    assert bulk.dump_chunks() == single.dump_chunks()
 
 
 def test_intersect_all_smallest_first_and_empty_shortcut():

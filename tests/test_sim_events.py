@@ -79,13 +79,6 @@ def test_timer_can_schedule_another(loop):
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_next_deadline(loop):
-    assert loop.next_deadline() is None
-    loop.schedule_at(4.0, lambda: None)
-    loop.schedule_at(2.0, lambda: None)
-    assert loop.next_deadline() == 2.0
-
-
 def test_periodic_task_fires_every_period(loop):
     fired = []
     PeriodicTask(loop, 2.0, lambda: fired.append(loop.clock.now()))

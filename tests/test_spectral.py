@@ -1,5 +1,6 @@
 """Spectral bisection baseline."""
 
+import numpy as np
 import pytest
 
 from repro.core.metis import cut_of
@@ -69,3 +70,16 @@ def test_balance_is_half():
     adj = two_cliques(10)
     result = spectral_bisect(adj)
     assert result.balance == pytest.approx(0.5)
+
+
+def test_one_graph_bisects_one_way_call_after_call():
+    # > 64 vertices: the Lanczos path, whose start vector is fixed.  The
+    # Thrift ACG's largest component once cut 778 or 823 by call.
+    from repro.workloads.apps import THRIFT_SPEC, CompileApplication
+
+    graph = CompileApplication(THRIFT_SPEC).build_acg()
+    adj = graph.subgraph(graph.connected_components()[0]).undirected_adjacency()
+    cuts = {spectral_bisect(adj).cut_weight for _ in range(4)}
+    assert len(cuts) == 1
+    cliques = two_cliques(40)
+    assert np.array_equal(fiedler_vector(cliques), fiedler_vector(cliques))
