@@ -15,7 +15,7 @@ in Figure 10 is microseconds, not milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.cluster.messages import IndexUpdate

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
-                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from repro.cluster.cache import IndexCache
 from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
@@ -24,6 +24,7 @@ from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
                                     envelope_wire_bytes)
 from repro.cluster.persistence import (read_checkpoint, remove_checkpoint,
                                        write_checkpoint)
+from repro.cluster.rpcs import INDEX_NODE, serve
 from repro.cluster.segments import (FrozenPartition, SegmentCache, SegmentView,
                                     TierPolicy, decode_segment, dump_segment,
                                     encode_segment, load_segment, segment_key)
@@ -39,16 +40,11 @@ from repro.obs.journal import NULL_JOURNAL
 from repro.obs.tracing import NULL_TRACER
 from repro.query.ast import Predicate
 from repro.query.executor import (DEGRADABLE_ERRORS, AttributeStore, execute,
-                                  execute_plans, tokenize_path)
+                                  execute_plans)
 from repro.replication.log import ReplicationLog
 from repro.query.summary import (PartitionSummary, SummarySnapshot,
                                  summary_may_match)
-from repro.query.planner import (
-    KEYWORD_ATTR,
-    IndexSpec,
-    Plan,
-    plan_query,
-)
+from repro.query.planner import KEYWORD_ATTR, IndexSpec, Plan
 from repro.query.prepared import PreparedCache, PreparedQuery
 from repro.sim.machine import Machine
 from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, RpcEndpoint,
@@ -77,61 +73,6 @@ _HYDRATE_OPS_PER_FILE = 150
 # matcher, plans per spec set) between requests.
 _PREPARED_CAP = 512
 
-
-class Fence(NamedTuple):
-    """One row of :data:`FENCES`."""
-
-    stamps: Dict[str, Union[type, str]]  # stamp kind -> what a stale one earns
-    staleness: str                       # how stale an answer the row allows
-
-
-# The fence table: every RPC an Index Node serves (registration reads
-# it, so an RPC with no row cannot be served), the stamps it carries,
-# what a stale stamp earns, and how stale an answer it allows against
-# the acknowledged writes — *consistent* (reflects every one),
-# *bounded* (trails by a stated watermark), *eventual* (no bound).
-#
-# * ``term`` — the master term, for the whole call, checked before
-#   dispatch (:meth:`IndexNode._fence_term`); term 0 is unstamped.
-# * ``route`` — the client's route, per partition
-#   (:meth:`IndexNode._route_ok`): the partition is owned here and, when
-#   the request carries its routing epoch, no split since moved files
-#   out of it.
-# * ``repl`` — the replication generation, per partition
-#   (:meth:`IndexNode._fence_repl`).
-# * ``watermark`` — the commit watermark a requested skip was decided
-#   on (a summary's, or the stamp of an answer the client holds), per
-#   partition (:meth:`IndexNode._skip_ok`).
-#
-# What a stale stamp earns is an error (raised, or that partition's
-# outcome) or an in-band answer: the partition is named ``not_owned``,
-# ``searched`` instead of skipped, ``dropped`` or ``omitted`` from the
-# answer, or the call is ``ignored``.
-_TERM = {"term": StaleMasterTerm}
-_CONTROL = "consistent: a deposed Master's command never applies"
-FENCES: Dict[str, Fence] = {
-    "index_update": Fence({"route": StaleRoute},
-                          "consistent: parked where the file lives now"),
-    "search": Fence({"route": "not_owned", "watermark": "searched"},
-                    "consistent: pending updates commit first"),
-    "explain": Fence({"route": "omitted"}, "consistent"),
-    "locate_file": Fence({"route": "omitted"},
-                         "consistent: pending updates count"),
-    "flush_acg": Fence({"route": "dropped"}, "eventual: the ACG is advisory"),
-    "search_replica": Fence({}, "bounded: below the caller's "
-                                "read-your-writes sequence it is `lagging`"),
-    "replicate_apply": Fence({"repl": StaleReplEpoch},
-                             "bounded: a follower trails its primary's log"),
-    "install_follower": Fence({"repl": StaleReplEpoch},
-                              "bounded: a snapshot at the primary's ack"),
-    "set_followers": Fence(dict(_TERM, repl="ignored"), _CONTROL),
-    **{rpc: Fence(_TERM, _CONTROL) for rpc in (
-        "create_index", "compute_split", "extract_partition",
-        "install_partition", "drop_partition", "heartbeat", "adopt_acg",
-        "own_partition", "transfer_out", "finish_migration",
-        "cancel_transfer", "checkpoint_acg", "replica_watermark",
-        "promote_replica", "drop_follower", "reset_follower_ack")},
-}
 
 _KeyOf = Callable[[Dict[str, Any]], Optional[Any]]
 # A non-keyword index as one commit walks it: the index, its key function
@@ -586,25 +527,9 @@ class IndexNode:
         self.master_term_seen = 0
         self.master_fences = 0
         self.endpoint = RpcEndpoint(name)
-        for rpc in FENCES:
-            self.endpoint.register(rpc, self._admit(rpc))
+        serve(self.endpoint, self, INDEX_NODE)
 
-    # -- admission: the fences of FENCES, one function per stamp kind ----------
-
-    def _admit(self, rpc: str) -> Callable[..., Any]:
-        """``rpc``'s handler behind its whole-call stamp: the master term
-        is checked before dispatch.  Per-partition stamps are checked in
-        the handler's per-partition step, so it still answers per batch,
-        stream or partition."""
-        handler = (self.make_heartbeat if rpc == "heartbeat"
-                   else getattr(self, f"handle_{rpc}"))
-        if "term" not in FENCES[rpc].stamps:
-            return handler
-
-        def fenced(*args: Any, term: int = 0, **kwargs: Any) -> Any:
-            self._fence_term(term, rpc)
-            return handler(*args, **kwargs)
-        return fenced
+    # -- admission: the stamps of repro.cluster.rpcs, one function per kind ----
 
     def _fence_term(self, term: int, rpc_name: str) -> None:
         """The ``term`` fence: reject an RPC stamped with a master term
@@ -1877,7 +1802,6 @@ class IndexNode:
             free_bytes=self.machine.spec.ram_bytes,
             summaries=tuple(sorted(summaries, key=lambda s: s.acg_id)),
             replication=tuple(replication),
-            frozen_acgs=tuple(sorted(self.frozen)),
         )
 
     # -- shared-storage persistence ----------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.cluster.messages import (Heartbeat, RouteEntry, RouteTable,
                                     RouteTableEntry, SummaryTable)
 from repro.cluster.meta_wal import MetaState, MetaWal
+from repro.cluster.rpcs import MASTER, serve
 from repro.core.partition_manager import PartitionManager
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import (ClusterError, FileSystemError, NotActingMaster,
@@ -187,19 +188,7 @@ class MasterNode:
         self._reset_soft_state()
         self.checkpoints_written = 0
         self.endpoint = RpcEndpoint(endpoint_name)
-        for method, handler in [
-            ("register_index_node", self.register_index_node),
-            ("create_index", self.create_index),
-            ("route_table", self.route_table),
-            ("allocate_partitions", self.allocate_partitions),
-            ("file_deleted", self.file_deleted),
-            ("lookup_file", self.lookup_file),
-            ("report_heartbeat", self.report_heartbeat),
-            ("summary_table", self.summary_table),
-            ("master_lease", self.master_lease),
-            ("meta_apply", self.meta_apply),
-        ]:
-            self.endpoint.register(method, handler)
+        serve(self.endpoint, self, MASTER)
         rpc.add_endpoint(self.endpoint)
         if acting:
             # The term record is always the first durable fact about a
@@ -273,9 +262,6 @@ class MasterNode:
         # so clients can poll cheaply (fresh marker, no payload).
         self._summaries: Dict[int, Any] = {}
         self._summary_version = 0
-        # Tier residency, fed by heartbeat piggybacks: node → the ACG ids
-        # it currently keeps frozen on the cold tier.
-        self._tier_residency: Dict[str, Tuple[int, ...]] = {}
         # The live timeline event behind each durable finish intent
         # (``state.finishes``), so a retried finish can mark it done.
         self._finish_events: Dict[Tuple[str, int], MigrationEvent] = {}
@@ -329,9 +315,9 @@ class MasterNode:
         self._tail_seq = seq
 
     def _require_acting(self) -> None:
-        """Guard for client-facing handlers: only the acting Master may
-        answer (a standby's state lags; serving it would be wrong *and*
-        hide the outage from re-homing clients)."""
+        """The ``acting`` stamp (:mod:`repro.cluster.rpcs`): only the
+        acting Master may answer (a standby's state lags; serving it
+        would be wrong *and* hide the outage from re-homing clients)."""
         if not self.acting:
             raise NotActingMaster(
                 f"{self.endpoint.name} is not the acting master",
@@ -414,7 +400,6 @@ class MasterNode:
         also (re)arms the push stream: once this response lands, the
         standby's watermark equals ``seq``, so every subsequent record
         chains onto it."""
-        self._require_acting()
         self._push_ok = True
         if since_seq is not None:
             entries = self.meta_wal.entries_since(since_seq)
@@ -498,7 +483,6 @@ class MasterNode:
 
     def create_index(self, spec: IndexSpec) -> None:
         """Register a globally-named index and propagate to every IN."""
-        self._require_acting()
         if spec.name in self.index_specs:
             raise ClusterError(f"index name already exists: {spec.name}")
         self._meta("index", spec.name, spec.kind.value, tuple(spec.attrs))
@@ -668,7 +652,6 @@ class MasterNode:
     def route_table(self, since_epoch: int = 0) -> RouteTable:
         """Versioned routing snapshot: fresh marker, delta, or full table
         depending on how far behind ``since_epoch`` is."""
-        self._require_acting()
         self._count_route_rpc()
         return self._build_route_table(since_epoch)
 
@@ -682,7 +665,6 @@ class MasterNode:
         partitions once and fills them locally.  Spreading reserves one
         ``cluster_target`` of capacity per grant so consecutive grants
         alternate across nodes the way per-file placement would."""
-        self._require_acting()
         self._require_nodes()
         self._count_route_rpc()
         loads = {n: 0 for n in self.index_nodes}
@@ -706,7 +688,6 @@ class MasterNode:
         """Read-only file→ACG lookup for a batch of files; a file this
         Master never heard of (client-placed, or unindexed) is left out.
         Never assigns anything."""
-        self._require_acting()
         self.machine.compute(_ROUTE_LOOKUP_OPS * max(1, len(file_ids)))
         homes = ((file_id, self.partitions.partition_of(file_id))
                  for file_id in file_ids)
@@ -715,7 +696,6 @@ class MasterNode:
 
     def file_deleted(self, file_id: int) -> Optional[RouteEntry]:
         """Forget a deleted file; returns where it used to live."""
-        self._require_acting()
         self.machine.compute(_ROUTE_LOOKUP_OPS)
         acg_id = self.partitions.partition_of(file_id)
         if acg_id is None:
@@ -725,11 +705,6 @@ class MasterNode:
         return RouteEntry(file_id=file_id, acg_id=acg_id, node=node or "")
 
     # -- heartbeats and background maintenance ---------------------------------------------
-
-    def tier_residency(self) -> Dict[str, Tuple[int, ...]]:
-        """Heartbeat-reported cold-tier residency: node → frozen ACG ids
-        (empty map/tuples when tiering is off)."""
-        return dict(self._tier_residency)
 
     def report_heartbeat(self, heartbeat: Heartbeat) -> None:
         """Record one Index Node's heartbeat (and its per-ACG counts —
@@ -748,11 +723,6 @@ class MasterNode:
             if partition.node == heartbeat.node and acg_id not in hosted:
                 self._notify_owner(heartbeat.node, acg_id,
                                    self.partitions.epoch)
-        # Tier-residency piggyback: which partitions the node keeps
-        # frozen on the cold tier (placement/status reads this; empty —
-        # and free — when tiering is off).
-        self._tier_residency[heartbeat.node] = tuple(
-            getattr(heartbeat, "frozen_acgs", ()))
         # Partition-summary piggyback: accept a snapshot only from the
         # partition's *current* owner (a stale ex-owner's summary could
         # otherwise mask the live replica) and bump the version only on
@@ -828,7 +798,6 @@ class MasterNode:
         Not a routing RPC (and not counted as one): clients poll this on
         their own throttle; the fresh marker makes the common quiescent
         poll nearly free."""
-        self._require_acting()
         if since_version == self._summary_version:
             return SummaryTable(version=self._summary_version, fresh=True)
         entries = tuple(self._summaries[acg_id]

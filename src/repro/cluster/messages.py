@@ -264,10 +264,6 @@ class Heartbeat:
     #   ("f", acg_id, repl_epoch, applied_seq)
     # for partitions it follows.
     replication: Tuple[Any, ...] = ()
-    # Tier residency (tiered storage only): ACG ids this node currently
-    # keeps frozen on the cold tier.  Empty when tiering is off — the
-    # default keeps the wire format compatible.
-    frozen_acgs: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

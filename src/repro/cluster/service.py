@@ -12,7 +12,7 @@ comparisons.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.cache import DEFAULT_TIMEOUT_S
 from repro.cluster.client import PropellerClient

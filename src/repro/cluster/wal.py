@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.errors import WalCorruption
 from repro.indexstructures.serialization import dump_value, load_value

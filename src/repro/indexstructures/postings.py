@@ -108,30 +108,6 @@ class PostingList:
                 if len(chunk) > ARRAY_MAX:
                     self._chunks[base] = _to_bitmap(chunk)
 
-    def discard(self, doc: int) -> None:
-        if doc < 0:
-            return
-        base, low = doc >> CHUNK_SHIFT, doc & CHUNK_MASK
-        chunk = self._chunks.get(base)
-        if chunk is None:
-            return
-        if isinstance(chunk, int):
-            bit = 1 << low
-            if chunk & bit:
-                chunk &= ~bit
-                self._len -= 1
-                if chunk:
-                    self._chunks[base] = chunk
-                else:
-                    del self._chunks[base]
-        else:
-            i = bisect_left(chunk, low)
-            if i < len(chunk) and chunk[i] == low:
-                chunk.pop(i)
-                self._len -= 1
-                if not chunk:
-                    del self._chunks[base]
-
     # -- protocol -----------------------------------------------------------
 
     def __contains__(self, doc: int) -> bool:

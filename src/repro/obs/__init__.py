@@ -39,12 +39,7 @@ from repro.obs.export import (
     span_to_json,
 )
 from repro.obs.freshness import NULL_FRESHNESS, FreshnessTracker, NullFreshness
-from repro.obs.health import (
-    NULL_HEALTH,
-    HealthMonitor,
-    HealthVerdict,
-    NullHealthMonitor,
-)
+from repro.obs.health import HealthMonitor, HealthVerdict
 from repro.obs.journal import (
     NULL_JOURNAL,
     EventJournal,
@@ -81,13 +76,11 @@ __all__ = [
     "JournalEvent",
     "MetricsRegistry",
     "NULL_FRESHNESS",
-    "NULL_HEALTH",
     "NULL_JOURNAL",
     "NULL_SLOS",
     "NULL_TIMELINE",
     "NULL_TRACER",
     "NullFreshness",
-    "NullHealthMonitor",
     "NullJournal",
     "NullSloTracker",
     "NullTimeline",

@@ -281,24 +281,3 @@ class HealthMonitor:
             "master_unavailable": self.master_unavailable(),
         }
         return out
-
-
-class NullHealthMonitor:
-    """Inert monitor for sample hooks on undecorated deployments."""
-
-    enabled = False
-
-    def sample_if_due(self) -> None:
-        pass
-
-    def sample(self) -> None:
-        return None
-
-    def verdict(self) -> HealthVerdict:
-        return HealthVerdict(HEALTHY, (), {})
-
-    def summary(self) -> Dict[str, Any]:
-        return {"verdict": HEALTHY, "causes": [], "nodes": {}, "gauges": {}}
-
-
-NULL_HEALTH = NullHealthMonitor()

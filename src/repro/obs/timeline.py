@@ -1,11 +1,10 @@
 """Continuous telemetry: virtual-clock time series.
 
 A :class:`TimelineRecorder` samples a set of scalar *sources* — closures
-over live state, or instruments in a :class:`MetricsRegistry` — at a
-configurable virtual-time interval, building one ``(t, value)`` series
-per source.  Sampling reads the shared clock but never charges it, so
-(like the tracer) enabling a timeline cannot change a benchmark's
-numbers.
+over live state — at a configurable virtual-time interval, building one
+``(t, value)`` series per source.  Sampling reads the shared clock but
+never charges it, so (like the tracer) enabling a timeline cannot change
+a benchmark's numbers.
 
 The recorder is pulled, not pushed: whoever owns the simulation's time
 (``PropellerService.advance``/``pump``, or a benchmark's own driver
@@ -26,7 +25,6 @@ from repro.errors import SimulationError
 from repro.metrics.reporting import render_series
 
 if TYPE_CHECKING:  # annotation-only, matching repro.obs.tracing
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.clock import SimClock
 
 DEFAULT_INTERVAL_S = 1.0
@@ -53,19 +51,6 @@ class TimelineRecorder:
         """Sample ``fn()`` (any numeric scalar) under ``name`` each tick."""
         self._sources[name] = fn
         self._series.setdefault(name, [])
-
-    def track_metric(self, registry: "MetricsRegistry", metric: str,
-                     alias: Optional[str] = None) -> None:
-        """Sample a counter/gauge from a registry (histograms sample their
-        running mean)."""
-
-        def read() -> float:
-            value = registry.value(metric)
-            if isinstance(value, dict):  # histogram summary
-                return float(value.get("mean", 0.0))
-            return float(value)
-
-        self.track(alias or metric, read)
 
     # -- sampling ------------------------------------------------------------
 
@@ -141,10 +126,6 @@ class NullTimeline:
     interval_s = 0.0
 
     def track(self, name: str, fn: Callable[[], Any]) -> None:
-        pass
-
-    def track_metric(self, registry: "MetricsRegistry", metric: str,
-                     alias: Optional[str] = None) -> None:
         pass
 
     def sample_if_due(self) -> bool:

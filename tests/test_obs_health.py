@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.cluster import PropellerService
 from repro.errors import StaleReplEpoch
 from repro.indexstructures import IndexKind
-from repro.obs.health import HealthMonitor, NULL_HEALTH
+from repro.obs.health import HealthMonitor
 from repro.obs.journal import NULL_JOURNAL, EventJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import NULL_SLOS, SloSpec, SloTracker, default_specs
@@ -272,11 +272,6 @@ class TestHealthMonitor:
         assert types[-1] == "health.healthy"
         last = service.journal.events(type="health.healthy")[-1]
         assert last.detail["previous"] in ("degraded", "critical")
-
-    def test_null_health_is_inert(self):
-        NULL_HEALTH.sample()
-        assert NULL_HEALTH.verdict().verdict == "healthy"
-        assert NULL_HEALTH.summary()["gauges"] == {}
 
 
 # -- threaded emissions -------------------------------------------------------

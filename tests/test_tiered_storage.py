@@ -533,16 +533,6 @@ class TestIndexCacheAccounting:
 
 
 class TestResidencyReporting:
-    def test_heartbeats_report_tier_residency_to_master(self):
-        service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
-        populate(service, client)
-        assert freeze_all(service) > 0
-        residency = service.master.tier_residency()
-        want = {name: tuple(sorted(node.frozen))
-                for name, node in service.index_nodes.items()}
-        assert residency == want
-        assert any(residency.values())
-
     def test_memory_tiers_table(self):
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
         populate(service, client)
