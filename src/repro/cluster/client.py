@@ -22,8 +22,9 @@ from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Hashable,
                     List, Mapping, Optional, Sequence, Set, Tuple)
 
 from repro.cluster.messages import (IndexUpdate, RouteEntry, RouteTable,
-                                    SearchResult, UpdateBatch, UpdateOp,
-                                    Watermark, envelope_wire_bytes)
+                                    SearchReply, SearchResult, UpdateAck,
+                                    UpdateBatch, UpdateOp, Watermark,
+                                    envelope_wire_bytes)
 from repro.errors import (ClusterError, FileNotFound, NodeDown,
                           NotActingMaster, NotADirectory, RpcTimeout,
                           StaleMasterTerm, StaleRoute)
@@ -35,12 +36,12 @@ from repro.fs.namespace import Inode
 from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures.base import IndexKind
 from repro.query.ast import Predicate
-from repro.query.executor import DEGRADABLE_ERRORS, FanoutOutcome, scatter_gather
+from repro.query.executor import DEGRADABLE_ERRORS
 from repro.query.summary import SummarySnapshot, summary_may_match
 from repro.query.parser import parse_query, parse_query_directory
 from repro.query.planner import IndexSpec
 from repro.query.prepared import PreparedCache, PreparedQuery
-from repro.replication.hedging import HedgedReply, HedgePolicy
+from repro.replication.hedging import HedgePolicy
 from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, HedgedOutcome,
                            RpcNetwork, scatter)
 
@@ -157,6 +158,95 @@ class _Answer:
         return list(held.merged)
 
 
+@dataclass
+class FanoutOutcome:
+    """What a partition-parallel search fan-out actually achieved.
+
+    ``results`` holds every per-node answer that arrived; ``unreachable``
+    maps each failed node to the partition (ACG) ids its leg was asked to
+    search, and ``errors`` keeps the error text per failed node.  A query
+    is ``degraded`` exactly when at least one leg failed — the caller got
+    a correct but possibly incomplete answer and can name what is
+    missing.
+
+    Epoch-stamped legs add two routing-health signals: ``stale`` maps a
+    node to the ACGs it declined because it no longer owns them (the
+    client should refresh its route table and retry those partitions),
+    and ``node_epochs`` records each answering node's routing epoch so a
+    behind-the-times client can notice the cluster has moved on.
+    """
+
+    results: List[SearchResult] = field(default_factory=list)
+    unreachable: Dict[str, List[int]] = field(default_factory=dict)
+    errors: Dict[str, str] = field(default_factory=dict)
+    stale: Dict[str, List[int]] = field(default_factory=dict)
+    node_epochs: Dict[str, int] = field(default_factory=dict)
+    # Partitions the owning node *validated* as skippable (summary
+    # watermark matched, nothing pending) — these count as served even
+    # though no SearchResult came back for them.
+    pruned_ok: Set[int] = field(default_factory=set)
+    # acg_id → the commit watermark its answer in ``results`` is exact
+    # at, for every answer a primary stamped (a follower's, or one to a
+    # time-dependent predicate, has none).
+    stamps: Dict[int, Watermark] = field(default_factory=dict)
+    # node → the per-batch outcomes of the update envelope its leg
+    # carried (a leg that carried none, or was answered by a follower,
+    # has no entry).
+    update_outcomes: Dict[str, Sequence[CallOutcome]] = field(
+        default_factory=dict)
+    # Partitions a lagging follower answered, below this client's acked
+    # watermark (accepted only under the partial-results deadline).
+    lagging: Set[int] = field(default_factory=set)
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.unreachable)
+
+    @property
+    def unreachable_partitions(self) -> List[int]:
+        """Every partition id the answer is missing, sorted."""
+        return sorted(acg for acgs in self.unreachable.values() for acg in acgs)
+
+    def max_node_epoch(self) -> int:
+        """The highest routing epoch any answering node reported."""
+        return max(self.node_epochs.values(), default=0)
+
+
+def scatter_gather(clock, routing: Mapping[str, Sequence[int]],
+                   call: Callable[[str], SearchReply]) -> FanoutOutcome:
+    """Fan one search out to every node in ``routing``, tolerating legs.
+
+    ``call(node)`` performs one node's search leg (retries and hedging
+    included); legs run as logically concurrent work on the virtual
+    clock, so the caller waits for the slowest leg, including a failed
+    leg's timeout burn.  Legs that still fail with a transient error are
+    recorded against the partitions they covered instead of aborting the
+    fan-out — the tail-tolerant partial-results semantic
+    partition-parallel search needs.
+    """
+    outcome = FanoutOutcome()
+    for node, leg in scatter(clock, routing, call).items():
+        if not leg.ok:
+            if not isinstance(leg.error, DEGRADABLE_ERRORS):
+                raise leg.error
+            if routing[node]:   # nothing asked of it: nothing is missing
+                outcome.unreachable[node] = sorted(routing[node])
+                outcome.errors[node] = (
+                    f"{type(leg.error).__name__}: {leg.error}")
+            continue
+        reply: SearchReply = leg.value
+        outcome.results.extend(reply.results)
+        outcome.node_epochs[node] = reply.epoch
+        if reply.not_owned:
+            outcome.stale[node] = sorted(reply.not_owned)
+        outcome.pruned_ok.update(reply.pruned_ok)
+        outcome.stamps.update(reply.stamps)
+        if reply.update_outcomes:
+            outcome.update_outcomes[node] = reply.update_outcomes
+        outcome.lagging.update(reply.lagging)
+    return outcome
+
+
 def _attribute(inode: Inode, attr: str) -> Any:
     """One attribute of a file as its inode holds it (None if unset)."""
     if attr in _INODE_ATTRS:
@@ -266,9 +356,6 @@ class PropellerClient:
         # answer below this mark is "lagging" and only usable under the
         # opt-in partial-results deadline.
         self._repl_seq_seen: Dict[int, int] = {}
-        # Partitions the most recent search answered from a lagging
-        # replica (deadline opt-in only) — surfaced by search_detailed.
-        self._last_lagging: List[int] = []
         self._file_routes: Dict[int, int] = {}
         self._acg_files: Dict[int, Set[int]] = {}
         self.route_cache_hits = 0
@@ -373,16 +460,15 @@ class PropellerClient:
         if self.registry is not None:
             self.registry.counter("cluster.client.stale_route_nacks").inc(count)
 
-    def _learn_ack(self, ack: Any) -> None:
+    def _learn_ack(self, ack: UpdateAck) -> None:
         """Record the replication watermark from an index_update ack.
 
         Last-ack-wins on purpose (not max): a partition's replication log
         restarts after splits/merges/adoption, so the *newest* acked
         sequence — not the largest ever seen — is this client's
         read-your-writes mark for hedged follower reads."""
-        seq = getattr(ack, "seq", 0)
-        if seq:
-            self._repl_seq_seen[ack.acg_id] = seq
+        if ack.seq:
+            self._repl_seq_seen[ack.acg_id] = ack.seq
 
     def _apply_route_table(self, table: RouteTable) -> None:
         """Adopt a route table and settle this client's file routes.
@@ -1099,8 +1185,8 @@ class PropellerClient:
             degraded=outcome.degraded,
             unreachable_partitions=outcome.unreachable_partitions,
             unreachable_nodes=sorted(outcome.unreachable),
-            partial=bool(self._last_lagging),
-            lagging_partitions=list(self._last_lagging),
+            partial=bool(outcome.lagging),
+            lagging_partitions=sorted(outcome.lagging),
         )
 
     def _attribute_values(self, paths: Sequence[str],
@@ -1225,9 +1311,6 @@ class PropellerClient:
         # time: a lagging replica's answer is only accepted if it landed
         # by this instant.  None means "never accept stale data".
         deadline_t = (start + deadline_s) if deadline_s is not None else None
-        # Per-search hedge bookkeeping, filled in by the leg closures:
-        # which partitions a lagging replica ended up answering for.
-        hedge_ctx: Dict[str, Set[int]] = {"lagging": set()}
         with self.tracer.span("search", query=query) as root:
             # Any pending updates of ours must be visible to our own
             # search — so they ride it: routed as a flush routes them,
@@ -1297,7 +1380,7 @@ class PropellerClient:
                         clock, legs,
                         lambda n: self._call_search_leg(
                             n, routing.get(n, []), pruned.get(n) or None,
-                            predicate, names, hedge_ctx, deadline_t,
+                            predicate, names, deadline_t,
                             envelopes.get(n, ())))
                     if outcome.degraded:
                         span.set_attribute(
@@ -1311,16 +1394,14 @@ class PropellerClient:
             if (outcome.stale or outcome.unreachable or resent
                     or outcome.max_node_epoch() > self._route_epoch):
                 outcome = self._retry_search(clock, outcome, predicate, names,
-                                             hedge_ctx, deadline_t,
-                                             resent, refreshed)
+                                             deadline_t, resent, refreshed)
             answer = self._assemble(outcome, held, known, {
                 acg_id: stamp for skips in pruned.values()
                 for acg_id, stamp in skips.items()})
         self.last_outcome = outcome
-        self._last_lagging = sorted(hedge_ctx["lagging"])
-        if self._last_lagging:
+        if outcome.lagging:
             self.journal.emit("search.partial",
-                              lagging=list(self._last_lagging))
+                              lagging=sorted(outcome.lagging))
         if outcome.degraded:
             self.journal.emit(
                 "search.degraded",
@@ -1333,7 +1414,7 @@ class PropellerClient:
                 self.registry.counter("cluster.client.searches_carrying").inc()
                 self.registry.counter("cluster.client.updates_carried").inc(
                     sum(len(send.batch) for send in sends))
-            if self._last_lagging:
+            if outcome.lagging:
                 self.registry.counter("cluster.client.partial_searches").inc()
             if outcome.degraded:
                 self.registry.counter("cluster.client.degraded_searches").inc()
@@ -1385,9 +1466,8 @@ class PropellerClient:
     def _call_search_leg(self, node: str, acg_ids: List[int],
                          pruned: Optional[Dict[int, Watermark]],
                          predicate: Predicate, names: Optional[List[str]],
-                         hedge_ctx: Dict[str, Set[int]],
                          deadline_t: Optional[float],
-                         envelope: Sequence[_Send] = ()):
+                         envelope: Sequence[_Send] = ()) -> SearchReply:
         """One search leg, hedged to a follower replica when possible.
 
         Without a hedging policy (RF = 1) this is exactly the historical
@@ -1456,14 +1536,13 @@ class PropellerClient:
                     secondary=CallOutcome(ok=True, value=value),
                     primary_end=out.primary_end,
                     secondary_end=clock.now(), hedged=True)
-        return self._resolve_hedge(clock, leg_start, out, policy,
-                                   hedge_ctx, deadline_t)
+        return self._resolve_hedge(clock, leg_start, out, policy, deadline_t)
 
     def _hedge_secondary(self, primary: str,
                          acg_ids: List[int]) -> Optional[str]:
         """The follower node to hedge a leg to: one that (per the cached
         route table) follows *every* partition in the leg — a partial
-        cover would come back ``missing`` and be unusable anyway."""
+        cover would come back ``not_owned`` and be unusable anyway."""
         if not acg_ids:
             return None
         counts: Dict[str, int] = {}
@@ -1474,9 +1553,9 @@ class PropellerClient:
         full = sorted(n for n, c in counts.items() if c == len(acg_ids))
         return full[0] if full else None
 
-    def _resolve_hedge(self, clock, leg_start: float, out, policy,
-                       hedge_ctx: Dict[str, Set[int]],
-                       deadline_t: Optional[float]):
+    def _resolve_hedge(self, clock, leg_start: float, out: HedgedOutcome,
+                       policy: HedgePolicy,
+                       deadline_t: Optional[float]) -> SearchReply:
         """Pick the leg's answer from a hedged race.
 
         Soundness order: the primary's answer is always sound; a
@@ -1488,8 +1567,9 @@ class PropellerClient:
         and only if it arrived by ``deadline_t`` (the absolute
         virtual-time deadline derived from the search's ``deadline_s``)
         — stale data that also missed the deadline has no value left.
-        Accepted lagging answers are recorded in ``hedge_ctx`` so the
-        caller can mark the answer partial."""
+        The winner is returned as it came; an accepted lagging answer's
+        ``lagging`` partitions ride it so the caller can mark the answer
+        partial."""
         primary = out.primary
         if primary.ok:
             policy.observe(out.primary_end - leg_start)
@@ -1499,29 +1579,21 @@ class PropellerClient:
             raise primary.error
         secondary = out.secondary
         reply = secondary.value if secondary.ok else None
-        covers = reply is not None and not reply.missing
+        covers = reply is not None and not reply.not_owned
         sound = covers and not reply.lagging
         if primary.ok and (not sound
                            or out.primary_end <= out.secondary_end):
             clock.advance_to(out.primary_end)
             return primary.value
-        if sound:
+        if sound or (covers and deadline_t is not None
+                     and out.secondary_end <= deadline_t):
             clock.advance_to(out.secondary_end)
-            return HedgedReply(node=reply.node, epoch=reply.epoch,
-                               results=reply.results, from_replica=True)
-        if (covers and deadline_t is not None
-                and out.secondary_end <= deadline_t):
-            clock.advance_to(out.secondary_end)
-            hedge_ctx["lagging"].update(reply.lagging)
-            return HedgedReply(node=reply.node, epoch=reply.epoch,
-                               results=reply.results, from_replica=True,
-                               lagging=tuple(reply.lagging))
+            return reply
         raise primary.error
 
     def _retry_search(self, clock, outcome: FanoutOutcome,
                       predicate: Predicate,
                       names: Optional[List[str]],
-                      hedge_ctx: Dict[str, Set[int]],
                       deadline_t: Optional[float] = None,
                       resent: AbstractSet[int] = frozenset(),
                       refreshed: bool = False) -> FanoutOutcome:
@@ -1538,7 +1610,8 @@ class PropellerClient:
         ``resent`` names partitions whose carried updates only landed
         with a healing re-send, after the first round had searched them:
         their first-round answers are dropped and asked again.
-        ``refreshed``: healing already pulled the route table."""
+        ``refreshed``: healing already pulled the route table.  Both
+        rounds' ``lagging`` partitions are kept."""
         self._note_nacks(sum(len(v) for v in outcome.stale.values()))
         if not refreshed:
             try:
@@ -1555,14 +1628,14 @@ class PropellerClient:
             # legs covered partitions the fresh table no longer lists.
             return FanoutOutcome(results=results,
                                  node_epochs=dict(outcome.node_epochs),
-                                 pruned_ok=pruned_ok, stamps=stamps)
+                                 pruned_ok=pruned_ok, stamps=stamps,
+                                 lagging=outcome.lagging)
         with self.tracer.span("fanout_retry", parallel=True,
                               nodes=len(routing)):
             retry = scatter_gather(
                 clock, routing,
                 lambda n: self._call_search_leg(
-                    n, routing[n], None, predicate, names,
-                    hedge_ctx, deadline_t))
+                    n, routing[n], None, predicate, names, deadline_t))
         return FanoutOutcome(
             results=results + list(retry.results),
             unreachable=retry.unreachable,
@@ -1570,7 +1643,8 @@ class PropellerClient:
             stale=retry.stale,
             node_epochs={**outcome.node_epochs, **retry.node_epochs},
             pruned_ok=pruned_ok | retry.pruned_ok,
-            stamps={**stamps, **retry.stamps})
+            stamps={**stamps, **retry.stamps},
+            lagging=outcome.lagging | retry.lagging)
 
     def profile_search(self, query: str,
                        index_name: Optional[str] = None):

@@ -18,10 +18,9 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from repro.cluster.cache import IndexCache
-from repro.cluster.messages import (Heartbeat, IndexUpdate, ReplicaSearchReply,
-                                    SearchReply, SearchResult, UpdateAck,
-                                    UpdateBatch, UpdateOp, Watermark,
-                                    envelope_wire_bytes)
+from repro.cluster.messages import (Heartbeat, IndexUpdate, SearchReply,
+                                    SearchResult, UpdateAck, UpdateBatch,
+                                    UpdateOp, Watermark, envelope_wire_bytes)
 from repro.cluster.persistence import (read_checkpoint, remove_checkpoint,
                                        write_checkpoint)
 from repro.cluster.rpcs import INDEX_NODE, serve
@@ -136,8 +135,7 @@ def _is_keyword_index(spec: IndexSpec) -> bool:
 class AcgReplica:
     """Everything one Index Node keeps for one ACG."""
 
-    def __init__(self, acg_id: int, machine: Machine,
-                 incarnation: int = 0) -> None:
+    def __init__(self, acg_id: int, machine: Machine) -> None:
         self.acg_id = acg_id
         self.machine = machine
         self.graph = AccessCausalityGraph()
@@ -145,12 +143,12 @@ class AcgReplica:
         self.indexes: Dict[str, Index] = {}
         self.specs: Dict[str, IndexSpec] = {}
         # Commit-watermark pieces: ``incarnation`` is a per-node counter
-        # stamped at replica creation (a dropped-then-recreated replica
+        # the node stamps on adoption (a dropped-then-recreated replica
         # can reach the same applied count with different content, so
         # the count alone is not a safe version), ``applied`` bumps once
         # per committed update.  Together with the node name they form
         # the watermark that versions summaries and stamped answers.
-        self.incarnation = incarnation
+        self.incarnation = 0
         self.applied = 0
         # Pruning summary, widened in lock-step with every apply_batch() —
         # the bookkeeping rides on the commit's existing CPU charge.
@@ -733,7 +731,7 @@ class IndexNode:
             self._log_device.append(64)
             self.handle_drop_partition(acg_id)
 
-    def _forward_updates(self, batch: UpdateBatch) -> int:
+    def _forward_updates(self, batch: UpdateBatch) -> UpdateAck:
         """Dual-ownership window: relay one batch to the migration target
         (an envelope of one).
 
@@ -786,7 +784,7 @@ class IndexNode:
         self._replicate(dict.fromkeys(batch.acg_id for batch in parked))
         return tuple(outcomes)
 
-    def _park(self, batch: UpdateBatch) -> int:
+    def _park(self, batch: UpdateBatch) -> UpdateAck:
         """The per-partition step of an envelope: the route fence, then
         thaw, WAL frame (fsync left to the envelope), cache park,
         replication-log append.  Returns the partition's ack.
@@ -820,7 +818,7 @@ class IndexNode:
                 self.cache.add(acg_id, update, now)
         state = self.repl.get(acg_id)
         if state is None:
-            return len(updates)
+            return UpdateAck(len(updates), acg_id=acg_id)
         # Replicated partition: sequence the batch in the replication
         # log; the envelope streams it to installed followers before
         # acking.
@@ -1708,7 +1706,7 @@ class IndexNode:
     def handle_search_replica(self, acg_ids: Sequence[int], predicate: Predicate,
                               index_names: Optional[Sequence[str]] = None,
                               min_seqs: Optional[Dict[int, int]] = None
-                              ) -> ReplicaSearchReply:
+                              ) -> SearchReply:
         """Serve a hedged search leg from follower replicas.
 
         Followers apply streamed updates immediately, so no cache commit
@@ -1716,26 +1714,23 @@ class IndexNode:
         watermark per ACG — an ACG whose applied sequence sits below it
         is still answered but flagged ``lagging`` (usable only under the
         client's opt-in partial-results deadline).  ACGs with no follower
-        replica here come back in ``missing``.
+        replica here come back ``not_owned``.
         """
         query = self._prepare(predicate)
-        reply = ReplicaSearchReply(node=self.name, epoch=self.route_epoch_seen)
-        applied: List[Tuple[int, int]] = []
+        reply = SearchReply(node=self.name, epoch=self.route_epoch_seen)
         lagging: List[int] = []
-        missing: List[int] = []
+        not_owned: List[int] = []
         for acg_id in sorted(acg_ids):
             st = self.followers.get(acg_id)
             if st is None:
-                missing.append(acg_id)
+                not_owned.append(acg_id)
                 continue
             reply.results.append(
                 self._search_follower(st, query, index_names))
-            applied.append((acg_id, st.applied_seq))
             if min_seqs and st.applied_seq < min_seqs.get(acg_id, 0):
                 lagging.append(acg_id)
-        reply.applied = tuple(applied)
         reply.lagging = tuple(lagging)
-        reply.missing = tuple(missing)
+        reply.not_owned = tuple(not_owned)
         return reply
 
     def _search_follower(self, st: FollowerState, query: PreparedQuery,

@@ -727,7 +727,7 @@ class MasterNode:
         # partition's *current* owner (a stale ex-owner's summary could
         # otherwise mask the live replica) and bump the version only on
         # real changes so quiescent clusters stay on the fresh path.
-        for snapshot in getattr(heartbeat, "summaries", ()):
+        for snapshot in heartbeat.summaries:
             partition = by_id.get(snapshot.acg_id)
             if partition is None or partition.node != heartbeat.node:
                 continue
@@ -740,7 +740,7 @@ class MasterNode:
         # in-memory log and follower map, so the assignment is re-driven.
         if self.replica_sets is not None:
             primaried: Set[int] = set()
-            for record in getattr(heartbeat, "replication", ()):
+            for record in heartbeat.replication:
                 if record[0] == "p":
                     _, acg_id, repl_epoch, last_seq, acked = record
                     partition = by_id.get(acg_id)
@@ -771,8 +771,7 @@ class MasterNode:
             followed = {acg_id for acg_id in self.replica_sets.partitions()
                         if heartbeat.node in
                         (self.replica_sets.state(acg_id).followers or ())}
-            reported = {record[1]
-                        for record in getattr(heartbeat, "replication", ())
+            reported = {record[1] for record in heartbeat.replication
                         if record[0] == "f"}
             for acg_id in sorted(followed - reported):
                 partition = by_id.get(acg_id)

@@ -196,14 +196,16 @@ class SearchResult:
 
 @dataclass
 class SearchReply:
-    """An Index Node's answer to an epoch-stamped search leg.
+    """An Index Node's answer to one search leg — a primary's
+    (``search``) or a follower's (``search_replica``).
 
-    ``results`` covers the ACGs the node owns; ``not_owned`` names the
-    requested ACGs it does *not* own (the search-path equivalent of a
-    stale-route NACK — the client refreshes its route table and retries
-    just those partitions); ``epoch`` is the node's latest known routing
-    epoch, letting a behind-the-times client detect that partitions it
-    has never heard of may exist.
+    ``results`` covers the ACGs the node owns (a follower: follows);
+    ``not_owned`` names the requested ACGs it does *not* (the
+    search-path equivalent of a stale-route NACK — the client refreshes
+    its route table and retries just those partitions; a hedge with any
+    is unusable); ``epoch`` is the node's latest known routing epoch,
+    letting a behind-the-times client detect that partitions it has
+    never heard of may exist.
     """
 
     node: str
@@ -224,26 +226,11 @@ class SearchReply:
     # batch, in order — exactly what ``index_update`` would have
     # answered.  Empty when the search carried nothing.
     update_outcomes: Tuple[Any, ...] = ()
-
-
-@dataclass
-class ReplicaSearchReply:
-    """A follower's answer to a hedged search leg.
-
-    ``results`` covers the requested ACGs the node follows; ``missing``
-    names requested ACGs it holds no follower replica for (the hedge is
-    unusable for those).  ``applied`` reports the follower's applied
-    replication sequence per answered ACG, and ``lagging`` the subset
-    that sat *below* the client's read watermark — those answers are
-    only usable under the client's opt-in partial-results deadline.
-    """
-
-    node: str
-    epoch: int
-    results: List[SearchResult] = field(default_factory=list)
-    applied: Tuple[Tuple[int, int], ...] = ()
+    # A follower's answer (``search_replica``) only: the answered ACGs
+    # whose applied replication sequence sat below the client's read
+    # watermark — usable only under the client's opt-in partial-results
+    # deadline.
     lagging: Tuple[int, ...] = ()
-    missing: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,14 @@ class PropellerService:
                      lambda n=node: n.tier_summary_prunes)
         reg.gauge_fn(f"{prefix}.tier.repairs", lambda n=node: n.tier_repairs)
 
-    def _wire_tracer(self, tracer) -> None:
+    def enable_tracing(self, tracer: Optional[Tracer] = None) -> Tracer:
+        """Thread a span tracer through every component and return it.
+
+        Tracing charges zero simulated time — only Python-side
+        bookkeeping — so enabling it never changes benchmark numbers.
+        """
+        tracer = tracer if tracer is not None else Tracer(
+            self.clock, registry=self.registry)
         self.tracer = tracer
         self.rpc.tracer = tracer
         self.master.tracer = tracer
@@ -309,21 +316,7 @@ class PropellerService:
             node.set_tracer(tracer)
         for client in self._clients:
             client.tracer = tracer
-
-    def enable_tracing(self, tracer: Optional[Tracer] = None) -> Tracer:
-        """Thread a span tracer through every component and return it.
-
-        Tracing charges zero simulated time — only Python-side
-        bookkeeping — so enabling it never changes benchmark numbers.
-        """
-        tracer = tracer if tracer is not None else Tracer(
-            self.clock, registry=self.registry)
-        self._wire_tracer(tracer)
         return tracer
-
-    def disable_tracing(self) -> None:
-        """Swap the no-op tracer back in everywhere."""
-        self._wire_tracer(NULL_TRACER)
 
     def enable_timeline(self, interval_s: float = 1.0,
                         timeline: Optional[TimelineRecorder] = None) -> TimelineRecorder:
@@ -350,10 +343,6 @@ class PropellerService:
         self.timeline = timeline
         return timeline
 
-    def disable_timeline(self) -> None:
-        """Swap the no-op timeline back in (recorded series are dropped)."""
-        self.timeline = NULL_TIMELINE
-
     def enable_freshness(self, tracker: Optional[FreshnessTracker] = None) -> FreshnessTracker:
         """Track change-to-search-visible staleness on every node.
 
@@ -367,14 +356,6 @@ class PropellerService:
         for client in self._clients:
             client.set_freshness(tracker)
         return tracker
-
-    def disable_freshness(self) -> None:
-        """Swap the no-op freshness tracker back in everywhere."""
-        self.freshness = NULL_FRESHNESS
-        for node in self.index_nodes.values():
-            node.freshness = NULL_FRESHNESS
-        for client in self._clients:
-            client.set_freshness(NULL_FRESHNESS)
 
     # Timeline sources: each reads live state the deployment already
     # maintains, so sampling can never drift from ground truth.

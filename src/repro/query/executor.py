@@ -1,5 +1,4 @@
-"""Plan execution against one ACG's indices — and the cluster-side
-scatter-gather that stitches per-node answers into one result.
+"""Plan execution against one ACG's indices.
 
 The per-ACG executor runs on an Index Node: it walks the chosen access
 path to get candidate file ids, then applies the full predicate as a
@@ -8,21 +7,12 @@ always exact — an over-approximate index never yields false positives.
 Where the access path is itself exact (a B+tree range that is the whole
 predicate, an intersection of every keyword's postings) the filter only
 drops ids the store does not hold.
-
-The scatter-gather runs on the client: search legs fan out to every Index
-Node in parallel and, when a leg fails transiently (node down, RPC
-timeout, injected disk error), the query **degrades** instead of dying —
-the surviving legs' results come back in a :class:`FanoutOutcome` whose
-``degraded`` flag is set and whose ``unreachable`` map names exactly
-which partitions on which nodes the answer is missing (the tail-tolerant
-partial-results semantic partition-parallel search needs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Set, Tuple, Union)
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple, Union)
 
 from repro.errors import DiskIOError, NodeDown, QueryError, RpcTimeout, UnknownIndexName
 from repro.indexstructures.base import Index
@@ -30,7 +20,6 @@ from repro.indexstructures.postings import PostingList, intersect_all
 from repro.query.ast import Predicate, tokenize_path
 from repro.query.planner import Plan
 from repro.query.prepared import Matcher, PreparedQuery, prepare
-from repro.sim.rpc import scatter
 
 # Failures that degrade a search leg instead of failing the whole query.
 # Anything else (parse errors, unknown index names, handler bugs) is a
@@ -176,8 +165,10 @@ def _keyword_posting_candidates(plan: Plan, query: PreparedQuery,
     if not terms:
         return None
     index = indexes[plan.index_name]
-    return intersect_all(
-        PostingList.from_iterable(index.get(term)) for term in terms)
+    buckets = [index.get(term) for term in terms]
+    if not all(buckets):
+        return PostingList()   # an absent term: the conjunction is empty
+    return intersect_all(PostingList.from_iterable(b) for b in buckets)
 
 
 def execute(plan: Plan, predicate: Union[Predicate, PreparedQuery],
@@ -213,93 +204,3 @@ def execute_plans(plans: Iterable[Plan],
     for plan in plans:
         result |= execute(plan, query, indexes, store, now)
     return result
-
-
-# -- degraded scatter-gather ---------------------------------------------------
-
-
-@dataclass
-class FanoutOutcome:
-    """What a partition-parallel search fan-out actually achieved.
-
-    ``results`` holds every per-node answer that arrived; ``unreachable``
-    maps each failed node to the partition (ACG) ids its leg was asked to
-    search, and ``errors`` keeps the error text per failed node.  A query
-    is ``degraded`` exactly when at least one leg failed — the caller got
-    a correct but possibly incomplete answer and can name what is
-    missing.
-
-    Epoch-stamped legs add two routing-health signals: ``stale`` maps a
-    node to the ACGs it declined because it no longer owns them (the
-    client should refresh its route table and retry those partitions),
-    and ``node_epochs`` records each answering node's routing epoch so a
-    behind-the-times client can notice the cluster has moved on.
-    """
-
-    results: List[Any] = field(default_factory=list)
-    unreachable: Dict[str, List[int]] = field(default_factory=dict)
-    errors: Dict[str, str] = field(default_factory=dict)
-    stale: Dict[str, List[int]] = field(default_factory=dict)
-    node_epochs: Dict[str, int] = field(default_factory=dict)
-    # Partitions the owning node *validated* as skippable (summary
-    # watermark matched, nothing pending) — these count as served even
-    # though no SearchResult came back for them.
-    pruned_ok: Set[int] = field(default_factory=set)
-    # acg_id → the commit watermark its answer in ``results`` is exact
-    # at, for every answer a primary stamped (a follower's, or one to a
-    # time-dependent predicate, has none).
-    stamps: Dict[int, Tuple[str, int, int]] = field(default_factory=dict)
-    # node → the per-batch outcomes of the update envelope its leg
-    # carried (a leg that carried none, or was answered by a follower,
-    # has no entry).
-    update_outcomes: Dict[str, Sequence[Any]] = field(default_factory=dict)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.unreachable)
-
-    @property
-    def unreachable_partitions(self) -> List[int]:
-        """Every partition id the answer is missing, sorted."""
-        return sorted(acg for acgs in self.unreachable.values() for acg in acgs)
-
-    def max_node_epoch(self) -> int:
-        """The highest routing epoch any answering node reported."""
-        return max(self.node_epochs.values(), default=0)
-
-
-def scatter_gather(clock, routing: Mapping[str, Sequence[int]],
-                   call: Callable[[str], Any]) -> FanoutOutcome:
-    """Fan one search out to every node in ``routing``, tolerating legs.
-
-    ``call(node)`` performs one node's search RPC (retries included — the
-    RPC layer owns those); legs run as logically concurrent work on the
-    virtual clock, so the caller waits for the slowest leg, including a
-    failed leg's timeout burn.  Legs that still fail with a transient
-    error after retries are recorded against the partitions they covered
-    instead of aborting the fan-out.
-    """
-    outcome = FanoutOutcome()
-    for node, leg in scatter(clock, routing, call).items():
-        batch = leg.value
-        if not leg.ok:
-            if not isinstance(leg.error, DEGRADABLE_ERRORS):
-                raise leg.error
-            if not routing[node]:
-                continue  # nothing was asked of it: nothing is missing
-            outcome.unreachable[node] = sorted(routing[node])
-            outcome.errors[node] = f"{type(leg.error).__name__}: {leg.error}"
-        elif hasattr(batch, "results") and hasattr(batch, "not_owned"):
-            # An epoch-stamped SearchReply: unpack results and record the
-            # routing-health signals the client's retry round consumes.
-            outcome.results.extend(batch.results)
-            outcome.node_epochs[node] = batch.epoch
-            if batch.not_owned:
-                outcome.stale[node] = sorted(batch.not_owned)
-            outcome.pruned_ok.update(getattr(batch, "pruned_ok", ()))
-            outcome.stamps.update(getattr(batch, "stamps", ()))
-            if getattr(batch, "update_outcomes", ()):
-                outcome.update_outcomes[node] = batch.update_outcomes
-        else:
-            outcome.results.extend(batch)
-    return outcome

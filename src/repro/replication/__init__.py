@@ -11,13 +11,12 @@ replaying a checkpoint on a cold survivor.  On the read path a
 the leg to a follower when the primary dawdles.
 """
 
-from repro.replication.hedging import HedgedReply, HedgePolicy
+from repro.replication.hedging import HedgePolicy
 from repro.replication.log import ReplicationLog
 from repro.replication.replica_set import ReplicaSetManager, ReplicaSetState
 
 __all__ = [
     "HedgePolicy",
-    "HedgedReply",
     "ReplicaSetManager",
     "ReplicaSetState",
     "ReplicationLog",

@@ -1,4 +1,4 @@
-"""Tail-tolerant search hedging: p95-derived timers and hedged leg replies.
+"""Tail-tolerant search hedging: a p95-derived hedge timer per search leg.
 
 The policy follows "The Tail at Scale": send the leg to the primary; if no
 answer arrives within roughly the observed p95 leg latency, issue the same
@@ -10,9 +10,6 @@ partial-results deadline).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List, Tuple
 
 # Leg-latency histogram the policy derives its timer from.
 LEG_HISTOGRAM = "cluster.client.search_leg_s"
@@ -47,25 +44,3 @@ class HedgePolicy:
         if self._hist.count >= _MIN_SAMPLES:
             return self._hist.p95
         return self.default_delay_s
-
-
-@dataclass
-class HedgedReply:
-    """A search leg's answer after hedge resolution.
-
-    Duck-type compatible with :class:`~repro.cluster.messages.SearchReply`
-    (``results`` / ``not_owned`` / ``epoch`` / ``pruned_ok``) so
-    ``scatter_gather`` unpacks it unchanged.  The extra fields record how
-    the leg was answered: ``from_replica`` when a follower won, and
-    ``lagging`` naming partitions the follower answered *below* the
-    client's read watermark (only ever non-empty under the opt-in
-    partial-results deadline).
-    """
-
-    node: str
-    epoch: int = 0
-    results: List = field(default_factory=list)
-    not_owned: Tuple[int, ...] = ()
-    pruned_ok: Tuple[int, ...] = ()
-    from_replica: bool = False
-    lagging: Tuple[int, ...] = ()

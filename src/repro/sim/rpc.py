@@ -299,36 +299,32 @@ class RpcNetwork:
 
     def hedged_call(self, primary: str, secondary: str, method: str,
                     hedge_delay_s: float, *args: Any,
-                    secondary_method: Optional[str] = None,
-                    secondary_args: Optional[tuple] = None,
-                    secondary_kwargs: Optional[dict] = None,
+                    secondary_method: str, secondary_args: tuple,
+                    secondary_kwargs: dict,
                     **kwargs: Any) -> "HedgedOutcome":
         """One logical call raced against a replica after a hedge timer.
 
         The call goes to ``primary`` first; if it is still outstanding
-        after ``hedge_delay_s`` of virtual time the same call (or
-        ``secondary_method``/``secondary_args``, when the replica speaks
-        a different method) is issued to ``secondary``.  The first
-        answer wins and the loser is *cancelled* — its remaining work is
-        not waited for, which is what collapses the leg's tail.  Both
-        legs run under the normal retry policy; transient errors
-        (:class:`NodeDown`, :class:`RpcTimeout`) surface as the leg's
-        ``CallOutcome`` instead of escaping, so the caller can decide
-        which answers are usable.  ``cluster.client.hedges`` /
-        ``hedge_wins`` / ``hedge_cancelled`` count launches, secondary
-        wins, and loser cancellations.
+        after ``hedge_delay_s`` of virtual time the replica's form of it
+        (``secondary_method``/``secondary_args``/``secondary_kwargs``)
+        is issued to ``secondary``.  The first answer wins and the loser
+        is *cancelled* — its remaining work is not waited for, which is
+        what collapses the leg's tail.  Both legs run under the normal
+        retry policy; transient errors (:class:`NodeDown`,
+        :class:`RpcTimeout`) surface as the leg's ``CallOutcome`` instead
+        of escaping, so the caller can decide which answers are usable.
+        ``cluster.client.hedges`` / ``hedge_wins`` / ``hedge_cancelled``
+        count launches, secondary wins, and loser cancellations.
         """
         clock = self.network.clock
-        s_method = secondary_method if secondary_method is not None else method
-        s_args = secondary_args if secondary_args is not None else args
-        s_kwargs = secondary_kwargs if secondary_kwargs is not None else kwargs
 
         def leg(target: str, m: str, a: tuple, kw: dict) -> CallOutcome:
             return CallOutcome.capture(
                 lambda: self.call(target, m, *a, **kw), _RETRIABLE)
 
         race = clock.race(lambda: leg(primary, method, args, kwargs),
-                          lambda: leg(secondary, s_method, s_args, s_kwargs),
+                          lambda: leg(secondary, secondary_method,
+                                      secondary_args, secondary_kwargs),
                           hedge_delay_s)
         outcome = HedgedOutcome(
             primary=race.primary_result, secondary=race.secondary_result,

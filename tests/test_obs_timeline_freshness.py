@@ -197,8 +197,6 @@ class TestServiceWiring:
         # indexed_files ends at the real total.
         assert d["series"]["indexed_files"][-1][1] == \
             service.total_indexed_files()
-        service.disable_timeline()
-        assert service.timeline is NULL_TIMELINE
 
     def test_enable_freshness_measures_commit_visibility(self):
         service, client, paths = build_service()
@@ -209,8 +207,6 @@ class TestServiceWiring:
         service.commit_all()
         assert tracker.summary()["nodes"], "commits should be observed"
         assert tracker.worst_s() > 0.0
-        service.disable_freshness()
-        assert service.freshness is NULL_FRESHNESS
 
     def test_instrumentation_is_bit_identical(self):
         def workload(instrument):

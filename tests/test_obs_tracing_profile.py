@@ -127,17 +127,6 @@ class TestTracedSearch:
         assert profile.query == "size>1m"
         assert profile.total_s > 0.0
 
-    def test_disable_tracing_restores_null(self):
-        service, client = build_small_service()
-        service.enable_tracing()
-        client.search("size>1m")
-        assert service.tracer.last_root("search") is not None
-        service.disable_tracing()
-        assert service.tracer is NULL_TRACER
-        client.search("size>1m")  # must not record or raise
-        assert service.tracer.last_root("search") is None
-
-
 class TestProfile:
     def _profiled(self):
         service, client = build_small_service()

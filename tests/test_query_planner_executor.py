@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError, UnknownIndexName
 from repro.indexstructures import BPlusTree, ExtendibleHashIndex, IndexKind, KDTreeIndex
+from repro.indexstructures.postings import PostingList
 from repro.query.ast import Compare, Keyword, Or
 from repro.query.executor import AttributeStore, execute, tokenize_path
 from repro.query.parser import parse_query
@@ -124,6 +125,25 @@ def test_execute_matches_expectation(query, expected):
     pred = parse_query(query)
     plan = plan_query(pred, SPECS, now=100.0)
     assert execute(plan, pred, indexes, store, now=100.0) == expected
+
+
+def test_keyword_conjunction_with_absent_term_builds_no_postings(monkeypatch):
+    """An absent conjunct answers empty before the other conjuncts'
+    posting lists are built."""
+    store, indexes = build_store_and_indexes(FILES)
+    built = []
+    bulk = PostingList.from_iterable.__func__
+
+    def counted(cls, ids):
+        built.append(ids)
+        return bulk(cls, ids)
+
+    monkeypatch.setattr(PostingList, "from_iterable", classmethod(counted))
+    pred = parse_query("keyword:data & keyword:nosuchword")
+    plan = plan_query(pred, SPECS, now=100.0)
+    assert plan.access == "keyword"
+    assert execute(plan, pred, indexes, store, now=100.0) == set()
+    assert len(built) <= 1
 
 
 def test_execute_scan_path():

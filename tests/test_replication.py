@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from repro.chaos.runner import run_chaos
 from repro.cluster import PropellerService
 from repro.cluster.index_node import AcgReplica
-from repro.cluster.messages import IndexUpdate, ReplicaSearchReply, UpdateAck
+from repro.cluster.client import scatter_gather
+from repro.cluster.messages import (IndexUpdate, SearchReply, SearchResult,
+                                    UpdateAck)
 from repro.cluster.segments import encode_segment
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import ClusterError, NodeDown
 from repro.indexstructures import IndexKind
 from repro.obs.metrics import MetricsRegistry
-from repro.replication import HedgedReply, HedgePolicy, ReplicationLog
+from repro.query.parser import parse_query
+from repro.replication import HedgePolicy, ReplicationLog
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
 from repro.sim.rpc import CallOutcome, HedgedOutcome
@@ -595,12 +598,11 @@ def test_resolve_hedge_prefers_first_sound_answer():
     client = _hedge_client()
     policy = client.hedging
     clock = _FakeClock()
-    reply = ReplicaSearchReply(node="in2", epoch=3, results=["r"])
+    reply = SearchReply(node="in2", epoch=3, results=["r"])
     out = HedgedOutcome(primary=CallOutcome(ok=True, value="primary"),
                         secondary=CallOutcome(ok=True, value=reply),
                         primary_end=0.1, secondary_end=0.2, hedged=True)
-    ctx = {"lagging": set()}
-    got = client._resolve_hedge(clock, 0.0, out, policy, ctx, None)
+    got = client._resolve_hedge(clock, 0.0, out, policy, None)
     assert got == "primary"
     assert clock.now() == pytest.approx(0.1)
 
@@ -608,37 +610,102 @@ def test_resolve_hedge_prefers_first_sound_answer():
     out = HedgedOutcome(primary=CallOutcome(ok=True, value="primary"),
                         secondary=CallOutcome(ok=True, value=reply),
                         primary_end=0.3, secondary_end=0.2, hedged=True)
-    got = client._resolve_hedge(clock, 0.0, out, policy, ctx, None)
-    assert isinstance(got, HedgedReply)
-    assert got.from_replica and got.results == ["r"]
+    got = client._resolve_hedge(clock, 0.0, out, policy, None)
+    # The follower's reply wins as it came: no wrapper, nothing lagging.
+    assert got is reply
+    assert got.results == ["r"] and got.lagging == ()
     assert clock.now() == pytest.approx(0.2)
 
 
 def test_resolve_hedge_lagging_needs_deadline_opt_in():
     client = _hedge_client()
     policy = client.hedging
-    lagging_reply = ReplicaSearchReply(node="in2", epoch=3, results=["r"],
-                                       lagging=(4,))
+    lagging_reply = SearchReply(node="in2", epoch=3, results=["r"],
+                                lagging=(4,))
     down = NodeDown("in1 is down")
     out = HedgedOutcome(primary=CallOutcome(ok=False, error=down),
                         secondary=CallOutcome(ok=True, value=lagging_reply),
                         primary_end=0.1, secondary_end=0.2, hedged=True)
     # Without the opt-in a lagging answer is refused: the leg fails.
     with pytest.raises(NodeDown):
-        client._resolve_hedge(_FakeClock(), 0.0, out, policy,
-                              {"lagging": set()}, None)
-    # An in-deadline lagging answer is accepted and recorded.
-    ctx = {"lagging": set()}
-    got = client._resolve_hedge(_FakeClock(), 0.0, out, policy, ctx, 1.0)
-    assert isinstance(got, HedgedReply)
+        client._resolve_hedge(_FakeClock(), 0.0, out, policy, None)
+    # An in-deadline lagging answer is accepted; its lagging partitions
+    # ride the reply.
+    clock = _FakeClock()
+    got = client._resolve_hedge(clock, 0.0, out, policy, 1.0)
+    assert got is lagging_reply
     assert got.lagging == (4,)
-    assert ctx["lagging"] == {4}
+    assert clock.now() == pytest.approx(0.2)
     # The deadline is a real time bound, not just an opt-in flag: a
     # lagging answer that landed after it (0.2 > 0.15) is refused too.
-    ctx = {"lagging": set()}
     with pytest.raises(NodeDown):
-        client._resolve_hedge(_FakeClock(), 0.0, out, policy, ctx, 0.15)
-    assert ctx["lagging"] == set()
+        client._resolve_hedge(_FakeClock(), 0.0, out, policy, 0.15)
+
+
+def test_follower_answers_unfollowed_partition_not_owned():
+    service, _client, _paths = make_replicated()
+    node = next(n for n in service.index_nodes.values() if n.followers)
+    followed = min(node.followers)
+    unfollowed = max(node.followers) + 1000
+    reply = node.handle_search_replica([followed, unfollowed],
+                                       parse_query("size>=0"))
+    assert isinstance(reply, SearchReply)
+    assert reply.not_owned == (unfollowed,)
+    assert [r.acg_id for r in reply.results] == [followed]
+    assert reply.lagging == ()
+
+
+def test_scatter_gather_folds_lagging():
+    replies = {
+        "in1": SearchReply(node="in1", epoch=2,
+                           results=[SearchResult("in1", 1)]),
+        "in2": SearchReply(node="in3", epoch=2,
+                           results=[SearchResult("in3", 2),
+                                    SearchResult("in3", 3)],
+                           lagging=(3,)),
+    }
+    outcome = scatter_gather(SimClock(), {"in1": [1], "in2": [2, 3]},
+                             replies.__getitem__)
+    assert outcome.lagging == {3}
+    assert sorted(r.acg_id for r in outcome.results) == [1, 2, 3]
+    assert outcome.node_epochs == {"in1": 2, "in2": 2}
+    assert not outcome.stale and not outcome.degraded
+
+
+@pytest.mark.parametrize("retry_by", ["stale", "epoch"])
+def test_lagging_partition_survives_retry_round(monkeypatch, retry_by):
+    """A first-round partition answered by a lagging follower is still
+    reported after a retry round: one that re-asks a declined partition
+    (``stale``), and one a newer node epoch forces with nothing left to
+    ask (``epoch``)."""
+    service, client, _paths = make_replicated()
+    placed = sorted(a for a, n in client._route_nodes.items() if n)
+    lagging, stale = placed[0], placed[-1]
+    declined = stale if retry_by == "stale" else None
+    asked_all = []
+
+    def leg(node, acg_ids, pruned, predicate, names, deadline_t,
+            envelope=()):
+        # First time asked: ``declined`` is declined, ``lagging``
+        # answered by a lagging follower; asked again, both answer
+        # plainly.
+        asked = sorted(set(acg_ids) | set(pruned or ()))
+        fresh = set(asked) - set(asked_all)
+        asked_all.extend(asked)
+        newer = 1 if retry_by == "epoch" and fresh else 0
+        return SearchReply(
+            node=node, epoch=client._route_epoch + newer,
+            results=[SearchResult(node, a) for a in asked
+                     if not (a == declined and a in fresh)],
+            not_owned=(declined,) if declined in fresh else (),
+            lagging=(lagging,) if lagging in fresh else ())
+
+    monkeypatch.setattr(client, "_call_search_leg", leg)
+    answer = client.search_detailed("size>=0", deadline_s=5.0)
+    assert asked_all.count(stale) == (2 if retry_by == "stale" else 1)
+    assert asked_all.count(lagging) == 1
+    assert answer.partial
+    assert answer.lagging_partitions == [lagging]
 
 
 def test_search_deadline_marks_answer_partial():
