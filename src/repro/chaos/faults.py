@@ -21,6 +21,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
+from repro.obs.journal import NULL_JOURNAL
+from repro.obs.metrics import MetricsRegistry
+
 _DROPPED = "chaos.messages_dropped"
 _DELAYED = "chaos.messages_delayed"
 _DUPLICATED = "chaos.messages_duplicated"
@@ -43,18 +46,17 @@ class FaultInjector:
     exist precisely to fail a specific endpoint on purpose.
     """
 
-    def __init__(self, seed: int = 0, registry=None,
+    def __init__(self, seed: int = 0,
+                 registry: Optional[MetricsRegistry] = None,
                  immune_targets: Optional[frozenset] = None,
-                 journal=None) -> None:
+                 journal=NULL_JOURNAL) -> None:
         self.rng = random.Random(seed)
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.immune_targets = frozenset(immune_targets or ())
         # Every configuration change journals a chaos.fault_injected
         # event so a chaos run's journal shows what was done to the
         # cluster next to what the cluster did about it.
-        from repro.obs.journal import NULL_JOURNAL
-
-        self.journal = journal if journal is not None else NULL_JOURNAL
+        self.journal = journal
         self.drop_rate = 0.0
         self.duplicate_rate = 0.0
         self.delay_rate = 0.0
@@ -200,8 +202,7 @@ class FaultInjector:
     # -- decision points (the instrumented layers call these) ----------------
 
     def _count(self, name: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).inc()
+        self.registry.counter(name).inc()
 
     def message_fate(self, target: str, method: str) -> str:
         """One message's fate: ``ok`` / ``drop`` / ``delay`` / ``duplicate``.

@@ -31,6 +31,7 @@ from repro.errors import (ClusterError, FileNotFound, NodeDown,
 from repro.fs.interceptor import FileAccessManager
 from repro.obs.freshness import NULL_FRESHNESS
 from repro.obs.journal import NULL_JOURNAL
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.fs.namespace import Inode
 from repro.fs.vfs import VirtualFileSystem
@@ -294,7 +295,9 @@ class PropellerClient:
                  local: bool = False,
                  pump: Optional[Callable[[], None]] = None,
                  hedging: Optional[HedgePolicy] = None,
-                 masters: Optional[Sequence[str]] = None) -> None:
+                 masters: Optional[Sequence[str]] = None,
+                 registry: Optional[MetricsRegistry] = None,
+                 journal=NULL_JOURNAL) -> None:
         self.vfs = vfs
         self.rpc = rpc
         self.master = master
@@ -385,7 +388,6 @@ class PropellerClient:
         # watermark fence validates it, so a held answer is only ever
         # used while it is exactly current.  Governed by prune_searches.
         self._held: "OrderedDict[Hashable, _Held]" = OrderedDict()
-        self.searches_issued = 0
         self.updates_sent = 0
         self.updates_requeued = 0
         # Deletes whose Index Node was unreachable even after retries:
@@ -394,13 +396,13 @@ class PropellerClient:
         self.lost_deletes: List[int] = []
         # The availability verdict of the most recent search fan-out.
         self.last_outcome: FanoutOutcome = FanoutOutcome()
-        # Observability (wired by the service): spans for the search
-        # path, a registry for request-latency histograms.  Both charge
-        # zero simulated time.
+        # Observability: spans for the search path, a registry for
+        # request-latency histograms (a standalone client gets its own).
+        # All charge zero simulated time.
         self.tracer = NULL_TRACER
-        self.registry = None
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.freshness = NULL_FRESHNESS
-        self.journal = NULL_JOURNAL
+        self.journal = journal
         # Namespace integration: listing "/scope/?query" on the VFS runs
         # the search through this client's File Query Engine.
         vfs.set_query_handler(self.search_directory)
@@ -436,9 +438,7 @@ class PropellerClient:
             if name != self.master:
                 self.master = name
                 self.master_rehomes += 1
-                if self.registry is not None:
-                    self.registry.counter(
-                        "cluster.client.master_rehomes").inc()
+                self.registry.counter("cluster.client.master_rehomes").inc()
             return result
         assert last_error is not None
         raise last_error
@@ -448,17 +448,14 @@ class PropellerClient:
     def _note_route(self, hit: bool) -> None:
         if hit:
             self.route_cache_hits += 1
-            if self.registry is not None:
-                self.registry.counter("cluster.client.route_cache_hits").inc()
+            self.registry.counter("cluster.client.route_cache_hits").inc()
         else:
             self.route_cache_misses += 1
-            if self.registry is not None:
-                self.registry.counter("cluster.client.route_cache_misses").inc()
+            self.registry.counter("cluster.client.route_cache_misses").inc()
 
     def _note_nacks(self, count: int) -> None:
         self.stale_route_nacks += count
-        if self.registry is not None:
-            self.registry.counter("cluster.client.stale_route_nacks").inc(count)
+        self.registry.counter("cluster.client.stale_route_nacks").inc(count)
 
     def _learn_ack(self, ack: UpdateAck) -> None:
         """Record the replication watermark from an index_update ack.
@@ -524,8 +521,7 @@ class PropellerClient:
         table: RouteTable = self._master_call(
             "route_table", self._route_epoch, local=self.local)
         self.route_refreshes += 1
-        if self.registry is not None:
-            self.registry.counter("cluster.client.route_refreshes").inc()
+        self.registry.counter("cluster.client.route_refreshes").inc()
         self._apply_route_table(table)
 
     def _first_contact(self) -> None:
@@ -555,8 +551,7 @@ class PropellerClient:
             return
         self._summary_fetch_t = now
         self.summary_refreshes += 1
-        if self.registry is not None:
-            self.registry.counter("cluster.client.summary_refreshes").inc()
+        self.registry.counter("cluster.client.summary_refreshes").inc()
         if table.fresh:
             return
         self._summary_version = table.version
@@ -588,8 +583,7 @@ class PropellerClient:
                 self._refresh_routes()
             except DEGRADABLE_ERRORS:
                 return None, False
-        if self.registry is not None:
-            self.registry.counter("cluster.client.locate_probes").inc()
+        self.registry.counter("cluster.client.locate_probes").inc()
         complete = True
         for node in sorted({n for n in self._route_nodes.values() if n}):
             try:
@@ -682,8 +676,7 @@ class PropellerClient:
             # unlink must not fail because bookkeeping did.
             self.lost_deletes.append(inode.ino)
             self.freshness.forget(inode.ino)
-            if self.registry is not None:
-                self.registry.counter("cluster.client.lost_deletes").inc()
+            self.registry.counter("cluster.client.lost_deletes").inc()
             return
         # Prefer the Master's answer; fall back to the route cache for
         # client-placed files the Master never learned about.  A node
@@ -726,8 +719,7 @@ class PropellerClient:
             self.lost_deletes.append(inode.ino)
             self.freshness.forget(inode.ino)
             self._forget_file(inode.ino)
-            if self.registry is not None:
-                self.registry.counter("cluster.client.lost_deletes").inc()
+            self.registry.counter("cluster.client.lost_deletes").inc()
 
     def _on_rename(self, old_path: str, new_path: str, inode: Inode) -> None:
         """A rename keeps the inode but changes the path — and therefore
@@ -860,7 +852,7 @@ class PropellerClient:
         """Batch acknowledgement latency — what the update_ack SLO
         watches.  Only acknowledged rounds observe: an all-requeued one
         has no ack to time."""
-        if delivered > 0 and self.registry is not None:
+        if delivered > 0:
             self.registry.histogram(
                 "cluster.client.update_ack_latency_s").observe(
                     self.vfs.clock.now() - t0)
@@ -934,8 +926,7 @@ class PropellerClient:
                 # A node we could not reach may hold the copy: record the
                 # debt rather than pretending the delete landed.
                 self.lost_deletes.append(update.file_id)
-                if self.registry is not None:
-                    self.registry.counter("cluster.client.lost_deletes").inc()
+                self.registry.counter("cluster.client.lost_deletes").inc()
             return []
         node, acg_id = target
         return [_Send(node, UpdateBatch(acg_id, (update,), self._route_epoch))]
@@ -948,9 +939,8 @@ class PropellerClient:
             self._pending_slot.setdefault(update.file_id, len(self._pending))
             self._pending.append((hint_of.get(update.file_id, -1), update))
         self.updates_requeued += len(updates)
-        if self.registry is not None:
-            self.registry.counter(
-                "cluster.client.requeued_updates").inc(len(updates))
+        self.registry.counter(
+            "cluster.client.requeued_updates").inc(len(updates))
 
     def _scatter(self, stage: str, targets: Mapping[str, Any],
                  call: Callable[[str], Any]) -> Dict[str, CallOutcome]:
@@ -1319,7 +1309,6 @@ class PropellerClient:
             with self.tracer.span("route_pending"):
                 sends, hint_of = self._route_pending()
             envelopes = _envelopes(sends)
-            self.searches_issued += 1
             self._first_contact()
             self._refresh_summaries()
             # Fan out along the cached route table — every placed
@@ -1408,30 +1397,28 @@ class PropellerClient:
                 unreachable_partitions=sorted(
                     outcome.unreachable_partitions),
                 unreachable_nodes=sorted(outcome.unreachable))
-        if self.registry is not None:
-            self.registry.counter("cluster.client.searches").inc()
-            if sends:
-                self.registry.counter("cluster.client.searches_carrying").inc()
-                self.registry.counter("cluster.client.updates_carried").inc(
-                    sum(len(send.batch) for send in sends))
-            if outcome.lagging:
-                self.registry.counter("cluster.client.partial_searches").inc()
-            if outcome.degraded:
-                self.registry.counter("cluster.client.degraded_searches").inc()
-                self.registry.counter(
-                    "cluster.client.unreachable_partitions").inc(
-                        len(outcome.unreachable_partitions))
-            if prune_attempts:
-                self.registry.counter("search.prune_attempts").inc(
-                    prune_attempts)
-            self.registry.counter("search.partitions_pruned").inc(
-                len(outcome.pruned_ok))
-            self.registry.counter("search.partitions_reused").inc(
-                len(outcome.pruned_ok & known.keys()))
-            self.registry.counter("search.partitions_searched").inc(
-                len(outcome.results))
-            self.registry.histogram("cluster.client.search_latency_s").observe(
-                clock.now() - start)
+        self.registry.counter("cluster.client.searches").inc()
+        if sends:
+            self.registry.counter("cluster.client.searches_carrying").inc()
+            self.registry.counter("cluster.client.updates_carried").inc(
+                sum(len(send.batch) for send in sends))
+        if outcome.lagging:
+            self.registry.counter("cluster.client.partial_searches").inc()
+        if outcome.degraded:
+            self.registry.counter("cluster.client.degraded_searches").inc()
+            self.registry.counter(
+                "cluster.client.unreachable_partitions").inc(
+                    len(outcome.unreachable_partitions))
+        if prune_attempts:
+            self.registry.counter("search.prune_attempts").inc(prune_attempts)
+        self.registry.counter("search.partitions_pruned").inc(
+            len(outcome.pruned_ok))
+        self.registry.counter("search.partitions_reused").inc(
+            len(outcome.pruned_ok & known.keys()))
+        self.registry.counter("search.partitions_searched").inc(
+            len(outcome.results))
+        self.registry.histogram("cluster.client.search_latency_s").observe(
+            clock.now() - start)
         return answer
 
     @staticmethod
@@ -1529,8 +1516,7 @@ class PropellerClient:
             except ClusterError:
                 pass  # leg degrades on the primary's original error
             else:
-                if self.registry is not None:
-                    self.registry.counter("cluster.client.hedge_rescues").inc()
+                self.registry.counter("cluster.client.hedge_rescues").inc()
                 out = HedgedOutcome(
                     primary=out.primary,
                     secondary=CallOutcome(ok=True, value=value),
@@ -1610,8 +1596,9 @@ class PropellerClient:
         ``resent`` names partitions whose carried updates only landed
         with a healing re-send, after the first round had searched them:
         their first-round answers are dropped and asked again.
-        ``refreshed``: healing already pulled the route table.  Both
-        rounds' ``lagging`` partitions are kept."""
+        ``refreshed``: healing already pulled the route table.  A
+        partition stays ``lagging`` only while a lagging answer of it is
+        kept: a first-round one not ``resent``, or the retry round's."""
         self._note_nacks(sum(len(v) for v in outcome.stale.values()))
         if not refreshed:
             try:
@@ -1622,6 +1609,7 @@ class PropellerClient:
         pruned_ok = outcome.pruned_ok - resent
         stamps = {acg_id: stamp for acg_id, stamp in outcome.stamps.items()
                   if acg_id not in resent}
+        lagging = outcome.lagging - resent
         routing = self._placed({r.acg_id for r in results} | pruned_ok)
         if not routing:
             # Everything still placed was already answered; the failed
@@ -1629,7 +1617,7 @@ class PropellerClient:
             return FanoutOutcome(results=results,
                                  node_epochs=dict(outcome.node_epochs),
                                  pruned_ok=pruned_ok, stamps=stamps,
-                                 lagging=outcome.lagging)
+                                 lagging=lagging)
         with self.tracer.span("fanout_retry", parallel=True,
                               nodes=len(routing)):
             retry = scatter_gather(
@@ -1644,7 +1632,7 @@ class PropellerClient:
             node_epochs={**outcome.node_epochs, **retry.node_epochs},
             pruned_ok=pruned_ok | retry.pruned_ok,
             stamps={**stamps, **retry.stamps},
-            lagging=outcome.lagging | retry.lagging)
+            lagging=lagging | retry.lagging)
 
     def profile_search(self, query: str,
                        index_name: Optional[str] = None):

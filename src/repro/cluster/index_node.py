@@ -30,12 +30,14 @@ from repro.cluster.segments import (FrozenPartition, SegmentCache, SegmentView,
 from repro.cluster.wal import WriteAheadLog
 from repro.core.acg import AccessCausalityGraph
 from repro.core.partitioner import PartitioningPolicy, split_partition
-from repro.errors import (ClusterError, ObjectStoreError, SegmentCorruption,
+from repro.errors import (ObjectStoreError, SegmentCorruption,
                           StaleMasterTerm, StaleReplEpoch, StaleRoute,
                           UnknownAcg, UnknownIndexName, WalCorruption)
+from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures.base import Index, IndexKind, make_index
 from repro.obs.freshness import NULL_FRESHNESS
 from repro.obs.journal import NULL_JOURNAL
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.query.ast import Predicate
 from repro.query.executor import (DEGRADABLE_ERRORS, AttributeStore, execute,
@@ -46,8 +48,9 @@ from repro.query.summary import (PartitionSummary, SummarySnapshot,
 from repro.query.planner import KEYWORD_ATTR, IndexSpec, Plan
 from repro.query.prepared import PreparedCache, PreparedQuery
 from repro.sim.machine import Machine
+from repro.sim.objectstore import SimObjectStore
 from repro.sim.rpc import (DEFAULT_MSG_BYTES, CallOutcome, RpcEndpoint,
-                           scatter)
+                           RpcNetwork, scatter)
 
 # CPU cost constants (order-of-magnitude figures for 2014-era Xeons).
 _CACHE_ADD_OPS = 2_000          # hash insert into the in-memory cache
@@ -379,11 +382,25 @@ class FollowerState:
 
 
 class IndexNode:
-    """One Propeller Index Node."""
+    """One Propeller Index Node.
 
-    def __init__(self, name: str, machine: Machine) -> None:
+    Built whole: ``rpc`` reaches its peers (migration forwarding,
+    replication), ``shared_vfs`` is the shared storage it checkpoints
+    to and failover restores from (Section IV, Figure 5),
+    ``object_store`` holds its frozen partitions, and ``registry`` and
+    ``journal`` are what it reports to."""
+
+    def __init__(self, name: str, machine: Machine, rpc: RpcNetwork,
+                 shared_vfs: VirtualFileSystem, object_store: SimObjectStore,
+                 registry: MetricsRegistry, journal=NULL_JOURNAL) -> None:
         self.name = name
         self.machine = machine
+        self.rpc = rpc
+        self.shared_vfs = shared_vfs
+        self.object_store = object_store
+        self.registry = registry
+        # Cluster event journal (lifecycle, fences, deposals).
+        self.journal = journal
         # Log appends are absorbed by the drive's write-back cache (the
         # testbed's Barracuda has 32 MB of it), so they pay bandwidth but
         # not a head seek even when interleaved with index I/O.  A
@@ -404,16 +421,9 @@ class IndexNode:
         # behaviour behind Table IV's super-linear scaling knee.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
         self._resident_bytes = 0
-        # Shared storage (attached by the service): indices and ACGs are
-        # checkpointed here as regular files, and failover restores from
-        # here (Section IV).
-        self.shared_vfs = None
         self.cache = IndexCache(self._commit_cached)
         self.tracer = NULL_TRACER
         self.freshness = NULL_FRESHNESS
-        # Cluster event journal (lifecycle, fences, deposals); wired by
-        # the deployment, inert by default.
-        self.journal = NULL_JOURNAL
         self.replicas: Dict[int, AcgReplica] = {}
         self._global_specs: Dict[str, IndexSpec] = {}
         # Monotonic replica-incarnation counter: every replica this node
@@ -475,21 +485,16 @@ class IndexNode:
         # Updates committed for an ACG while under a handoff intent — the
         # chaos checker asserts this stays zero (no non-owner applies).
         self.nonowner_applied = 0
-        # Attached by the service: lets this node forward updates during
-        # a migration's dual-ownership window.
-        self.rpc = None
         # Tiered storage (service-wide knob; see PropellerService
         # ``set_tiering``).  Off by default: the freeze driver, the
         # frozen search path, and every cold-tier charge are gated on
         # ``tiering``, so the default path is byte-identical to the
-        # non-tiered node.  ``object_store`` is attached by the service;
-        # ``frozen`` maps ACG id → the RAM-resident record of its cold
-        # segment (summary sidecar + sizes); the live replica stays in
-        # ``replicas`` as the durable backing (analogous to the disk
-        # copy in the residency model) but leaves the ``_resident``
-        # budget, which is what flattens the paging knee.
+        # non-tiered node.  ``frozen`` maps ACG id → the RAM-resident
+        # record of its cold segment (summary sidecar + sizes); the live
+        # replica stays in ``replicas`` as the durable backing (analogous
+        # to the disk copy in the residency model) but leaves the
+        # ``_resident`` budget, which is what flattens the paging knee.
         self.tiering = False
-        self.object_store = None
         self.tier_policy = TierPolicy()
         self.segment_cache = SegmentCache(machine.spec.ram_bytes)
         self.frozen: Dict[int, FrozenPartition] = {}
@@ -504,10 +509,6 @@ class IndexNode:
         self.tier_fallbacks = 0
         self.tier_summary_prunes = 0
         self.tier_repairs = 0
-        # Metrics registry (attached by the service; None when the node
-        # runs bare in tests).  Observations are bookkeeping only — they
-        # charge no simulated time.
-        self.registry = None
         # Replication (RF > 1).  ``repl`` holds per-partition primary
         # state (log + follower ack map) for partitions this node owns;
         # ``followers`` holds the in-memory follower replicas it keeps
@@ -555,8 +556,7 @@ class IndexNode:
         Epoch 0 is unstamped: ownership alone."""
         if 0 < epoch < self.reshape_epochs.get(acg_id, 0):
             return False
-        return self.owns(acg_id) or (relay and self.rpc is not None
-                                     and acg_id in self.handoff_intents)
+        return self.owns(acg_id) or (relay and acg_id in self.handoff_intents)
 
     def _fence_repl(self, rpc: str, acg_id: int, repl_epoch: int,
                     **detail: Any) -> None:
@@ -778,9 +778,8 @@ class IndexNode:
         parked_updates = sum(len(batch) for batch in parked)
         if parked_updates:
             self.wal.sync()
-            if self.registry is not None:
-                self.registry.histogram("update.batch_size", unit="updates")\
-                    .observe(parked_updates)
+            self.registry.histogram("update.batch_size", unit="updates")\
+                .observe(parked_updates)
         self._replicate(dict.fromkeys(batch.acg_id for batch in parked))
         return tuple(outcomes)
 
@@ -824,8 +823,7 @@ class IndexNode:
         # acking.
         if updates:
             state.log.append(tuple(updates))
-        return UpdateAck(len(updates), acg_id=acg_id, seq=state.log.last_seq,
-                         repl_epoch=state.repl_epoch)
+        return UpdateAck(len(updates), acg_id=acg_id, seq=state.log.last_seq)
 
     def _commit_updates(self, acg_id: int, updates: List[IndexUpdate]) -> None:
         from repro.errors import DiskIOError
@@ -872,7 +870,7 @@ class IndexNode:
         store.  The driver is fully gated on ``tiering`` so the default
         path charges nothing extra."""
         committed = self.cache.commit_due(self.machine.clock.now())
-        if self.tiering and self.object_store is not None:
+        if self.tiering:
             self._freeze_cold(self.machine.clock.now())
         self.catch_up()
         return committed
@@ -937,8 +935,7 @@ class IndexNode:
         if frozen is None:
             return
         self.segment_cache.invalidate(frozen.key)
-        if self.object_store is not None:
-            self.object_store.delete(frozen.key)
+        self.object_store.delete(frozen.key)
         self.tier_thaws += 1
         self.journal.emit("tier.thaw", node=self.name, acg_id=acg_id,
                           reason=reason)
@@ -973,9 +970,8 @@ class IndexNode:
                 return None
             span.set_attribute("segment_bytes", frozen.serialized_bytes)
         self.tier_hydrations += 1
-        if self.registry is not None:
-            self.registry.histogram("tier.hydration_s", unit="s")\
-                .observe(self.machine.clock.now() - t0)
+        self.registry.histogram("tier.hydration_s", unit="s")\
+            .observe(self.machine.clock.now() - t0)
         self.segment_cache.put(frozen.key, view)
         return view
 
@@ -983,7 +979,7 @@ class IndexNode:
         """Overwrite a corrupt segment with a fresh dump of the live
         backing replica (the hydrate-from-replica self-heal)."""
         replica = self.replicas.get(acg_id)
-        if replica is None or self.object_store is None:
+        if replica is None:
             return
         self.machine.compute(_FREEZE_OPS_PER_FILE * max(1, replica.file_count))
         self.object_store.put(frozen.key,
@@ -1319,8 +1315,7 @@ class IndexNode:
         frozen = self.frozen.pop(acg_id, None)
         if frozen is not None:
             self.segment_cache.invalidate(frozen.key)
-            if self.object_store is not None:
-                self.object_store.delete(frozen.key)
+            self.object_store.delete(frozen.key)
         self._acg_last_access.pop(acg_id, None)
         self.replicas.pop(acg_id, None)
         self.reshape_epochs.pop(acg_id, None)
@@ -1333,7 +1328,7 @@ class IndexNode:
     def _checkpoint_one(self, replica: AcgReplica,
                         pending: Sequence[IndexUpdate] = ()) -> bytes:
         """Dump one replica's segment, with ``pending`` as its tail, and
-        write it to shared storage (when attached); returns the bytes.
+        write it to shared storage; returns the bytes.
 
         Taken from the live replica, frozen or not (deterministic, no
         cold-tier round trip, immune to injected object faults).  With
@@ -1345,16 +1340,15 @@ class IndexNode:
         else:
             data, reused = replica.segment(self.name, encode_segment)
             self.checkpoint_reuses += reused
-        if self.shared_vfs is not None:
-            write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
-            self._shared_device.reset_head()
-            # A live partition's checkpoint models writing its index
-            # files and the tail, a frozen one's only the segment
-            # (docs/cost-model.md).
-            self._shared_device.append(
-                len(data) if replica.acg_id in self.frozen
-                else replica.resident_bytes()
-                + sum(u.wire_bytes() for u in pending))
+        write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
+        self._shared_device.reset_head()
+        # A live partition's checkpoint models writing its index
+        # files and the tail, a frozen one's only the segment
+        # (docs/cost-model.md).
+        self._shared_device.append(
+            len(data) if replica.acg_id in self.frozen
+            else replica.resident_bytes()
+            + sum(u.wire_bytes() for u in pending))
         return data
 
     def handle_transfer_out(self, acg_id: int, target: str) -> bytes:
@@ -1382,9 +1376,7 @@ class IndexNode:
         """Persist one ACG to shared storage right now (migration step 2,
         target side: the flip must not outrun durability)."""
         self.cache.commit_for_search(acg_id)
-        replica = self.replica(acg_id, create=True)
-        if self.shared_vfs is not None:
-            self._checkpoint_one(replica)
+        self._checkpoint_one(self.replica(acg_id, create=True))
 
     def handle_finish_migration(self, acg_id: int) -> None:
         """Migration step 4 (source side): drop the handed-off replica,
@@ -1394,8 +1386,7 @@ class IndexNode:
         self.migrated_away.add(acg_id)
         self._log_device.append(64)
         self.handle_drop_partition(acg_id)
-        if self.shared_vfs is not None:
-            remove_checkpoint(self.shared_vfs, self.name, acg_id)
+        remove_checkpoint(self.shared_vfs, self.name, acg_id)
 
     def handle_cancel_transfer(self, acg_id: int) -> None:
         """Migration abort (source side): lift the handoff intent — this
@@ -1482,8 +1473,6 @@ class IndexNode:
         replication is a background duty that must never take the node
         down, nor hold up a client's ack.
         """
-        if self.rpc is None:
-            return
         streams: Dict[str, List[Tuple[int, int, Any]]] = {}
         for acg_id in acg_ids:
             state = self.repl.get(acg_id)
@@ -1794,7 +1783,6 @@ class IndexNode:
             node=self.name,
             timestamp=self.machine.clock.now(),
             acg_sizes=tuple(sorted(sizes.items())),
-            free_bytes=self.machine.spec.ram_bytes,
             summaries=tuple(sorted(summaries, key=lambda s: s.acg_id)),
             replication=tuple(replication),
         )
@@ -1810,11 +1798,8 @@ class IndexNode:
         timeout or a search commits them.  So when a periodic checkpoint
         lands never changes what a search sees or how fresh it is.
 
-        Returns how many ACGs were persisted; a no-op when no shared
-        storage is attached (unit-test configurations).
+        Returns how many ACGs were persisted.
         """
-        if self.shared_vfs is None:
-            return 0
         count = 0
         for replica in self.replicas.values():
             if replica.acg_id in self.handoff_intents:
@@ -1842,8 +1827,6 @@ class IndexNode:
         :class:`SegmentCorruption` for one that fails validation (nothing
         is installed in either case).
         """
-        if self.shared_vfs is None:
-            raise ClusterError(f"{self.name} has no shared storage attached")
         view = decode_segment(
             read_checkpoint(self.shared_vfs, checkpoint_path))
         acg_id = view.acg_id

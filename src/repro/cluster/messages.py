@@ -120,14 +120,11 @@ class UpdateAck(int):
 
     acg_id: int
     seq: int
-    repl_epoch: int
 
-    def __new__(cls, n: int, acg_id: int = -1, seq: int = 0,
-                repl_epoch: int = 0) -> "UpdateAck":
+    def __new__(cls, n: int, acg_id: int = -1, seq: int = 0) -> "UpdateAck":
         ack = super().__new__(cls, n)
         ack.acg_id = acg_id
         ack.seq = seq
-        ack.repl_epoch = repl_epoch
         return ack
 
 
@@ -240,7 +237,6 @@ class Heartbeat:
     node: str
     timestamp: float
     acg_sizes: Tuple[Tuple[int, int], ...] = ()   # (acg_id, file count)
-    free_bytes: int = 0
     # Partition summary snapshots for the ACGs this node answers for
     # (repro.query.summary.SummarySnapshot) — piggybacked so summary
     # distribution costs zero extra RPCs.

@@ -116,15 +116,14 @@ class PropellerService:
         # :meth:`set_tiering`; off by default.
         self.tiering = False
         self.object_store = SimObjectStore(self.clock)
+        # The shared VFS: clients mount it, and it is the shared storage
+        # every Index Node checkpoints to (Figure 5).
+        self.vfs = VirtualFileSystem(self.clock)
         self.index_nodes: Dict[str, IndexNode] = {}
         for name in index_node_names:
-            node = IndexNode(name, self.cluster[name])
-            # Migration forwarding: a node holding a handoff intent
-            # forwards stamped updates to the new owner over RPC.
-            node.rpc = self.rpc
-            node.journal = self.journal
-            node.registry = self.registry
-            node.object_store = self.object_store
+            node = IndexNode(name, self.cluster[name], self.rpc, self.vfs,
+                             self.object_store, self.registry,
+                             journal=self.journal)
             self.rpc.add_endpoint(node.endpoint)
             self.master.register_index_node(name)
             self.index_nodes[name] = node
@@ -136,9 +135,6 @@ class PropellerService:
             # first mutation on — a promotion can never start from a
             # stale (or empty) MetaState, however early the crash.
             self.masters[1].standby_tick()
-        self.vfs = VirtualFileSystem(self.clock)
-        for node in self.index_nodes.values():
-            node.shared_vfs = self.vfs
         self._clients: List[PropellerClient] = []
         self._tasks = [
             PeriodicTask(self.loop, DEFAULT_TIMEOUT_S / 2, self._tick_caches),
@@ -148,13 +144,13 @@ class PropellerService:
         if standby_master:
             self._tasks.append(
                 PeriodicTask(self.loop, STANDBY_TICK_S, self._standby_ticks))
-        # Health monitor before the SLO tracker: its gauge registrations
-        # (cluster.health.repl_lag_max) are what the replication-lag SLO
-        # spec reads.
+        # The SLO tracker looks its metrics up only when it samples, so
+        # it finds the health monitor's gauges (cluster.health.*) though
+        # it is built first.
+        self.slos = SloTracker(self.clock, self.registry, journal=self.journal)
         self.health = HealthMonitor(self.clock, self.registry, self.master,
-                                    self.index_nodes, journal=self.journal)
-        self.health.slos = self.slos = SloTracker(
-            self.clock, self.registry, journal=self.journal)
+                                    self.index_nodes, journal=self.journal,
+                                    slos=self.slos)
         self._register_metrics()
 
     # -- observability --------------------------------------------------------
@@ -650,10 +646,10 @@ class PropellerService:
             pump=self.pump,
             hedging=hedging,
             masters=[m.endpoint.name for m in self.masters],
+            registry=self.registry,
+            journal=self.journal,
         )
         client.tracer = self.tracer
-        client.registry = self.registry
-        client.journal = self.journal
         client.set_freshness(self.freshness)
         self._clients.append(client)
         return client

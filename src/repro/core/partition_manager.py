@@ -10,7 +10,7 @@ Master Node, periodically checkpointed to shared storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import UnknownAcg
 
@@ -82,12 +82,6 @@ class PartitionManager:
         """Total files hosted by one Index Node."""
         return sum(p.size for p in self._partitions.values() if p.node == node)
 
-    def least_loaded(self, nodes: Sequence[str]) -> str:
-        """The Index Node with the fewest hosted files (ties: first)."""
-        if not nodes:
-            raise ValueError("no index nodes registered")
-        return min(nodes, key=lambda n: (self.node_load(n), nodes.index(n)))
-
     # -- mutation ----------------------------------------------------------------
 
     def new_partition(self, files: Iterable[int] = (), node: Optional[str] = None) -> Partition:
@@ -120,22 +114,6 @@ class PartitionManager:
     def assign_node(self, partition_id: int, node: Optional[str]) -> None:
         """Place a partition on an Index Node."""
         self.get(partition_id).node = node
-
-    def split(self, partition_id: int, halves: Sequence[Set[int]],
-              new_node: Optional[str] = None) -> Tuple[Partition, Partition]:
-        """Apply a computed split: the first half stays in place, the
-        second becomes a new partition (optionally on a new node)."""
-        if len(halves) != 2:
-            raise ValueError(f"split needs exactly 2 halves, got {len(halves)}")
-        original = self.get(partition_id)
-        moved = set(halves[1])
-        stay = set(halves[0])
-        if stay | moved != original.files or stay & moved:
-            raise ValueError("halves must exactly partition the original files")
-        new = self.new_partition(node=new_node if new_node is not None else original.node)
-        for file_id in moved:
-            self.add_file(new.partition_id, file_id)
-        return original, new
 
     def drop_partition(self, partition_id: int) -> None:
         """Delete an empty partition."""

@@ -54,13 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profile import QueryProfile
-from repro.obs.slo import (
-    NULL_SLOS,
-    NullSloTracker,
-    SloSpec,
-    SloTracker,
-    default_specs,
-)
+from repro.obs.slo import SloSpec, SloTracker, default_specs
 from repro.obs.timeline import NULL_TIMELINE, NullTimeline, TimelineRecorder
 from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -77,12 +71,10 @@ __all__ = [
     "MetricsRegistry",
     "NULL_FRESHNESS",
     "NULL_JOURNAL",
-    "NULL_SLOS",
     "NULL_TIMELINE",
     "NULL_TRACER",
     "NullFreshness",
     "NullJournal",
-    "NullSloTracker",
     "NullTimeline",
     "NullTracer",
     "QueryProfile",

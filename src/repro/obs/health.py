@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import NULL_SLOS
+from repro.obs.slo import SloTracker
 
 if TYPE_CHECKING:
     from repro.sim.clock import SimClock
@@ -75,11 +75,9 @@ class HealthVerdict:
 class HealthMonitor:
     """Derives gauges and verdicts from Master + Index Node live state."""
 
-    enabled = True
-
     def __init__(self, clock: "SimClock", registry: MetricsRegistry,
-                 master, nodes: Dict[str, Any],
-                 journal=NULL_JOURNAL, slos=NULL_SLOS,
+                 master, nodes: Dict[str, Any], slos: SloTracker,
+                 journal=NULL_JOURNAL,
                  interval_s: float = DEFAULT_INTERVAL_S) -> None:
         self.clock = clock
         self.registry = registry

@@ -160,12 +160,9 @@ def _over_count(hist: Histogram, target: float) -> int:
 class SloTracker:
     """Evaluates every spec on a sampling interval; emits breach events.
 
-    ``journal`` and ``tracer`` are attributes so a deployment can wire
-    them after construction (the service re-points ``tracer`` whenever
-    tracing toggles).
+    ``tracer`` is an attribute so the service can re-point it whenever
+    tracing toggles.
     """
-
-    enabled = True
 
     def __init__(self, clock: "SimClock", registry: MetricsRegistry,
                  journal=NULL_JOURNAL,
@@ -322,27 +319,3 @@ class SloTracker:
             }
         return {"specs": specs, "breaches": self.breach_count(),
                 "breached_now": self.breached()}
-
-
-class NullSloTracker:
-    """Inert tracker for components that only poke sample hooks."""
-
-    enabled = False
-
-    def sample_if_due(self) -> None:
-        pass
-
-    def sample(self) -> None:
-        pass
-
-    def breached(self) -> List[str]:
-        return []
-
-    def breach_count(self) -> int:
-        return 0
-
-    def summary(self) -> Dict[str, Any]:
-        return {"specs": {}, "breaches": 0, "breached_now": []}
-
-
-NULL_SLOS = NullSloTracker()

@@ -33,6 +33,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
 
+from repro.obs.metrics import MetricsRegistry
+
 if TYPE_CHECKING:  # import only for annotations: sim.disk imports this
     from repro.sim.clock import SimClock  # module, so a runtime import
     # would be circular.
@@ -126,17 +128,17 @@ class Tracer:
     otherwise pure bookkeeping — it charges **zero simulated time**.
     Finished root spans are kept (most recent last) up to ``max_roots``;
     evicting past that is no longer silent: :attr:`roots_dropped` counts
-    every lost root, mirrored into the registry (when one is attached)
-    as the ``trace.roots_dropped`` counter so ``repro profile`` can show
-    when the window was too small for the run it profiled.
+    every lost root, mirrored into the registry (its own unless one is
+    passed) as the ``trace.roots_dropped`` counter so ``repro profile``
+    can show when the window was too small for the run it profiled.
     """
 
     enabled = True
 
     def __init__(self, clock: "SimClock", max_roots: int = DEFAULT_MAX_ROOTS,
-                 registry=None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.clock = clock
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._stack: List[Span] = []
         self.roots: Deque[Span] = deque(maxlen=max_roots)
         self.roots_dropped = 0
@@ -162,8 +164,7 @@ class Tracer:
         else:
             if len(self.roots) == self.roots.maxlen:
                 self.roots_dropped += 1
-                if self.registry is not None:
-                    self.registry.counter("trace.roots_dropped").inc()
+                self.registry.counter("trace.roots_dropped").inc()
             self.roots.append(span)
 
     @property

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.errors import ClusterError, NodeDown, RpcTimeout
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.network import NetworkModel
 
@@ -180,15 +181,16 @@ class RpcNetwork:
     lost messages and down nodes are retried with backoff until the policy
     gives up.  ``faults`` (optional, duck-typed — see
     :class:`repro.chaos.FaultInjector`) decides per-message fates and
-    per-node straggler delay; ``registry`` (optional) receives
-    ``cluster.rpc.*`` counters.  All three default to off, keeping the
+    per-node straggler delay.  Both default to off, keeping the
     fault-free request path identical to the historical one.
+    ``registry`` receives ``cluster.rpc.*`` counters (a standalone
+    network gets its own).
     """
 
     def __init__(self, network: NetworkModel,
                  retry_policy: Optional[RetryPolicy] = None,
                  rng: Optional[random.Random] = None,
-                 registry=None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.network = network
         self._endpoints: Dict[str, RpcEndpoint] = {}
         # Observability: spans per call (zero simulated cost; NULL_TRACER
@@ -196,7 +198,7 @@ class RpcNetwork:
         self.tracer = NULL_TRACER
         self.retry_policy = retry_policy
         self.rng = rng if rng is not None else random.Random(0)
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.faults = None
 
     def add_endpoint(self, endpoint: RpcEndpoint) -> None:
@@ -213,8 +215,7 @@ class RpcNetwork:
             raise ClusterError(f"unknown endpoint: {name}") from None
 
     def _count(self, name: str, n: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).inc(n)
+        self.registry.counter(name).inc(n)
 
     def _timeout_s(self) -> float:
         if self.retry_policy is not None:

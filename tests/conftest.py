@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 from hypothesis import settings
 
 from repro.cluster import PropellerService
+from repro.cluster.index_node import IndexNode
 from repro.core.partitioner import PartitioningPolicy
 from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures import IndexKind
+from repro.obs.journal import NULL_JOURNAL
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
+from repro.sim.network import NetworkModel
+from repro.sim.objectstore import SimObjectStore
+from repro.sim.rpc import RpcNetwork
 
 # ``--hypothesis-profile deep``: the budget CI's chaos-smoke job gives the
 # two cluster state machines — derandomized, so a failure there is the
@@ -25,6 +33,24 @@ def machine_examples(tier1: int) -> int:
     profile's when it is the active one, else tier-1's small budget."""
     deep = settings.get_profile("deep")
     return deep.max_examples if settings.default is deep else tier1
+
+
+def whole_node(name: str = "in1", machine: Optional[Machine] = None,
+               rpc: Optional[RpcNetwork] = None,
+               journal=NULL_JOURNAL) -> IndexNode:
+    """An Index Node built whole, as a deployment builds one, and
+    registered on ``rpc``: a network of its own unless one is given
+    (nodes built on one network reach each other), and shared storage,
+    an object store and a registry of its own."""
+    if machine is None:
+        machine = Machine(rpc.network.clock if rpc is not None else SimClock())
+    clock = machine.clock
+    if rpc is None:
+        rpc = RpcNetwork(NetworkModel(clock))
+    node = IndexNode(name, machine, rpc, VirtualFileSystem(clock),
+                     SimObjectStore(clock), MetricsRegistry(), journal=journal)
+    rpc.add_endpoint(node.endpoint)
+    return node
 
 
 @pytest.fixture

@@ -23,6 +23,34 @@ def populate(service, client, n=300, pid=9, big_every=10):
     return paths
 
 
+def test_a_deployment_wires_its_own_collaborators_into_every_component():
+    """Nodes, clients and the health plane are built with the service's
+    own network, shared storage, object store, registry and journal —
+    the same objects, not copies."""
+    service = PropellerService(num_index_nodes=3, replication_factor=2,
+                               standby_master=True)
+    client = service.make_client()
+    for node in service.index_nodes.values():
+        assert node.rpc is service.rpc
+        assert node.shared_vfs is service.vfs
+        assert node.object_store is service.object_store
+        assert node.registry is service.registry
+        assert node.journal is service.journal
+    assert client.rpc is service.rpc and client.vfs is service.vfs
+    assert client.registry is service.registry
+    assert client.journal is service.journal
+    for master in service.masters:
+        assert master.rpc is service.rpc
+        assert master.registry is service.registry
+        assert master.journal is service.journal
+    assert service.rpc.registry is service.registry
+    assert service.health.slos is service.slos
+    assert service.health.registry is service.slos.registry \
+        is service.registry
+    assert service.health.journal is service.slos.journal \
+        is service.journal
+
+
 def test_search_matches_ground_truth(indexed_service):
     service, client = indexed_service
     populate(service, client)

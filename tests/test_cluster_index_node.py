@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.index_node import IndexNode
 from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.core.partitioner import PartitioningPolicy
 from repro.errors import StaleRoute, UnknownAcg, WalCorruption
@@ -10,13 +9,12 @@ from repro.indexstructures import IndexKind
 from repro.query.ast import matches
 from repro.query.parser import parse_query
 from repro.query.planner import IndexSpec
-from repro.sim.clock import SimClock
-from repro.sim.machine import Machine
+from tests.conftest import whole_node
 
 
 @pytest.fixture
 def node():
-    node = IndexNode("in1", Machine(SimClock()))
+    node = whole_node("in1")
     node.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     node.handle_create_index(IndexSpec("by_kw", IndexKind.HASH, ("keyword",)))
     return node
@@ -221,7 +219,7 @@ def test_extract_install_migration_roundtrip(node):
     segment = node.handle_extract_partition(1, [1, 2])
     # Source no longer serves the moved files.
     assert search_ids(node, [1], "size>0") == {3, 4, 5}
-    other = IndexNode("in2", Machine(SimClock()))
+    other = whole_node("in2")
     other.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     assert other.handle_install_partition(7, segment) == (1, 2)
     assert search_ids(other, [7], "size>0") == {1, 2}
@@ -254,7 +252,7 @@ def test_extracted_subset_installs_exactly_and_leaves_the_complement(node):
     # 99 is an id the Master asked to move but this node does not host:
     # it is left out, not installed on the target as an empty row.
     segment = node.handle_extract_partition(1, sorted(moving | {99}))
-    other = IndexNode("in2", Machine(SimClock()))
+    other = whole_node("in2")
     other.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     other.handle_create_index(IndexSpec("by_kw", IndexKind.HASH, ("keyword",)))
     assert set(other.handle_install_partition(7, segment)) == moving
@@ -295,7 +293,7 @@ def test_wal_recovery_after_crash(node):
     park(node, 1, [up(10, 100), up(11, 200)])
     park(node, 2, [up(20, 300)])
     # Crash: the in-memory cache is lost, the WAL survives.
-    crashed = IndexNode("in1b", Machine(SimClock()))
+    crashed = whole_node("in1b")
     crashed.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     crashed.wal._buffer = bytearray(node.wal._buffer)
     assert crashed.recover_from_wal() == 3

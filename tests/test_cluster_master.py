@@ -4,7 +4,6 @@ Master itself places no file)."""
 
 import pytest
 
-from repro.cluster.index_node import IndexNode
 from repro.cluster.client import PropellerClient
 from repro.cluster.master import MasterNode
 from repro.cluster.messages import IndexUpdate, UpdateBatch
@@ -13,10 +12,9 @@ from repro.errors import ClusterError, UnknownIndexName, UnknownIndexNode
 from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures import IndexKind
 from repro.query.planner import IndexSpec
-from repro.sim.clock import SimClock
 from repro.sim.machine import Cluster
-from repro.sim.network import NetworkModel
 from repro.sim.rpc import RpcNetwork
+from tests.conftest import whole_node
 
 
 def make_cluster(n_nodes=2, policy=None):
@@ -28,8 +26,7 @@ def make_cluster(n_nodes=2, policy=None):
     nodes = {}
     for i in range(1, n_nodes + 1):
         name = f"in{i}"
-        node = IndexNode(name, cluster[name])
-        rpc.add_endpoint(node.endpoint)
+        node = whole_node(name, cluster[name], rpc)
         master.register_index_node(name)
         nodes[name] = node
     return master, nodes, rpc

@@ -65,4 +65,3 @@ def test_heartbeat_acg_sizes_tuple():
     heartbeat = Heartbeat(node="in1", timestamp=1.5,
                           acg_sizes=((1, 10), (2, 20)))
     assert dict(heartbeat.acg_sizes) == {1: 10, 2: 20}
-    assert heartbeat.free_bytes == 0

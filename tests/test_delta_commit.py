@@ -21,7 +21,7 @@ import repro.query.summary as summary_module
 from repro.cluster.index_node import (_COMMIT_BATCH_BASE_OPS,
                                       _COMMIT_BATCHED_UPDATE_OPS,
                                       _REBUILD_OPS_PER_FILE, AcgReplica,
-                                      IndexNode, _SpecGroups)
+                                      _SpecGroups)
 from repro.cluster.messages import IndexUpdate, UpdateOp
 from repro.cluster.segments import encode_segment
 from repro.indexstructures import IndexKind
@@ -31,7 +31,7 @@ from repro.query.planner import IndexSpec, plan_query_set
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
 
-from tests.conftest import machine_examples
+from tests.conftest import machine_examples, whole_node
 
 
 class ReindexReplica(AcgReplica):
@@ -232,7 +232,7 @@ def test_a_key_that_changes_type_moves():
                 max_size=12))
 def test_delta_commit_matches_the_full_reindex(rebuild_after, batches):
     ref, delta = new_replica(ReindexReplica), new_replica()
-    follower = IndexNode("follower", Machine(SimClock()))
+    follower = whole_node("follower")
     follower.handle_install_follower(ACG, "primary", 1, 0,
                                      encode_segment(new_replica(), "primary"))
     paths: Dict[int, str] = {}

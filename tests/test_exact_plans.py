@@ -24,10 +24,8 @@ from repro.query.executor import execute_plans
 from repro.query.parser import parse_query
 from repro.query.planner import IndexSpec
 from repro.query.prepared import PreparedQuery
-from repro.sim.clock import SimClock
-from repro.sim.machine import Machine
 
-from tests.conftest import machine_examples
+from tests.conftest import machine_examples, whole_node
 
 ACG = 3
 SPECS = (IndexSpec("by_size", IndexKind.BTREE, ("size",)),
@@ -93,7 +91,7 @@ def to_update(model: Model, kind: str, file_id: int, *rest) -> IndexUpdate:
 
 
 def new_node(specs) -> IndexNode:
-    node = IndexNode("in1", Machine(SimClock()))
+    node = whole_node("in1")
     node.handle_own_partition(ACG, 1)
     for index in specs:
         node.handle_create_index(SPECS[index])

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import PropellerService
-from repro.cluster.index_node import IndexNode
 from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.cluster.rpcs import INDEX_NODE, MASTER
 from repro.core.partitioner import PartitioningPolicy
@@ -17,8 +16,7 @@ from repro.errors import ClusterError
 from repro.indexstructures import IndexKind
 from repro.query.parser import parse_query
 from repro.query.planner import IndexSpec
-from repro.sim.clock import SimClock
-from repro.sim.machine import Machine
+from tests.conftest import whole_node
 
 TERM = 7                    # the newest master term the node has seen
 EPOCH = 5                   # the routing epoch the split stamped
@@ -38,9 +36,11 @@ def node():
     """One node holding each partition state a stale stamp can meet: a
     primary (OWNED, repl epoch 3), a partition split at EPOCH with an
     update still pending (SPLIT), one handed off to a migration target
-    (HANDED_OFF), and a follower copy at repl epoch 3 (FOLLOWED).
-    Master RPCs have seen term 7."""
-    node = IndexNode("in1", Machine(SimClock()))
+    on the same network, ``in2``, which does not host it (HANDED_OFF),
+    and a follower copy at repl epoch 3 (FOLLOWED).  Master RPCs have
+    seen term 7."""
+    node = whole_node("in1")
+    whole_node("in2", rpc=node.rpc)
     call = node.endpoint.dispatch
     call("heartbeat", term=TERM)
     call("create_index", IndexSpec("by_size", IndexKind.BTREE, ("size",)))
@@ -93,6 +93,7 @@ def named(reply, field, acg_ids):
 # streamed by a deposed primary, skipping on an old watermark — and
 # what each stale partition in it earned.
 STALE = {
+    # The handed-off batch is forwarded to in2, which NACKs it.
     ("index_update", "route"): lambda call: [
         o.error for o in call("index_update", [batch(SPLIT, PRE_SPLIT),
                                                batch(HANDED_OFF, EPOCH)])],

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.cluster import PropellerService
-from repro.cluster.index_node import IndexNode
 from repro.core.partitioner import PartitioningPolicy
-from repro.errors import NodeDown, WalCorruption
+from repro.errors import WalCorruption
 from repro.indexstructures import IndexKind
 from repro.query.planner import IndexSpec
-from repro.sim.clock import SimClock
-from repro.sim.machine import Machine
+from tests.conftest import whole_node
 
 
 def build(nodes=2):
@@ -39,7 +37,7 @@ def test_index_node_crash_then_wal_recovery():
     assert pending > 0
     # Crash: lose the in-memory cache, keep the WAL bytes.
     wal_bytes = bytearray(node.wal._buffer)
-    replacement = IndexNode("in1-reborn", Machine(SimClock()))
+    replacement = whole_node("in1-reborn")
     replacement.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     replacement.wal._buffer = wal_bytes
     recovered = replacement.recover_from_wal()
@@ -60,7 +58,7 @@ def test_torn_wal_tail_loses_only_last_record():
     node = service.index_nodes["in1"]
     assert node.wal.fsyncs == 10
     node.wal.simulate_torn_tail(5)
-    replacement = IndexNode("r", Machine(SimClock()))
+    replacement = whole_node("r")
     replacement.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     replacement.wal._buffer = bytearray(node.wal._buffer)
     assert replacement.recover_from_wal() == 9
@@ -74,7 +72,7 @@ def test_torn_wal_tail_drops_whole_batch_record():
     node = service.index_nodes["in1"]
     assert node.wal.fsyncs == 1
     node.wal.simulate_torn_tail(5)
-    replacement = IndexNode("r", Machine(SimClock()))
+    replacement = whole_node("r")
     replacement.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     replacement.wal._buffer = bytearray(node.wal._buffer)
     # The torn frame was the whole 10-update envelope: recovery sees

@@ -14,10 +14,11 @@ from repro.indexstructures import IndexKind
 from repro.obs.health import HealthMonitor
 from repro.obs.journal import NULL_JOURNAL, EventJournal
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import NULL_SLOS, SloSpec, SloTracker, default_specs
+from repro.obs.slo import SloSpec, SloTracker, default_specs
 from repro.obs.tracing import Tracer
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
+from tests.conftest import whole_node
 
 
 # -- journal ------------------------------------------------------------------
@@ -198,11 +199,6 @@ class TestSloTracker:
         with pytest.raises(ValueError):
             tracker.add_spec(default_specs()[0])
 
-    def test_null_tracker_is_inert(self):
-        NULL_SLOS.sample()
-        assert NULL_SLOS.breached() == []
-        assert NULL_SLOS.summary()["specs"] == {}
-
 
 # -- health monitor -----------------------------------------------------------
 
@@ -305,11 +301,9 @@ class TestClusterEmissions:
         assert event.type in ("failover.promoted", "failover.adopted")
 
     def test_stale_install_fences_and_journals(self):
-        from repro.cluster.index_node import IndexNode
-
-        node = IndexNode("f1", Machine(SimClock()))
-        journal = EventJournal(node.machine.clock)
-        node.journal = journal
+        clock = SimClock()
+        journal = EventJournal(clock)
+        node = whole_node("f1", Machine(clock), journal=journal)
         node.handle_install_follower(1, "p1", 3, 5, empty_snapshot(1))
         with pytest.raises(StaleReplEpoch):
             node.handle_install_follower(1, "p0", 2, 0, empty_snapshot(1))
@@ -319,11 +313,9 @@ class TestClusterEmissions:
         assert fence.detail["rpc"] == "install_follower"
 
     def test_stale_replicate_apply_fences(self):
-        from repro.cluster.index_node import IndexNode
-
-        node = IndexNode("f1", Machine(SimClock()))
-        journal = EventJournal(node.machine.clock)
-        node.journal = journal
+        clock = SimClock()
+        journal = EventJournal(clock)
+        node = whole_node("f1", Machine(clock), journal=journal)
         node.handle_install_follower(1, "p1", 3, 0, empty_snapshot(1))
         (outcome,) = node.handle_replicate_apply([(1, 2, [])])
         assert isinstance(outcome.error, StaleReplEpoch)

@@ -45,41 +45,13 @@ def test_remove_file():
     assert manager.remove_file(99) is None
 
 
-def test_node_load_and_least_loaded():
+def test_node_load():
     manager = PartitionManager()
     manager.new_partition(files=[1, 2, 3], node="a")
     manager.new_partition(files=[4], node="b")
     assert manager.node_load("a") == 3
     assert manager.node_load("b") == 1
-    assert manager.least_loaded(["a", "b", "c"]) == "c"
-    assert manager.least_loaded(["a", "b"]) == "b"
-
-
-def test_least_loaded_requires_nodes():
-    with pytest.raises(ValueError):
-        PartitionManager().least_loaded([])
-
-
-def test_split_moves_second_half():
-    manager = PartitionManager()
-    original = manager.new_partition(files=range(10), node="a")
-    stay, moved = set(range(5)), set(range(5, 10))
-    old, new = manager.split(original.partition_id, [stay, moved], new_node="b")
-    assert old.files == stay
-    assert new.files == moved
-    assert new.node == "b"
-    assert manager.partition_of(7) == new.partition_id
-
-
-def test_split_validates_halves():
-    manager = PartitionManager()
-    original = manager.new_partition(files=[1, 2, 3])
-    with pytest.raises(ValueError):
-        manager.split(original.partition_id, [{1}, {2}])  # missing 3
-    with pytest.raises(ValueError):
-        manager.split(original.partition_id, [{1, 2}, {2, 3}])  # overlap
-    with pytest.raises(ValueError):
-        manager.split(original.partition_id, [{1, 2, 3}])  # not 2 halves
+    assert manager.node_load("c") == 0
 
 
 def test_drop_partition_requires_empty():

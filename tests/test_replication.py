@@ -31,6 +31,7 @@ from repro.replication import HedgePolicy, ReplicationLog
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
 from repro.sim.rpc import CallOutcome, HedgedOutcome
+from tests.conftest import whole_node
 
 HEARTBEAT_PERIOD_S = 5.0
 
@@ -280,14 +281,12 @@ def test_promoted_follower_carries_its_primarys_acg():
     """The bootstrap segment ships the ACG records with the rows, so a
     promoted follower can compute a split from real causality instead of
     an empty graph."""
-    from repro.cluster.index_node import IndexNode
-
     primary = AcgReplica(1, Machine(SimClock()))
     primary.apply_batch([IndexUpdate.upsert(i, {"size": i}, path=f"/d/f{i}")
                          for i in (1, 2, 3)])
     primary.graph.add_causality(1, 2, 3)
     primary.graph.add_file(3)
-    node = IndexNode("f1", Machine(SimClock()))
+    node = whole_node("f1")
     node.handle_install_follower(1, "p1", 1, 0, encode_segment(primary, "p1"))
     assert node.handle_promote_replica(1, repl_epoch=2) == (0, 3)
     promoted = node.replicas[1]
@@ -402,10 +401,9 @@ def test_failover_never_promotes_stale_generation_follower():
 
 
 def test_install_follower_fenced_below_current_epoch():
-    from repro.cluster.index_node import IndexNode
     from repro.errors import StaleReplEpoch
 
-    node = IndexNode("f1", Machine(SimClock()))
+    node = whole_node("f1")
     node.handle_install_follower(1, "p1", 3, 5,
                                  snapshot(1, [(1, {"size": 1}, "/a")]))
     before = node.followers[1]
@@ -421,10 +419,10 @@ def test_install_follower_fenced_below_current_epoch():
 
 
 def test_install_follower_fenced_against_own_primary_claim():
-    from repro.cluster.index_node import IndexNode, PrimaryReplState
+    from repro.cluster.index_node import PrimaryReplState
     from repro.errors import StaleReplEpoch
 
-    node = IndexNode("n1", Machine(SimClock()))
+    node = whole_node("n1")
     node.repl[1] = PrimaryReplState(repl_epoch=4)
     # At or below the node's own primary epoch the installer is the
     # stale one — rejected, claim kept.
@@ -672,12 +670,14 @@ def test_scatter_gather_folds_lagging():
     assert not outcome.stale and not outcome.degraded
 
 
-@pytest.mark.parametrize("retry_by", ["stale", "epoch"])
+@pytest.mark.parametrize("retry_by", ["stale", "epoch", "resent"])
 def test_lagging_partition_survives_retry_round(monkeypatch, retry_by):
     """A first-round partition answered by a lagging follower is still
     reported after a retry round: one that re-asks a declined partition
     (``stale``), and one a newer node epoch forces with nothing left to
-    ask (``epoch``)."""
+    ask (``epoch``).  One whose carried updates landed only with a
+    re-send (``resent``) is asked again, and its sound second answer
+    replaces the lagging one: it is not reported."""
     service, client, _paths = make_replicated()
     placed = sorted(a for a, n in client._route_nodes.items() if n)
     lagging, stale = placed[0], placed[-1]
@@ -701,11 +701,19 @@ def test_lagging_partition_survives_retry_round(monkeypatch, retry_by):
             lagging=(lagging,) if lagging in fresh else ())
 
     monkeypatch.setattr(client, "_call_search_leg", leg)
+    if retry_by == "resent":
+        monkeypatch.setattr(client, "_heal",
+                            lambda *_: (0, {lagging}, False))
     answer = client.search_detailed("size>=0", deadline_s=5.0)
     assert asked_all.count(stale) == (2 if retry_by == "stale" else 1)
-    assert asked_all.count(lagging) == 1
-    assert answer.partial
-    assert answer.lagging_partitions == [lagging]
+    if retry_by == "resent":
+        assert asked_all.count(lagging) == 2
+        assert not answer.partial
+        assert answer.lagging_partitions == []
+    else:
+        assert asked_all.count(lagging) == 1
+        assert answer.partial
+        assert answer.lagging_partitions == [lagging]
 
 
 def test_search_deadline_marks_answer_partial():
@@ -732,10 +740,10 @@ def test_search_deadline_marks_answer_partial():
 # -- messages -----------------------------------------------------------------
 
 def test_update_ack_is_int_compatible():
-    ack = UpdateAck(3, acg_id=7, seq=12, repl_epoch=2)
+    ack = UpdateAck(3, acg_id=7, seq=12)
     assert ack == 3
     assert ack + 1 == 4
-    assert ack.acg_id == 7 and ack.seq == 12 and ack.repl_epoch == 2
+    assert ack.acg_id == 7 and ack.seq == 12
 
 
 # -- replica apply idempotency (property) -------------------------------------
@@ -744,9 +752,7 @@ N_RECORDS = 12
 
 
 def _fresh_follower():
-    node_machine = Machine(SimClock())
-    from repro.cluster.index_node import IndexNode
-    node = IndexNode("f1", node_machine)
+    node = whole_node("f1")
     node.handle_install_follower(1, "p1", repl_epoch=1, seq=0,
                                  segment=snapshot(1))
     return node

@@ -27,14 +27,12 @@ from repro.cluster.index_node import AcgReplica, IndexNode
 from repro.cluster.messages import IndexUpdate, UpdateBatch
 from repro.cluster.persistence import read_checkpoint, replica_path
 from repro.cluster.segments import encode_segment, segment_key
-from repro.fs.vfs import VirtualFileSystem
 from repro.indexstructures import IndexKind
 from repro.query.planner import IndexSpec
 from repro.sim.clock import SimClock
 from repro.sim.machine import Machine
-from repro.sim.objectstore import SimObjectStore
 
-from tests.conftest import machine_examples
+from tests.conftest import machine_examples, whole_node
 from tests.test_flush_scatter import build as build_replicated
 from tests.test_tiered_storage import build, freeze_all, populate
 
@@ -75,10 +73,7 @@ STEPS = st.lists(st.one_of(
 
 
 def new_node() -> IndexNode:
-    clock = SimClock()
-    node = IndexNode("in1", Machine(clock))
-    node.shared_vfs = VirtualFileSystem(clock)
-    node.object_store = SimObjectStore(clock)
+    node = whole_node("in1")
     node.tiering = True
     node.handle_create_index(SPECS[0])
     node.handle_own_partition(ACG, 1)

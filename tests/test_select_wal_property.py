@@ -86,9 +86,7 @@ def test_property_wal_torn_tail_is_prefix(records, torn):
 
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.cluster.index_node import IndexNode
-from repro.sim.clock import SimClock
-from repro.sim.machine import Machine
+from tests.conftest import whole_node
 
 
 class GroupCommitWalMachine(RuleBasedStateMachine):
@@ -170,7 +168,7 @@ def test_property_batch_replay_idempotent_vs_watermarks(ops, torn, committed):
     each ACG's updates was already committed (the durable watermark)
     must not be re-applied, and a batch straddling the watermark is
     sliced, not duplicated."""
-    node = IndexNode("r", Machine(SimClock()))
+    node = whole_node("r")
     fid = 0
     for acg, n in ops:
         n = max(n, 1)  # a one-update envelope is still a batch frame
